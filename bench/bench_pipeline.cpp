@@ -1,17 +1,17 @@
-// Ablation B-abl-pipeline: virtual-clock effect of the latency-hiding
-// scan pipeline (docs/PARALLELISM.md) — RHS panels chunked and pipelined
+// Ablation B-abl-pipeline: virtual-clock effect of RHS-panel pipelining
+// in the ARD solve (docs/PARALLELISM.md) — R columns chunked into panels
 // so panel k+1's rank-local reduction runs while panel k's vector scan
-// replay is in flight, with the forward/backward scan rounds interleaved
-// — against the batch scheduler on the same comm-bound cost model.
+// replay is in flight — against the one-panel schedule on the same
+// comm-bound cost model. Both sides round-interleave their scans; only
+// the panel count differs.
 //
 // Timings are modeled seconds on the deterministic ChargedFlops clock
 // under a FIXED bandwidth-bound cost model (never host-calibrated: the
-// committed baseline must reproduce bit-exactly on any machine). The
-// pipeline is only a schedule change, so the solutions must be
-// bit-identical on vs off — the table reports max|diff| and the run
-// aborts if it is ever nonzero. wait_frac is the blocked share of the
-// attribution critical path (wait + in-flight comm over makespan);
-// overlap must shrink it.
+// committed baseline must reproduce bit-exactly on any machine). Chunking
+// is only a schedule change, so the solutions must be bit-identical — the
+// table reports max|diff| and the run aborts if it is ever nonzero.
+// wait_frac is the blocked share of the attribution critical path (wait +
+// in-flight comm over makespan); pipelining must shrink it.
 
 #include <cmath>
 #include <cstdio>
@@ -57,21 +57,19 @@ int main(int argc, char** argv) {
   // the ablation: the win must come from hiding the beta*bytes term.
   const mpsim::CostModel cost{
       .alpha = 2e-6, .beta = 3e-8, .flop_rate = 4e9, .name = "pipe_commbound"};
-  const int p = 8;
-  const int reps = 1;  // virtual clock: deterministic, one rep is exact
+  const int p = 8;  // virtual clock: deterministic, one rep is exact
   report.config("p", static_cast<std::int64_t>(p))
       .config("alpha", cost.alpha)
       .config("beta", cost.beta)
       .config("flop_rate", cost.flop_rate)
       .config("mode", args.smoke() ? "smoke" : "full");
 
-  std::printf("# B-abl-pipeline: ARD solve(B), batch scheduler vs latency-hiding pipeline\n");
+  std::printf("# B-abl-pipeline: ARD solve(B), one RHS panel vs pipelined panels\n");
   std::printf("# virtual clock (ChargedFlops), model %s: alpha=%.0e beta=%.0e flops=%.0e, "
               "P=%d\n", cost.name.c_str(), cost.alpha, cost.beta, cost.flop_rate, p);
   // First column is the row key for perf_gate.py, so it must be unique.
-  bench::Table table({"NxMxR", "chunk", "factor_off[s]", "factor_on[s]",
-                      "solve_off[s]", "solve_on[s]", "solve_x", "wait_off", "wait_on",
-                      "max|diff|"});
+  bench::Table table({"NxMxR", "chunk", "factor[s]", "solve_1panel[s]", "solve_chunked[s]",
+                      "solve_x", "wait_1panel", "wait_chunked", "max|diff|"});
 
   struct Shape {
     la::index_t n, m, r, chunk;
@@ -87,21 +85,19 @@ int main(int argc, char** argv) {
     const auto sys = btds::make_problem(btds::ProblemKind::kDiagDominant, s.n, s.m);
     const la::Matrix b = btds::make_rhs(s.n, s.m, s.r, static_cast<std::uint64_t>(s.m));
 
-    Measured run[2];  // [off, on]
-    for (int on = 0; on < 2; ++on) {
+    Measured run[2];  // [one panel, chunked]
+    for (int chunked = 0; chunked < 2; ++chunked) {
       mpsim::EngineOptions engine;
       engine.timing = mpsim::TimingMode::ChargedFlops;
       engine.cost = cost;
       obs::Tracer tracer;
       engine.tracer = &tracer;
       core::ArdOptions opts;
-      opts.pipeline.overlap = on == 1;
-      opts.pipeline.chunk_cols = on == 1 ? s.chunk : 0;
-      (void)reps;
+      opts.pipeline.chunk_cols = chunked == 1 ? s.chunk : 0;
       auto res = core::solve(core::Method::kArd, sys, b, p, {.ard = opts, .engine = engine});
       const obs::Attribution a = obs::analyze(tracer);
       const obs::CriticalPath& cp = a.critical_path;
-      run[on] = {res.factor_vtime, res.solve_vtime,
+      run[chunked] = {res.factor_vtime, res.solve_vtime,
                  cp.length_s > 0.0 ? (cp.wait_s + cp.comm_s) / cp.length_s : 0.0,
                  std::move(res.x)};
     }
@@ -114,8 +110,8 @@ int main(int argc, char** argv) {
     const std::string shape = std::to_string(s.n) + "x" + std::to_string(s.m) + "x" +
                               std::to_string(s.r);
     table.add_row({shape, bench::fmt_int(static_cast<double>(s.chunk)),
-                   bench::fmt_sci(run[0].factor_s), bench::fmt_sci(run[1].factor_s),
-                   bench::fmt_sci(run[0].solve_s), bench::fmt_sci(run[1].solve_s),
+                   bench::fmt_sci(run[0].factor_s), bench::fmt_sci(run[0].solve_s),
+                   bench::fmt_sci(run[1].solve_s),
                    bench::fmt(solve_x), bench::fmt(run[0].wait_frac),
                    bench::fmt(run[1].wait_frac), bench::fmt_sci(diff)});
   }
@@ -126,11 +122,12 @@ int main(int argc, char** argv) {
   report.write();
 
   if (!all_identical) {
-    std::fprintf(stderr, "bench_pipeline: FAIL: pipeline changed the solution bits\n");
+    std::fprintf(stderr, "bench_pipeline: FAIL: chunking changed the solution bits\n");
     return 1;
   }
-  std::printf("\nExpected shapes: solve_x >= 1.2 on every row (worst here: %.2f), wait_on\n"
-              "< wait_off everywhere, max|diff| exactly 0 (docs/PARALLELISM.md).\n",
+  std::printf("\nExpected shapes: solve_x >= 1.2 on every row (worst here: %.2f),\n"
+              "wait_chunked < wait_1panel everywhere, max|diff| exactly 0\n"
+              "(docs/PARALLELISM.md).\n",
               worst_solve_x);
   return 0;
 }

@@ -202,23 +202,27 @@ void ThomasFactorization::solve_panel(la::MatrixView x) const {
 }
 
 Matrix ThomasFactorization::solve(const Matrix& b, par::Pool* pool, la::Workspace* ws) const {
-  assert(b.rows() == n_ * m_);
   Matrix x = la::ws_acquire(ws, b.rows(), b.cols());
   la::copy(b.view(), x.view());
-  if (pool != nullptr && pool->threads() > 1 && b.cols() >= 2) {
+  solve_inplace(x.view(), pool);
+  return x;
+}
+
+void ThomasFactorization::solve_inplace(la::MatrixView x, par::Pool* pool) const {
+  assert(x.rows() == n_ * m_);
+  if (pool != nullptr && pool->threads() > 1 && x.cols() >= 2) {
     // Column panels are independent; strided views make each panel solve
     // zero-copy, and per-column operation order matches the serial path.
     pool->parallel_for(
-        0, b.cols(),
+        0, x.cols(),
         [&](std::int64_t c0, std::int64_t c1) {
-          solve_panel(x.view().block(0, static_cast<index_t>(c0), x.rows(),
-                                     static_cast<index_t>(c1 - c0)));
+          solve_panel(x.block(0, static_cast<index_t>(c0), x.rows(),
+                              static_cast<index_t>(c1 - c0)));
         },
         "thomas.solve");
   } else {
-    solve_panel(x.view());
+    solve_panel(x);
   }
-  return x;
 }
 
 double ThomasFactorization::factor_flops(index_t n, index_t m, PivotKind pivot) {

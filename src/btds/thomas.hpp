@@ -61,6 +61,12 @@ class ThomasFactorization {
   /// bit-identical with or without one.
   Matrix solve(const Matrix& b, par::Pool* pool = nullptr, la::Workspace* ws = nullptr) const;
 
+  /// In-place solve: `x` holds B on entry and X on return. It may be a
+  /// strided block of a larger matrix (a column panel, a row range), so
+  /// callers solve straight into their output without a temporary. Same
+  /// pool contract as solve(), and bit-identical to it.
+  void solve_inplace(la::MatrixView x, par::Pool* pool = nullptr) const;
+
   index_t num_blocks() const { return n_; }
   index_t block_size() const { return m_; }
 

@@ -25,7 +25,7 @@ Matrix extract_local(const Matrix& global, la::index_t lo, la::index_t nloc, la:
   return local;
 }
 
-/// Copy this rank's rows of `sys` into a standalone segment system.
+/// Copy rows [lo, lo + nloc) of `sys` into a standalone segment system.
 template <typename SysView>
 BlockTridiag copy_segment(const SysView& sys, la::index_t lo, la::index_t nloc, la::index_t m) {
   BlockTridiag tloc(nloc, m);
@@ -37,162 +37,91 @@ BlockTridiag copy_segment(const SysView& sys, la::index_t lo, la::index_t nloc, 
   return tloc;
 }
 
+/// Fold one exact boundary relation into a corner diagonal block:
+/// d -= coupling * corner * far (e.g. D'_lo = D_lo - A_lo S_pre C_{lo-1}).
+void fold_corner(const Matrix& coupling, const Matrix& corner, const Matrix& far,
+                 la::MatrixView d, mpsim::Comm& comm, la::Workspace* ws) {
+  const la::index_t m = d.rows();
+  Matrix t = la::ws_acquire(ws, m, m);
+  la::gemm(1.0, coupling.view(), corner.view(), 0.0, t.view());
+  la::gemm(-1.0, t.view(), far.view(), 1.0, d);
+  la::ws_release(ws, std::move(t));
+  comm.charge_flops(2.0 * la::gemm_flops(m, m, m));
+}
+
+/// v[i] for the int lane/panel indices used throughout.
+template <typename V>
+auto& at(V& v, int i) {
+  return v[static_cast<std::size_t>(i)];
+}
+
 }  // namespace
 
-template <typename SysView>
-void ArdFactorization::local_phase(mpsim::Comm& comm, const SysView& sys) {
-  if (opts_.pipeline.lanes > 1 && hi_ - lo_ >= 2) {
-    local_phase_lanes(comm, sys);
+template <typename Fn>
+void ArdFactorization::for_each_lane(mpsim::Comm& comm, const char* name, Fn&& fn) const {
+  const int L = static_cast<int>(lanes_.size());
+  if (L == 1) {
+    fn(0, comm.pool(), ws_);
     return;
-  }
-  lanes_.clear();
-  ARDBT_TRACE_SPAN(comm, obs::SpanKind::kPhase, "ard.factor.local");
-  const la::index_t m = m_;
-  const la::index_t nloc = hi_ - lo_;
-
-  // --- 1. Local segment copy and its block-Thomas factorization.
-  const BlockTridiag tloc = copy_segment(sys, lo_, nloc, m);
-  unmodified_ = ThomasFactorization::factor(tloc, opts_.pivot);
-  comm.charge_flops(ThomasFactorization::factor_flops(nloc, m, opts_.pivot));
-
-  // --- 2. Two-port corner blocks via a 2M-column local solve: columns
-  // [0, M) carry the unit load on the first block row, columns [M, 2M)
-  // on the last, so the corners of the solution are the corner blocks of
-  // T_loc^{-1}.
-  Matrix e = la::ws_acquire(ws_, nloc * m, 2 * m);
-  for (la::index_t i = 0; i < m; ++i) {
-    e(i, i) = 1.0;
-    e((nloc - 1) * m + i, m + i) = 1.0;
-  }
-  Matrix w = unmodified_.solve(e, comm.pool(), ws_);
-  comm.charge_flops(ThomasFactorization::solve_flops(nloc, m, 2 * m));
-
-  tp_.P = la::to_matrix(w.block(0, 0, m, m));
-  tp_.Q = la::to_matrix(w.block(0, m, m, m));
-  tp_.R = la::to_matrix(w.block((nloc - 1) * m, 0, m, m));
-  tp_.S = la::to_matrix(w.block((nloc - 1) * m, m, m, m));
-  tp_.a_first = (lo_ > 0) ? sys.lower(lo_) : Matrix(m, m);
-  tp_.c_last = (hi_ < n_) ? sys.upper(hi_ - 1) : Matrix(m, m);
-  a_lo_ = tp_.a_first;
-  c_hi_ = tp_.c_last;
-  la::ws_release(ws_, std::move(e));
-  la::ws_release(ws_, std::move(w));
-}
-
-template <typename SysView>
-void ArdFactorization::global_phase(mpsim::Comm& comm, const SysView& sys) {
-  if (hierarchical()) {
-    global_phase_lanes(comm, sys);
-    return;
-  }
-  ARDBT_TRACE_SPAN(comm, obs::SpanKind::kPhase, "ard.factor.global");
-  const la::index_t m = m_;
-  const la::index_t nloc = hi_ - lo_;
-
-  // --- 3. Forward and backward two-port prefix scans (the log P term).
-  if (opts_.pipeline.overlap && comm.size() > 1) {
-    // Round-interleaved: both scans keep a message in flight while the
-    // other's O(M^3) merges run, and within each round the partial merge
-    // (which the next send depends on) runs before the prefix merge.
-    // Operand pairs are identical to the serial schedule, so the factored
-    // caches — and every later solve — are bit-identical.
-    typename CachedScan<TwoPortOp>::Factoring ff(comm, ScanDirection::kForward,
-                                                 TwoPortOp::Context{m, ws_}, tp_,
-                                                 ard_tags::kFwdFactor);
-    typename CachedScan<TwoPortOpReversed>::Factoring fb(comm, ScanDirection::kBackward,
-                                                         TwoPortOp::Context{m, ws_}, tp_,
-                                                         ard_tags::kBwdFactor);
-    while (!ff.done() || !fb.done()) {
-      if (!ff.done() && (fb.done() || ff.ready(comm) || !fb.ready(comm))) {
-        ff.finish_round(comm);
-      } else {
-        fb.finish_round(comm);
-      }
-    }
-    fwd_ = std::move(ff).finish();
-    bwd_ = std::move(fb).finish();
-  } else {
-    fwd_ = CachedScan<TwoPortOp>::factor(comm, ScanDirection::kForward,
-                                         TwoPortOp::Context{m, ws_}, tp_, ard_tags::kFwdFactor);
-    bwd_ = CachedScan<TwoPortOpReversed>::factor(
-        comm, ScanDirection::kBackward, TwoPortOp::Context{m, ws_}, tp_, ard_tags::kBwdFactor);
-  }
-
-  // --- 4. Fold the boundary relations into the segment's corner diagonal
-  // blocks and factor the modified segment:
-  //   D'_lo     = D_lo     - A_lo S_pre C_{lo-1}
-  //   D'_{hi-1} = D_{hi-1} - C_{hi-1} P_suf A_hi
-  BlockTridiag tloc = copy_segment(sys, lo_, nloc, m);
-  if (fwd_.has_incoming()) {
-    const TwoPort& pre = fwd_.incoming_mat();
-    Matrix as = la::ws_acquire(ws_, m, m);
-    la::gemm(1.0, a_lo_.view(), pre.S.view(), 0.0, as.view());
-    la::gemm(-1.0, as.view(), pre.c_last.view(), 1.0, tloc.diag(0).view());
-    la::ws_release(ws_, std::move(as));
-    comm.charge_flops(2.0 * la::gemm_flops(m, m, m));
-  }
-  if (bwd_.has_incoming()) {
-    const TwoPort& suf = bwd_.incoming_mat();
-    Matrix cp = la::ws_acquire(ws_, m, m);
-    la::gemm(1.0, c_hi_.view(), suf.P.view(), 0.0, cp.view());
-    la::gemm(-1.0, cp.view(), suf.a_first.view(), 1.0, tloc.diag(nloc - 1).view());
-    la::ws_release(ws_, std::move(cp));
-    comm.charge_flops(2.0 * la::gemm_flops(m, m, m));
-  }
-  modified_ = ThomasFactorization::factor(tloc, opts_.pivot);
-  comm.charge_flops(ThomasFactorization::factor_flops(nloc, m, opts_.pivot));
-}
-
-template <typename SysView>
-void ArdFactorization::local_phase_lanes(mpsim::Comm& comm, const SysView& sys) {
-  ARDBT_TRACE_SPAN(comm, obs::SpanKind::kPhase, "ard.factor.local");
-  const la::index_t m = m_;
-  const la::index_t nloc = hi_ - lo_;
-  const int L = static_cast<int>(
-      std::min<la::index_t>(static_cast<la::index_t>(opts_.pipeline.lanes), nloc));
-
-  // --- 1+2 (two-level). Split the segment into L sub-segments ("lanes"),
-  // factor each and compute its two-port independently — par::Pool runs
-  // the lanes in parallel (the flop charge stays on the rank thread, so
-  // ChargedFlops virtual times do not depend on --threads).
-  lanes_.clear();
-  lanes_.resize(static_cast<std::size_t>(L));
-  double lane_flops = 0.0;
-  for (int li = 0; li < L; ++li) {
-    const auto [b, e] = par::Pool::chunk_bounds(0, nloc, li, L);
-    lanes_[static_cast<std::size_t>(li)].lo = b;
-    lanes_[static_cast<std::size_t>(li)].hi = e;
-    lane_flops += ThomasFactorization::factor_flops(e - b, m, opts_.pivot) +
-                  ThomasFactorization::solve_flops(e - b, m, 2 * m);
   }
   par::parallel_for(
       comm.pool(), 0, L,
       [&](std::int64_t lb, std::int64_t le) {
-        for (std::int64_t li = lb; li < le; ++li) {
-          Lane& ln = lanes_[static_cast<std::size_t>(li)];
-          const la::index_t rows = ln.hi - ln.lo;
-          const BlockTridiag tl = copy_segment(sys, lo_ + ln.lo, rows, m);
-          ln.unmodified = ThomasFactorization::factor(tl, opts_.pivot);
-          Matrix e(rows * m, 2 * m);
-          for (la::index_t i = 0; i < m; ++i) {
-            e(i, i) = 1.0;
-            e((rows - 1) * m + i, m + i) = 1.0;
-          }
-          const Matrix w = ln.unmodified.solve(e, nullptr, nullptr);
-          ln.tp.P = la::to_matrix(w.block(0, 0, m, m));
-          ln.tp.Q = la::to_matrix(w.block(0, m, m, m));
-          ln.tp.R = la::to_matrix(w.block((rows - 1) * m, 0, m, m));
-          ln.tp.S = la::to_matrix(w.block((rows - 1) * m, m, m, m));
-          const la::index_t gfirst = lo_ + ln.lo;
-          const la::index_t glast = lo_ + ln.hi - 1;
-          ln.tp.a_first = (gfirst > 0) ? sys.lower(gfirst) : Matrix(m, m);
-          ln.tp.c_last = (glast + 1 < n_) ? sys.upper(glast) : Matrix(m, m);
-          ln.a_first = ln.tp.a_first;
-          ln.c_last = ln.tp.c_last;
-        }
+        for (std::int64_t li = lb; li < le; ++li) fn(static_cast<int>(li), nullptr, nullptr);
       },
-      "ard.lane.factor");
-  comm.charge_flops(lane_flops);
+      name);
+}
+
+template <typename SysView>
+void ArdFactorization::local_phase(mpsim::Comm& comm, const SysView& sys) {
+  ARDBT_TRACE_SPAN(comm, obs::SpanKind::kPhase, "ard.factor.local");
+  const la::index_t m = m_;
+  const la::index_t nloc = hi_ - lo_;
+  const int L = static_cast<int>(
+      std::clamp<la::index_t>(static_cast<la::index_t>(opts_.pipeline.lanes), 1, nloc));
+
+  // --- 1+2. Split the segment into L lanes (usually one), factor each, and
+  // compute its two-port: the corner blocks of its inverse, via a
+  // 2M-column solve whose columns [0, M) carry the unit load on the first
+  // block row and columns [M, 2M) on the last. Several lanes run in
+  // parallel on the pool; the flop charge stays on the rank thread, so
+  // ChargedFlops virtual times do not depend on --threads.
+  lanes_.clear();
+  lanes_.resize(static_cast<std::size_t>(L));
+  std::vector<TwoPort> tps(static_cast<std::size_t>(L));
+  double flops = 0.0;
+  for (int li = 0; li < L; ++li) {
+    const auto [b, e] = par::Pool::chunk_bounds(0, nloc, li, L);
+    at(lanes_, li).lo = b;
+    at(lanes_, li).hi = e;
+    flops += ThomasFactorization::factor_flops(e - b, m, opts_.pivot) +
+             ThomasFactorization::solve_flops(e - b, m, 2 * m);
+  }
+  for_each_lane(comm, "ard.lane.factor", [&](int li, par::Pool* pool, la::Workspace* ws) {
+    Lane& ln = at(lanes_, li);
+    TwoPort& tp = at(tps, li);
+    const la::index_t rows = ln.hi - ln.lo;
+    ln.unmodified =
+        ThomasFactorization::factor(copy_segment(sys, lo_ + ln.lo, rows, m), opts_.pivot);
+    Matrix w = la::ws_acquire(ws, rows * m, 2 * m);
+    for (la::index_t i = 0; i < m; ++i) {
+      w(i, i) = 1.0;
+      w((rows - 1) * m + i, m + i) = 1.0;
+    }
+    ln.unmodified.solve_inplace(w.view(), pool);
+    tp.P = la::to_matrix(w.block(0, 0, m, m));
+    tp.Q = la::to_matrix(w.block(0, m, m, m));
+    tp.R = la::to_matrix(w.block((rows - 1) * m, 0, m, m));
+    tp.S = la::to_matrix(w.block((rows - 1) * m, m, m, m));
+    la::ws_release(ws, std::move(w));
+    const la::index_t gfirst = lo_ + ln.lo;
+    const la::index_t glast = lo_ + ln.hi - 1;
+    ln.a_first = (gfirst > 0) ? sys.lower(gfirst) : Matrix(m, m);
+    ln.c_last = (glast + 1 < n_) ? sys.upper(glast) : Matrix(m, m);
+    tp.a_first = ln.a_first;
+    tp.c_last = ln.c_last;
+  });
+  comm.charge_flops(flops);
 
   // Chain the lane two-ports into the rank two-port (serial, deterministic
   // association), caching every merge so solve can replay the chains with
@@ -201,128 +130,99 @@ void ArdFactorization::local_phase_lanes(mpsim::Comm& comm, const SysView& sys) 
   bsuf_.assign(static_cast<std::size_t>(L), TwoPort{});
   fchain_cache_.assign(static_cast<std::size_t>(L), TwoPortCache{});
   bchain_cache_.assign(static_cast<std::size_t>(L), TwoPortCache{});
-  TwoPort cur = lanes_[0].tp;
+  TwoPort cur = std::move(tps.front());
   for (int i = 1; i < L; ++i) {
-    fpre_[static_cast<std::size_t>(i)] = std::move(cur);
-    cur = merge_twoport(fpre_[static_cast<std::size_t>(i)],
-                        lanes_[static_cast<std::size_t>(i)].tp,
-                        fchain_cache_[static_cast<std::size_t>(i)], comm, ws_);
+    at(fpre_, i) = std::move(cur);
+    cur = merge_twoport(at(fpre_, i), at(tps, i), at(fchain_cache_, i), comm, ws_);
   }
   tp_ = std::move(cur);
-  TwoPort scur = lanes_[static_cast<std::size_t>(L - 1)].tp;
-  for (int i = L - 2; i >= 1; --i) {
-    bsuf_[static_cast<std::size_t>(i + 1)] = std::move(scur);
-    scur = merge_twoport(lanes_[static_cast<std::size_t>(i)].tp,
-                         bsuf_[static_cast<std::size_t>(i + 1)],
-                         bchain_cache_[static_cast<std::size_t>(i)], comm, ws_);
+  if (L > 1) {
+    TwoPort scur = std::move(tps.back());
+    for (int i = L - 2; i >= 1; --i) {
+      at(bsuf_, i + 1) = std::move(scur);
+      scur = merge_twoport(at(tps, i), at(bsuf_, i + 1), at(bchain_cache_, i), comm, ws_);
+    }
+    bsuf_[1] = std::move(scur);
   }
-  bsuf_[1] = std::move(scur);
-
-  a_lo_ = lanes_.front().a_first;
-  c_hi_ = lanes_.back().c_last;
 }
 
 template <typename SysView>
-void ArdFactorization::global_phase_lanes(mpsim::Comm& comm, const SysView& sys) {
+void ArdFactorization::global_phase(mpsim::Comm& comm, const SysView& sys) {
   ARDBT_TRACE_SPAN(comm, obs::SpanKind::kPhase, "ard.factor.global");
   const la::index_t m = m_;
   const int L = static_cast<int>(lanes_.size());
 
-  // --- 3. Cross-rank scans over the *rank* two-port: same wire protocol
-  // and round count as the flat algorithm — the hierarchy only changed how
-  // the rank two-port was produced.
-  if (opts_.pipeline.overlap && comm.size() > 1) {
-    typename CachedScan<TwoPortOp>::Factoring ff(comm, ScanDirection::kForward,
-                                                 TwoPortOp::Context{m, ws_}, tp_,
-                                                 ard_tags::kFwdFactor);
-    typename CachedScan<TwoPortOpReversed>::Factoring fb(comm, ScanDirection::kBackward,
-                                                         TwoPortOp::Context{m, ws_}, tp_,
-                                                         ard_tags::kBwdFactor);
-    while (!ff.done() || !fb.done()) {
-      if (!ff.done() && (fb.done() || ff.ready(comm) || !fb.ready(comm))) {
-        ff.finish_round(comm);
-      } else {
-        fb.finish_round(comm);
-      }
-    }
-    fwd_ = std::move(ff).finish();
-    bwd_ = std::move(fb).finish();
-  } else {
-    fwd_ = CachedScan<TwoPortOp>::factor(comm, ScanDirection::kForward,
-                                         TwoPortOp::Context{m, ws_}, tp_, ard_tags::kFwdFactor);
-    bwd_ = CachedScan<TwoPortOpReversed>::factor(
-        comm, ScanDirection::kBackward, TwoPortOp::Context{m, ws_}, tp_, ard_tags::kBwdFactor);
-  }
+  // --- 3. Forward and backward two-port prefix scans over the rank
+  // two-port (the log P term), round-interleaved so each one's O(M^3)
+  // merges run while the other's message is in flight. The wire protocol
+  // and round count depend on P only, never on the lanes.
+  typename CachedScan<TwoPortOp>::Factoring ff(comm, ScanDirection::kForward,
+                                               TwoPortOp::Context{m, ws_}, tp_,
+                                               ard_tags::kFwdFactor);
+  typename CachedScan<TwoPortOpReversed>::Factoring fb(comm, ScanDirection::kBackward,
+                                                       TwoPortOp::Context{m, ws_}, tp_,
+                                                       ard_tags::kBwdFactor);
+  run_interleaved(comm, ff, fb);
+  fwd_ = std::move(ff).finish();
+  bwd_ = std::move(fb).finish();
 
-  // --- 4 (two-level). Each lane folds its *effective* boundary relations:
-  // the prefix covering every row before the lane is (cross-rank prefix)
-  // merged with (local lanes [0, i)), and symmetrically for the suffix.
+  // --- 4. Every lane folds its exact boundary relations into its corner
+  // diagonal blocks and is factored again:
+  //   D'_first = D_first - A_first S_pre C_pre
+  //   D'_last  = D_last  - C_last  P_suf A_suf
+  // The prefix covering every row before lane i is the cross-rank prefix
+  // merged with the local chain of lanes [0, i), and symmetrically for the
+  // suffix; with one lane they are just the scans' incoming two-ports.
   // The mix merges are cached so solve can replay them per panel.
   pre_mix_cache_.assign(static_cast<std::size_t>(L), TwoPortCache{});
   suf_mix_cache_.assign(static_cast<std::size_t>(L), TwoPortCache{});
   std::vector<BlockTridiag> mods;
   mods.reserve(static_cast<std::size_t>(L));
-  double lane_flops = 0.0;
+  double flops = 0.0;
   for (int i = 0; i < L; ++i) {
-    Lane& ln = lanes_[static_cast<std::size_t>(i)];
+    const Lane& ln = at(lanes_, i);
     const la::index_t rows = ln.hi - ln.lo;
     BlockTridiag t = copy_segment(sys, lo_ + ln.lo, rows, m);
 
-    const TwoPort* pre = nullptr;
     TwoPort pre_mix;
+    const TwoPort* pre = nullptr;
     if (fwd_.has_incoming()) {
       if (i == 0) {
         pre = &fwd_.incoming_mat();
       } else {
-        pre_mix = merge_twoport(fwd_.incoming_mat(), fpre_[static_cast<std::size_t>(i)],
-                                pre_mix_cache_[static_cast<std::size_t>(i)], comm, ws_);
+        pre_mix = merge_twoport(fwd_.incoming_mat(), at(fpre_, i), at(pre_mix_cache_, i), comm,
+                                ws_);
         pre = &pre_mix;
       }
     } else if (i > 0) {
-      pre = &fpre_[static_cast<std::size_t>(i)];
+      pre = &at(fpre_, i);
     }
-    if (pre != nullptr) {
-      Matrix as = la::ws_acquire(ws_, m, m);
-      la::gemm(1.0, ln.a_first.view(), pre->S.view(), 0.0, as.view());
-      la::gemm(-1.0, as.view(), pre->c_last.view(), 1.0, t.diag(0).view());
-      la::ws_release(ws_, std::move(as));
-      comm.charge_flops(2.0 * la::gemm_flops(m, m, m));
-    }
+    if (pre != nullptr) fold_corner(ln.a_first, pre->S, pre->c_last, t.diag(0).view(), comm, ws_);
 
-    const TwoPort* suf = nullptr;
     TwoPort suf_mix;
+    const TwoPort* suf = nullptr;
     if (bwd_.has_incoming()) {
       if (i == L - 1) {
         suf = &bwd_.incoming_mat();
       } else {
-        suf_mix = merge_twoport(bsuf_[static_cast<std::size_t>(i + 1)], bwd_.incoming_mat(),
-                                suf_mix_cache_[static_cast<std::size_t>(i)], comm, ws_);
+        suf_mix = merge_twoport(at(bsuf_, i + 1), bwd_.incoming_mat(), at(suf_mix_cache_, i),
+                                comm, ws_);
         suf = &suf_mix;
       }
     } else if (i + 1 < L) {
-      suf = &bsuf_[static_cast<std::size_t>(i + 1)];
+      suf = &at(bsuf_, i + 1);
     }
     if (suf != nullptr) {
-      Matrix cp = la::ws_acquire(ws_, m, m);
-      la::gemm(1.0, ln.c_last.view(), suf->P.view(), 0.0, cp.view());
-      la::gemm(-1.0, cp.view(), suf->a_first.view(), 1.0, t.diag(rows - 1).view());
-      la::ws_release(ws_, std::move(cp));
-      comm.charge_flops(2.0 * la::gemm_flops(m, m, m));
+      fold_corner(ln.c_last, suf->P, suf->a_first, t.diag(rows - 1).view(), comm, ws_);
     }
 
     mods.push_back(std::move(t));
-    lane_flops += ThomasFactorization::factor_flops(rows, m, opts_.pivot);
+    flops += ThomasFactorization::factor_flops(rows, m, opts_.pivot);
   }
-  par::parallel_for(
-      comm.pool(), 0, L,
-      [&](std::int64_t lb, std::int64_t le) {
-        for (std::int64_t li = lb; li < le; ++li) {
-          lanes_[static_cast<std::size_t>(li)].modified =
-              ThomasFactorization::factor(mods[static_cast<std::size_t>(li)], opts_.pivot);
-        }
-      },
-      "ard.lane.refactor");
-  comm.charge_flops(lane_flops);
+  for_each_lane(comm, "ard.lane.refactor", [&](int li, par::Pool*, la::Workspace*) {
+    at(lanes_, li).modified = ThomasFactorization::factor(at(mods, li), opts_.pivot);
+  });
+  comm.charge_flops(flops);
 }
 
 template <typename SysView>
@@ -394,71 +294,6 @@ void ArdFactorization::solve(mpsim::Comm& comm, const la::Matrix& b, la::Matrix&
 }
 
 la::Matrix ArdFactorization::solve_local(mpsim::Comm& comm, const la::Matrix& b_local) const {
-  // Dispatch on the global options only, never on hierarchical():
-  // lane construction is rank-local (a rank needs >= 2 block rows), so on
-  // an uneven partition some ranks may have no lanes while others do. The
-  // flat path replays with the fixed kFwdSolve/kBwdSolve tags, the panels
-  // path with dynamic per-panel tags — a mixed fleet would wait on tags
-  // its scan partner never sends. solve_local_panels degenerates
-  // correctly to the single-lane segment when this rank built no lanes.
-  const PipelineOptions& pl = opts_.pipeline;
-  if (pl.lanes <= 1 && !pl.overlap && pl.chunk_cols <= 0) {
-    return solve_local_flat(comm, b_local);
-  }
-  return solve_local_panels(comm, b_local);
-}
-
-la::Matrix ArdFactorization::solve_local_flat(mpsim::Comm& comm,
-                                              const la::Matrix& b_local) const {
-  ARDBT_TRACE_SPAN(comm, obs::SpanKind::kPhase, "ard.solve");
-  const la::index_t m = m_;
-  const la::index_t nloc = hi_ - lo_;
-  const la::index_t r = b_local.cols();
-  assert(b_local.rows() == nloc * m);
-
-  Matrix bloc = la::ws_acquire(ws_, b_local.rows(), b_local.cols());
-  la::copy(b_local.view(), bloc.view());
-  par::Pool* pool = comm.pool();
-
-  if (comm.size() > 1) {
-    // Segment vector two-port: first/last blocks of T_loc^{-1} b_loc.
-    Matrix t = unmodified_.solve(bloc, pool, ws_);
-    comm.charge_flops(ThomasFactorization::solve_flops(nloc, m, r));
-    TwoPortVec v{.p = la::ws_acquire(ws_, m, r), .q = la::ws_acquire(ws_, m, r)};
-    la::copy(t.block(0, 0, m, r), v.p.view());
-    la::copy(t.block((nloc - 1) * m, 0, m, r), v.q.view());
-    la::ws_release(ws_, std::move(t));
-
-    // The forward replay consumes its own copy of v (the seed path passed
-    // v by value); the backward replay consumes v itself.
-    TwoPortVec v_fwd{.p = la::ws_acquire(ws_, m, r), .q = la::ws_acquire(ws_, m, r)};
-    la::copy(v.p.view(), v_fwd.p.view());
-    la::copy(v.q.view(), v_fwd.q.view());
-    std::optional<TwoPortVec> pre = fwd_.solve(comm, std::move(v_fwd), ard_tags::kFwdSolve);
-    std::optional<TwoPortVec> suf = bwd_.solve(comm, std::move(v), ard_tags::kBwdSolve);
-
-    // Boundary corrections: b'_lo -= A_lo q_pre, b'_{hi-1} -= C_{hi-1} p_suf.
-    if (pre) {
-      la::gemm(-1.0, a_lo_.view(), pre->q.view(), 1.0, bloc.block(0, 0, m, r), pool);
-      comm.charge_flops(la::gemm_flops(m, r, m));
-      TwoPortOp::recycle_vec(TwoPortOp::Context{m, ws_}, std::move(*pre));
-    }
-    if (suf) {
-      la::gemm(-1.0, c_hi_.view(), suf->p.view(), 1.0, bloc.block((nloc - 1) * m, 0, m, r),
-               pool);
-      comm.charge_flops(la::gemm_flops(m, r, m));
-      TwoPortOp::recycle_vec(TwoPortOp::Context{m, ws_}, std::move(*suf));
-    }
-  }
-
-  Matrix xloc = modified_.solve(bloc, pool, ws_);
-  comm.charge_flops(ThomasFactorization::solve_flops(nloc, m, r));
-  la::ws_release(ws_, std::move(bloc));
-  return xloc;
-}
-
-la::Matrix ArdFactorization::solve_local_panels(mpsim::Comm& comm,
-                                                const la::Matrix& b_local) const {
   ARDBT_TRACE_SPAN(comm, obs::SpanKind::kPhase, "ard.solve");
   const la::index_t m = m_;
   const la::index_t nloc = hi_ - lo_;
@@ -467,23 +302,25 @@ la::Matrix ArdFactorization::solve_local_panels(mpsim::Comm& comm,
   par::Pool* pool = comm.pool();
   const TwoPortOp::Context ctx{m, ws_};
   const int L = static_cast<int>(lanes_.size());
-  const bool dist = comm.size() > 1;
-  const bool overlap = opts_.pipeline.overlap;
+  const auto lane_rows = [&](la::MatrixView v, const Lane& ln) {
+    return v.block(ln.lo * m, 0, (ln.hi - ln.lo) * m, v.cols());
+  };
+  // Boundary data comes from the cross-rank scans (P > 1) and the local
+  // lane chains (L > 1); a serial single-lane solve is one Thomas solve.
+  const bool reduce = comm.size() > 1 || L > 1;
 
+  // RHS panels of chunk_cols columns (0 or >= R: one panel). Each panel
+  // works inside its own columns of the result: b is copied in, boundary
+  // corrections are applied there, and the lanes back-solve in place.
   Matrix xloc = la::ws_acquire(ws_, nloc * m, r);
-
-  // RHS panels. chunk_cols == 0 (or >= R) degenerates to one panel, which
-  // still exercises the round-interleaved replay when overlap is on.
   const la::index_t chunk = (opts_.pipeline.chunk_cols > 0 && opts_.pipeline.chunk_cols < r)
                                 ? opts_.pipeline.chunk_cols
                                 : r;
   struct Panel {
-    la::index_t col0 = 0, cols = 0;
-    Matrix bloc;
+    la::index_t col0 = 0;
+    la::MatrixView x;  ///< this panel's columns of xloc
     typename CachedScan<TwoPortOp>::Replay fwd;
     typename CachedScan<TwoPortOpReversed>::Replay bwd;
-    // Hierarchical per-panel vector parts (see local_phase_lanes):
-    std::vector<TwoPortVec> lv;   ///< lane segment vecs
     std::vector<TwoPortVec> lpv;  ///< [i]: local prefix of lanes [0, i), i >= 1
     std::vector<TwoPortVec> lsv;  ///< [i]: local suffix of lanes [i, L), i >= 1
   };
@@ -491,263 +328,149 @@ la::Matrix ArdFactorization::solve_local_panels(mpsim::Comm& comm,
   for (la::index_t c0 = 0; c0 < r; c0 += chunk) {
     Panel p;
     p.col0 = c0;
-    p.cols = std::min(chunk, r - c0);
+    p.x = xloc.block(0, c0, nloc * m, std::min(chunk, r - c0));
     panels.push_back(std::move(p));
   }
 
-  const auto clone_vec = [&](const TwoPortVec& v) {
-    TwoPortVec c{.p = la::ws_acquire(ws_, v.p.rows(), v.p.cols()),
-                 .q = la::ws_acquire(ws_, v.q.rows(), v.q.cols())};
-    la::copy(v.p.view(), c.p.view());
-    la::copy(v.q.view(), c.q.view());
-    return c;
-  };
-
-  /// Per-lane unmodified solves (pool-parallel) plus the serial replay of
-  /// the factored lane chains; returns the whole segment's vector part.
-  const auto local_reduce_lanes = [&](Panel& p) {
-    p.lv.assign(static_cast<std::size_t>(L), TwoPortVec{});
+  /// The panel's segment vector part: per-lane unmodified solves, then the
+  /// serial replay of the factored lane chains, whose local prefixes and
+  /// suffixes stay on the panel for finish_panel.
+  const auto local_reduce = [&](Panel& p) -> TwoPortVec {
+    const la::index_t cols = p.x.cols();
+    Matrix t = la::ws_acquire(ws_, nloc * m, cols);
+    la::copy(p.x, t.view());
+    for_each_lane(comm, "ard.lane.reduce", [&](int li, par::Pool* lane_pool, la::Workspace*) {
+      at(lanes_, li).unmodified.solve_inplace(lane_rows(t.view(), at(lanes_, li)), lane_pool);
+    });
     double flops = 0.0;
-    par::parallel_for(
-        pool, 0, L,
-        [&](std::int64_t lb, std::int64_t le) {
-          for (std::int64_t li = lb; li < le; ++li) {
-            const Lane& ln = lanes_[static_cast<std::size_t>(li)];
-            const la::index_t rows = ln.hi - ln.lo;
-            const Matrix bl = la::to_matrix(p.bloc.block(ln.lo * m, 0, rows * m, p.cols));
-            const Matrix t = ln.unmodified.solve(bl, nullptr, nullptr);
-            TwoPortVec& v = p.lv[static_cast<std::size_t>(li)];
-            v.p = la::to_matrix(t.block(0, 0, m, p.cols));
-            v.q = la::to_matrix(t.block((rows - 1) * m, 0, m, p.cols));
-          }
-        },
-        "ard.lane.reduce");
-    for (const Lane& ln : lanes_) {
-      flops += ThomasFactorization::solve_flops(ln.hi - ln.lo, m, p.cols);
+    std::vector<TwoPortVec> lv(static_cast<std::size_t>(L));
+    for (int i = 0; i < L; ++i) {
+      const Lane& ln = at(lanes_, i);
+      flops += ThomasFactorization::solve_flops(ln.hi - ln.lo, m, cols);
+      at(lv, i) = TwoPortVec{.p = la::ws_acquire(ws_, m, cols), .q = la::ws_acquire(ws_, m, cols)};
+      la::copy(t.block(ln.lo * m, 0, m, cols), at(lv, i).p.view());
+      la::copy(t.block((ln.hi - 1) * m, 0, m, cols), at(lv, i).q.view());
     }
     comm.charge_flops(flops);
+    la::ws_release(ws_, std::move(t));
+    if (L == 1) return std::move(lv.front());
 
     p.lpv.assign(static_cast<std::size_t>(L), TwoPortVec{});
     p.lsv.assign(static_cast<std::size_t>(L), TwoPortVec{});
-    for (int i = 1; i < L; ++i) {
-      p.lpv[static_cast<std::size_t>(i)] =
-          (i == 1) ? clone_vec(p.lv[0])
-                   : merge_twoport_vec(fchain_cache_[static_cast<std::size_t>(i - 1)],
-                                       p.lpv[static_cast<std::size_t>(i - 1)],
-                                       p.lv[static_cast<std::size_t>(i - 1)], comm, ws_);
+    p.lpv[1] = std::move(lv.front());
+    for (int i = 2; i < L; ++i) {
+      at(p.lpv, i) =
+          merge_twoport_vec(at(fchain_cache_, i - 1), at(p.lpv, i - 1), at(lv, i - 1), comm, ws_);
     }
-    for (int i = L - 1; i >= 1; --i) {
-      p.lsv[static_cast<std::size_t>(i)] =
-          (i == L - 1) ? clone_vec(p.lv[static_cast<std::size_t>(L - 1)])
-                       : merge_twoport_vec(bchain_cache_[static_cast<std::size_t>(i)],
-                                           p.lv[static_cast<std::size_t>(i)],
-                                           p.lsv[static_cast<std::size_t>(i + 1)], comm, ws_);
+    TwoPortVec v =
+        merge_twoport_vec(at(fchain_cache_, L - 1), at(p.lpv, L - 1), lv.back(), comm, ws_);
+    at(p.lsv, L - 1) = std::move(lv.back());
+    for (int i = L - 2; i >= 1; --i) {
+      at(p.lsv, i) =
+          merge_twoport_vec(at(bchain_cache_, i), at(lv, i), at(p.lsv, i + 1), comm, ws_);
+      TwoPortOp::recycle_vec(ctx, std::move(at(lv, i)));
     }
-    return merge_twoport_vec(fchain_cache_[static_cast<std::size_t>(L - 1)],
-                             p.lpv[static_cast<std::size_t>(L - 1)],
-                             p.lv[static_cast<std::size_t>(L - 1)], comm, ws_);
+    return v;
   };
 
-  /// A-step: copy the panel, run its rank-local reduction, and (overlap
-  /// mode) put both round-0 sends on the wire. No receives — so a rank may
-  /// run this for panel k+1 while panel k's replies are still in flight.
+  /// A-step: copy the panel's columns of b in, run its rank-local
+  /// reduction, and put both scans' round-0 sends on the wire. No receives
+  /// — so a rank runs this for panel k+1 while panel k's replies are still
+  /// in flight.
   const auto start_panel = [&](Panel& p) {
-    p.bloc = la::ws_acquire(ws_, nloc * m, p.cols);
-    la::copy(b_local.block(0, p.col0, nloc * m, p.cols), p.bloc.view());
-    if (!dist && L <= 1) return;
-    TwoPortVec v;
-    if (L > 1) {
-      v = local_reduce_lanes(p);
-      if (!dist) {
-        TwoPortOp::recycle_vec(ctx, std::move(v));
-        return;
-      }
-    } else {
-      Matrix t = unmodified_.solve(p.bloc, pool, ws_);
-      comm.charge_flops(ThomasFactorization::solve_flops(nloc, m, p.cols));
-      v = TwoPortVec{.p = la::ws_acquire(ws_, m, p.cols), .q = la::ws_acquire(ws_, m, p.cols)};
-      la::copy(t.block(0, 0, m, p.cols), v.p.view());
-      la::copy(t.block((nloc - 1) * m, 0, m, p.cols), v.q.view());
-      la::ws_release(ws_, std::move(t));
-    }
+    la::copy(b_local.block(0, p.col0, nloc * m, p.x.cols()), p.x);
+    if (!reduce) return;
+    TwoPortVec v = local_reduce(p);
+    TwoPortVec v_fwd{.p = la::ws_acquire(ws_, m, v.p.cols()),
+                     .q = la::ws_acquire(ws_, m, v.q.cols())};
+    la::copy(v.p.view(), v_fwd.p.view());
+    la::copy(v.q.view(), v_fwd.q.view());
     // Dynamic tags: one pair per in-flight panel, registry-enforced. The
     // schedule is SPMD-symmetric, so every rank picks the same pair.
-    TwoPortVec v_fwd = clone_vec(v);
-    const int ftag = comm.next_tag();
-    p.fwd = typename CachedScan<TwoPortOp>::Replay(fwd_, comm, std::move(v_fwd), ftag);
-    const int btag = comm.next_tag();
-    p.bwd = typename CachedScan<TwoPortOpReversed>::Replay(bwd_, comm, std::move(v), btag);
-    if (overlap) {
-      p.fwd.begin(comm);
-      p.bwd.begin(comm);
-    }
+    p.fwd = typename CachedScan<TwoPortOp>::Replay(fwd_, comm, std::move(v_fwd), comm.next_tag());
+    p.bwd = typename CachedScan<TwoPortOpReversed>::Replay(bwd_, comm, std::move(v),
+                                                           comm.next_tag());
   };
 
-  /// B-step: run the panel's replays to completion. Overlap mode
-  /// round-interleaves the two scans, finishing whichever round's message
-  /// is already visible on the virtual clock; off mode reproduces the
-  /// serial forward-then-backward schedule exactly.
-  const auto drain_panel = [&](Panel& p) {
-    if (!dist) return;
-    if (overlap) {
-      while (!p.fwd.done() || !p.bwd.done()) {
-        if (!p.fwd.done() && (p.bwd.done() || p.fwd.ready(comm) || !p.bwd.ready(comm))) {
-          p.fwd.finish_round(comm);
-        } else {
-          p.bwd.finish_round(comm);
-        }
-      }
-    } else {
-      p.fwd.begin(comm);
-      while (!p.fwd.done()) p.fwd.finish_round(comm);
-      p.bwd.begin(comm);
-      while (!p.bwd.done()) p.bwd.finish_round(comm);
-    }
-  };
-
-  /// Hierarchical C-step: per lane, merge the effective boundary vector
-  /// parts (cross-rank ⊕ local chains, replaying the factor-time mix
-  /// caches), apply the corrections, and solve the modified lanes.
-  const auto finish_lanes = [&](Panel& p, std::optional<TwoPortVec> pre_opt,
-                                std::optional<TwoPortVec> suf_opt) {
+  /// C-step: harvest the replays; per lane, merge the effective boundary
+  /// vector parts (cross-rank prefix/suffix with the local chains,
+  /// replaying the factor-time mix caches) and apply the corrections
+  /// b'_first -= A_first q_pre, b'_last -= C_last p_suf; then back-solve
+  /// the modified lanes in place.
+  const auto finish_panel = [&](Panel& p) {
+    const la::index_t cols = p.x.cols();
+    std::optional<TwoPortVec> pre = std::move(p.fwd).take_result();
+    std::optional<TwoPortVec> suf = std::move(p.bwd).take_result();
     for (int i = 0; i < L; ++i) {
-      const Lane& ln = lanes_[static_cast<std::size_t>(i)];
-      const TwoPortVec* pre = nullptr;
-      TwoPortVec pre_own;
-      bool owns_pre = false;
-      if (pre_opt) {
+      const Lane& ln = at(lanes_, i);
+
+      std::optional<TwoPortVec> pre_mix;
+      const TwoPortVec* lo_rel = nullptr;
+      if (pre) {
         if (i == 0) {
-          pre = &*pre_opt;
+          lo_rel = &*pre;
         } else {
-          pre_own = merge_twoport_vec(pre_mix_cache_[static_cast<std::size_t>(i)], *pre_opt,
-                                      p.lpv[static_cast<std::size_t>(i)], comm, ws_);
-          pre = &pre_own;
-          owns_pre = true;
+          pre_mix = merge_twoport_vec(at(pre_mix_cache_, i), *pre, at(p.lpv, i), comm, ws_);
+          lo_rel = &*pre_mix;
         }
       } else if (i > 0) {
-        pre = &p.lpv[static_cast<std::size_t>(i)];
+        lo_rel = &at(p.lpv, i);
       }
-      if (pre != nullptr) {
-        la::gemm(-1.0, ln.a_first.view(), pre->q.view(), 1.0,
-                 p.bloc.block(ln.lo * m, 0, m, p.cols), pool);
-        comm.charge_flops(la::gemm_flops(m, p.cols, m));
+      if (lo_rel != nullptr) {
+        la::gemm(-1.0, ln.a_first.view(), lo_rel->q.view(), 1.0, p.x.block(ln.lo * m, 0, m, cols),
+                 pool);
+        comm.charge_flops(la::gemm_flops(m, cols, m));
       }
-      if (owns_pre) TwoPortOp::recycle_vec(ctx, std::move(pre_own));
+      if (pre_mix) TwoPortOp::recycle_vec(ctx, std::move(*pre_mix));
 
-      const TwoPortVec* suf = nullptr;
-      TwoPortVec suf_own;
-      bool owns_suf = false;
-      if (suf_opt) {
+      std::optional<TwoPortVec> suf_mix;
+      const TwoPortVec* hi_rel = nullptr;
+      if (suf) {
         if (i == L - 1) {
-          suf = &*suf_opt;
+          hi_rel = &*suf;
         } else {
-          suf_own = merge_twoport_vec(suf_mix_cache_[static_cast<std::size_t>(i)],
-                                      p.lsv[static_cast<std::size_t>(i + 1)], *suf_opt, comm,
-                                      ws_);
-          suf = &suf_own;
-          owns_suf = true;
+          suf_mix = merge_twoport_vec(at(suf_mix_cache_, i), at(p.lsv, i + 1), *suf, comm, ws_);
+          hi_rel = &*suf_mix;
         }
       } else if (i + 1 < L) {
-        suf = &p.lsv[static_cast<std::size_t>(i + 1)];
+        hi_rel = &at(p.lsv, i + 1);
       }
-      if (suf != nullptr) {
-        la::gemm(-1.0, ln.c_last.view(), suf->p.view(), 1.0,
-                 p.bloc.block((ln.hi - 1) * m, 0, m, p.cols), pool);
-        comm.charge_flops(la::gemm_flops(m, p.cols, m));
+      if (hi_rel != nullptr) {
+        la::gemm(-1.0, ln.c_last.view(), hi_rel->p.view(), 1.0,
+                 p.x.block((ln.hi - 1) * m, 0, m, cols), pool);
+        comm.charge_flops(la::gemm_flops(m, cols, m));
       }
-      if (owns_suf) TwoPortOp::recycle_vec(ctx, std::move(suf_own));
+      if (suf_mix) TwoPortOp::recycle_vec(ctx, std::move(*suf_mix));
     }
-    if (pre_opt) TwoPortOp::recycle_vec(ctx, std::move(*pre_opt));
-    if (suf_opt) TwoPortOp::recycle_vec(ctx, std::move(*suf_opt));
+    if (pre) TwoPortOp::recycle_vec(ctx, std::move(*pre));
+    if (suf) TwoPortOp::recycle_vec(ctx, std::move(*suf));
+    for (int i = 1; i < static_cast<int>(p.lpv.size()); ++i) {
+      TwoPortOp::recycle_vec(ctx, std::move(at(p.lpv, i)));
+      TwoPortOp::recycle_vec(ctx, std::move(at(p.lsv, i)));
+    }
 
+    for_each_lane(comm, "ard.lane.backsolve", [&](int li, par::Pool* lane_pool, la::Workspace*) {
+      at(lanes_, li).modified.solve_inplace(lane_rows(p.x, at(lanes_, li)), lane_pool);
+    });
     double flops = 0.0;
-    par::parallel_for(
-        pool, 0, L,
-        [&](std::int64_t lb, std::int64_t le) {
-          for (std::int64_t li = lb; li < le; ++li) {
-            const Lane& ln = lanes_[static_cast<std::size_t>(li)];
-            const la::index_t rows = ln.hi - ln.lo;
-            const Matrix bl = la::to_matrix(p.bloc.block(ln.lo * m, 0, rows * m, p.cols));
-            const Matrix xl = ln.modified.solve(bl, nullptr, nullptr);
-            la::copy(xl.view(), xloc.block(ln.lo * m, p.col0, rows * m, p.cols));
-          }
-        },
-        "ard.lane.backsolve");
-    for (const Lane& ln : lanes_) {
-      flops += ThomasFactorization::solve_flops(ln.hi - ln.lo, m, p.cols);
-    }
+    for (const Lane& ln : lanes_) flops += ThomasFactorization::solve_flops(ln.hi - ln.lo, m, cols);
     comm.charge_flops(flops);
-
-    for (int i = 1; i < L; ++i) {
-      TwoPortOp::recycle_vec(ctx, std::move(p.lpv[static_cast<std::size_t>(i)]));
-      TwoPortOp::recycle_vec(ctx, std::move(p.lsv[static_cast<std::size_t>(i)]));
-    }
-    p.lv.clear();
-    p.lpv.clear();
-    p.lsv.clear();
   };
 
-  /// C-step: harvest the replays, apply boundary corrections, back-solve
-  /// the modified segment, and write the panel's slice of the result.
-  const auto finish_panel = [&](Panel& p) {
-    std::optional<TwoPortVec> pre;
-    std::optional<TwoPortVec> suf;
-    if (dist) {
-      pre = std::move(p.fwd).take_result();
-      suf = std::move(p.bwd).take_result();
-    }
-    if (L > 1) {
-      finish_lanes(p, std::move(pre), std::move(suf));
-    } else {
-      if (pre) {
-        la::gemm(-1.0, a_lo_.view(), pre->q.view(), 1.0, p.bloc.block(0, 0, m, p.cols), pool);
-        comm.charge_flops(la::gemm_flops(m, p.cols, m));
-        TwoPortOp::recycle_vec(ctx, std::move(*pre));
-      }
-      if (suf) {
-        la::gemm(-1.0, c_hi_.view(), suf->p.view(), 1.0,
-                 p.bloc.block((nloc - 1) * m, 0, m, p.cols), pool);
-        comm.charge_flops(la::gemm_flops(m, p.cols, m));
-        TwoPortOp::recycle_vec(ctx, std::move(*suf));
-      }
-      Matrix xp = modified_.solve(p.bloc, pool, ws_);
-      comm.charge_flops(ThomasFactorization::solve_flops(nloc, m, p.cols));
-      la::copy(xp.view(), xloc.block(0, p.col0, nloc * m, p.cols));
-      la::ws_release(ws_, std::move(xp));
-    }
-    la::ws_release(ws_, std::move(p.bloc));
-  };
-
-  if (overlap && panels.size() > 1) {
-    // Software pipeline: panel k+1's A-step (local reduction + round-0
-    // sends, no receives) runs while panel k's replies are in flight, so
-    // its compute is what the receiver's clock advances on instead of
-    // charged waits.
-    start_panel(panels[0]);
-    for (std::size_t k = 0; k < panels.size(); ++k) {
-      if (k + 1 < panels.size()) start_panel(panels[k + 1]);
-      drain_panel(panels[k]);
-      finish_panel(panels[k]);
-    }
-  } else {
-    for (Panel& p : panels) {
-      start_panel(p);
-      drain_panel(p);
-      finish_panel(p);
-    }
+  // Software pipeline: panel k+1's A-step (local reduction + round-0
+  // sends, no receives) runs before panel k's replays are drained, so its
+  // compute is what the receiver's clock advances on instead of charged
+  // waits. Within a panel the forward and backward replays interleave.
+  for (std::size_t k = 0; k < panels.size(); ++k) {
+    if (k == 0) start_panel(panels[0]);
+    if (k + 1 < panels.size()) start_panel(panels[k + 1]);
+    run_interleaved(comm, panels[k].fwd, panels[k].bwd);
+    finish_panel(panels[k]);
   }
   return xloc;
 }
 
 std::size_t ArdFactorization::storage_bytes() const {
-  const auto scan_cache = [&](std::size_t rounds) {
-    // Up to two merge events per round, four M x M matrices each.
-    return rounds * 2 * 4 * static_cast<std::size_t>(m_ * m_) * sizeof(double);
-  };
-  const auto tp_bytes = static_cast<std::size_t>(tp_.P.size() + tp_.Q.size() + tp_.R.size() +
-                                                 tp_.S.size() + tp_.a_first.size() +
-                                                 tp_.c_last.size()) *
-                        sizeof(double);
   const auto mat_bytes = [](const la::Matrix& a) {
     return static_cast<std::size_t>(a.size()) * sizeof(double);
   };
@@ -758,29 +481,27 @@ std::size_t ArdFactorization::storage_bytes() const {
   const auto cache_size = [&](const TwoPortCache& c) {
     return mat_bytes(c.x1) + mat_bytes(c.x2) + mat_bytes(c.x3) + mat_bytes(c.x4);
   };
-  if (hierarchical()) {
-    // Lane factorizations replace the two flat segment factorizations.
-    // Everything the solve replay retains — lane two-ports, the fpre_/
-    // bsuf_ prefix/suffix chains, and the chain/mix merge caches — is
-    // summed at its actual size so budget-based admission sees the same
-    // fidelity as the flat path.
-    std::size_t lane_bytes = 0;
-    for (const Lane& ln : lanes_) {
-      lane_bytes += ln.unmodified.storage_bytes() + ln.modified.storage_bytes() +
-                    tp_size(ln.tp) + mat_bytes(ln.a_first) + mat_bytes(ln.c_last);
-    }
-    for (const TwoPort& t : fpre_) lane_bytes += tp_size(t);
-    for (const TwoPort& t : bsuf_) lane_bytes += tp_size(t);
-    for (const TwoPortCache& c : fchain_cache_) lane_bytes += cache_size(c);
-    for (const TwoPortCache& c : bchain_cache_) lane_bytes += cache_size(c);
-    for (const TwoPortCache& c : pre_mix_cache_) lane_bytes += cache_size(c);
-    for (const TwoPortCache& c : suf_mix_cache_) lane_bytes += cache_size(c);
-    return lane_bytes + scan_cache(fwd_.num_rounds()) + scan_cache(bwd_.num_rounds()) +
-           tp_bytes + static_cast<std::size_t>(a_lo_.size() + c_hi_.size()) * sizeof(double);
+  const auto scan_cache = [&](std::size_t rounds) {
+    // Up to two merge events per round, four M x M matrices each.
+    return rounds * 2 * 4 * static_cast<std::size_t>(m_ * m_) * sizeof(double);
+  };
+  // Everything the solve replay retains, at its actual size: the lane
+  // factorizations and corner couplings, the rank two-port, the scan
+  // caches, and (with several lanes) the local chains and merge caches, so
+  // budget-based admission sees the true footprint.
+  std::size_t bytes =
+      tp_size(tp_) + scan_cache(fwd_.num_rounds()) + scan_cache(bwd_.num_rounds());
+  for (const Lane& ln : lanes_) {
+    bytes += ln.unmodified.storage_bytes() + ln.modified.storage_bytes() +
+             mat_bytes(ln.a_first) + mat_bytes(ln.c_last);
   }
-  return unmodified_.storage_bytes() + modified_.storage_bytes() +
-         scan_cache(fwd_.num_rounds()) + scan_cache(bwd_.num_rounds()) + tp_bytes +
-         static_cast<std::size_t>(a_lo_.size() + c_hi_.size()) * sizeof(double);
+  for (const TwoPort& t : fpre_) bytes += tp_size(t);
+  for (const TwoPort& t : bsuf_) bytes += tp_size(t);
+  for (const TwoPortCache& c : fchain_cache_) bytes += cache_size(c);
+  for (const TwoPortCache& c : bchain_cache_) bytes += cache_size(c);
+  for (const TwoPortCache& c : pre_mix_cache_) bytes += cache_size(c);
+  for (const TwoPortCache& c : suf_mix_cache_) bytes += cache_size(c);
+  return bytes;
 }
 
 }  // namespace ardbt::core

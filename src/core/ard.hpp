@@ -50,42 +50,34 @@
 
 namespace ardbt::core {
 
-/// Tag space used by the production solver.
+/// Tag space used by the production solver. Solve-phase replays draw
+/// dynamic tags per panel (Comm::next_tag), so only the factor scans need
+/// fixed ones.
 namespace ard_tags {
 inline constexpr int kFwdFactor = 70;
 inline constexpr int kBwdFactor = 71;
-inline constexpr int kFwdSolve = 72;
-inline constexpr int kBwdSolve = 73;
 }  // namespace ard_tags
 
-/// Latency-hiding pipeline knobs (docs/PARALLELISM.md, "Latency-hiding
-/// pipeline"). Everything defaults off: the default path is byte-identical
-/// — solutions AND virtual times — to the pre-pipeline solver, so all
-/// committed baselines stay valid and the pipeline is a pure opt-in.
+/// Shape of the latency-hiding schedule (docs/PARALLELISM.md,
+/// "Latency-hiding pipeline"). The schedule itself is always on: the
+/// forward and backward scans are round-interleaved in both phases, and
+/// the RHS panels of solve(B) are software-pipelined — panel k+1's
+/// rank-local reduction runs while panel k's scan replay is in flight.
+/// These knobs only pick how many panels and lanes it works over; the
+/// defaults (one panel, one lane) are the plain ARD schedule of the paper.
 struct PipelineOptions {
-  /// Overlap scan communication with compute. In the solve phase, RHS
-  /// panels are pipelined: the rank-local reduction of panel k+1 runs
-  /// while panel k's vector-part scan replay is in flight, the forward
-  /// and backward replays of one panel are round-interleaved, and each
-  /// round merges the half its next send depends on first so the message
-  /// is on the wire during the rest of the merge. In the factor phase the
-  /// two scans are round-interleaved the same way. Solutions are
-  /// bit-identical on/off and for any chunk size or --threads; only
-  /// virtual waits shrink.
-  bool overlap = false;
   /// Columns per RHS panel in solve(B); 0 = one panel with all R columns.
-  /// Meaningful overlap needs at least two panels (chunk_cols < R); see
-  /// docs/PARALLELISM.md for sizing guidance.
+  /// Solutions are bit-identical for any chunk size or --threads; see
+  /// docs/PARALLELISM.md for when more panels pay.
   la::index_t chunk_cols = 0;
   /// Two-level hierarchical scan: split this rank's segment into `lanes`
   /// sub-segments factored/reduced independently (par::Pool runs them in
   /// parallel) and chained into the rank two-port locally, so the wall
   /// clock of the O(M^3 N/P) local reduction drops while the cross-rank
-  /// scan keeps its log P rounds and wire protocol. 1 = flat.
-  /// Hierarchical solutions are numerically equivalent but NOT
-  /// bit-identical to the flat elimination order (it is a different —
-  /// equally stable — bracketing of the same prefix), and they are still
-  /// bit-identical across --threads/chunk/overlap for a fixed `lanes`.
+  /// scan keeps its log P rounds and wire protocol. 1 = one lane per rank.
+  /// Several lanes are numerically equivalent but NOT bit-identical to one
+  /// (a different — equally stable — bracketing of the same prefix); for a
+  /// fixed `lanes` solutions are bit-identical across --threads and chunk.
   int lanes = 1;
 };
 
@@ -107,7 +99,7 @@ struct ArdOptions {
   /// compares pivot magnitudes already computed — it never charges flops,
   /// so modeled virtual times are unchanged by any threshold.
   double breakdown_growth_threshold = 1e12;
-  /// Latency-hiding pipeline (overlap / RHS chunking / hierarchical scan).
+  /// Latency-hiding schedule shape (RHS panels / hierarchical lanes).
   PipelineOptions pipeline{};
 };
 
@@ -169,25 +161,20 @@ class ArdFactorization {
   /// the breakdown monitor the drivers compare against
   /// ArdOptions::breakdown_growth_threshold.
   fault::PivotDiagnostics diagnostics() const {
-    if (!lanes_.empty()) {
-      fault::PivotDiagnostics d = lanes_.front().unmodified.pivot_diagnostics();
-      for (const Lane& ln : lanes_) {
-        d.merge(ln.unmodified.pivot_diagnostics());
-        d.merge(ln.modified.pivot_diagnostics());
-      }
-      return d;
+    fault::PivotDiagnostics d;
+    for (const Lane& ln : lanes_) {
+      d.merge(ln.unmodified.pivot_diagnostics());
+      d.merge(ln.modified.pivot_diagnostics());
     }
-    fault::PivotDiagnostics d = unmodified_.pivot_diagnostics();
-    d.merge(modified_.pivot_diagnostics());
     return d;
   }
 
  private:
   /// Storage-agnostic implementation pieces (defined in ard.cpp; the
   /// public overloads instantiate them there). The factor phase splits
-  /// into a purely local part (segment factorization + two-port, the
+  /// into a purely local part (lane factorizations + two-ports, the
   /// O(M^3 N/P) term) and a global part (scans + boundary-modified
-  /// factorization) so `update` can skip the former on unchanged ranks.
+  /// factorizations) so `update` can skip the former on unchanged ranks.
   template <typename SysView>
   static ArdFactorization factor_impl(mpsim::Comm& comm, const SysView& sys,
                                       const btds::RowPartition& part, const ArdOptions& opts,
@@ -196,28 +183,21 @@ class ArdFactorization {
   void local_phase(mpsim::Comm& comm, const SysView& sys);
   template <typename SysView>
   void global_phase(mpsim::Comm& comm, const SysView& sys);
-  template <typename SysView>
-  void local_phase_lanes(mpsim::Comm& comm, const SysView& sys);
-  template <typename SysView>
-  void global_phase_lanes(mpsim::Comm& comm, const SysView& sys);
 
-  /// Legacy serial solve path — byte-identical (solutions and virtual
-  /// times) to the pre-pipeline solver; taken when every pipeline knob is
-  /// at its default.
-  la::Matrix solve_local_flat(mpsim::Comm& comm, const la::Matrix& b_local) const;
-  /// Panel-pipelined / hierarchical solve path.
-  la::Matrix solve_local_panels(mpsim::Comm& comm, const la::Matrix& b_local) const;
+  /// Run fn(lane index, pool, workspace) for every lane. A single lane runs
+  /// on the rank thread with the rank's pool (column-parallel solves) and
+  /// arena; several lanes run in parallel on the pool, each serial and
+  /// arena-free (the arena is single-threaded).
+  template <typename Fn>
+  void for_each_lane(mpsim::Comm& comm, const char* name, Fn&& fn) const;
 
-  /// Two-level scan active (PipelineOptions::lanes clamped to the local
-  /// segment produced more than one sub-segment).
-  bool hierarchical() const { return lanes_.size() > 1; }
-
-  /// One sub-segment of the two-level hierarchical scan.
+  /// One sub-segment of this rank's rows. A rank has
+  /// min(PipelineOptions::lanes, local rows) lanes — usually exactly one,
+  /// the whole segment.
   struct Lane {
     la::index_t lo = 0, hi = 0;  ///< block-row range within this segment
     btds::ThomasFactorization unmodified;
-    btds::ThomasFactorization modified;  ///< with lane-boundary-folded corners
-    TwoPort tp;
+    btds::ThomasFactorization modified;  ///< with boundary-folded corners
     la::Matrix a_first;  ///< A of the lane's first global row (zero on row 0)
     la::Matrix c_last;   ///< C of the lane's last global row (zero on row N-1)
   };
@@ -230,17 +210,14 @@ class ArdFactorization {
   la::index_t lo_ = 0;  // first local block row
   la::index_t hi_ = 0;  // one past last local block row
 
-  btds::ThomasFactorization unmodified_;  // T_loc (for two-port vector parts)
-  btds::ThomasFactorization modified_;    // T_loc with boundary-folded corners
-  TwoPort tp_;                            // this segment's two-port (kept for update())
-  la::Matrix a_lo_;                       // A_{lo} (zero on rank owning row 0)
-  la::Matrix c_hi_;                       // C_{hi-1} (zero on rank owning row N-1)
+  TwoPort tp_;  // this segment's two-port (kept for update())
   CachedScan<TwoPortOp> fwd_;
   CachedScan<TwoPortOpReversed> bwd_;
 
-  /// Hierarchical-scan state (empty when lanes == 1). The local prefix /
-  /// suffix chains are merged once at factor time; solve replays them with
-  /// the cached merge matrices, exactly like the cross-rank scans.
+  /// Lanes and their local prefix / suffix chains (the chains are empty
+  /// with one lane). The chains are merged once at factor time; solve
+  /// replays them with the cached merge matrices, exactly like the
+  /// cross-rank scans.
   std::vector<Lane> lanes_;
   std::vector<TwoPort> fpre_;  ///< fpre_[i]: two-port of lanes [0, i), i >= 1
   std::vector<TwoPort> bsuf_;  ///< bsuf_[i]: two-port of lanes [i, L), i >= 1

@@ -1,6 +1,8 @@
 #pragma once
 
+#include <bit>
 #include <cassert>
+#include <climits>
 #include <cstddef>
 #include <optional>
 #include <span>
@@ -41,7 +43,7 @@
 ///     // with different widths replay the same factored scan.
 ///     static Vec des_vec(const Context&, std::span<const std::byte>);
 ///     // Optional: reclaim a consumed vector part (e.g. return arena
-///     // storage). Called by solve() the moment a Vec's value is dead.
+///     // storage). Called by Replay the moment a Vec's value is dead.
 ///     static void recycle_vec(const Context&, Vec&&);
 ///   };
 ///
@@ -66,116 +68,59 @@ class CachedScan {
   /// total. Collective. `tag` must be unique per in-flight scan — enforced
   /// through the rank's tag registry: a collision throws
   /// fault::TagCollisionError instead of silently cross-matching messages.
+  /// Runs the Factoring stepper to completion; a caller with two scans in
+  /// flight steps both through run_interleaved() instead.
   static CachedScan factor(mpsim::Comm& comm, ScanDirection dir, Context ctx, Mat seg, int tag) {
     ARDBT_TRACE_SPAN(comm, obs::SpanKind::kPhase,
                      dir == ScanDirection::kForward ? "scan.factor.fwd" : "scan.factor.bwd");
-    mpsim::TagGuard guard(comm, tag);
-    CachedScan scan;
-    scan.dir_ = dir;
-    scan.ctx_ = ctx;
-    const int size = comm.size();
-    const int seq = seq_of(comm.rank(), size, dir);
-
-    Mat partial = std::move(seg);
-    std::optional<Mat> result;
-
-    for (const mpsim::ScanStep& step : mpsim::exscan_schedule(seq, size)) {
-      Round round;
-      round.partner = rank_of(step.partner, size, dir);
-      round.partner_is_lower = step.partner_is_lower;
-
-      comm.send_bytes(round.partner, tag, Op::ser_mat(ctx, partial));
-      const auto raw = comm.recv_bytes(round.partner, tag);
-      Mat tmp = Op::des_mat(ctx, raw);
-
-      if (step.partner_is_lower) {
-        round.result_was_set = result.has_value();
-        if (result) {
-          round.cache_result.emplace();
-          result = Op::merge_mat(ctx, tmp, *result, *round.cache_result, comm);
-        }
-        Mat merged = Op::merge_mat(ctx, tmp, partial, round.cache_partial, comm);
-        partial = std::move(merged);
-        if (!round.result_was_set) result = std::move(tmp);
-      } else {
-        partial = Op::merge_mat(ctx, partial, tmp, round.cache_partial, comm);
-      }
-      scan.rounds_.push_back(std::move(round));
-    }
-    scan.has_result_ = result.has_value();
-    if (result) scan.result_mat_ = std::move(*result);
-    return scan;
+    Factoring f(comm, dir, ctx, std::move(seg), tag);
+    while (!f.done()) f.finish_round(comm);
+    return std::move(f).finish();
   }
 
   /// Phase B: replay with this rank's segment vector part. Returns the
   /// exclusive-prefix vector part for this rank, or nullopt on the
   /// sequence-first rank (which has no incoming prefix). Collective.
+  /// Runs the Replay stepper to completion.
   std::optional<Vec> solve(mpsim::Comm& comm, Vec seg_vec, int tag) const {
     ARDBT_TRACE_SPAN(comm, obs::SpanKind::kPhase,
                      dir_ == ScanDirection::kForward ? "scan.replay.fwd" : "scan.replay.bwd");
-    mpsim::TagGuard guard(comm, tag);
-    Vec partial = std::move(seg_vec);
-    std::optional<Vec> result;
-
-    for (const Round& round : rounds_) {
-      comm.send_bytes(round.partner, tag, Op::ser_vec(ctx_, partial));
-      const auto raw = comm.recv_bytes(round.partner, tag);
-      Vec tmp = Op::des_vec(ctx_, raw);
-
-      if (round.partner_is_lower) {
-        if (round.result_was_set) {
-          Vec prev = std::move(*result);
-          result = Op::merge_vec(ctx_, *round.cache_result, tmp, prev, comm);
-          recycle(std::move(prev));
-        }
-        Vec merged = Op::merge_vec(ctx_, round.cache_partial, tmp, partial, comm);
-        recycle(std::move(partial));
-        partial = std::move(merged);
-        if (!round.result_was_set) {
-          result = std::move(tmp);
-        } else {
-          recycle(std::move(tmp));
-        }
-      } else {
-        Vec merged = Op::merge_vec(ctx_, round.cache_partial, partial, tmp, comm);
-        recycle(std::move(partial));
-        recycle(std::move(tmp));
-        partial = std::move(merged);
-      }
-    }
-    recycle(std::move(partial));
-    return result;
+    Replay r(*this, comm, std::move(seg_vec), tag);
+    while (!r.done()) r.finish_round(comm);
+    return std::move(r).take_result();
   }
 
   /// Stepwise replay of the factored schedule — the latency-hiding
   /// primitive behind pipelined panel solves. One Replay is one in-flight
-  /// scan: construct it with the segment vector part, `begin()` posts the
-  /// round-0 send, and each `finish_round()` receives one round, merges
-  /// the half the *next* send depends on first, puts that send on the wire,
-  /// and only then folds the exclusive-prefix half — so the next message
-  /// is in flight while the rest of the round's compute (and anything else
-  /// the caller interleaves between rounds) runs. The merge operands are
-  /// identical to the batch solve()'s, so results are bit-identical; only
-  /// virtual waits shrink. The tag is held in the rank's registry for the
-  /// lifetime of the Replay (collision = fault::TagCollisionError).
+  /// scan: construction posts the round-0 send, and each `finish_round()`
+  /// receives one round, merges the half the *next* send depends on first,
+  /// puts that send on the wire, and only then folds the exclusive-prefix
+  /// half — so the next message is in flight while the rest of the round's
+  /// compute (and anything else the caller interleaves between rounds)
+  /// runs. Every merge sees the same operands whatever the stepping order,
+  /// so results are bit-identical under any interleaving. The tag is held
+  /// in the rank's registry for the lifetime of the Replay (collision =
+  /// fault::TagCollisionError).
   class Replay {
    public:
     Replay() = default;
 
-    /// Registers `tag`; does NOT communicate yet — call begin().
+    /// Registers `tag` and posts the round-0 send (collective with the
+    /// peer Replays driving the same factored scan).
     Replay(const CachedScan& scan, mpsim::Comm& comm, Vec seg_vec, int tag)
-        : scan_(&scan), tag_(tag), guard_(comm, tag), partial_(std::move(seg_vec)) {}
-
-    /// Post the round-0 send (collective with the peer Replays driving the
-    /// same factored scan). Deferring this to an explicit call lets an
-    /// unpipelined driver reproduce the serial schedule exactly.
-    void begin(mpsim::Comm& comm) { post_send(comm); }
+        : scan_(&scan), tag_(tag), guard_(comm, tag), partial_(std::move(seg_vec)) {
+      post_send(comm);
+    }
 
     bool done() const { return scan_ == nullptr || finished_ == scan_->rounds_.size(); }
+
+    /// Hypercube level of the next round (INT_MAX once done).
+    int level() const { return done() ? INT_MAX : scan_->rounds_[finished_].level; }
 
     /// True when the next round's message is already visible on the
     /// virtual clock (never consumes it). Deterministic under ChargedFlops
     /// timing — see Comm::recv_ready — so schedulers may branch on it.
+    /// Blocks (wall clock) until that message has been posted.
     bool ready(mpsim::Comm& comm) const {
       return !done() && comm.recv_ready(scan_->rounds_[finished_].partner, tag_);
     }
@@ -189,8 +134,7 @@ class CachedScan {
       if (round.partner_is_lower) {
         // The next round's outgoing partial needs only the partial merge —
         // do it first and post the send, then fold the exclusive prefix
-        // while that message is in flight. Same operand pairs as the batch
-        // path, so the values (and the replayed caches) are identical.
+        // while that message is in flight.
         Vec merged = Op::merge_vec(scan_->ctx_, round.cache_partial, tmp, partial_, comm);
         scan_->recycle(std::move(partial_));
         partial_ = std::move(merged);
@@ -242,10 +186,8 @@ class CachedScan {
     std::size_t finished_ = 0;
   };
 
-  /// Stepwise factor — the matrix-part counterpart of Replay, used to run
-  /// two scans (forward and backward) round-interleaved so each one's
-  /// merge compute hides the other's in-flight message. Construction posts
-  /// the round-0 send immediately; finish() seals the CachedScan.
+  /// Stepwise factor — the matrix-part counterpart of Replay. Construction
+  /// posts the round-0 send; finish() seals the CachedScan.
   class Factoring {
    public:
     Factoring(mpsim::Comm& comm, ScanDirection dir, Context ctx, Mat seg, int tag)
@@ -258,12 +200,15 @@ class CachedScan {
         Round round;
         round.partner = rank_of(step.partner, size, dir);
         round.partner_is_lower = step.partner_is_lower;
+        round.level = std::countr_zero(static_cast<unsigned>(seq ^ step.partner));
         scan_.rounds_.push_back(std::move(round));
       }
       post_send(comm);
     }
 
     bool done() const { return finished_ == scan_.rounds_.size(); }
+
+    int level() const { return done() ? INT_MAX : scan_.rounds_[finished_].level; }
 
     bool ready(mpsim::Comm& comm) const {
       return !done() && comm.recv_ready(scan_.rounds_[finished_].partner, tag_);
@@ -344,6 +289,7 @@ class CachedScan {
 
   struct Round {
     int partner = -1;
+    int level = 0;  ///< hypercube dimension of this exchange (sequence space)
     bool partner_is_lower = false;
     bool result_was_set = false;
     Cache cache_partial{};
@@ -363,5 +309,31 @@ class CachedScan {
   Mat result_mat_{};
   std::vector<Round> rounds_;
 };
+
+/// Drive two in-flight scan steppers (Factoring or Replay, e.g. a forward
+/// and a backward scan) to completion, round-interleaved so each one's
+/// merges run while the other's message is on the wire.
+///
+/// Rounds go in order of hypercube level. That order is what makes the
+/// interleaving deadlock-free on any rank count: a level-d message only
+/// depends on its sender's rounds below d, so by induction every level
+/// completes. ready() blocks until the message is posted, so consulting
+/// it across levels could wait on a partner that first needs this rank's
+/// next lower-level send (on non-power-of-two P that is a deadlock).
+/// Between two rounds of the same level, whichever message is already
+/// visible on the virtual clock goes first; ready() is deterministic
+/// under ChargedFlops timing, so every virtual time is reproducible.
+template <typename A, typename B>
+void run_interleaved(mpsim::Comm& comm, A& a, B& b) {
+  while (!a.done() || !b.done()) {
+    const bool take_a = a.level() < b.level() ||
+                        (a.level() == b.level() && (a.ready(comm) || !b.ready(comm)));
+    if (take_a) {
+      a.finish_round(comm);
+    } else {
+      b.finish_round(comm);
+    }
+  }
+}
 
 }  // namespace ardbt::core

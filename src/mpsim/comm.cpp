@@ -148,7 +148,7 @@ bool Comm::recv_ready(int src, int tag) {
   // current virtual instant; the probe itself never advances the clock.
   sync_compute();
   return world_->mailboxes[static_cast<std::size_t>(rank_)].peek_available(
-      src, tag, vtime_, world_->dead[static_cast<std::size_t>(src)]);
+      src, tag, vtime_, world_->dead[static_cast<std::size_t>(src)], world_->recv_timeout_wall);
 }
 
 std::vector<std::byte> Comm::recv_bytes(int src, int tag) {

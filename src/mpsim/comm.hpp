@@ -97,7 +97,8 @@ class Comm {
   /// clock; may block wall-clock until the sender has physically pushed
   /// (so under ChargedFlops the answer is a deterministic function of the
   /// program, not of thread scheduling). Pipelined schedulers use it to
-  /// decide which in-flight scan round to finish first.
+  /// decide which in-flight scan round to finish first. Honors
+  /// recv_timeout_wall exactly like recv_bytes.
   bool recv_ready(int src, int tag);
 
   /// ---- message-tag registry ------------------------------------------

@@ -98,9 +98,12 @@ class Mailbox {
   /// deterministic function of the program — schedulers can use it to pick
   /// which of several in-flight scans to advance first. A dead source with
   /// nothing queued reports true so the caller's next blocking pop observes
-  /// the death through the normal AbortedError path.
+  /// the death through the normal AbortedError path. The same
+  /// `timeout_wall` backstop as pop applies, so a schedule that waits on a
+  /// message nobody will send fails with fault::DeadlineError, not a hang.
   bool peek_available(int source, int tag, double cutoff,
-                      const std::atomic<bool>& source_dead) {
+                      const std::atomic<bool>& source_dead, double timeout_wall = 0.0) {
+    const auto t0 = std::chrono::steady_clock::now();
     std::unique_lock lock(mutex_);
     for (;;) {
       const bool dead = source_dead.load(std::memory_order_acquire);
@@ -108,6 +111,11 @@ class Mailbox {
         if (it->source == source && it->tag == tag) return it->available_vtime <= cutoff;
       }
       if (dead) return true;
+      if (timeout_wall > 0.0) {
+        const double waited = std::chrono::duration<double>(
+            std::chrono::steady_clock::now() - t0).count();
+        if (waited > timeout_wall) throw fault::DeadlineError(source, tag, waited);
+      }
       cv_.wait_for(lock, std::chrono::milliseconds(50));
     }
   }

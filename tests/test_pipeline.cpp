@@ -1,7 +1,7 @@
 // Tests for the latency-hiding scan pipeline (docs/PARALLELISM.md,
-// "Latency-hiding pipeline"): the bit-identity contract of overlap /
-// chunked RHS panels across thread counts, the hierarchical-lanes local
-// reduction, the attribution-visible effect of overlap on a comm-bound
+// "Latency-hiding pipeline"): the bit-identity contract of chunked RHS
+// panels across thread counts, the hierarchical-lanes local reduction,
+// the attribution-visible effect of panel pipelining on a comm-bound
 // run, and the dynamic-tag registry the pipeline's concurrent scans lean
 // on (regression: tag uniqueness used to be a comment, not a check).
 
@@ -33,6 +33,7 @@ mpsim::EngineOptions charged_engine(int threads = 1) {
   engine.timing = mpsim::TimingMode::ChargedFlops;
   engine.cost = mpsim::CostModel::cluster2014();
   engine.threads_per_rank = threads;
+  engine.recv_timeout_wall = 30.0;  // a schedule deadlock fails typed, not hung
   return engine;
 }
 
@@ -48,9 +49,8 @@ double max_abs_diff(const la::Matrix& a, const la::Matrix& b) {
 }
 
 la::Matrix pipeline_solve(const btds::BlockTridiag& sys, const la::Matrix& b, int p,
-                          bool overlap, index_t chunk, int lanes, int threads) {
+                          index_t chunk, int lanes, int threads) {
   core::ArdOptions opts;
-  opts.pipeline.overlap = overlap;
   opts.pipeline.chunk_cols = chunk;
   opts.pipeline.lanes = lanes;
   return core::solve(core::Method::kArd, sys, b, p,
@@ -58,84 +58,81 @@ la::Matrix pipeline_solve(const btds::BlockTridiag& sys, const la::Matrix& b, in
       .x;
 }
 
-// Tentpole contract: overlap and panel chunking never change a single
-// bit of the solution, for any thread count and any chunk size — the
-// merge reorder touches independent operand pairs only and lane-parallel
-// Thomas solves have column-independent FP sequences.
-TEST(Pipeline, BitIdentityAcrossOverlapChunkThreads) {
+// Panel chunking never changes a single bit of the solution, for any
+// thread count and any chunk size — the pipelined schedule reorders
+// independent merges only and Thomas solves have column-independent FP
+// sequences.
+TEST(Pipeline, BitIdentityAcrossChunkThreads) {
   const index_t n = 96, m = 4, r = 6;
-  const int p = 4;
   const auto sys = make_problem(ProblemKind::kDiagDominant, n, m);
   const auto b = make_rhs(n, m, r);
 
-  const la::Matrix base = pipeline_solve(sys, b, p, false, 0, 1, 1);
-  EXPECT_LT(btds::relative_residual(sys, base, b), 1e-12);
-
-  for (const bool overlap : {false, true})
+  // P=5: the interleaved scans must also complete on non-power-of-two
+  // rank counts (their rounds go in hypercube-level order).
+  for (const int p : {4, 5}) {
+    const la::Matrix base = pipeline_solve(sys, b, p, 0, 1, 1);
+    EXPECT_LT(btds::relative_residual(sys, base, b), 1e-12);
     for (const int threads : {1, 3})
       for (const index_t chunk : {index_t{1}, index_t{0}, r}) {
-        const la::Matrix x = pipeline_solve(sys, b, p, overlap, chunk, 1, threads);
+        const la::Matrix x = pipeline_solve(sys, b, p, chunk, 1, threads);
         EXPECT_EQ(max_abs_diff(base, x), 0.0)
-            << "overlap=" << overlap << " threads=" << threads << " chunk=" << chunk;
+            << "P=" << p << " threads=" << threads << " chunk=" << chunk;
       }
+  }
 
   // Serial specialization (P=1) takes the same panel path and must agree too.
-  const la::Matrix s_base = pipeline_solve(sys, b, 1, false, 0, 1, 1);
-  const la::Matrix s_pipe = pipeline_solve(sys, b, 1, true, 2, 1, 1);
+  const la::Matrix s_base = pipeline_solve(sys, b, 1, 0, 1, 1);
+  const la::Matrix s_pipe = pipeline_solve(sys, b, 1, 2, 1, 1);
   EXPECT_EQ(max_abs_diff(s_base, s_pipe), 0.0);
 }
 
 // Hierarchical lanes re-associate the local reduction, so they are only
-// numerically equivalent to the flat path — but for a FIXED lane count
-// the solution must be bit-identical across overlap, chunking, and
-// thread counts (lane bounds are pure in (nloc, lanes)).
+// numerically equivalent to one lane — but for a FIXED lane count the
+// solution must be bit-identical across chunking and thread counts (lane
+// bounds are pure in (nloc, lanes)).
 TEST(Pipeline, HierarchicalLanesResidualAndFixedLaneBitIdentity) {
   const index_t n = 96, m = 4, r = 6;
   const int p = 4, lanes = 3;
   const auto sys = make_problem(ProblemKind::kDiagDominant, n, m);
   const auto b = make_rhs(n, m, r);
 
-  const la::Matrix base = pipeline_solve(sys, b, p, false, 0, lanes, 1);
+  const la::Matrix base = pipeline_solve(sys, b, p, 0, lanes, 1);
   EXPECT_LT(btds::relative_residual(sys, base, b), 1e-12);
 
-  for (const bool overlap : {false, true})
-    for (const int threads : {1, 3})
-      for (const index_t chunk : {index_t{1}, index_t{0}, r}) {
-        const la::Matrix x = pipeline_solve(sys, b, p, overlap, chunk, lanes, threads);
-        EXPECT_EQ(max_abs_diff(base, x), 0.0)
-            << "overlap=" << overlap << " threads=" << threads << " chunk=" << chunk;
-      }
+  for (const int threads : {1, 3})
+    for (const index_t chunk : {index_t{1}, index_t{0}, r}) {
+      const la::Matrix x = pipeline_solve(sys, b, p, chunk, lanes, threads);
+      EXPECT_EQ(max_abs_diff(base, x), 0.0) << "threads=" << threads << " chunk=" << chunk;
+    }
 }
 
-// Regression (uneven partitions): solve_local used to dispatch on the
-// rank-local hierarchical() flag, so with lanes > 1 and P <= N < 2P the
-// single-row ranks replayed the cross-rank scans with the fixed
-// kFwdSolve/kBwdSolve tags while multi-row ranks used dynamic panel tags
-// — each side waited on a tag its partner never sent and solve() hung.
-// The dispatch is options-only now: the mixed fleet must complete, solve
-// accurately, and stay bit-identical across the other pipeline knobs.
+// Regression (uneven partitions): with lanes > 1 and P <= N < 2P the
+// single-row ranks have one lane while the others have several. The solve
+// used to pick its replay path per rank, so the two groups replayed the
+// cross-rank scans under different tags and solve() hung. There is one
+// schedule now: the mixed fleet must complete, solve accurately, and stay
+// bit-identical across chunk sizes.
 TEST(Pipeline, UnevenPartitionWithLanesDoesNotDeadlock) {
   const index_t n = 5, m = 3, r = 4;
   const int p = 4;  // rows split {2,1,1,1}: only rank 0 builds lanes
   const auto sys = make_problem(ProblemKind::kDiagDominant, n, m);
   const auto b = make_rhs(n, m, r);
 
-  const la::Matrix base = pipeline_solve(sys, b, p, false, 0, 2, 1);
+  const la::Matrix base = pipeline_solve(sys, b, p, 0, 2, 1);
   EXPECT_LT(btds::relative_residual(sys, base, b), 1e-12);
 
-  for (const bool overlap : {false, true})
-    for (const index_t chunk : {index_t{0}, index_t{2}}) {
-      const la::Matrix x = pipeline_solve(sys, b, p, overlap, chunk, 2, 1);
-      EXPECT_EQ(max_abs_diff(base, x), 0.0) << "overlap=" << overlap << " chunk=" << chunk;
-    }
+  for (const index_t chunk : {index_t{1}, index_t{2}}) {
+    const la::Matrix x = pipeline_solve(sys, b, p, chunk, 2, 1);
+    EXPECT_EQ(max_abs_diff(base, x), 0.0) << "chunk=" << chunk;
+  }
 }
 
-struct OverlapRun {
+struct PipelineRun {
   obs::Attribution attr;
   double solve_vtime = 0.0;
 };
 
-OverlapRun comm_bound_run(bool overlap) {
+PipelineRun comm_bound_run(index_t chunk) {
   const index_t n = 64, m = 8, r = 32;
   const int p = 8;
   const auto sys = make_problem(ProblemKind::kDiagDominant, n, m);
@@ -150,20 +147,19 @@ OverlapRun comm_bound_run(bool overlap) {
   engine.tracer = &tracer;
 
   core::ArdOptions opts;
-  opts.pipeline.overlap = overlap;
-  opts.pipeline.chunk_cols = 8;
+  opts.pipeline.chunk_cols = chunk;
   const auto res = core::solve(core::Method::kArd, sys, b, p, {.ard = opts, .engine = engine});
   EXPECT_LT(btds::relative_residual(sys, res.x, b), 1e-12);
   return {obs::analyze(tracer), res.solve_vtime};
 }
 
-// Overlap must be visible to the attribution layer: on a comm-bound run
-// the critical path's blocked time (wait + in-flight comm) strictly
-// shrinks, and the solve makespan with it. Compute on the path does not
-// grow — overlap hides waits, it does not add work.
-TEST(Pipeline, AttributionBlockedTimeShrinksWithOverlap) {
-  const OverlapRun off = comm_bound_run(false);
-  const OverlapRun on = comm_bound_run(true);
+// Panel pipelining must be visible to the attribution layer: on a
+// comm-bound run, four pipelined panels shrink the critical path's
+// blocked time (wait + in-flight comm) against one panel, and the solve
+// makespan with it — the pipeline hides waits, it does not add work.
+TEST(Pipeline, AttributionBlockedTimeShrinksWithChunking) {
+  const PipelineRun off = comm_bound_run(0);
+  const PipelineRun on = comm_bound_run(8);
 
   EXPECT_LT(on.solve_vtime, off.solve_vtime);
   EXPECT_LT(on.attr.makespan_s, off.attr.makespan_s);

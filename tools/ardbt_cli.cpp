@@ -15,8 +15,7 @@
 //   --seed    generator seed                                [42]
 //   --timing  charged (deterministic virtual clock) | measured [charged]
 //   --threads worker threads per rank for the solve kernels [1]
-//   --overlap pipeline scan communication behind compute (ard only) [off]
-//   --chunk   RHS columns per solve panel, 0 = all of R (ard only)  [0]
+//   --chunk   RHS columns per pipelined solve panel, 0 = all of R (ard only) [0]
 //   --lanes   intra-rank lanes of the two-level scan (ard only)     [1]
 //   --refine  extra iterative-refinement steps (ard only)   [0]
 //   --load-sys PATH   solve a system saved with save_block_tridiag
@@ -108,7 +107,7 @@ using namespace ardbt;
 
 constexpr const char* kKnownFlags[] = {
     "--method", "--kind",     "--n",        "--m",      "--p",     "--r",
-    "--overlap", "--chunk",   "--lanes",
+    "--chunk",  "--lanes",
     "--seed",   "--timing",   "--threads",  "--refine", "--load-sys", "--save-sys",
     "--save-x", "--trace",    "--json",     "--metrics", "--list",  "--help",
     "--on-breakdown", "--fault", "--plant-pivot", "--plant-eps",
@@ -218,17 +217,13 @@ void print_usage() {
   std::printf("  --timing MODE    charged (deterministic) | measured\n");
   std::printf("  --threads T      worker threads per rank for the solve kernels\n");
   std::printf("                   (default 1; results are bit-identical for any T)\n");
-  std::printf("  --overlap        pipeline scan communication behind compute (ard):\n");
-  std::printf("                   round-interleaved fwd/bwd scans and RHS-panel\n");
-  std::printf("                   software pipelining; solutions bit-identical\n");
-  std::printf("                   on/off, only virtual waits shrink\n");
-  std::printf("  --chunk C        RHS columns per solve panel (0 = all of R);\n");
-  std::printf("                   with --overlap, panel k+1's local reduction\n");
-  std::printf("                   hides panel k's in-flight scan rounds\n");
+  std::printf("  --chunk C        RHS columns per solve panel (0 = all of R, ard):\n");
+  std::printf("                   panel k+1's local reduction hides panel k's\n");
+  std::printf("                   in-flight scan rounds; solutions bit-identical\n");
+  std::printf("                   for any C, only virtual waits change\n");
   std::printf("  --lanes L        two-level hierarchical scan: L intra-rank lanes\n");
   std::printf("                   reduce the segment in parallel before the\n");
-  std::printf("                   cross-rank scan (default 1 = flat;\n");
-  std::printf("                   docs/PARALLELISM.md)\n");
+  std::printf("                   cross-rank scan (default 1; docs/PARALLELISM.md)\n");
   std::printf("  --refine K       iterative-refinement steps (ard only)\n");
   std::printf("  --load-sys PATH  solve a saved system (overrides --kind/--n/--m)\n");
   std::printf("  --save-sys PATH  save the generated system\n");
@@ -385,8 +380,6 @@ int main(int argc, char** argv) {
       p = static_cast<int>(parse_int(flag, next(), 1, std::numeric_limits<int>::max()));
     } else if (flag == "--r") {
       r = static_cast<la::index_t>(parse_int(flag, next(), 1));
-    } else if (flag == "--overlap") {
-      ard_opts.pipeline.overlap = true;
     } else if (flag == "--chunk") {
       ard_opts.pipeline.chunk_cols = static_cast<la::index_t>(parse_int(flag, next(), 0));
     } else if (flag == "--lanes") {
@@ -911,7 +904,6 @@ int main(int argc, char** argv) {
         .config("timing",
                 engine.timing == mpsim::TimingMode::ChargedFlops ? "charged" : "measured")
         .config("threads", engine.threads_per_rank)
-        .config("overlap", ard_opts.pipeline.overlap)
         .config("chunk", static_cast<std::int64_t>(ard_opts.pipeline.chunk_cols))
         .config("lanes", ard_opts.pipeline.lanes)
         .config("refine", refine_steps)

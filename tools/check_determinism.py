@@ -16,10 +16,10 @@ once with --threads 3 — and checks the contract that par::Pool promises:
   must not perturb a single value.
 
 Then repeats the solution check along the latency-hiding pipeline axis
-(docs/PARALLELISM.md): --overlap with a small --chunk must keep the
-solution byte-identical to the batch scheduler, at both thread counts —
-the pipeline reorders the schedule, never the arithmetic on any one
-value's dependency chain.
+(docs/PARALLELISM.md): a small --chunk (several pipelined RHS panels)
+must keep the solution byte-identical to the one-panel schedule, at both
+thread counts — the pipeline reorders the schedule, never the arithmetic
+on any one value's dependency chain.
 
 Usage: check_determinism.py /path/to/ardbt
 """
@@ -36,14 +36,12 @@ def fail(msg):
     sys.exit(1)
 
 
-def run_once(cli, tmp, threads, overlap=False, chunk=0, tag=""):
+def run_once(cli, tmp, threads, chunk=0, tag=""):
     x_path = Path(tmp) / f"x{threads}{tag}.bin"
     report_path = Path(tmp) / f"report{threads}{tag}.json"
     cmd = [cli, "--method", "ard", "--kind", "poisson2d", "--n", "96",
            "--m", "6", "--p", "3", "--r", "17", "--threads", str(threads),
            "--save-x", str(x_path), "--json", str(report_path)]
-    if overlap:
-        cmd += ["--overlap"]
     if chunk:
         cmd += ["--chunk", str(chunk)]
     proc = subprocess.run(cmd, capture_output=True, text=True)
@@ -61,8 +59,8 @@ def main():
         x1, report1 = run_once(cli, tmp, threads=1)
         x3, report3 = run_once(cli, tmp, threads=3)
         pipelined = {
-            (threads, chunk): run_once(cli, tmp, threads=threads, overlap=True,
-                                       chunk=chunk, tag=f"o{chunk}")[0]
+            (threads, chunk): run_once(cli, tmp, threads=threads, chunk=chunk,
+                                       tag=f"c{chunk}")[0]
             for threads in (1, 3) for chunk in (5,)
         }
 
@@ -71,13 +69,13 @@ def main():
              f"({len(x1)} vs {len(x3)} bytes)")
     print(f"check_determinism: solutions byte-identical ({len(x1)} bytes)")
 
-    # Pipeline axis: overlap + chunked panels must not move a single bit,
-    # whatever the worker count.
+    # Pipeline axis: chunked panels must not move a single bit, whatever
+    # the worker count.
     for (threads, chunk), xb in sorted(pipelined.items()):
         if xb != x1:
-            fail(f"solution differs with --overlap --chunk {chunk} "
+            fail(f"solution differs with --chunk {chunk} "
                  f"--threads {threads} (pipeline broke bit-identity)")
-    print("check_determinism: solutions byte-identical with --overlap --chunk 5 "
+    print("check_determinism: solutions byte-identical with --chunk 5 "
           "at --threads 1 and 3")
 
     # cpu_seconds / wall_s are measured and vary run to run; everything the
