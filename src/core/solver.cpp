@@ -47,6 +47,14 @@ std::shared_ptr<const btds::BlockTridiag> checked_system(
   if (nranks <= 0) {
     throw fault::InvalidArgumentError("core::Session", "nranks must be positive");
   }
+  // Every method partitions whole block rows and needs one per rank; fail
+  // here rather than from inside each rank of the first engine run.
+  if (sys->num_blocks() < nranks) {
+    throw fault::InvalidArgumentError(
+        "core::Session", "every rank needs at least one block row (N=" +
+                             std::to_string(sys->num_blocks()) + " < P=" +
+                             std::to_string(nranks) + ")");
+  }
   return sys;
 }
 

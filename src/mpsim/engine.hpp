@@ -10,15 +10,26 @@
 #include "src/mpsim/stats.hpp"
 
 /// \file engine.hpp
-/// Launches P logical ranks as host threads and runs a rank function on
-/// each, MPI "SPMD" style. The engine owns all shared state; ranks only
-/// see their Comm endpoint. If any rank throws it is marked dead; peers
-/// keep running until they block on a receive from a dead rank (data-flow
-/// failure propagation — deterministic under any thread schedule), those
-/// wake with AbortedError and die in turn, all threads are joined, and the
+/// Runs a rank function on P logical ranks, one host thread each, MPI
+/// "SPMD" style. The engine owns all shared state; ranks only see their
+/// Comm endpoint. If any rank throws it is marked dead; peers keep running
+/// until they block on a receive from a dead rank (data-flow failure
+/// propagation — deterministic under any thread schedule), those wake
+/// with AbortedError and die in turn, every rank finishes, and the
 /// lowest-numbered rank's root-cause exception is rethrown to the caller.
+///
+/// Rank threads are persistent: each calling thread keeps a few parked
+/// teams (P rank lanes plus their intra-rank pools), keyed by
+/// (nranks, threads_per_rank). A run wakes the team of its shape and the
+/// calling thread itself runs rank 0, so a P=1 run spawns nothing. The
+/// teams are joined when the calling thread exits. See the "Engine
+/// lifecycle" section of docs/PARALLELISM.md.
 
 namespace ardbt::mpsim {
+
+/// Parked teams each calling thread keeps between runs; the least
+/// recently used one beyond this is joined.
+inline constexpr int kMaxCachedTeams = 4;
 
 /// Configuration of one run.
 struct EngineOptions {

@@ -12,12 +12,15 @@
 #include "src/obs/trace.hpp"
 
 /// \file pool.hpp
-/// Fixed-size fork-join worker pool for intra-rank parallelism.
+/// Fixed-size fork-join worker pool: intra-rank parallelism, and the
+/// engine's parked rank threads.
 ///
 /// Each simulated rank may own one Pool; the hot kernels (la::gemm,
 /// block-Thomas solves, the PCR level updates) split their independent
-/// right-hand-side / column dimension across it. The design constraints,
-/// in order:
+/// right-hand-side / column dimension across it. The engine also hosts the
+/// ranks themselves on a P-lane Pool kept parked between runs:
+/// parallel_for(0, P, ...) puts rank r on lane r, the calling thread being
+/// rank 0 (see mpsim::run). The design constraints, in order:
 ///
 ///   1. **Determinism.** parallel_for uses static chunking only: the range
 ///      is split into `threads()` contiguous chunks with boundaries that
@@ -67,7 +70,8 @@ class Pool {
 
   /// Install per-lane trace sinks (`lanes.size() == threads()`; lane 0 is
   /// the calling thread) and the clock thunk used to anchor worker spans
-  /// on the owning rank's virtual clock. Call only between jobs.
+  /// on the owning rank's virtual clock; empty `lanes` and a null `now`
+  /// clear them. Call only between jobs.
   void set_trace(std::vector<obs::RankTrace*> lanes, NowFn now, void* now_ctx);
 
   /// Run `fn` over [begin, end) split into threads() static contiguous

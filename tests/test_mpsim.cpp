@@ -2,9 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <cstdint>
+#include <fstream>
 #include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
+
+#include "src/obs/trace.hpp"
+#include "src/par/pool.hpp"
 
 namespace ardbt::mpsim {
 namespace {
@@ -193,6 +202,173 @@ TEST(Engine, TotalsAggregate) {
   EXPECT_EQ(report.max_virtual_time(),
             std::max({report.ranks[0].virtual_time, report.ranks[1].virtual_time,
                       report.ranks[2].virtual_time}));
+}
+
+// ---- persistent rank teams ------------------------------------------------
+
+/// Threads of this process, from the `Threads:` line of /proc/self/status.
+int process_threads() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("Threads:", 0) == 0) return std::stoi(line.substr(8));
+  }
+  return -1;
+}
+
+/// process_threads() once it reaches `expected`, or after ~2 s. A joined
+/// thread can stay counted for a moment while the kernel reaps it.
+int process_threads_settled(int expected) {
+  int n = process_threads();
+  for (int i = 0; i < 200 && n != expected; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    n = process_threads();
+  }
+  return n;
+}
+
+/// Ring exchange plus a flop charge: exercises every counter of a report.
+void ring_body(Comm& comm) {
+  const int p = comm.size();
+  comm.charge_flops(1e6 * (comm.rank() + 1));
+  comm.send_value((comm.rank() + 1) % p, 4, comm.rank());
+  EXPECT_EQ(comm.recv_value<int>((comm.rank() + p - 1) % p, 4), (comm.rank() + p - 1) % p);
+}
+
+EngineOptions charged_options() {
+  EngineOptions options;
+  options.timing = TimingMode::ChargedFlops;
+  options.cost.flop_rate = 1e9;
+  options.cost.alpha = 1e-6;
+  options.cost.beta = 1e-9;
+  return options;
+}
+
+TEST(EngineTeam, RanksRunOnTheSameThreadsRunAfterRun) {
+  // A thread id may be recycled after a join, so also count visits in
+  // thread-local storage, which a fresh thread would not carry over.
+  struct Visit {
+    std::thread::id id;
+    int visits = 0;
+  };
+  const auto record = [](std::vector<Visit>& out) {
+    return [&out](Comm& comm) {
+      thread_local int visits = 0;
+      out[static_cast<std::size_t>(comm.rank())] = {std::this_thread::get_id(), ++visits};
+    };
+  };
+  std::vector<Visit> first(3), second(3);
+  run(3, record(first));
+  run(3, record(second));
+  EXPECT_EQ(first[1].id, second[1].id) << "rank 1 must reuse its parked thread";
+  EXPECT_EQ(second[1].visits, first[1].visits + 1);
+  EXPECT_EQ(first[2].id, second[2].id);
+  EXPECT_EQ(second[2].visits, first[2].visits + 1);
+  // The caller is rank 0, so a P=1 run spawns nothing.
+  EXPECT_EQ(first[0].id, std::this_thread::get_id());
+  std::thread::id solo;
+  run(1, [&](Comm&) { solo = std::this_thread::get_id(); });
+  EXPECT_EQ(solo, std::this_thread::get_id());
+}
+
+TEST(EngineTeam, CleanRunAfterAFailedRunMatchesAFreshCaller) {
+  const EngineOptions options = charged_options();
+  for (const int tpr : {1, 3}) {
+    EngineOptions o = options;
+    o.threads_per_rank = tpr;
+    EXPECT_THROW(run(4,
+                     [](Comm& comm) {
+                       comm.charge_flops(5e5);
+                       if (comm.rank() == 2) throw std::runtime_error("rank 2 boom");
+                       // Everyone else blocks on its left neighbour: rank 3
+                       // dies of rank 2, rank 0 of rank 3, rank 1 of rank 0.
+                       (void)comm.recv_bytes((comm.rank() + 3) % 4, 9);
+                     },
+                     o),
+                 std::runtime_error);
+    const RunReport reused = run(4, ring_body, o);
+    RunReport fresh;
+    std::thread caller([&] { fresh = run(4, ring_body, o); });
+    caller.join();
+    ASSERT_EQ(reused.ranks.size(), fresh.ranks.size());
+    for (std::size_t r = 0; r < fresh.ranks.size(); ++r) {
+      EXPECT_EQ(reused.ranks[r].msgs_sent, fresh.ranks[r].msgs_sent);
+      EXPECT_EQ(reused.ranks[r].bytes_sent, fresh.ranks[r].bytes_sent);
+      EXPECT_EQ(reused.ranks[r].msgs_received, fresh.ranks[r].msgs_received);
+      EXPECT_EQ(reused.ranks[r].bytes_received, fresh.ranks[r].bytes_received);
+      EXPECT_EQ(reused.ranks[r].flops_charged, fresh.ranks[r].flops_charged);
+      EXPECT_EQ(reused.ranks[r].virtual_time, fresh.ranks[r].virtual_time);
+      EXPECT_EQ(reused.ranks[r].virtual_wait, fresh.ranks[r].virtual_wait);
+    }
+  }
+}
+
+TEST(EngineTeam, ConcurrentCallersEachKeepTheirOwnTeam) {
+  const int before = process_threads();
+  const EngineOptions options = charged_options();
+  std::vector<RunReport> last(2);
+  std::vector<std::thread> callers;
+  for (int c = 0; c < 2; ++c) {
+    callers.emplace_back([&, c] {
+      for (int i = 0; i < 200; ++i) last[static_cast<std::size_t>(c)] = run(3, ring_body, options);
+    });
+  }
+  for (auto& t : callers) t.join();
+  for (const RunReport& report : last) {
+    EXPECT_EQ(report.totals().msgs_sent, 3u);
+    EXPECT_EQ(report.max_virtual_time(), last[0].max_virtual_time());
+  }
+  // Each caller's team was joined when the caller exited.
+  EXPECT_EQ(process_threads_settled(before), before);
+}
+
+TEST(EngineTeam, ParkedThreadsStayWithinTheCacheBound) {
+  // Largest team of the sweep: 8 extra rank lanes plus 9 pools x 2 workers.
+  constexpr int kLargestTeam = 8 + 9 * 2;
+  const int bound = 1 + kMaxCachedTeams * kLargestTeam;
+  int peak = 0;
+  for (int p = 1; p <= 9; ++p) {
+    for (const int tpr : {1, 3}) {
+      EngineOptions options;
+      options.threads_per_rank = tpr;
+      run(p, [](Comm&) {}, options);
+      peak = std::max(peak, process_threads());
+    }
+  }
+  EXPECT_LE(peak, bound);
+  // The last team (P=9, three lanes per rank) is parked, not joined.
+  EXPECT_GE(process_threads(), 1 + kLargestTeam);
+}
+
+TEST(EngineTeam, RunNestedInARankBodyGetsAnotherTeam) {
+  // Rank 0 runs on the caller, so its nested run of the same shape finds
+  // the caller's team busy and must not be handed it.
+  std::atomic<int> inner{0};
+  run(2, [&](Comm&) { run(2, [&](Comm& c) { inner.fetch_add(c.rank() + 1); }); });
+  EXPECT_EQ(inner.load(), 2 * 3);
+}
+
+TEST(EngineTeam, UntracedRunLeavesNoStalePoolTraceHook) {
+  obs::Tracer tracer;
+  EngineOptions options;
+  options.threads_per_rank = 3;
+  options.tracer = &tracer;
+  const auto body = [](Comm& comm) {
+    comm.pool()->parallel_for(0, 30, [](std::int64_t, std::int64_t) {}, "test.chunk");
+  };
+  run(2, body, options);
+  const auto recorded = [&] {
+    std::uint64_t n = 0;
+    for (int r = 0; r < 2; ++r) {
+      for (int w = 0; w < 3; ++w) n += tracer.worker(r, w).total_recorded();
+    }
+    return n;
+  };
+  const std::uint64_t traced = recorded();
+  EXPECT_GT(traced, 0u);
+  options.tracer = nullptr;
+  run(2, body, options);
+  EXPECT_EQ(recorded(), traced) << "an untraced run must not reach the old tracer's lanes";
 }
 
 TEST(CostModel, MessageTimeAndProfiles) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "src/btds/generators.hpp"
@@ -221,6 +222,23 @@ TEST(Session, RejectsBadShapesAndRankCounts) {
     EXPECT_EQ(e.got(), 7);
     EXPECT_EQ(e.expected(), 16);
   }
+}
+
+TEST(Session, RejectsFewerBlockRowsThanRanksBeforeAnyRun) {
+  const auto sys = make_problem(ProblemKind::kDiagDominant, 3, 2);
+  for (const Method method : kAllMethods) {
+    try {
+      Session(method, sys, 4, {.engine = charged()});
+      FAIL() << to_string(method) << ": N < P must throw at construction";
+    } catch (const fault::InvalidArgumentError& e) {
+      EXPECT_EQ(e.code(), fault::ErrorCode::kInvalidArgument);
+      EXPECT_NE(std::string(e.what()).find("N=3 < P=4"), std::string::npos) << e.what();
+    }
+  }
+  // N == P is the smallest valid shape: one block row per rank.
+  Session session(Method::kArd, sys, 3, {.engine = charged()});
+  const la::Matrix b = make_rhs(3, 2, 1);
+  EXPECT_LT(btds::relative_residual(sys, session.solve(b), b), 1e-10);
 }
 
 TEST(Session, SharedOwnershipKeepsSystemAlive) {

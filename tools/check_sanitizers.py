@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Sanitizer gate for the service/resilience layer.
+"""Sanitizer gate for the service/resilience layer and the rank engine.
 
 Configures and builds dedicated build trees with -DARDBT_ASAN=ON
 (address + undefined) and -DARDBT_UBSAN=ON (undefined only), builds just
@@ -8,20 +8,31 @@ machinery moves Sessions, Leases and panels across failure paths — the
 exact territory where a use-after-invalidate or a dangling Lease would
 hide; the sanitizers make those latent instead of lurking.
 
+The tsan mode (-DARDBT_TSAN=ON) builds and runs the engine and pool test
+binaries instead: rank threads and their pools stay parked across engine
+runs, so cross-thread state lives longer than one run and a missing
+happens-before edge between runs would show up there.
+
 The build trees live under the main build directory (passed as argv) and
 are reused across runs, so only the first invocation pays a full
 configure + compile.
 
 Usage: check_sanitizers.py <source-dir> <build-dir> <mode>
-  mode: asan | ubsan
+  mode: asan | ubsan | tsan
 """
 
 import subprocess
 import sys
 from pathlib import Path
 
-TARGETS = ["test_service", "test_resilience"]
-MODES = {"asan": "ARDBT_ASAN", "ubsan": "ARDBT_UBSAN"}
+SERVICE_TARGETS = ["test_service", "test_resilience"]
+ENGINE_TARGETS = ["test_mpsim", "test_mpsim_stress", "test_par"]
+# mode -> (CMake option, test binaries built and run under it)
+MODES = {
+    "asan": ("ARDBT_ASAN", SERVICE_TARGETS),
+    "ubsan": ("ARDBT_UBSAN", SERVICE_TARGETS),
+    "tsan": ("ARDBT_TSAN", ENGINE_TARGETS),
+}
 
 
 def fail(msg):
@@ -39,15 +50,16 @@ def run(cmd, **kw):
 
 def main():
     if len(sys.argv) != 4 or sys.argv[3] not in MODES:
-        fail("usage: check_sanitizers.py <source-dir> <build-dir> asan|ubsan")
+        fail("usage: check_sanitizers.py <source-dir> <build-dir> asan|ubsan|tsan")
     source = Path(sys.argv[1]).resolve()
     mode = sys.argv[3]
+    option, targets = MODES[mode]
     tree = Path(sys.argv[2]).resolve() / f"sanitize-{mode}"
 
     run(["cmake", "-B", str(tree), "-S", str(source),
-         f"-D{MODES[mode]}=ON", "-DCMAKE_BUILD_TYPE=RelWithDebInfo"])
-    run(["cmake", "--build", str(tree), "-j", "--target"] + TARGETS)
-    for target in TARGETS:
+         f"-D{option}=ON", "-DCMAKE_BUILD_TYPE=RelWithDebInfo"])
+    run(["cmake", "--build", str(tree), "-j", "--target"] + targets)
+    for target in targets:
         binary = tree / "tests" / target
         if not binary.exists():
             fail(f"{binary} not built")
