@@ -60,7 +60,7 @@ int main(int argc, char** argv) {
   report.add_table("main", table);
   report.write();
   std::printf("\nExpected shapes: Cholesky halves the pivot-factorization share of the\n"
-              "factor phase (~7%% of the total per the flop model), so lu/chol sits a\n"
+              "factor phase (~5%% of the total per the flop model), so lu/chol sits a\n"
               "little above 1; residuals must match to machine precision.\n");
   return 0;
 }

@@ -1,11 +1,11 @@
 // Ablation B-abl-update: incremental refactorization vs full refactor.
 // Quasi-Newton time steppers change a few ranks' diagonal blocks per step;
 // ArdFactorization::update lets unchanged ranks skip their segment
-// factorization and corner solve. With one changed rank the critical path
+// factorization and spike solve. With one changed rank the critical path
 // barely moves (the changed rank still does full local work), but the
 // *total* work — the quantity that matters for throughput and energy, or
-// when ranks interleave other computation — drops toward the ~4.5x bound
-// (full local phase / modified-factor-only ratio).
+// when ranks interleave other computation — drops toward the P-fold bound
+// (only the changed rank does rows-dependent work).
 
 #include <cstdio>
 #include <vector>
@@ -71,9 +71,10 @@ int main(int argc, char** argv) {
   report.add_table("main", table);
   report.write();
   std::printf("\nExpected shapes: t_update ~ t_factor (the changed rank is the critical\n"
-              "path), while work_saved grows with P toward the ~4.5x local-phase bound\n"
-              "(unchanged ranks keep only the boundary-modified factorization) until\n"
-              "the O(M^3 log P) scan merges — which update must always redo — start to\n"
-              "dominate per-rank work at large P and pull the ratio back down.\n");
+              "path), while work_saved grows with P toward P (unchanged ranks keep\n"
+              "their factorization and spikes and only rebuild the O(M^3) interface\n"
+              "system) until the O(M^3 log P) scan merges — which update must always\n"
+              "redo — start to dominate per-rank work at large P and pull the ratio\n"
+              "back down.\n");
   return 0;
 }

@@ -50,7 +50,7 @@ int main(int argc, char** argv) {
   table.print();
   report.add_table("main", table);
   report.write();
-  std::printf("\nExpected shapes: ard_MB ~ 6 M^2 (N/P) doubles; pcr/ard tracks ~log2 N\n"
+  std::printf("\nExpected shapes: ard_MB ~ 5 M^2 (N/P) doubles; pcr/ard tracks ~log2 N\n"
               "times a small constant; both scale with M^2 and 1/P.\n");
   return 0;
 }

@@ -149,7 +149,7 @@ ThomasFactorization ThomasFactorization::factor(const BlockTridiag& t, PivotKind
 }
 
 template <index_t M>
-void ThomasFactorization::solve_panel_fixed(la::MatrixView x) const {
+void ThomasFactorization::solve_panel_fixed(la::MatrixView x, index_t first) const {
   const index_t n = n_;
   const index_t w = x.cols();
   namespace sb = la::smallblock;
@@ -159,9 +159,9 @@ void ThomasFactorization::solve_panel_fixed(la::MatrixView x) const {
   // every pivot LU was verified ok() at factor time, so the kernels can
   // run back to back. Per-element operation order matches the generic
   // path exactly — results are bit-identical.
-  for (index_t i = 0; i < n; ++i) {
+  for (index_t i = first; i < n; ++i) {
     la::MatrixView xi = x.block(i * M, 0, M, w);
-    if (i > 0) {
+    if (i > first) {
       sb::gemm_kernel<M>(-1.0, lower_view(i - 1), x.block((i - 1) * M, 0, M, w), xi);
     }
     sb::lu_solve_view_kernel<M>(pivot_lu_view(i), pivot_piv(i), xi);
@@ -172,7 +172,7 @@ void ThomasFactorization::solve_panel_fixed(la::MatrixView x) const {
   }
 }
 
-void ThomasFactorization::solve_panel(la::MatrixView x) const {
+void ThomasFactorization::solve_panel(la::MatrixView x, index_t first) const {
   const index_t n = n_;
   const index_t m = m_;
   const index_t w = x.cols();
@@ -181,16 +181,16 @@ void ThomasFactorization::solve_panel(la::MatrixView x) const {
       la::smallblock::dispatchable(m)) {
     la::smallblock::dispatch(m, [&](auto tag) {
       constexpr index_t kM = decltype(tag)::value;
-      solve_panel_fixed<kM>(x);
+      solve_panel_fixed<kM>(x, first);
     });
     return;
   }
 
   // Forward sweep: y_i = b_i - A_i z_{i-1}, z_i = D'_i^{-1} y_i.
-  // z is accumulated directly in x.
-  for (index_t i = 0; i < n; ++i) {
+  // z is accumulated directly in x; z_i = 0 for the zero rows i < first.
+  for (index_t i = first; i < n; ++i) {
     la::MatrixView xi = x.block(i * m, 0, m, w);
-    if (i > 0) {
+    if (i > first) {
       la::gemm(-1.0, lower_view(i - 1), x.block((i - 1) * m, 0, m, w), 1.0, xi);
     }
     pivot_solve(i, xi);
@@ -209,6 +209,21 @@ Matrix ThomasFactorization::solve(const Matrix& b, par::Pool* pool, la::Workspac
 }
 
 void ThomasFactorization::solve_inplace(la::MatrixView x, par::Pool* pool) const {
+  sweep_inplace(x, 0, pool);
+}
+
+Matrix ThomasFactorization::corner_spikes(par::Pool* pool) const {
+  Matrix s(n_ * m_, 2 * m_);
+  for (index_t i = 0; i < m_; ++i) {
+    s(i, i) = 1.0;
+    s((n_ - 1) * m_ + i, m_ + i) = 1.0;
+  }
+  sweep_inplace(s.block(0, 0, n_ * m_, m_), 0, pool);
+  sweep_inplace(s.block(0, m_, n_ * m_, m_), n_ - 1, pool);
+  return s;
+}
+
+void ThomasFactorization::sweep_inplace(la::MatrixView x, index_t first, par::Pool* pool) const {
   assert(x.rows() == n_ * m_);
   if (pool != nullptr && pool->threads() > 1 && x.cols() >= 2) {
     // Column panels are independent; strided views make each panel solve
@@ -217,11 +232,12 @@ void ThomasFactorization::solve_inplace(la::MatrixView x, par::Pool* pool) const
         0, x.cols(),
         [&](std::int64_t c0, std::int64_t c1) {
           solve_panel(x.block(0, static_cast<index_t>(c0), x.rows(),
-                              static_cast<index_t>(c1 - c0)));
+                              static_cast<index_t>(c1 - c0)),
+                      first);
         },
         "thomas.solve");
   } else {
-    solve_panel(x);
+    solve_panel(x, first);
   }
 }
 
@@ -240,6 +256,13 @@ double ThomasFactorization::solve_flops(index_t n, index_t m, index_t r) {
   const double dm = static_cast<double>(m);
   const double dr = static_cast<double>(r);
   return dn * 6.0 * dm * dm * dr;
+}
+
+double ThomasFactorization::spike_flops(index_t n, index_t m) {
+  // V: a full M-column solve (6 M^3 per row). W: one pivot solve on the
+  // last row plus one backward gemm per row, counted like solve_flops as
+  // 2 M^3 per row.
+  return solve_flops(n, m, m) + 2.0 * static_cast<double>(n) * static_cast<double>(m * m * m);
 }
 
 std::size_t ThomasFactorization::storage_bytes() const {

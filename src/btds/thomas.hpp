@@ -67,6 +67,15 @@ class ThomasFactorization {
   /// pool contract as solve(), and bit-identical to it.
   void solve_inplace(la::MatrixView x, par::Pool* pool = nullptr) const;
 
+  /// The segment's corner spikes [V W] = T^{-1} [E_first E_last]: an
+  /// (N*M) x 2M matrix whose columns [0, M) solve the identity placed on
+  /// the first block row and columns [M, 2M) the identity on the last.
+  /// Bit-identical to solve_inplace on those two unit loads, but the W
+  /// columns skip the forward sweep: above the last row it only carries
+  /// zeros. Costs spike_flops() instead of solve_flops(n, m, 2m). Same
+  /// pool contract as solve().
+  Matrix corner_spikes(par::Pool* pool = nullptr) const;
+
   index_t num_blocks() const { return n_; }
   index_t block_size() const { return m_; }
 
@@ -74,6 +83,9 @@ class ThomasFactorization {
   /// pivot kind (Cholesky halves the pivot-factorization share).
   static double factor_flops(index_t n, index_t m, PivotKind pivot = PivotKind::kLu);
   static double solve_flops(index_t n, index_t m, index_t r);
+  /// corner_spikes(): a full M-column solve for V plus, for W, one pivot
+  /// solve and the backward sweep (8 M^3 per row instead of 12).
+  static double spike_flops(index_t n, index_t m);
 
   /// Bytes of factored state (pivot LU, couplings, sub-diagonal copies).
   std::size_t storage_bytes() const;
@@ -82,13 +94,18 @@ class ThomasFactorization {
   /// D'_i^{-1} applied to a block, dispatching on the pivot kind.
   void pivot_solve(index_t i, la::MatrixView b) const;
 
+  /// solve_inplace for a right-hand side whose block rows above `first`
+  /// are zero: the forward sweep starts at row `first`.
+  void sweep_inplace(la::MatrixView x, index_t first, par::Pool* pool) const;
+
   /// Both sweeps on one column panel of x (pre-initialized with b's
-  /// columns). Strided views keep this zero-copy. For dispatchable block
-  /// sizes with LU pivots, the fixed-M microkernel sweep below runs
-  /// instead — one M-dispatch per panel rather than one per block.
-  void solve_panel(la::MatrixView x) const;
+  /// columns, zero above block row `first`). Strided views keep this
+  /// zero-copy. For dispatchable block sizes with LU pivots, the fixed-M
+  /// microkernel sweep below runs instead — one M-dispatch per panel
+  /// rather than one per block.
+  void solve_panel(la::MatrixView x, index_t first) const;
   template <index_t M>
-  void solve_panel_fixed(la::MatrixView x) const;
+  void solve_panel_fixed(la::MatrixView x, index_t first) const;
 
   /// Slab-resident LU factor sweep (see the member comments below): the
   /// whole factorization runs in three contiguous slabs with one

@@ -2,11 +2,12 @@
 
 #include <algorithm>
 #include <cassert>
-#include <stdexcept>
 #include <utility>
 
 #include "src/la/blas1.hpp"
 #include "src/la/gemm.hpp"
+#include "src/la/smallblock/kernels.hpp"
+#include "src/la/smallblock/smallblock.hpp"
 #include "src/la/workspace.hpp"
 #include "src/par/pool.hpp"
 
@@ -37,16 +38,16 @@ BlockTridiag copy_segment(const SysView& sys, la::index_t lo, la::index_t nloc, 
   return tloc;
 }
 
-/// Fold one exact boundary relation into a corner diagonal block:
-/// d -= coupling * corner * far (e.g. D'_lo = D_lo - A_lo S_pre C_{lo-1}).
-void fold_corner(const Matrix& coupling, const Matrix& corner, const Matrix& far,
-                 la::MatrixView d, mpsim::Comm& comm, la::Workspace* ws) {
-  const la::index_t m = d.rows();
+/// Product a * b * c of three M x M blocks (the interface couplings
+/// F = A_first S_pre C_pre and G = C_last P_suf A_suf).
+Matrix triple_product(const Matrix& a, const Matrix& b, const Matrix& c, la::Workspace* ws) {
+  const la::index_t m = a.rows();
   Matrix t = la::ws_acquire(ws, m, m);
-  la::gemm(1.0, coupling.view(), corner.view(), 0.0, t.view());
-  la::gemm(-1.0, t.view(), far.view(), 1.0, d);
+  la::gemm(1.0, a.view(), b.view(), 0.0, t.view());
+  Matrix out(m, m);
+  la::gemm(1.0, t.view(), c.view(), 0.0, out.view());
   la::ws_release(ws, std::move(t));
-  comm.charge_flops(2.0 * la::gemm_flops(m, m, m));
+  return out;
 }
 
 /// v[i] for the int lane/panel indices used throughout.
@@ -61,13 +62,13 @@ template <typename Fn>
 void ArdFactorization::for_each_lane(mpsim::Comm& comm, const char* name, Fn&& fn) const {
   const int L = static_cast<int>(lanes_.size());
   if (L == 1) {
-    fn(0, comm.pool(), ws_);
+    fn(0, comm.pool());
     return;
   }
   par::parallel_for(
       comm.pool(), 0, L,
       [&](std::int64_t lb, std::int64_t le) {
-        for (std::int64_t li = lb; li < le; ++li) fn(static_cast<int>(li), nullptr, nullptr);
+        for (std::int64_t li = lb; li < le; ++li) fn(static_cast<int>(li), nullptr);
       },
       name);
 }
@@ -81,11 +82,11 @@ void ArdFactorization::local_phase(mpsim::Comm& comm, const SysView& sys) {
       std::clamp<la::index_t>(static_cast<la::index_t>(opts_.pipeline.lanes), 1, nloc));
 
   // --- 1+2. Split the segment into L lanes (usually one), factor each, and
-  // compute its two-port: the corner blocks of its inverse, via a
-  // 2M-column solve whose columns [0, M) carry the unit load on the first
-  // block row and columns [M, 2M) on the last. Several lanes run in
-  // parallel on the pool; the flop charge stays on the rank thread, so
-  // ChargedFlops virtual times do not depend on --threads.
+  // keep its corner spikes [V W] = A_lane^{-1} [E_first E_last]. Their
+  // first and last block rows are the corner blocks P, Q, R, S of the
+  // lane's inverse — its two-port. Several lanes run in parallel on the
+  // pool; the flop charge stays on the rank thread, so ChargedFlops
+  // virtual times do not depend on --threads.
   lanes_.clear();
   lanes_.resize(static_cast<std::size_t>(L));
   std::vector<TwoPort> tps(static_cast<std::size_t>(L));
@@ -95,29 +96,22 @@ void ArdFactorization::local_phase(mpsim::Comm& comm, const SysView& sys) {
     at(lanes_, li).lo = b;
     at(lanes_, li).hi = e;
     flops += ThomasFactorization::factor_flops(e - b, m, opts_.pivot) +
-             ThomasFactorization::solve_flops(e - b, m, 2 * m);
+             ThomasFactorization::spike_flops(e - b, m);
   }
-  for_each_lane(comm, "ard.lane.factor", [&](int li, par::Pool* pool, la::Workspace* ws) {
+  for_each_lane(comm, "ard.lane.factor", [&](int li, par::Pool* pool) {
     Lane& ln = at(lanes_, li);
-    TwoPort& tp = at(tps, li);
     const la::index_t rows = ln.hi - ln.lo;
-    ln.unmodified =
-        ThomasFactorization::factor(copy_segment(sys, lo_ + ln.lo, rows, m), opts_.pivot);
-    Matrix w = la::ws_acquire(ws, rows * m, 2 * m);
-    for (la::index_t i = 0; i < m; ++i) {
-      w(i, i) = 1.0;
-      w((rows - 1) * m + i, m + i) = 1.0;
-    }
-    ln.unmodified.solve_inplace(w.view(), pool);
-    tp.P = la::to_matrix(w.block(0, 0, m, m));
-    tp.Q = la::to_matrix(w.block(0, m, m, m));
-    tp.R = la::to_matrix(w.block((rows - 1) * m, 0, m, m));
-    tp.S = la::to_matrix(w.block((rows - 1) * m, m, m, m));
-    la::ws_release(ws, std::move(w));
+    ln.thomas = ThomasFactorization::factor(copy_segment(sys, lo_ + ln.lo, rows, m), opts_.pivot);
     const la::index_t gfirst = lo_ + ln.lo;
     const la::index_t glast = lo_ + ln.hi - 1;
     ln.a_first = (gfirst > 0) ? sys.lower(gfirst) : Matrix(m, m);
     ln.c_last = (glast + 1 < n_) ? sys.upper(glast) : Matrix(m, m);
+    ln.spikes = ln.thomas.corner_spikes(pool);
+    TwoPort& tp = at(tps, li);
+    tp.P = la::to_matrix(ln.spikes.block(0, 0, m, m));
+    tp.Q = la::to_matrix(ln.spikes.block(0, m, m, m));
+    tp.R = la::to_matrix(ln.spikes.block((rows - 1) * m, 0, m, m));
+    tp.S = la::to_matrix(ln.spikes.block((rows - 1) * m, m, m, m));
     tp.a_first = ln.a_first;
     tp.c_last = ln.c_last;
   });
@@ -146,8 +140,7 @@ void ArdFactorization::local_phase(mpsim::Comm& comm, const SysView& sys) {
   }
 }
 
-template <typename SysView>
-void ArdFactorization::global_phase(mpsim::Comm& comm, const SysView& sys) {
+void ArdFactorization::global_phase(mpsim::Comm& comm) {
   ARDBT_TRACE_SPAN(comm, obs::SpanKind::kPhase, "ard.factor.global");
   const la::index_t m = m_;
   const int L = static_cast<int>(lanes_.size());
@@ -166,23 +159,24 @@ void ArdFactorization::global_phase(mpsim::Comm& comm, const SysView& sys) {
   fwd_ = std::move(ff).finish();
   bwd_ = std::move(fb).finish();
 
-  // --- 4. Every lane folds its exact boundary relations into its corner
-  // diagonal blocks and is factored again:
-  //   D'_first = D_first - A_first S_pre C_pre
-  //   D'_last  = D_last  - C_last  P_suf A_suf
-  // The prefix covering every row before lane i is the cross-rank prefix
-  // merged with the local chain of lanes [0, i), and symmetrically for the
-  // suffix; with one lane they are just the scans' incoming two-ports.
-  // The mix merges are cached so solve can replay them per panel.
+  // --- 4. Per lane, the interface system. The prefix covering every row
+  // before lane i is the cross-rank prefix merged with the local chain of
+  // lanes [0, i), and symmetrically for the suffix; with one lane they are
+  // just the scans' incoming two-ports. Their exact boundary relations
+  //   x_first-1 = -S_pre C_pre x_first + q_pre
+  //   x_last+1  = -P_suf A_suf x_last  + p_suf
+  // couple the lane to the rest of the system only through
+  //   F = A_first S_pre C_pre,   G = C_last P_suf A_suf,
+  // and the lane's corners give the interface matrix
+  //   K = I - [[F P, F Q], [G R, G S]]
+  // (a side without a neighbour drops its block row and column). K is
+  // LU-factored with partial pivoting under either pivot kind. The mix
+  // merges are cached so solve can replay them per panel.
   pre_mix_cache_.assign(static_cast<std::size_t>(L), TwoPortCache{});
   suf_mix_cache_.assign(static_cast<std::size_t>(L), TwoPortCache{});
-  std::vector<BlockTridiag> mods;
-  mods.reserve(static_cast<std::size_t>(L));
   double flops = 0.0;
   for (int i = 0; i < L; ++i) {
-    const Lane& ln = at(lanes_, i);
-    const la::index_t rows = ln.hi - ln.lo;
-    BlockTridiag t = copy_segment(sys, lo_ + ln.lo, rows, m);
+    Lane& ln = at(lanes_, i);
 
     TwoPort pre_mix;
     const TwoPort* pre = nullptr;
@@ -197,8 +191,6 @@ void ArdFactorization::global_phase(mpsim::Comm& comm, const SysView& sys) {
     } else if (i > 0) {
       pre = &at(fpre_, i);
     }
-    if (pre != nullptr) fold_corner(ln.a_first, pre->S, pre->c_last, t.diag(0).view(), comm, ws_);
-
     TwoPort suf_mix;
     const TwoPort* suf = nullptr;
     if (bwd_.has_incoming()) {
@@ -212,16 +204,39 @@ void ArdFactorization::global_phase(mpsim::Comm& comm, const SysView& sys) {
     } else if (i + 1 < L) {
       suf = &at(bsuf_, i + 1);
     }
-    if (suf != nullptr) {
-      fold_corner(ln.c_last, suf->P, suf->a_first, t.diag(rows - 1).view(), comm, ws_);
-    }
 
-    mods.push_back(std::move(t));
-    flops += ThomasFactorization::factor_flops(rows, m, opts_.pivot);
+    ln.f_pre = pre ? triple_product(ln.a_first, pre->S, pre->c_last, ws_) : Matrix();
+    ln.g_suf = suf ? triple_product(ln.c_last, suf->P, suf->a_first, ws_) : Matrix();
+    const la::index_t npre = pre ? m : 0;
+    const la::index_t k = npre + (suf ? m : 0);
+    ln.k = la::LuFactors{};
+    if (k == 0) continue;
+    const la::index_t last = (ln.hi - ln.lo - 1) * m;
+    Matrix kmat = Matrix::identity(k);
+    if (pre) {
+      la::gemm(-1.0, ln.f_pre.view(), ln.spikes.block(0, 0, m, m), 1.0, kmat.block(0, 0, m, m));
+      if (suf) {
+        la::gemm(-1.0, ln.f_pre.view(), ln.spikes.block(0, m, m, m), 1.0,
+                 kmat.block(0, m, m, m));
+      }
+    }
+    if (suf) {
+      if (pre) {
+        la::gemm(-1.0, ln.g_suf.view(), ln.spikes.block(last, 0, m, m), 1.0,
+                 kmat.block(npre, 0, m, m));
+      }
+      la::gemm(-1.0, ln.g_suf.view(), ln.spikes.block(last, m, m, m), 1.0,
+               kmat.block(npre, npre, m, m));
+    }
+    const double sides = static_cast<double>(k / m);
+    flops += (2.0 * sides + sides * sides) * la::gemm_flops(m, m, m) + la::lu_factor_flops(k);
+    ln.k = la::lu_factor(std::move(kmat));
+    if (!ln.k.ok()) {
+      throw fault::SingularPivotError(fault::ErrorCode::kSingularPivot, "core::ard_interface",
+                                      lo_ + ln.lo, static_cast<std::int64_t>(ln.k.info - 1),
+                                      ln.k.growth);
+    }
   }
-  for_each_lane(comm, "ard.lane.refactor", [&](int li, par::Pool*, la::Workspace*) {
-    at(lanes_, li).modified = ThomasFactorization::factor(at(mods, li), opts_.pivot);
-  });
   comm.charge_flops(flops);
 }
 
@@ -239,11 +254,12 @@ ArdFactorization ArdFactorization::factor_impl(mpsim::Comm& comm, const SysView&
   f.hi_ = part.end(comm.rank());
   assert(part.nranks() == comm.size());
   if (f.hi_ - f.lo_ < 1) {
-    throw std::runtime_error("ARD: every rank needs at least one block row (N >= P)");
+    throw fault::InvalidArgumentError("core::ArdFactorization::factor",
+                                      "every rank needs at least one block row (N >= P)");
   }
   ARDBT_TRACE_SPAN(comm, obs::SpanKind::kPhase, "ard.factor");
   f.local_phase(comm, sys);
-  f.global_phase(comm, sys);
+  f.global_phase(comm);
   if constexpr (obs::kTraceCompiledIn) {
     // Breakdown marks make suspect factorizations visible in traces even
     // when the driver's policy accepts them; pure comparisons, no flops.
@@ -272,13 +288,28 @@ ArdFactorization ArdFactorization::factor(mpsim::Comm& comm,
 void ArdFactorization::update(mpsim::Comm& comm, const btds::BlockTridiag& sys,
                               bool rows_changed) {
   if (rows_changed) local_phase(comm, sys);
-  global_phase(comm, sys);
+  global_phase(comm);
 }
 
 void ArdFactorization::update(mpsim::Comm& comm, const btds::LocalBlockTridiag& sys,
                               bool rows_changed) {
   if (rows_changed) local_phase(comm, sys);
-  global_phase(comm, sys);
+  global_phase(comm);
+}
+
+fault::PivotDiagnostics ArdFactorization::diagnostics() const {
+  // The segment pivots carry the matrix's own scale; an interface matrix
+  // is the identity minus a coupling term, so its pivots are read against
+  // 1. Each source's growth is judged on its own and the worst one wins.
+  fault::PivotDiagnostics d;
+  for (const Lane& ln : lanes_) d.merge(ln.thomas.pivot_diagnostics());
+  for (const Lane& ln : lanes_) {
+    if (ln.k.n() == 0) continue;
+    fault::PivotDiagnostics k;
+    k.observe(ln.k.min_pivot_abs, std::max(ln.k.max_pivot_abs, 1.0), lo_ + ln.lo);
+    if (k.growth() > d.growth()) d = k;
+  }
+  return d;
 }
 
 void ArdFactorization::solve(mpsim::Comm& comm, const la::Matrix& b, la::Matrix& x) const {
@@ -293,13 +324,50 @@ void ArdFactorization::solve(mpsim::Comm& comm, const la::Matrix& b, la::Matrix&
   la::ws_release(ws_, std::move(xloc));
 }
 
+void ArdFactorization::apply_spikes(const Lane& ln, la::ConstMatrixView gh, la::MatrixView x,
+                                    par::Pool* pool) const {
+  const la::index_t m = m_;
+  const la::index_t cols = x.cols();
+  const bool has_g = !ln.f_pre.empty();
+  const bool has_h = !ln.g_suf.empty();
+  const la::ConstMatrixView g = has_g ? gh.block(0, 0, m, cols) : la::ConstMatrixView();
+  const la::ConstMatrixView h = has_h ? gh.block(has_g ? m : 0, 0, m, cols) : la::ConstMatrixView();
+  // Block rows are independent; each element sees the same two k-ascending
+  // accumulations (V_j g, then W_j h) however the rows are split.
+  par::parallel_for(
+      pool, 0, ln.hi - ln.lo,
+      [&](std::int64_t rb, std::int64_t re) {
+        const la::index_t j0 = static_cast<la::index_t>(rb);
+        const la::index_t nj = static_cast<la::index_t>(re - rb);
+        const bool fixed = la::smallblock::enabled() &&
+                           la::smallblock::dispatch(m, [&](auto tag) {
+                             constexpr la::index_t kM = decltype(tag)::value;
+                             for (la::index_t j = j0; j < j0 + nj; ++j) {
+                               la::MatrixView xj = x.block(j * kM, 0, kM, cols);
+                               if (has_g) {
+                                 la::smallblock::gemm_kernel<kM>(
+                                     -1.0, ln.spikes.block(j * kM, 0, kM, kM), g, xj);
+                               }
+                               if (has_h) {
+                                 la::smallblock::gemm_kernel<kM>(
+                                     -1.0, ln.spikes.block(j * kM, kM, kM, kM), h, xj);
+                               }
+                             }
+                           });
+        if (fixed) return;
+        la::MatrixView xr = x.block(j0 * m, 0, nj * m, cols);
+        if (has_g) la::gemm(-1.0, ln.spikes.block(j0 * m, 0, nj * m, m), g, 1.0, xr);
+        if (has_h) la::gemm(-1.0, ln.spikes.block(j0 * m, m, nj * m, m), h, 1.0, xr);
+      },
+      "ard.spike.update");
+}
+
 la::Matrix ArdFactorization::solve_local(mpsim::Comm& comm, const la::Matrix& b_local) const {
   ARDBT_TRACE_SPAN(comm, obs::SpanKind::kPhase, "ard.solve");
   const la::index_t m = m_;
   const la::index_t nloc = hi_ - lo_;
   const la::index_t r = b_local.cols();
   assert(b_local.rows() == nloc * m);
-  par::Pool* pool = comm.pool();
   const TwoPortOp::Context ctx{m, ws_};
   const int L = static_cast<int>(lanes_.size());
   const auto lane_rows = [&](la::MatrixView v, const Lane& ln) {
@@ -310,8 +378,8 @@ la::Matrix ArdFactorization::solve_local(mpsim::Comm& comm, const la::Matrix& b_
   const bool reduce = comm.size() > 1 || L > 1;
 
   // RHS panels of chunk_cols columns (0 or >= R: one panel). Each panel
-  // works inside its own columns of the result: b is copied in, boundary
-  // corrections are applied there, and the lanes back-solve in place.
+  // works inside its own columns of the result: b is copied in, the lanes
+  // solve it in place, and the spike corrections are applied there.
   Matrix xloc = la::ws_acquire(ws_, nloc * m, r);
   const la::index_t chunk = (opts_.pipeline.chunk_cols > 0 && opts_.pipeline.chunk_cols < r)
                                 ? opts_.pipeline.chunk_cols
@@ -332,27 +400,19 @@ la::Matrix ArdFactorization::solve_local(mpsim::Comm& comm, const la::Matrix& b_
     panels.push_back(std::move(p));
   }
 
-  /// The panel's segment vector part: per-lane unmodified solves, then the
-  /// serial replay of the factored lane chains, whose local prefixes and
-  /// suffixes stay on the panel for finish_panel.
+  /// The panel's segment vector part: the first and last block rows of
+  /// every lane's y = A_lane^{-1} b (already in p.x), chained by the serial
+  /// replay of the factored lane chains, whose local prefixes and suffixes
+  /// stay on the panel for finish_panel.
   const auto local_reduce = [&](Panel& p) -> TwoPortVec {
     const la::index_t cols = p.x.cols();
-    Matrix t = la::ws_acquire(ws_, nloc * m, cols);
-    la::copy(p.x, t.view());
-    for_each_lane(comm, "ard.lane.reduce", [&](int li, par::Pool* lane_pool, la::Workspace*) {
-      at(lanes_, li).unmodified.solve_inplace(lane_rows(t.view(), at(lanes_, li)), lane_pool);
-    });
-    double flops = 0.0;
     std::vector<TwoPortVec> lv(static_cast<std::size_t>(L));
     for (int i = 0; i < L; ++i) {
       const Lane& ln = at(lanes_, i);
-      flops += ThomasFactorization::solve_flops(ln.hi - ln.lo, m, cols);
       at(lv, i) = TwoPortVec{.p = la::ws_acquire(ws_, m, cols), .q = la::ws_acquire(ws_, m, cols)};
-      la::copy(t.block(ln.lo * m, 0, m, cols), at(lv, i).p.view());
-      la::copy(t.block((ln.hi - 1) * m, 0, m, cols), at(lv, i).q.view());
+      la::copy(p.x.block(ln.lo * m, 0, m, cols), at(lv, i).p.view());
+      la::copy(p.x.block((ln.hi - 1) * m, 0, m, cols), at(lv, i).q.view());
     }
-    comm.charge_flops(flops);
-    la::ws_release(ws_, std::move(t));
     if (L == 1) return std::move(lv.front());
 
     p.lpv.assign(static_cast<std::size_t>(L), TwoPortVec{});
@@ -373,12 +433,19 @@ la::Matrix ArdFactorization::solve_local(mpsim::Comm& comm, const la::Matrix& b_
     return v;
   };
 
-  /// A-step: copy the panel's columns of b in, run its rank-local
-  /// reduction, and put both scans' round-0 sends on the wire. No receives
-  /// — so a rank runs this for panel k+1 while panel k's replies are still
-  /// in flight.
+  /// A-step: copy the panel's columns of b in, solve every lane in place,
+  /// run the rank-local reduction, and put both scans' round-0 sends on
+  /// the wire. No receives — so a rank runs this for panel k+1 while panel
+  /// k's replies are still in flight.
   const auto start_panel = [&](Panel& p) {
-    la::copy(b_local.block(0, p.col0, nloc * m, p.x.cols()), p.x);
+    const la::index_t cols = p.x.cols();
+    la::copy(b_local.block(0, p.col0, nloc * m, cols), p.x);
+    for_each_lane(comm, "ard.lane.solve", [&](int li, par::Pool* lane_pool) {
+      at(lanes_, li).thomas.solve_inplace(lane_rows(p.x, at(lanes_, li)), lane_pool);
+    });
+    double flops = 0.0;
+    for (const Lane& ln : lanes_) flops += ThomasFactorization::solve_flops(ln.hi - ln.lo, m, cols);
+    comm.charge_flops(flops);
     if (!reduce) return;
     TwoPortVec v = local_reduce(p);
     TwoPortVec v_fwd{.p = la::ws_acquire(ws_, m, v.p.cols()),
@@ -394,15 +461,19 @@ la::Matrix ArdFactorization::solve_local(mpsim::Comm& comm, const la::Matrix& b_
 
   /// C-step: harvest the replays; per lane, merge the effective boundary
   /// vector parts (cross-rank prefix/suffix with the local chains,
-  /// replaying the factor-time mix caches) and apply the corrections
-  /// b'_first -= A_first q_pre, b'_last -= C_last p_suf; then back-solve
-  /// the modified lanes in place.
+  /// replaying the factor-time mix caches), solve the interface system
+  ///   K [g; h] = [A_first q_pre - F p; C_last p_suf - G q]
+  /// for the boundary loads g = A_first x_first-1 and h = C_last x_last+1,
+  /// and correct y in place: x = y - V g - W h.
   const auto finish_panel = [&](Panel& p) {
     const la::index_t cols = p.x.cols();
     std::optional<TwoPortVec> pre = std::move(p.fwd).take_result();
     std::optional<TwoPortVec> suf = std::move(p.bwd).take_result();
+    std::vector<Matrix> gh(static_cast<std::size_t>(L));
+    double flops = 0.0;
     for (int i = 0; i < L; ++i) {
       const Lane& ln = at(lanes_, i);
+      const la::index_t rows = ln.hi - ln.lo;
 
       std::optional<TwoPortVec> pre_mix;
       const TwoPortVec* lo_rel = nullptr;
@@ -416,13 +487,6 @@ la::Matrix ArdFactorization::solve_local(mpsim::Comm& comm, const la::Matrix& b_
       } else if (i > 0) {
         lo_rel = &at(p.lpv, i);
       }
-      if (lo_rel != nullptr) {
-        la::gemm(-1.0, ln.a_first.view(), lo_rel->q.view(), 1.0, p.x.block(ln.lo * m, 0, m, cols),
-                 pool);
-        comm.charge_flops(la::gemm_flops(m, cols, m));
-      }
-      if (pre_mix) TwoPortOp::recycle_vec(ctx, std::move(*pre_mix));
-
       std::optional<TwoPortVec> suf_mix;
       const TwoPortVec* hi_rel = nullptr;
       if (suf) {
@@ -435,11 +499,28 @@ la::Matrix ArdFactorization::solve_local(mpsim::Comm& comm, const la::Matrix& b_
       } else if (i + 1 < L) {
         hi_rel = &at(p.lsv, i + 1);
       }
-      if (hi_rel != nullptr) {
-        la::gemm(-1.0, ln.c_last.view(), hi_rel->p.view(), 1.0,
-                 p.x.block((ln.hi - 1) * m, 0, m, cols), pool);
-        comm.charge_flops(la::gemm_flops(m, cols, m));
+
+      const la::index_t k = ln.k.n();
+      if (k > 0) {
+        Matrix& rhs = at(gh, i);
+        rhs = la::ws_acquire(ws_, k, cols);
+        const la::index_t npre = lo_rel != nullptr ? m : 0;
+        if (lo_rel != nullptr) {
+          la::MatrixView g = rhs.block(0, 0, m, cols);
+          la::gemm(1.0, ln.a_first.view(), lo_rel->q.view(), 0.0, g);
+          la::gemm(-1.0, ln.f_pre.view(), p.x.block(ln.lo * m, 0, m, cols), 1.0, g);
+          flops += la::gemm_flops(m, cols, m) * (2.0 + static_cast<double>(rows));
+        }
+        if (hi_rel != nullptr) {
+          la::MatrixView h = rhs.block(npre, 0, m, cols);
+          la::gemm(1.0, ln.c_last.view(), hi_rel->p.view(), 0.0, h);
+          la::gemm(-1.0, ln.g_suf.view(), p.x.block((ln.hi - 1) * m, 0, m, cols), 1.0, h);
+          flops += la::gemm_flops(m, cols, m) * (2.0 + static_cast<double>(rows));
+        }
+        la::lu_solve_inplace(ln.k, rhs.view());
+        flops += la::lu_solve_flops(k, cols);
       }
+      if (pre_mix) TwoPortOp::recycle_vec(ctx, std::move(*pre_mix));
       if (suf_mix) TwoPortOp::recycle_vec(ctx, std::move(*suf_mix));
     }
     if (pre) TwoPortOp::recycle_vec(ctx, std::move(*pre));
@@ -449,11 +530,11 @@ la::Matrix ArdFactorization::solve_local(mpsim::Comm& comm, const la::Matrix& b_
       TwoPortOp::recycle_vec(ctx, std::move(at(p.lsv, i)));
     }
 
-    for_each_lane(comm, "ard.lane.backsolve", [&](int li, par::Pool* lane_pool, la::Workspace*) {
-      at(lanes_, li).modified.solve_inplace(lane_rows(p.x, at(lanes_, li)), lane_pool);
+    for_each_lane(comm, "ard.lane.update", [&](int li, par::Pool* lane_pool) {
+      const Lane& ln = at(lanes_, li);
+      if (ln.k.n() > 0) apply_spikes(ln, at(gh, li).view(), lane_rows(p.x, ln), lane_pool);
     });
-    double flops = 0.0;
-    for (const Lane& ln : lanes_) flops += ThomasFactorization::solve_flops(ln.hi - ln.lo, m, cols);
+    for (Matrix& g : gh) la::ws_release(ws_, std::move(g));
     comm.charge_flops(flops);
   };
 
@@ -486,14 +567,15 @@ std::size_t ArdFactorization::storage_bytes() const {
     return rounds * 2 * 4 * static_cast<std::size_t>(m_ * m_) * sizeof(double);
   };
   // Everything the solve replay retains, at its actual size: the lane
-  // factorizations and corner couplings, the rank two-port, the scan
-  // caches, and (with several lanes) the local chains and merge caches, so
-  // budget-based admission sees the true footprint.
+  // factorizations, spikes, couplings and interface LUs, the rank
+  // two-port, the scan caches, and (with several lanes) the local chains
+  // and merge caches, so budget-based admission sees the true footprint.
   std::size_t bytes =
       tp_size(tp_) + scan_cache(fwd_.num_rounds()) + scan_cache(bwd_.num_rounds());
   for (const Lane& ln : lanes_) {
-    bytes += ln.unmodified.storage_bytes() + ln.modified.storage_bytes() +
-             mat_bytes(ln.a_first) + mat_bytes(ln.c_last);
+    bytes += ln.thomas.storage_bytes() + mat_bytes(ln.spikes) + mat_bytes(ln.a_first) +
+             mat_bytes(ln.c_last) + mat_bytes(ln.f_pre) + mat_bytes(ln.g_suf) +
+             mat_bytes(ln.k.lu) + ln.k.piv.size() * sizeof(la::index_t);
   }
   for (const TwoPort& t : fpre_) bytes += tp_size(t);
   for (const TwoPort& t : bsuf_) bytes += tp_size(t);

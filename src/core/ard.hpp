@@ -22,21 +22,26 @@
 ///
 ///   factor — O(M^3 (N/P + log P)) work, O(M^2 (N/P + log P)) memory:
 ///     1. block-Thomas factorization of this rank's row segment;
-///     2. the segment's two-port reduction (corner blocks of its inverse,
-///        via a 2M-column local solve);
+///     2. the segment's corner spikes [V W] = A_seg^{-1} [E_first E_last]
+///        (a 2M-column local solve whose W half skips the forward sweep);
+///        their corner blocks form the segment's two-port;
 ///     3. forward and backward hypercube prefix scans over two-ports
 ///        (CachedScan<TwoPortOp>, log P rounds of O(M^3) merges, caching
 ///        the per-round matrices);
 ///     4. the prefix scans deliver exact boundary relations
 ///            x_{lo-1} = -S_pre C_{lo-1} x_lo     + q_pre(b)
 ///            x_hi     = -P_suf A_hi     x_{hi-1} + p_suf(b),
-///        whose matrix parts fold into this rank's first/last diagonal
-///        blocks; the modified segment is Thomas-factored as well.
+///        which close the segment through the 2M x 2M interface matrix
+///            K = I - [[F P, F Q], [G R, G S]],
+///            F = A_lo S_pre C_{lo-1},  G = C_{hi-1} P_suf A_hi,
+///        LU-factored once (O(M^3) per rank).
 ///
 ///   solve — O(M^2 R (N/P + log P)) for R right-hand sides:
-///     one local solve for the segment's (p, q), a vector-only replay of
-///     both scans (cached matrices, M x R exchanges), right-hand-side
-///     boundary corrections, and one local solve of the modified segment.
+///     one local solve y = A_seg^{-1} b, whose first and last block rows
+///     are the segment's (p, q); a vector-only replay of both scans
+///     (cached matrices, M x R exchanges); one interface solve
+///         K [g; h] = [A_lo q_pre - F p; C_{hi-1} p_suf - G q];
+///     and the spike update x = y - V g - W h.
 ///
 /// Classic RD re-runs the factor phase on every solve; amortized over R
 /// right-hand sides ARD is therefore ~R/(1 + c R/M) times faster — the
@@ -89,9 +94,9 @@ struct ArdOptions {
   bool rescale = true;
   /// Pivot factorization of the local segments. kCholesky halves the
   /// pivot-factor work and is unconditionally stable, but requires an SPD
-  /// system (symmetric with A_{i+1} = C_i^T); the boundary-modified
-  /// segment is then a Schur complement of the global SPD matrix, hence
-  /// SPD as well.
+  /// system (symmetric with A_{i+1} = C_i^T), whose segments are then SPD
+  /// as well. The interface matrix K is not symmetric and is LU-factored
+  /// under either kind.
   btds::PivotKind pivot = btds::PivotKind::kLu;
   /// Pivot-growth ratio (diagnostics().growth()) above which a completed
   /// factorization is considered broken down: its solutions are accepted
@@ -108,9 +113,11 @@ class ArdFactorization {
  public:
   ArdFactorization() = default;
 
-  /// Collective. Factor the system (phase 1). Throws std::runtime_error
-  /// on singular segment or interface pivots (system not block-LU
-  /// factorizable; cannot happen for block-diagonally-dominant input).
+  /// Collective. Factor the system (phase 1). Throws
+  /// fault::InvalidArgumentError when a rank owns no block row (N < P) and
+  /// fault::SingularPivotError on a singular segment pivot or a singular
+  /// interface matrix (system not block-LU factorizable; cannot happen for
+  /// block-diagonally-dominant input).
   ///
   /// A non-null `ws` is this rank's workspace arena: every solve-phase
   /// temporary (boundary panels, scan replay vectors, right-divide
@@ -142,10 +149,10 @@ class ArdFactorization {
 
   /// Collective. Cheap refactorization after the matrix changed on *some*
   /// ranks. Pass `rows_changed = true` on ranks whose block rows differ
-  /// from what was factored; those redo the full local phase, unchanged
-  /// ranks reuse their segment factorization and two-port (~80% of the
-  /// local work) and only replay the O(M^3 log P) scans plus one segment
-  /// factorization. The partition must be unchanged.
+  /// from what was factored; those redo the full local phase. Unchanged
+  /// ranks keep their segment factorization, spikes and two-port, and
+  /// only replay the O(M^3 log P) scans and rebuild F, G and K. The
+  /// partition must be unchanged.
   void update(mpsim::Comm& comm, const btds::BlockTridiag& sys, bool rows_changed);
   void update(mpsim::Comm& comm, const btds::LocalBlockTridiag& sys, bool rows_changed);
 
@@ -154,40 +161,33 @@ class ArdFactorization {
   la::index_t local_rows() const { return hi_ - lo_; }
 
   /// Approximate bytes of factored state held by this rank (T1's memory
-  /// column): two segment factorizations plus the scan caches.
+  /// column): the segment factorization, its spikes (2 M^2 doubles per
+  /// block row), the interface LUs and the scan caches.
   std::size_t storage_bytes() const;
 
-  /// Merged pivot extremes of this rank's two segment factorizations —
-  /// the breakdown monitor the drivers compare against
-  /// ArdOptions::breakdown_growth_threshold.
-  fault::PivotDiagnostics diagnostics() const {
-    fault::PivotDiagnostics d;
-    for (const Lane& ln : lanes_) {
-      d.merge(ln.unmodified.pivot_diagnostics());
-      d.merge(ln.modified.pivot_diagnostics());
-    }
-    return d;
-  }
+  /// The breakdown monitor the drivers compare against
+  /// ArdOptions::breakdown_growth_threshold: the merged pivot extremes of
+  /// this rank's segment factorizations, or those of an interface matrix
+  /// K (read against its identity scale of 1) when its growth is larger.
+  fault::PivotDiagnostics diagnostics() const;
 
  private:
   /// Storage-agnostic implementation pieces (defined in ard.cpp; the
   /// public overloads instantiate them there). The factor phase splits
-  /// into a purely local part (lane factorizations + two-ports, the
-  /// O(M^3 N/P) term) and a global part (scans + boundary-modified
-  /// factorizations) so `update` can skip the former on unchanged ranks.
+  /// into a purely local part (lane factorizations, spikes and two-ports,
+  /// the O(M^3 N/P) term) and a global part (scans + interface systems,
+  /// O(M^3 log P)) so `update` can skip the former on unchanged ranks.
   template <typename SysView>
   static ArdFactorization factor_impl(mpsim::Comm& comm, const SysView& sys,
                                       const btds::RowPartition& part, const ArdOptions& opts,
                                       la::Workspace* ws);
   template <typename SysView>
   void local_phase(mpsim::Comm& comm, const SysView& sys);
-  template <typename SysView>
-  void global_phase(mpsim::Comm& comm, const SysView& sys);
+  void global_phase(mpsim::Comm& comm);
 
-  /// Run fn(lane index, pool, workspace) for every lane. A single lane runs
-  /// on the rank thread with the rank's pool (column-parallel solves) and
-  /// arena; several lanes run in parallel on the pool, each serial and
-  /// arena-free (the arena is single-threaded).
+  /// Run fn(lane index, pool) for every lane. A single lane runs on the
+  /// rank thread with the rank's pool (column- or row-parallel kernels);
+  /// several lanes run in parallel on the pool, each serial.
   template <typename Fn>
   void for_each_lane(mpsim::Comm& comm, const char* name, Fn&& fn) const;
 
@@ -196,11 +196,19 @@ class ArdFactorization {
   /// the whole segment.
   struct Lane {
     la::index_t lo = 0, hi = 0;  ///< block-row range within this segment
-    btds::ThomasFactorization unmodified;
-    btds::ThomasFactorization modified;  ///< with boundary-folded corners
+    btds::ThomasFactorization thomas;
+    la::Matrix spikes;  ///< [V W] = A_lane^{-1} [E_first E_last], rows*M x 2M
     la::Matrix a_first;  ///< A of the lane's first global row (zero on row 0)
     la::Matrix c_last;   ///< C of the lane's last global row (zero on row N-1)
+    la::Matrix f_pre;    ///< F = A_first S_pre C_pre (empty without a prefix)
+    la::Matrix g_suf;    ///< G = C_last P_suf A_suf (empty without a suffix)
+    la::LuFactors k;     ///< LU of the interface matrix K (empty when both are)
   };
+
+  /// x -= V g + W h over one lane's block rows, with [g; h] the solved
+  /// interface right-hand side (rows for absent sides omitted).
+  void apply_spikes(const Lane& ln, la::ConstMatrixView gh, la::MatrixView x,
+                    par::Pool* pool) const;
 
   int rank_ = 0;
   ArdOptions opts_{};

@@ -28,27 +28,56 @@ inline double rows_per_rank(index_t n, int p) {
   return std::ceil(static_cast<double>(n) / static_cast<double>(p));
 }
 
-/// ARD factor phase flops (phase 1). The breakdown mirrors
-/// ArdFactorization::factor (the two-port formulation):
-///   per row : two block-Thomas factorizations (2 x 14/3 M^3) plus the
-///             2M-column corner solve (12 M^3) ~ 21.3 M^3
-///   per round: two scans x <= 2 two-port merges, each merge ~13 gemms +
-///             LU + two right-divides ~ 31 M^3  =>  <= 124 M^3
-inline double ard_factor(index_t n, index_t m, int p) {
+/// Boundary sides the busiest rank's interface system closes: two for an
+/// interior rank, one when P = 2, none serially.
+inline double interface_sides(int p) { return p <= 1 ? 0.0 : (p == 2 ? 1.0 : 2.0); }
+
+/// Two-port merges the busiest rank runs per hypercube round: the rank at
+/// one end of a scan's sequence merges twice per round there (partial and
+/// exclusive prefix) and once per round in the other scan.
+inline constexpr double kMergesPerRound = 3.0;
+
+/// The rows-independent part of ARD's factor phase: the scans plus the
+/// interface system. This is all update() charges on a rank whose rows did
+/// not change.
+///   per round: kMergesPerRound two-port merges, each ~13 gemms + LU + two
+///              right-divides ~ 31 M^3  =>  93 M^3
+///   interface: F and G (2 gemms per side), K's coupling blocks (sides^2
+///              gemms) and the LU of K (2/3 (sides M)^3); 21.3 M^3 for an
+///              interior rank
+inline double ard_factor_global(index_t m, int p) {
   const double m3 = static_cast<double>(m) * static_cast<double>(m) * static_cast<double>(m);
-  const double per_row = (2.0 * 14.0 / 3.0 + 12.0) * m3;
-  const double per_round = 2.0 * 2.0 * 31.0 * m3;
-  return rows_per_rank(n, p) * per_row + log2_rounds(p) * per_round;
+  const double s = interface_sides(p);
+  const double interface = (2.0 * 2.0 * s + 2.0 * s * s + 2.0 / 3.0 * s * s * s) * m3;
+  return log2_rounds(p) * kMergesPerRound * 31.0 * m3 + interface;
 }
 
-/// ARD solve phase flops (phase 2) for R right-hand sides: two local
-/// Thomas solves (12 M^2 R per row; only one when P = 1, where the
-/// segment-vector pass is skipped) plus <= 2 scans x 2 merges x 4 gemms
-/// per round (32 M^2 R) and the two boundary corrections.
+/// ARD factor phase flops (phase 1). The breakdown mirrors
+/// ArdFactorization::factor (the spike form):
+///   per row: one block-Thomas factorization (14/3 M^3) plus the corner
+///            spikes [V W] = A_seg^{-1} [E_first E_last] (8 M^3: V is a
+///            full M-column solve, W skips the forward sweep) ~ 12.7 M^3
+/// plus ard_factor_global's scans and interface system.
+inline double ard_factor(index_t n, index_t m, int p) {
+  const double m3 = static_cast<double>(m) * static_cast<double>(m) * static_cast<double>(m);
+  const double per_row = (14.0 / 3.0 + 8.0) * m3;
+  return rows_per_rank(n, p) * per_row + ard_factor_global(m, p);
+}
+
+/// ARD solve phase flops (phase 2) for R right-hand sides:
+///   per row  : one local Thomas solve (6 M^2 R) plus the spike update
+///              x -= V g + W h (2 M^2 R per side): 10 M^2 R on an interior
+///              rank, 6 serially
+///   per round: kMergesPerRound vector merges of 4 gemms (8 M^2 R each)
+///   interface: the right-hand side of K (2 gemms per side) and the K
+///              solve (2 (sides M)^2 R): 16 M^2 R on an interior rank.
 inline double ard_solve(index_t n, index_t m, index_t r, int p) {
   const double m2r = static_cast<double>(m) * static_cast<double>(m) * static_cast<double>(r);
-  const double per_row = (p == 1 ? 6.0 : 12.0) * m2r;
-  return rows_per_rank(n, p) * per_row + log2_rounds(p) * 32.0 * m2r + 4.0 * m2r;
+  const double s = interface_sides(p);
+  const double per_row = (6.0 + 2.0 * s) * m2r;
+  const double interface = (2.0 * 2.0 * s + 2.0 * s * s) * m2r;
+  return rows_per_rank(n, p) * per_row + log2_rounds(p) * kMergesPerRound * 8.0 * m2r +
+         interface;
 }
 
 /// Classic RD, all R right-hand sides batched into one pass.
@@ -67,7 +96,8 @@ inline double ard_amortized(index_t n, index_t m, index_t r, int p) {
 }
 
 /// Predicted ARD-over-RD speedup for R right-hand sides (the F1 curve):
-/// approaches R for small R and saturates near factor/solve-per-rhs ~ 4M.
+/// approaches R for small R and saturates near factor/solve-per-rhs
+/// ~ 1.3 M.
 inline double predicted_speedup(index_t n, index_t m, index_t r, int p) {
   return rd_per_rhs(n, m, r, p) / ard_amortized(n, m, r, p);
 }

@@ -302,8 +302,8 @@ struct PivotDiagnostics {
     if (block_max_abs > max_pivot_abs) max_pivot_abs = block_max_abs;
   }
 
-  /// Merge another accumulator (e.g. the two segment factorizations of an
-  /// ARD rank).
+  /// Merge another accumulator (e.g. the lane factorizations of an ARD
+  /// rank).
   void merge(const PivotDiagnostics& o) {
     if (o.min_pivot_abs < min_pivot_abs) {
       min_pivot_abs = o.min_pivot_abs;

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <tuple>
+#include <vector>
 
 #include "src/btds/generators.hpp"
 #include "src/btds/spmv.hpp"
@@ -130,22 +132,75 @@ TEST(Ard, SolutionIndependentOfRankCount) {
 TEST(Ard, ThrowsWhenMoreRanksThanRows) {
   const BlockTridiag sys = make_problem(ProblemKind::kPoisson2D, 2, 2);
   const Matrix b = make_rhs(2, 2, 1);
-  EXPECT_THROW(ard_driver(sys, b, 3), std::runtime_error);
+  EXPECT_THROW(ard_driver(sys, b, 3), fault::InvalidArgumentError);
+  // The rank-level entry point rejects an empty segment by itself too.
+  const btds::RowPartition part(2, 3);
+  EXPECT_THROW(mpsim::run(3, [&](mpsim::Comm& comm) {
+                 (void)ArdFactorization::factor(comm, sys, part);
+               }),
+               fault::InvalidArgumentError);
+}
+
+/// Two scalar rows [[1, 1], [1, 1 + eps]] on two ranks: each rank's
+/// one-row segment is a unit pivot, so only the interface system K sees
+/// how close the global matrix is to singular.
+BlockTridiag coupled_pair(double eps) {
+  BlockTridiag sys(2, 1);
+  sys.diag(0)(0, 0) = 1.0;
+  sys.diag(1)(0, 0) = 1.0 + eps;
+  sys.upper(0)(0, 0) = 1.0;
+  sys.lower(1)(0, 0) = 1.0;
+  return sys;
+}
+
+TEST(Ard, SingularInterfaceThrowsTypedPivotError) {
+  const BlockTridiag sys = coupled_pair(0.0);
+  const btds::RowPartition part(2, 2);
+  EXPECT_THROW(mpsim::run(2, [&](mpsim::Comm& comm) {
+                 (void)ArdFactorization::factor(comm, sys, part);
+               }),
+               fault::SingularPivotError);
+}
+
+TEST(Ard, BreakdownMonitorTripsOnBadInterface) {
+  const BlockTridiag sys = coupled_pair(1e-14);
+  const btds::RowPartition part(2, 2);
+  std::vector<double> growth(2, 0.0);
+  mpsim::run(2, [&](mpsim::Comm& comm) {
+    const auto f = ArdFactorization::factor(comm, sys, part);
+    growth[static_cast<std::size_t>(comm.rank())] = f.diagnostics().growth();
+  });
+  const double threshold = ArdOptions{}.breakdown_growth_threshold;
+  EXPECT_GT(growth[0], threshold);
+  EXPECT_GT(growth[1], threshold);
+  // A well-separated pair keeps both readings near 1.
+  const BlockTridiag ok = coupled_pair(1.0);
+  mpsim::run(2, [&](mpsim::Comm& comm) {
+    const auto f = ArdFactorization::factor(comm, ok, part);
+    EXPECT_LT(f.diagnostics().growth(), 10.0);
+  });
 }
 
 TEST(Ard, FlopCounterMatchesAnalyticFormulaWithinFactor) {
-  const la::index_t n = 64, m = 8, r = 16;
+  // P divides N, so every rank owns N/P rows; the busiest rank (an
+  // interior one) must charge what flops.hpp predicts.
+  const la::index_t n = 512, m = 8, r = 16;
   const int p = 4;
   const BlockTridiag sys = make_problem(ProblemKind::kDiagDominant, n, m);
   const Matrix b = make_rhs(n, m, r);
-  const auto res = solve(Method::kArd, sys, b, p);
-  const double measured = res.report.totals().flops_charged;
-  const double predicted = static_cast<double>(p) * (flops::ard_factor(n, m, p) / 1.0 +
-                                                     flops::ard_solve(n, m, r, p));
-  // The analytic count is a per-rank critical path; totals over ranks land
-  // within a modest factor.
-  EXPECT_GT(measured, 0.2 * predicted);
-  EXPECT_LT(measured, 2.0 * predicted);
+  Matrix x(b.rows(), b.cols());
+  const btds::RowPartition part(n, p);
+  std::vector<double> charged(static_cast<std::size_t>(p), 0.0);
+  mpsim::run(p, [&](mpsim::Comm& comm) {
+    const double f0 = comm.stats().flops_charged;
+    const auto f = ArdFactorization::factor(comm, sys, part);
+    f.solve(comm, b, x);
+    charged[static_cast<std::size_t>(comm.rank())] = comm.stats().flops_charged - f0;
+  });
+  const double measured = *std::max_element(charged.begin(), charged.end());
+  const double predicted = flops::ard_factor(n, m, p) + flops::ard_solve(n, m, r, p);
+  EXPECT_NEAR(measured / predicted, 1.0, 0.05) << measured << " vs " << predicted;
+  EXPECT_LT(btds::relative_residual(sys, x, b), 1e-12);
 }
 
 }  // namespace

@@ -4,14 +4,24 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <random>
+#include <sstream>
+#include <string>
+#include <tuple>
+#include <vector>
 
+#include "src/btds/banded_lu.hpp"
 #include "src/btds/cyclic_reduction.hpp"
+#include "src/btds/distributed.hpp"
 #include "src/la/blas1.hpp"
 #include "src/btds/generators.hpp"
 #include "src/btds/spmv.hpp"
 #include "src/btds/thomas.hpp"
+#include "src/core/ard.hpp"
 #include "src/core/solver.hpp"
+#include "src/mpsim/engine.hpp"
 
 namespace ardbt {
 namespace {
@@ -75,6 +85,253 @@ TEST_P(FuzzDifferential, AllSolversMatchThomas) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FuzzDifferential, ::testing::Range<std::uint64_t>(0, 60),
                          [](const auto& info) { return "seed" + std::to_string(info.param); });
+
+// ------------------------------------------------------------------------
+// Option cross-product sweep of the ARD spike path: every (P, N, M, lanes,
+// pivot, input storage) combination runs factor, solve, solve, update,
+// solve under four (chunk, threads) settings. Residuals are checked
+// against banded LU and the four settings must agree bit for bit.
+
+enum class SweepKind { kDiagDominant, kConditioned, kNearSingular, kSpd };
+
+const char* sweep_kind_name(SweepKind k) {
+  switch (k) {
+    case SweepKind::kDiagDominant:
+      return "diagdom";
+    case SweepKind::kConditioned:
+      return "conditioned";
+    case SweepKind::kNearSingular:
+      return "near_singular";
+    case SweepKind::kSpd:
+      return "spd";
+  }
+  return "?";
+}
+
+struct SweepCase {
+  int p = 1;
+  index_t n = 1, m = 1;
+  int lanes = 1;
+  btds::PivotKind pivot = btds::PivotKind::kLu;
+  bool local = false;  ///< LocalBlockTridiag input instead of the global system
+  SweepKind kind = SweepKind::kDiagDominant;
+  std::uint64_t seed = 0;
+
+  /// Ordering for "smallest failing combination": fewest unknowns first.
+  auto size_key() const { return std::make_tuple(n * m, p, lanes, m, local, seed); }
+
+  std::string describe() const {
+    std::ostringstream os;
+    os << "P=" << p << " N=" << n << " M=" << m << " lanes=" << lanes
+       << " pivot=" << (pivot == btds::PivotKind::kLu ? "lu" : "cholesky")
+       << " input=" << (local ? "local" : "global") << " kind=" << sweep_kind_name(kind)
+       << " seed=" << seed;
+    return os.str();
+  }
+};
+
+/// Random symmetric, strictly diagonally dominant (hence SPD) system with
+/// A_{i+1} = C_i^T.
+BlockTridiag make_spd(index_t n, index_t m, std::uint64_t seed) {
+  BlockTridiag t = make_problem(ProblemKind::kDiagDominant, n, m, seed);
+  for (index_t i = 0; i + 1 < n; ++i) {
+    for (index_t r = 0; r < m; ++r) {
+      for (index_t c = 0; c < m; ++c) t.lower(i + 1)(r, c) = t.upper(i)(c, r);
+    }
+  }
+  for (index_t i = 0; i < n; ++i) {
+    Matrix& d = t.diag(i);
+    for (index_t r = 0; r < m; ++r) {
+      for (index_t c = r + 1; c < m; ++c) d(r, c) = d(c, r) = 0.5 * (d(r, c) + d(c, r));
+    }
+    for (index_t r = 0; r < m; ++r) {
+      double off = 1.0;
+      for (index_t c = 0; c < m; ++c) {
+        if (c != r) off += std::abs(d(r, c));
+        if (i > 0) off += std::abs(t.lower(i)(r, c));
+        if (i + 1 < n) off += std::abs(t.upper(i)(r, c));
+      }
+      d(r, r) = off;
+    }
+  }
+  return t;
+}
+
+BlockTridiag make_sweep_system(const SweepCase& c) {
+  switch (c.kind) {
+    case SweepKind::kConditioned:
+      return btds::make_conditioned(c.n, c.m, 1e6, c.seed);
+    case SweepKind::kNearSingular:
+      return btds::make_near_singular(c.n, c.m, 1e-6, c.seed);
+    case SweepKind::kSpd:
+      return make_spd(c.n, c.m, c.seed);
+    case SweepKind::kDiagDominant:
+      break;
+  }
+  return make_problem(ProblemKind::kDiagDominant, c.n, c.m, c.seed);
+}
+
+/// Residual bound per generator, or 1e3 x banded LU's own residual if that
+/// is larger. Well-conditioned systems solve to near machine precision.
+/// Block pivots without inter-block pivoting lose about the pivot growth
+/// of the two stress generators (~1e6 each), as serial block Thomas does.
+double residual_bound(SweepKind kind, double banded) {
+  double base = 1e-12;
+  if (kind == SweepKind::kConditioned) base = 1e-9;
+  if (kind == SweepKind::kNearSingular) base = 1e-7;
+  return std::max(base, 1e3 * banded);
+}
+
+struct SweepRun {
+  std::vector<Matrix> x;  ///< solve 1, solve 2, solve after update
+};
+
+SweepRun run_sweep_case(const SweepCase& c, const BlockTridiag& sys, const BlockTridiag& sys2,
+                        const Matrix& b1, const Matrix& b2, int changed_rank, index_t chunk,
+                        int threads) {
+  core::ArdOptions opts;
+  opts.pivot = c.pivot;
+  opts.pipeline.lanes = c.lanes;
+  opts.pipeline.chunk_cols = chunk;
+  mpsim::EngineOptions engine;
+  engine.timing = mpsim::TimingMode::ChargedFlops;
+  engine.threads_per_rank = threads;
+  engine.recv_timeout_wall = 20.0;  // a schedule hang fails typed, fast
+  const btds::RowPartition part(c.n, c.p);
+  SweepRun out;
+  for (int k = 0; k < 3; ++k) out.x.emplace_back(b1.rows(), b1.cols());
+  mpsim::run(
+      c.p,
+      [&](mpsim::Comm& comm) {
+        const bool changed = comm.rank() == changed_rank;
+        core::ArdFactorization f;
+        btds::LocalBlockTridiag loc, loc2;
+        if (c.local) {
+          loc = btds::LocalBlockTridiag::from_shared(sys, part, comm.rank());
+          loc2 = btds::LocalBlockTridiag::from_shared(sys2, part, comm.rank());
+          f = core::ArdFactorization::factor(comm, loc, part, opts);
+        } else {
+          f = core::ArdFactorization::factor(comm, sys, part, opts);
+        }
+        f.solve(comm, b1, out.x[0]);
+        f.solve(comm, b2, out.x[1]);
+        if (c.local) {
+          f.update(comm, loc2, changed);
+        } else {
+          f.update(comm, sys2, changed);
+        }
+        f.solve(comm, b1, out.x[2]);
+      },
+      engine);
+  return out;
+}
+
+/// Empty on success, else what went wrong.
+std::string check_sweep_case(const SweepCase& c) {
+  const BlockTridiag sys = make_sweep_system(c);
+  // The update shifts the diagonal of one rank's rows (positive, so an SPD
+  // system stays SPD); that rank passes rows_changed = true.
+  const btds::RowPartition part(c.n, c.p);
+  const int changed_rank = c.p > 1 ? 1 : 0;
+  BlockTridiag sys2 = sys;
+  for (index_t i = part.begin(changed_rank); i < part.end(changed_rank); ++i) {
+    for (index_t d = 0; d < c.m; ++d) sys2.diag(i)(d, d) += 0.75;
+  }
+  const index_t r = 7;
+  const Matrix b1 = make_rhs(c.n, c.m, r, c.seed + 11);
+  const Matrix b2 = make_rhs(c.n, c.m, r, c.seed + 12);
+
+  SweepRun base;
+  try {
+    base = run_sweep_case(c, sys, sys2, b1, b2, changed_rank, 0, 1);
+  } catch (const std::exception& e) {
+    return std::string("threw: ") + e.what();
+  }
+  const struct {
+    const BlockTridiag* t;
+    const Matrix* b;
+  } problems[3] = {{&sys, &b1}, {&sys, &b2}, {&sys2, &b1}};
+  for (int k = 0; k < 3; ++k) {
+    const double banded =
+        btds::relative_residual(*problems[k].t, btds::banded_lu_solve(*problems[k].t,
+                                                                      *problems[k].b),
+                                *problems[k].b);
+    const double res = btds::relative_residual(*problems[k].t, base.x[static_cast<std::size_t>(k)],
+                                               *problems[k].b);
+    if (!(res <= residual_bound(c.kind, banded))) {
+      std::ostringstream os;
+      os << "solve " << k << ": residual " << res << " (banded LU " << banded << ")";
+      return os.str();
+    }
+  }
+  for (const auto& [chunk, threads] : {std::pair<index_t, int>{5, 1}, {0, 3}, {5, 3}}) {
+    SweepRun other;
+    try {
+      other = run_sweep_case(c, sys, sys2, b1, b2, changed_rank, chunk, threads);
+    } catch (const std::exception& e) {
+      return "chunk=" + std::to_string(chunk) + " threads=" + std::to_string(threads) +
+             " threw: " + e.what();
+    }
+    for (std::size_t k = 0; k < 3; ++k) {
+      for (index_t i = 0; i < b1.rows(); ++i) {
+        for (index_t j = 0; j < r; ++j) {
+          if (other.x[k](i, j) != base.x[k](i, j)) {
+            return "solve " + std::to_string(k) + " not bit-identical at chunk=" +
+                   std::to_string(chunk) + " threads=" + std::to_string(threads);
+          }
+        }
+      }
+    }
+  }
+  return {};
+}
+
+TEST(SpikeSweep, OptionCrossProductMatchesBandedLu) {
+  std::mt19937_64 rng(20260417);
+  std::vector<std::pair<SweepCase, std::string>> failures;
+  int cases = 0;
+  for (const int p : {1, 2, 3, 5, 8}) {
+    const index_t np = p;
+    for (const index_t n :
+         {np, np + 1, 2 * np - 1, 2 * np + static_cast<index_t>(rng() % (4 * np + 1))}) {
+      for (const index_t m : {index_t{1}, index_t{3}, index_t{8}, index_t{16}}) {
+        for (const int lanes : {1, 3}) {
+          for (const btds::PivotKind pivot : {btds::PivotKind::kLu, btds::PivotKind::kCholesky}) {
+            for (const bool local : {false, true}) {
+              SweepCase c;
+              c.p = p;
+              c.n = std::max<index_t>(n, 1);
+              c.m = m;
+              c.lanes = lanes;
+              c.pivot = pivot;
+              c.local = local;
+              c.seed = rng() % 100000;
+              if (pivot == btds::PivotKind::kCholesky) {
+                c.kind = SweepKind::kSpd;
+              } else {
+                const SweepKind lu_kinds[] = {SweepKind::kDiagDominant, SweepKind::kConditioned,
+                                              SweepKind::kNearSingular};
+                c.kind = lu_kinds[cases % 3];
+              }
+              ++cases;
+              std::string err = check_sweep_case(c);
+              if (!err.empty()) failures.emplace_back(c, std::move(err));
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(cases, 600);
+  if (!failures.empty()) {
+    const auto smallest = std::min_element(
+        failures.begin(), failures.end(),
+        [](const auto& a, const auto& b) { return a.first.size_key() < b.first.size_key(); });
+    ADD_FAILURE() << failures.size() << " of " << cases
+                  << " sweep cases failed; smallest: " << smallest->first.describe() << ": "
+                  << smallest->second;
+  }
+}
 
 }  // namespace
 }  // namespace ardbt

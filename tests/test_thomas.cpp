@@ -77,6 +77,38 @@ TEST(Thomas, ThrowsOnSingularPivot) {
   EXPECT_THROW(ThomasFactorization::factor(t), std::runtime_error);
 }
 
+TEST(Thomas, CornerSpikesMatchUnitLoadSolves) {
+  // corner_spikes skips the forward sweep of the last-row unit load; the
+  // result must still be exactly what solve_inplace gives on [E_first
+  // E_last], on the fixed-M path (M = 8) and the generic one (M = 3), with
+  // LU and Cholesky pivots.
+  for (const PivotKind pivot : {PivotKind::kLu, PivotKind::kCholesky}) {
+    for (const index_t m : {index_t{3}, index_t{8}}) {
+      for (const index_t n : {index_t{1}, index_t{2}, index_t{9}}) {
+        const BlockTridiag t = make_problem(
+            pivot == PivotKind::kLu ? ProblemKind::kDiagDominant : ProblemKind::kPoisson2D, n, m);
+        const ThomasFactorization f = ThomasFactorization::factor(t, pivot);
+        Matrix ref(n * m, 2 * m);
+        for (index_t i = 0; i < m; ++i) {
+          ref(i, i) = 1.0;
+          ref((n - 1) * m + i, m + i) = 1.0;
+        }
+        f.solve_inplace(ref.view());
+        const Matrix s = f.corner_spikes();
+        ASSERT_EQ(s.rows(), ref.rows());
+        ASSERT_EQ(s.cols(), ref.cols());
+        for (index_t i = 0; i < s.rows(); ++i) {
+          for (index_t j = 0; j < s.cols(); ++j) {
+            ASSERT_EQ(s(i, j), ref(i, j)) << "pivot=" << static_cast<int>(pivot) << " M=" << m
+                                          << " N=" << n << " at (" << i << "," << j << ")";
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(ThomasFactorization::spike_flops(10, 4), 8.0 * 10 * 64);
+}
+
 TEST(Thomas, FlopFormulasScale) {
   EXPECT_GT(ThomasFactorization::factor_flops(10, 4), 0.0);
   EXPECT_NEAR(ThomasFactorization::factor_flops(20, 4) / ThomasFactorization::factor_flops(10, 4),
