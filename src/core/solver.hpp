@@ -79,15 +79,15 @@ struct SessionConfig {
 /// phase records {status ok, action "ok"}; a degraded one records the
 /// triggering error and the recovery rung taken.
 struct SolveOutcome {
-  std::string phase;     ///< "factor" or "solve"
-  fault::Status status;  ///< error that triggered recovery (ok when none)
+  std::string phase;       ///< "factor" or "solve"
+  fault::Status status{};  ///< error that triggered recovery (ok when none)
   /// "ok" | "failfast" | "refine" | "fallback" — the ladder rung used.
   std::string action = "ok";
   int retries = 0;       ///< engine re-runs spent on transient faults
   int refine_steps = 0;  ///< iterative-refinement corrections applied
   double residual = -1.0;      ///< relative residual, when the driver computed it
   double pivot_growth = 0.0;   ///< monitor reading at this phase (0 = none)
-  std::string detail;          ///< free-form context for the run report
+  std::string detail{};        ///< free-form context for the run report
 };
 
 /// Factor/solve driver for one system. Not thread-safe; one engine run is

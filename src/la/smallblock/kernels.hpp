@@ -63,27 +63,157 @@ inline void scale_c(double beta, MatrixView c) {
   }
 }
 
-/// Column-tile widths held in registers by the kernels below. The generic
-/// saxpy loops stream each output row from memory M times; these kernels
-/// keep a T-column accumulator tile in registers across the whole
-/// (unrolled, compile-time-M) k loop and write each element exactly once.
-/// The per-element arithmetic is unchanged — the same terms are added in
-/// the same k-ascending order — so results stay bit-identical. Tiles
-/// shrink 8 -> 4 -> 2 -> 1 so narrow panels (factor-path couplings are
-/// only M columns wide) still run register-blocked.
+/// Register tiles. The generic saxpy loops stream each output row from
+/// memory M times; these kernels keep an R-row x W-column accumulator
+/// tile in SIMD registers across the whole (unrolled, compile-time-M) k
+/// loop and write each element exactly once. A tile's W columns are NV
+/// values of a lane type V: four doubles (V4), two (V2) or one (double).
+/// Widths cascade 16 -> 8 -> 4 -> 2 -> 1 so narrow panels (factor-path
+/// couplings are only M columns wide) still run register-blocked.
+///
+/// Lane arithmetic is the scalar IEEE operation applied element by
+/// element, and the file is compiled without FMA contraction, so each
+/// element still receives the same terms in the same k-ascending order
+/// as the generic loop: results stay bit-identical. Only which elements
+/// share a register changes (docs/KERNELS.md).
 namespace detail {
 
-template <index_t M, index_t T>
-inline void gemm_tile(double alpha, const double* ai, ConstMatrixView b, double* ci, index_t j) {
-  double acc[T];
-  for (index_t t = 0; t < T; ++t) acc[t] = ci[j + t];
-  for (index_t k = 0; k < M; ++k) {
-    const double aik = alpha * ai[k];
-    const double* bk = b.row_ptr(k) + j;
-    for (index_t t = 0; t < T; ++t) acc[t] += aik * bk[t];
-  }
-  for (index_t t = 0; t < T; ++t) ci[j + t] = acc[t];
+using V4 = double __attribute__((vector_size(4 * sizeof(double))));
+using V2 = double __attribute__((vector_size(2 * sizeof(double))));
+
+template <typename V>
+inline constexpr index_t kLanes = static_cast<index_t>(sizeof(V) / sizeof(double));
+
+/// Lane type V with a double's alignment and may_alias: view rows carry
+/// no alignment guarantee, and the lane value overlays plain doubles.
+/// A double lane needs neither.
+template <typename V>
+struct Unaligned {
+  using type = V;
+};
+template <>
+struct Unaligned<V4> {
+  using type = double __attribute__((vector_size(4 * sizeof(double)), aligned(8), may_alias));
+};
+template <>
+struct Unaligned<V2> {
+  using type = double __attribute__((vector_size(2 * sizeof(double)), aligned(8), may_alias));
+};
+
+/// The lane value of type V stored at p. A reference, not a value, so no
+/// vector crosses a function boundary (no -Wpsabi on non-AVX builds).
+template <typename V>
+inline auto& at(double* p) {
+  return *reinterpret_cast<typename Unaligned<V>::type*>(p);
 }
+
+template <typename V>
+inline const auto& at(const double* p) {
+  return *reinterpret_cast<const typename Unaligned<V>::type*>(p);
+}
+
+/// Rows [i, i + R) x columns [j, j + NV * lanes) of C += alpha * A * B.
+/// Each B row segment is loaded once per k and shared by the R rows.
+template <index_t M, index_t R, index_t NV, typename V>
+inline void gemm_tile(double alpha, ConstMatrixView a, ConstMatrixView b, MatrixView c, index_t i,
+                      index_t j) {
+  constexpr index_t L = kLanes<V>;
+  V acc[R][NV];
+  for (index_t r = 0; r < R; ++r) {
+    for (index_t v = 0; v < NV; ++v) acc[r][v] = at<V>(c.row_ptr(i + r) + j + v * L);
+  }
+  for (index_t k = 0; k < M; ++k) {
+    const double* bk = b.row_ptr(k) + j;
+    V bv[NV];
+    for (index_t v = 0; v < NV; ++v) bv[v] = at<V>(bk + v * L);
+    for (index_t r = 0; r < R; ++r) {
+      const double aik = alpha * a(i + r, k);
+      for (index_t v = 0; v < NV; ++v) acc[r][v] += aik * bv[v];
+    }
+  }
+  for (index_t r = 0; r < R; ++r) {
+    for (index_t v = 0; v < NV; ++v) at<V>(c.row_ptr(i + r) + j + v * L) = acc[r][v];
+  }
+}
+
+/// Forward-substitution tile over rows [i, i + R): rows k < i are final
+/// and shared by the R rows as in gemm_tile; the R x R triangle inside
+/// the tile then runs from registers. Per element: k ascending, with the
+/// same skip-on-zero branches as lu.cpp's generic loop.
+template <index_t R, index_t NV, typename V>
+inline void trsm_lower_tile(ConstMatrixView lu, MatrixView b, index_t i, index_t j) {
+  constexpr index_t L = kLanes<V>;
+  V acc[R][NV];
+  for (index_t r = 0; r < R; ++r) {
+    for (index_t v = 0; v < NV; ++v) acc[r][v] = at<V>(b.row_ptr(i + r) + j + v * L);
+  }
+  for (index_t k = 0; k < i; ++k) {
+    const double* bk = b.row_ptr(k) + j;
+    V bv[NV];
+    for (index_t v = 0; v < NV; ++v) bv[v] = at<V>(bk + v * L);
+    for (index_t r = 0; r < R; ++r) {
+      const double lik = lu(i + r, k);
+      if (lik == 0.0) continue;
+      for (index_t v = 0; v < NV; ++v) acc[r][v] -= lik * bv[v];
+    }
+  }
+  for (index_t r = 1; r < R; ++r) {
+    for (index_t q = 0; q < r; ++q) {
+      const double lik = lu(i + r, i + q);
+      if (lik == 0.0) continue;
+      for (index_t v = 0; v < NV; ++v) acc[r][v] -= lik * acc[q][v];
+    }
+  }
+  for (index_t r = 0; r < R; ++r) {
+    for (index_t v = 0; v < NV; ++v) at<V>(b.row_ptr(i + r) + j + v * L) = acc[r][v];
+  }
+}
+
+/// Back-substitution tile of row i (rows k > i are final), with the
+/// trailing inv_uii scale applied at store time — the same final
+/// multiply the generic loop performs in place. Row i's first term needs
+/// row i + 1 final, so rows cannot share a tile here.
+template <index_t M, index_t NV, typename V>
+inline void trsm_upper_tile(ConstMatrixView lu, double inv_uii, MatrixView b, index_t i,
+                            index_t j) {
+  constexpr index_t L = kLanes<V>;
+  double* bi = b.row_ptr(i) + j;
+  V acc[NV];
+  for (index_t v = 0; v < NV; ++v) acc[v] = at<V>(bi + v * L);
+  for (index_t k = i + 1; k < M; ++k) {
+    const double uik = lu(i, k);
+    if (uik == 0.0) continue;
+    const double* bk = b.row_ptr(k) + j;
+    for (index_t v = 0; v < NV; ++v) acc[v] -= uik * at<V>(bk + v * L);
+  }
+  for (index_t v = 0; v < NV; ++v) at<V>(bi + v * L) = acc[v] * inv_uii;
+}
+
+/// Run `tile` across the n columns, widest tile first: the 16-wide
+/// tile repeats, then at most one each of 8, 4, 2 and 1 columns.
+/// `tile.template operator()<NV, V>(j)` covers columns [j, j + NV * lanes).
+template <typename Tile>
+inline void column_cascade(index_t n, Tile&& tile) {
+  index_t j = 0;
+  for (; j + 16 <= n; j += 16) tile.template operator()<4, V4>(j);
+  if (j + 8 <= n) {
+    tile.template operator()<2, V4>(j);
+    j += 8;
+  }
+  if (j + 4 <= n) {
+    tile.template operator()<1, V4>(j);
+    j += 4;
+  }
+  if (j + 2 <= n) {
+    tile.template operator()<1, V2>(j);
+    j += 2;
+  }
+  if (j < n) tile.template operator()<1, double>(j);
+}
+
+/// Rows per register tile in the row-blocked kernels.
+template <index_t M>
+inline constexpr index_t kTileRows = M < 4 ? M : 4;
 
 }  // namespace detail
 
@@ -92,101 +222,33 @@ inline void gemm_tile(double alpha, const double* ai, ConstMatrixView b, double*
 /// early-out first.
 template <index_t M>
 void gemm_kernel(double alpha, ConstMatrixView a, ConstMatrixView b, MatrixView c) {
-  const index_t n = c.cols();
-  for (index_t i = 0; i < M; ++i) {
-    double* ci = c.row_ptr(i);
-    const double* ai = a.row_ptr(i);
-    index_t j = 0;
-    for (; j + 8 <= n; j += 8) detail::gemm_tile<M, 8>(alpha, ai, b, ci, j);
-    if (j + 4 <= n) {
-      detail::gemm_tile<M, 4>(alpha, ai, b, ci, j);
-      j += 4;
-    }
-    if (j + 2 <= n) {
-      detail::gemm_tile<M, 2>(alpha, ai, b, ci, j);
-      j += 2;
-    }
-    if (j < n) detail::gemm_tile<M, 1>(alpha, ai, b, ci, j);
+  constexpr index_t R = detail::kTileRows<M>;
+  for (index_t i = 0; i < M; i += R) {
+    detail::column_cascade(c.cols(), [&]<index_t NV, typename V>(index_t j) {
+      detail::gemm_tile<M, R, NV, V>(alpha, a, b, c, i, j);
+    });
   }
 }
-
-namespace detail {
-
-/// One register tile of forward substitution: row i of B minus the
-/// already-final rows k < i, subtracted in k-ascending order with the
-/// same skip-on-zero branches as lu.cpp's generic loops.
-template <index_t M, index_t T>
-inline void trsm_lower_tile(const double* li, index_t i, MatrixView b, double* bi, index_t j) {
-  double acc[T];
-  for (index_t t = 0; t < T; ++t) acc[t] = bi[j + t];
-  for (index_t k = 0; k < i; ++k) {
-    const double lik = li[k];
-    if (lik == 0.0) continue;
-    const double* bk = b.row_ptr(k) + j;
-    for (index_t t = 0; t < T; ++t) acc[t] -= lik * bk[t];
-  }
-  for (index_t t = 0; t < T; ++t) bi[j + t] = acc[t];
-}
-
-/// One register tile of backward substitution (rows k > i are final),
-/// with the trailing inv_uii scale applied at store time — the same
-/// final multiply the generic loop performs in place.
-template <index_t M, index_t T>
-inline void trsm_upper_tile(const double* ui, index_t i, double inv_uii, MatrixView b, double* bi,
-                            index_t j) {
-  double acc[T];
-  for (index_t t = 0; t < T; ++t) acc[t] = bi[j + t];
-  for (index_t k = i + 1; k < M; ++k) {
-    const double uik = ui[k];
-    if (uik == 0.0) continue;
-    const double* bk = b.row_ptr(k) + j;
-    for (index_t t = 0; t < T; ++t) acc[t] -= uik * bk[t];
-  }
-  for (index_t t = 0; t < T; ++t) bi[j + t] = acc[t] * inv_uii;
-}
-
-}  // namespace detail
 
 /// B := L^{-1} B with the unit-lower triangle of a packed M x M LU.
 template <index_t M>
 void trsm_lower_unit_kernel(ConstMatrixView lu, MatrixView b) {
-  const index_t n = b.cols();
-  for (index_t i = 1; i < M; ++i) {
-    double* bi = b.row_ptr(i);
-    const double* li = lu.row_ptr(i);
-    index_t j = 0;
-    for (; j + 8 <= n; j += 8) detail::trsm_lower_tile<M, 8>(li, i, b, bi, j);
-    if (j + 4 <= n) {
-      detail::trsm_lower_tile<M, 4>(li, i, b, bi, j);
-      j += 4;
-    }
-    if (j + 2 <= n) {
-      detail::trsm_lower_tile<M, 2>(li, i, b, bi, j);
-      j += 2;
-    }
-    if (j < n) detail::trsm_lower_tile<M, 1>(li, i, b, bi, j);
+  constexpr index_t R = detail::kTileRows<M>;
+  for (index_t i = 0; i < M; i += R) {
+    detail::column_cascade(b.cols(), [&]<index_t NV, typename V>(index_t j) {
+      detail::trsm_lower_tile<R, NV, V>(lu, b, i, j);
+    });
   }
 }
 
 /// B := U^{-1} B with the upper triangle of a packed M x M LU.
 template <index_t M>
 void trsm_upper_kernel(ConstMatrixView lu, MatrixView b) {
-  const index_t n = b.cols();
   for (index_t i = M - 1; i >= 0; --i) {
-    double* bi = b.row_ptr(i);
-    const double* ui = lu.row_ptr(i);
-    const double inv_uii = 1.0 / ui[i];
-    index_t j = 0;
-    for (; j + 8 <= n; j += 8) detail::trsm_upper_tile<M, 8>(ui, i, inv_uii, b, bi, j);
-    if (j + 4 <= n) {
-      detail::trsm_upper_tile<M, 4>(ui, i, inv_uii, b, bi, j);
-      j += 4;
-    }
-    if (j + 2 <= n) {
-      detail::trsm_upper_tile<M, 2>(ui, i, inv_uii, b, bi, j);
-      j += 2;
-    }
-    if (j < n) detail::trsm_upper_tile<M, 1>(ui, i, inv_uii, b, bi, j);
+    const double inv_uii = 1.0 / lu(i, i);
+    detail::column_cascade(b.cols(), [&]<index_t NV, typename V>(index_t j) {
+      detail::trsm_upper_tile<M, NV, V>(lu, inv_uii, b, i, j);
+    });
   }
 }
 
@@ -217,53 +279,102 @@ void lu_solve_kernel(const LuFactors& f, MatrixView b) {
   lu_solve_view_kernel<M>(f.lu.view(), f.piv.data(), b);
 }
 
+namespace detail {
+
+/// Largest |m(i, j)| over the M x M block (kUpper: over j >= i), folded
+/// under std::max's rule: a NaN never replaces the running value. The
+/// maximum of a set of non-negative doubles does not depend on the fold
+/// order, so the V4 lanes may hold partial maxima and the result still
+/// equals the sequential scalar fold bit for bit.
+template <index_t M, bool kUpper>
+inline double max_abs(ConstMatrixView m) {
+  V4 vmax{};
+  double smax = 0.0;
+  for (index_t i = 0; i < M; ++i) {
+    const index_t j0 = kUpper ? i : 0;
+    const double* p = m.row_ptr(i) + j0;
+    index_t j = 0;
+    for (; j + 4 <= M - j0; j += 4) {
+      const V4 x = at<V4>(p + j);
+      const V4 ax = x < 0.0 ? -x : x;
+      vmax = vmax < ax ? ax : vmax;
+    }
+    for (; j < M - j0; ++j) smax = std::max(smax, std::abs(p[j]));
+  }
+  for (index_t l = 0; l < 4; ++l) smax = std::max(smax, vmax[l]);
+  return smax;
+}
+
+/// mi[j] -= lik * mk[j] for j in (K, M): the rank-1 row update of
+/// elimination step K. K is a compile-time constant, so the extent is
+/// too: a 1- and a 2-wide head, then V4s.
+template <index_t M, index_t K>
+inline void lu_row_update(double lik, double* mi, const double* mk) {
+  constexpr index_t kLen = M - K - 1;
+  index_t j = K + 1;
+  if constexpr (kLen % 2 != 0) {
+    mi[j] -= lik * mk[j];
+    j += 1;
+  }
+  if constexpr (kLen % 4 >= 2) {
+    at<V2>(mi + j) -= lik * at<V2>(mk + j);
+    j += 2;
+  }
+  for (; j < M; j += 4) at<V4>(mi + j) -= lik * at<V4>(mk + j);
+}
+
+/// Elimination step K of lu_factor_view_kernel: pivot search, row swap,
+/// multipliers and rank-1 update, in lu.cpp's order.
+template <index_t M, index_t K>
+inline void lu_step(MatrixView m, index_t* piv, LuInPlaceInfo& d) {
+  index_t p = K;
+  double best = std::abs(m(K, K));
+  for (index_t i = K + 1; i < M; ++i) {
+    const double v = std::abs(m(i, K));
+    if (v > best) {
+      best = v;
+      p = i;
+    }
+  }
+  piv[K] = p;
+  if (p != K) {
+    for (index_t j = 0; j < M; ++j) std::swap(m(K, j), m(p, j));
+  }
+  const double pivot = m(K, K);
+  d.min_pivot_abs = std::min(d.min_pivot_abs, std::abs(pivot));
+  d.max_pivot_abs = std::max(d.max_pivot_abs, std::abs(pivot));
+  if (pivot == 0.0) {
+    if (d.info == 0) d.info = K + 1;
+    return;  // complete the factorization LAPACK-style, like lu_factor
+  }
+  const double inv_pivot = 1.0 / pivot;
+  const double* mk = m.row_ptr(K);
+  for (index_t i = K + 1; i < M; ++i) {
+    const double lik = m(i, K) * inv_pivot;
+    m(i, K) = lik;
+    if (lik == 0.0) continue;
+    lu_row_update<M, K>(lik, m.row_ptr(i), mk);
+  }
+}
+
+}  // namespace detail
+
 /// getrf with partial pivoting, M x M extents compile-time, factoring the
 /// view in place with caller-owned pivots; identical arithmetic, pivot
 /// diagnostics, and LAPACK-style zero-pivot completion to la::lu_factor.
+/// The elimination steps are unrolled so every row update has a constant
+/// extent.
 template <index_t M>
 LuInPlaceInfo lu_factor_view_kernel(MatrixView m, index_t* piv) {
   LuInPlaceInfo d;
 
-  double a_max = 0.0;
-  for (index_t i = 0; i < M; ++i) {
-    for (index_t j = 0; j < M; ++j) a_max = std::max(a_max, std::abs(m(i, j)));
-  }
+  const double a_max = detail::max_abs<M, false>(m);
 
-  for (index_t k = 0; k < M; ++k) {
-    index_t p = k;
-    double best = std::abs(m(k, k));
-    for (index_t i = k + 1; i < M; ++i) {
-      const double v = std::abs(m(i, k));
-      if (v > best) {
-        best = v;
-        p = i;
-      }
-    }
-    piv[k] = p;
-    if (p != k) {
-      for (index_t j = 0; j < M; ++j) std::swap(m(k, j), m(p, j));
-    }
-    const double pivot = m(k, k);
-    d.min_pivot_abs = std::min(d.min_pivot_abs, std::abs(pivot));
-    d.max_pivot_abs = std::max(d.max_pivot_abs, std::abs(pivot));
-    if (pivot == 0.0) {
-      if (d.info == 0) d.info = k + 1;
-      continue;  // complete the factorization LAPACK-style, like lu_factor
-    }
-    const double inv_pivot = 1.0 / pivot;
-    for (index_t i = k + 1; i < M; ++i) {
-      const double lik = m(i, k) * inv_pivot;
-      m(i, k) = lik;
-      if (lik == 0.0) continue;
-      double* mi = m.row_ptr(i);
-      const double* mk = m.row_ptr(k);
-      for (index_t j = k + 1; j < M; ++j) mi[j] -= lik * mk[j];
-    }
-  }
-  double u_max = 0.0;
-  for (index_t i = 0; i < M; ++i) {
-    for (index_t j = i; j < M; ++j) u_max = std::max(u_max, std::abs(m(i, j)));
-  }
+  [&]<index_t... K>(std::integer_sequence<index_t, K...>) {
+    (detail::lu_step<M, K>(m, piv, d), ...);
+  }(std::make_integer_sequence<index_t, M>{});
+
+  const double u_max = detail::max_abs<M, true>(m);
   d.growth = a_max > 0.0 ? u_max / a_max : 1.0;
   return d;
 }

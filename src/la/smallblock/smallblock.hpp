@@ -15,10 +15,10 @@
 /// GEMM (64x128x256 tiles, gemm.cpp) never engages its blocking and every
 /// call pays runtime trip counts, dispatch branches, and per-call
 /// temporaries. This layer provides compile-time-dispatched kernels for
-/// M in {2, 4, 8, 16, 32}: the i/k loops have constant bounds the
-/// compiler fully unrolls and vectorizes, while the right-hand-side width
-/// stays a runtime parameter. Shapes outside the set fall back to the
-/// generic path.
+/// M in {2, 4, 8, 16, 32}: the i/k loops have constant bounds and the
+/// output columns run in explicit SIMD register tiles (kernels.hpp),
+/// while the right-hand-side width stays a runtime parameter. Shapes
+/// outside the set fall back to the generic path.
 ///
 /// **Determinism contract** (docs/KERNELS.md): every kernel here performs
 /// the *exact* per-element floating-point operation sequence of the

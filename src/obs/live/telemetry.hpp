@@ -45,12 +45,12 @@ class LiveTelemetry {
   struct Options {
     /// JSONL output path shared by log + snapshots; "" = in-memory sink
     /// (retrievable via memory_lines()), "-" = stderr.
-    std::string live_path;
-    LogOptions log;
-    RecorderOptions recorder;
-    SnapshotOptions snapshot;
-    WatchdogOptions watchdog;
-    std::string postmortem_path;  ///< "" = no postmortem dumps
+    std::string live_path{};
+    LogOptions log{};
+    RecorderOptions recorder{};
+    SnapshotOptions snapshot{};
+    WatchdogOptions watchdog{};
+    std::string postmortem_path{};  ///< "" = no postmortem dumps
   };
 
   /// `metrics` is not owned and must outlive this object.

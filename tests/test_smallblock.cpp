@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <cstring>
+#include <limits>
+#include <random>
 #include <utility>
 #include <vector>
 
@@ -36,43 +41,137 @@ TEST(SmallBlock, DispatchTable) {
   }
 }
 
-/// The determinism contract: the fixed-M kernel, the generic gemm, and
-/// the naive triple loop share the same per-element operation order, so
-/// their results are bit-identical (max abs diff exactly zero).
+// --- exhaustive bit-identity sweep -----------------------------------
+
+/// Operand flavours of the sweep: plain uniform entries; exact zeros and
+/// -0.0 (the skip-on-zero branches and signed-zero rounding); subnormals;
+/// and +-Inf / NaN.
+enum class Fill { kPlain, kZeros, kSubnormal, kNonFinite };
+constexpr Fill kFills[] = {Fill::kPlain, Fill::kZeros, Fill::kSubnormal, Fill::kNonFinite};
+
+/// The platform's default NaN, made at run time so every NaN in a sweep —
+/// planted or produced by Inf - Inf — carries the same bits, and a bitwise
+/// comparison cannot depend on which operand's payload an add propagates.
+double default_nan() {
+  volatile double inf = std::numeric_limits<double>::infinity();
+  return inf - inf;
+}
+
+/// Overwrite a uniform fill with a seeded share of the flavour's values.
+void sprinkle(MatrixView v, Fill fill, Rng& rng) {
+  fill_uniform(v, rng);
+  if (fill == Fill::kPlain) return;
+  std::uniform_int_distribution<int> pick(0, 7);
+  const double tiny = std::numeric_limits<double>::denorm_min();
+  for (index_t i = 0; i < v.rows(); ++i) {
+    for (index_t j = 0; j < v.cols(); ++j) {
+      const int p = pick(rng);
+      double& x = v(i, j);
+      switch (fill) {
+        case Fill::kZeros:
+          if (p < 3) x = 0.0;
+          if (p == 3) x = -0.0;
+          break;
+        case Fill::kSubnormal:
+          if (p < 3) x = x * 1e-310;
+          if (p == 3) x = tiny * static_cast<double>(1 + j);
+          if (p == 4) x = 0.0;
+          break;
+        case Fill::kNonFinite:
+          if (p == 0) x = std::numeric_limits<double>::infinity();
+          if (p == 1) x = -std::numeric_limits<double>::infinity();
+          if (p == 2 && (i + j) % 3 == 0) x = default_nan();
+          if (p == 3) x = 0.0;
+          break;
+        case Fill::kPlain:
+          break;
+      }
+    }
+  }
+}
+
+/// Bitwise equality of two equally-shaped views, row by row. Unlike
+/// Matrix ==, it tells -0.0 from 0.0 and compares NaNs by their bits.
+bool same_bits(ConstMatrixView x, ConstMatrixView y) {
+  if (x.rows() != y.rows() || x.cols() != y.cols()) return false;
+  for (index_t i = 0; i < x.rows(); ++i) {
+    const auto bytes = static_cast<std::size_t>(x.cols()) * sizeof(double);
+    if (std::memcmp(x.row_ptr(i), y.row_ptr(i), bytes) != 0) return false;
+  }
+  return true;
+}
+
+bool same_bits(double x, double y) {
+  return std::bit_cast<std::uint64_t>(x) == std::bit_cast<std::uint64_t>(y);
+}
+
+/// An M x n operand inside a larger buffer: ld > n and a nonzero offset,
+/// like the spike-panel blocks ard.cpp hands to the kernels. The padding
+/// is filled too, so a kernel writing outside its view shows up when the
+/// whole backing matrices are compared.
+struct Strided {
+  Matrix backing;
+  index_t r0, c0, rows, cols;
+  Strided(index_t nr, index_t nc, Fill fill, Rng& rng)
+      : backing(nr + 2, 2 * nc + 3), r0(1), c0(2), rows(nr), cols(nc) {
+    sprinkle(backing.view(), fill, rng);
+  }
+  MatrixView view() { return backing.view().block(r0, c0, rows, cols); }
+  ConstMatrixView view() const { return backing.view().block(r0, c0, rows, cols); }
+};
+
+/// Every width the kernels' column cascade can see for block order m:
+/// 1..2m+1 (all tile remainders, the 2M-wide spike panels) plus 4m.
+std::vector<index_t> sweep_widths(index_t m) {
+  std::vector<index_t> w;
+  for (index_t n = 1; n <= 2 * m + 1; ++n) w.push_back(n);
+  w.push_back(4 * m);
+  return w;
+}
+
+/// The determinism contract: the fixed-M kernel and the generic gemm share
+/// the same per-element operation order, so their results are
+/// bit-identical — on every tile width, strided views and special values;
+/// the naive dot-product order only agrees to rounding.
 TEST(SmallBlock, GemmBitIdenticalToGenericAndNaive) {
   for (index_t m : kDispatched) {
-    for (index_t r : {index_t{1}, index_t{3}, m, index_t{2} * m + 1}) {
-      Rng rng = make_rng(11, static_cast<std::uint64_t>(m * 1000 + r));
-      const Matrix a = random_uniform(m, m, rng);
-      const Matrix b = random_uniform(m, r, rng);
-      const Matrix c0 = random_uniform(m, r, rng);
-      for (const double beta : {0.0, 1.0, -0.25}) {
-        Matrix c_fixed = c0;
-        smallblock::gemm_fixed(m, 1.7, a.view(), b.view(), beta, c_fixed.view());
+    for (index_t n : sweep_widths(m)) {
+      for (Fill fill : kFills) {
+        Rng rng = make_rng(11, static_cast<std::uint64_t>(m * 10000 + n * 10) +
+                                   static_cast<std::uint64_t>(fill));
+        const Strided a(m, m, fill, rng);
+        const Strided b(m, n, fill, rng);
+        const Strided c0(m, n, fill, rng);
+        for (const double alpha : {1.0, -1.0, 1.7}) {
+          for (const double beta : {0.0, 1.0, -0.25}) {
+            const auto where = ::testing::Message()
+                               << "m=" << m << " n=" << n << " fill=" << static_cast<int>(fill)
+                               << " alpha=" << alpha << " beta=" << beta;
+            Strided c_fixed = c0;
+            smallblock::gemm_fixed(m, alpha, a.view(), b.view(), beta, c_fixed.view());
+            Strided c_generic = c0;
+            {
+              DisabledGuard off;
+              gemm(alpha, a.view(), b.view(), beta, c_generic.view());
+            }
+            Strided c_dispatch = c0;
+            gemm(alpha, a.view(), b.view(), beta, c_dispatch.view());
+            ASSERT_TRUE(same_bits(c_fixed.backing.view(), c_generic.backing.view())) << where;
+            ASSERT_TRUE(same_bits(c_fixed.backing.view(), c_dispatch.backing.view())) << where;
 
-        Matrix c_generic = c0;
-        {
-          DisabledGuard off;
-          gemm(1.7, a.view(), b.view(), beta, c_generic.view());
-        }
-        Matrix c_dispatch = c0;
-        gemm(1.7, a.view(), b.view(), beta, c_dispatch.view());
-
-        Matrix c_naive = c0;
-        gemm_naive(1.7, a.view(), b.view(), beta, c_naive.view());
-
-        // Bit-identity holds against the generic kernel (same saxpy
-        // order); the naive dot-product order only agrees to rounding.
-        EXPECT_TRUE(c_fixed == c_generic) << "m=" << m << " r=" << r << " beta=" << beta;
-        EXPECT_TRUE(c_fixed == c_dispatch) << "m=" << m << " r=" << r << " beta=" << beta;
-        double naive_diff = 0.0;
-        for (index_t i = 0; i < m; ++i) {
-          for (index_t j = 0; j < r; ++j) {
-            naive_diff = std::max(naive_diff, std::abs(c_fixed(i, j) - c_naive(i, j)));
+            if (fill != Fill::kPlain) continue;
+            Strided c_naive = c0;
+            gemm_naive(alpha, a.view(), b.view(), beta, c_naive.view());
+            double naive_diff = 0.0;
+            for (index_t i = 0; i < m; ++i) {
+              for (index_t j = 0; j < n; ++j) {
+                naive_diff = std::max(naive_diff,
+                                      std::abs(c_fixed.view()(i, j) - c_naive.view()(i, j)));
+              }
+            }
+            EXPECT_LT(naive_diff, 1e-12 * static_cast<double>(m)) << where;
           }
         }
-        EXPECT_LT(naive_diff, 1e-12 * static_cast<double>(m))
-            << "m=" << m << " r=" << r << " beta=" << beta;
       }
     }
   }
@@ -105,6 +204,68 @@ TEST(SmallBlock, LuFactorAndSolveBitIdentical) {
       lu_solve_inplace(f_generic, x_generic.view());
     }
     EXPECT_TRUE(x_fixed == x_generic) << m;
+  }
+}
+
+/// Both TRSM halves through lu_solve_inplace, on packed factors with the
+/// flavour's values in L and U (exact zeros hit the skip branches) and a
+/// random row permutation.
+TEST(SmallBlock, LuSolveSweepBitIdenticalToGeneric) {
+  for (index_t m : kDispatched) {
+    for (index_t n : sweep_widths(m)) {
+      for (Fill fill : kFills) {
+        Rng rng = make_rng(22, static_cast<std::uint64_t>(m * 10000 + n * 10) +
+                                   static_cast<std::uint64_t>(fill));
+        const Strided lu(m, m, fill, rng);
+        std::vector<index_t> piv(static_cast<std::size_t>(m));
+        for (index_t k = 0; k < m; ++k) {
+          piv[static_cast<std::size_t>(k)] =
+              std::uniform_int_distribution<index_t>(k, m - 1)(rng);
+        }
+        const Strided b(m, n, fill, rng);
+
+        Strided x_fixed = b;
+        lu_solve_inplace(lu.view(), piv, x_fixed.view());
+        Strided x_generic = b;
+        {
+          DisabledGuard off;
+          lu_solve_inplace(lu.view(), piv, x_generic.view());
+        }
+        ASSERT_TRUE(same_bits(x_fixed.backing.view(), x_generic.backing.view()))
+            << "m=" << m << " n=" << n << " fill=" << static_cast<int>(fill);
+      }
+    }
+  }
+}
+
+TEST(SmallBlock, LuFactorSweepBitIdenticalToGeneric) {
+  for (index_t m : kDispatched) {
+    for (Fill fill : kFills) {
+      for (std::uint64_t rep = 0; rep < 8; ++rep) {
+        Rng rng = make_rng(23, static_cast<std::uint64_t>(m * 100) +
+                                   static_cast<std::uint64_t>(fill) * 10 + rep);
+        const Strided a(m, m, fill, rng);
+
+        Strided f_fixed = a;
+        std::vector<index_t> piv_fixed(static_cast<std::size_t>(m));
+        const LuInPlaceInfo d_fixed = lu_factor_inplace(f_fixed.view(), piv_fixed);
+        Strided f_generic = a;
+        std::vector<index_t> piv_generic(static_cast<std::size_t>(m));
+        LuInPlaceInfo d_generic;
+        {
+          DisabledGuard off;
+          d_generic = lu_factor_inplace(f_generic.view(), piv_generic);
+        }
+        const auto where = ::testing::Message()
+                           << "m=" << m << " fill=" << static_cast<int>(fill) << " rep=" << rep;
+        ASSERT_TRUE(same_bits(f_fixed.backing.view(), f_generic.backing.view())) << where;
+        EXPECT_EQ(piv_fixed, piv_generic) << where;
+        EXPECT_EQ(d_fixed.info, d_generic.info) << where;
+        EXPECT_TRUE(same_bits(d_fixed.min_pivot_abs, d_generic.min_pivot_abs)) << where;
+        EXPECT_TRUE(same_bits(d_fixed.max_pivot_abs, d_generic.max_pivot_abs)) << where;
+        EXPECT_TRUE(same_bits(d_fixed.growth, d_generic.growth)) << where;
+      }
+    }
   }
 }
 
