@@ -4,7 +4,8 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <stdexcept>
+
+#include "src/fault/status.hpp"
 
 namespace ardbt::btds {
 namespace {
@@ -15,25 +16,25 @@ constexpr char kMagicTridiag[8] = {'A', 'R', 'D', 'B', 'T', '1', 'T', '\n'};
 void write_exact(std::ofstream& out, const void* data, std::size_t bytes,
                  const std::string& path) {
   out.write(static_cast<const char*>(data), static_cast<std::streamsize>(bytes));
-  if (!out) throw std::runtime_error("io: write failed: " + path);
+  if (!out) throw fault::IoError("write failed", path);
 }
 
 void read_exact(std::ifstream& in, void* data, std::size_t bytes, const std::string& path) {
   in.read(static_cast<char*>(data), static_cast<std::streamsize>(bytes));
   if (in.gcount() != static_cast<std::streamsize>(bytes)) {
-    throw std::runtime_error("io: truncated file: " + path);
+    throw fault::IoError("truncated file", path);
   }
 }
 
 std::ofstream open_out(const std::string& path) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) throw std::runtime_error("io: cannot open for writing: " + path);
+  if (!out) throw fault::IoError("cannot open for writing", path);
   return out;
 }
 
 std::ifstream open_in(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("io: cannot open for reading: " + path);
+  if (!in) throw fault::IoError("cannot open for reading", path);
   return in;
 }
 
@@ -46,7 +47,7 @@ void write_matrix_body(std::ofstream& out, const Matrix& m, const std::string& p
 Matrix read_matrix_body(std::ifstream& in, const std::string& path) {
   std::int64_t dims[2];
   read_exact(in, dims, sizeof(dims), path);
-  if (dims[0] < 0 || dims[1] < 0) throw std::runtime_error("io: corrupt dimensions: " + path);
+  if (dims[0] < 0 || dims[1] < 0) throw fault::IoError("corrupt dimensions", path);
   Matrix m(dims[0], dims[1]);
   read_exact(in, m.data().data(), static_cast<std::size_t>(m.size()) * sizeof(double), path);
   return m;
@@ -56,7 +57,7 @@ void check_magic(std::ifstream& in, const char (&magic)[8], const std::string& p
   char got[8];
   read_exact(in, got, sizeof(got), path);
   if (std::memcmp(got, magic, sizeof(got)) != 0) {
-    throw std::runtime_error("io: bad magic (wrong format?): " + path);
+    throw fault::IoError("bad magic (wrong format?)", path);
   }
 }
 
@@ -91,7 +92,7 @@ BlockTridiag load_block_tridiag(const std::string& path) {
   check_magic(in, kMagicTridiag, path);
   std::int64_t shape[2];
   read_exact(in, shape, sizeof(shape), path);
-  if (shape[0] < 1 || shape[1] < 1) throw std::runtime_error("io: corrupt shape: " + path);
+  if (shape[0] < 1 || shape[1] < 1) throw fault::IoError("corrupt shape", path);
   BlockTridiag t(shape[0], shape[1]);
   for (index_t i = 0; i < t.num_blocks(); ++i) {
     if (i > 0) t.lower(i) = read_matrix_body(in, path);
@@ -103,13 +104,13 @@ BlockTridiag load_block_tridiag(const std::string& path) {
 
 void save_matrix_csv(const std::string& path, const Matrix& m) {
   std::FILE* out = std::fopen(path.c_str(), "w");
-  if (out == nullptr) throw std::runtime_error("io: cannot open for writing: " + path);
+  if (out == nullptr) throw fault::IoError("cannot open for writing", path);
   for (index_t i = 0; i < m.rows(); ++i) {
     for (index_t j = 0; j < m.cols(); ++j) {
       std::fprintf(out, j + 1 < m.cols() ? "%.17g," : "%.17g\n", m(i, j));
     }
   }
-  if (std::fclose(out) != 0) throw std::runtime_error("io: close failed: " + path);
+  if (std::fclose(out) != 0) throw fault::IoError("close failed", path);
 }
 
 }  // namespace ardbt::btds

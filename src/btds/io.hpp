@@ -12,8 +12,9 @@
 ///   solver outputs, regression baselines;
 /// * CSV export of matrices for plotting.
 ///
-/// All loaders throw std::runtime_error with a descriptive message on a
-/// missing file, bad magic, or truncation.
+/// Every loader and writer throws fault::IoError (code kIo, naming the
+/// file) on a file it cannot open, read or write, on bad magic, or on
+/// truncation.
 
 namespace ardbt::btds {
 

@@ -18,14 +18,6 @@ using btds::BlockTridiag;
 using btds::ThomasFactorization;
 using la::Matrix;
 
-/// Copy this rank's block rows out of a global (N*M) x R matrix.
-Matrix extract_local(const Matrix& global, la::index_t lo, la::index_t nloc, la::index_t m,
-                     la::Workspace* ws) {
-  Matrix local = la::ws_acquire(ws, nloc * m, global.cols());
-  la::copy(global.block(lo * m, 0, nloc * m, global.cols()), local.view());
-  return local;
-}
-
 /// Copy rows [lo, lo + nloc) of `sys` into a standalone segment system.
 template <typename SysView>
 BlockTridiag copy_segment(const SysView& sys, la::index_t lo, la::index_t nloc, la::index_t m) {
@@ -313,15 +305,16 @@ fault::PivotDiagnostics ArdFactorization::diagnostics() const {
 }
 
 void ArdFactorization::solve(mpsim::Comm& comm, const la::Matrix& b, la::Matrix& x) const {
-  const la::index_t m = m_;
-  const la::index_t nloc = hi_ - lo_;
-  const la::index_t r = b.cols();
-  assert(b.rows() == n_ * m_ && x.rows() == b.rows() && x.cols() == r);
-  Matrix b_local = extract_local(b, lo_, nloc, m, ws_);
-  Matrix xloc = solve_local(comm, b_local);
-  la::copy(xloc.view(), x.block(lo_ * m, 0, nloc * m, r));
-  la::ws_release(ws_, std::move(b_local));
-  la::ws_release(ws_, std::move(xloc));
+  assert(b.rows() == n_ * m_ && x.rows() == b.rows() && x.cols() == b.cols());
+  const la::MatrixView x_local = x.block(lo_ * m_, 0, (hi_ - lo_) * m_, b.cols());
+  la::copy(b.block(lo_ * m_, 0, (hi_ - lo_) * m_, b.cols()), x_local);
+  solve_inplace(comm, x_local);
+}
+
+la::Matrix ArdFactorization::solve_local(mpsim::Comm& comm, const la::Matrix& b_local) const {
+  Matrix x = b_local;
+  solve_inplace(comm, x.view());
+  return x;
 }
 
 void ArdFactorization::apply_spikes(const Lane& ln, la::ConstMatrixView gh, la::MatrixView x,
@@ -362,12 +355,12 @@ void ArdFactorization::apply_spikes(const Lane& ln, la::ConstMatrixView gh, la::
       "ard.spike.update");
 }
 
-la::Matrix ArdFactorization::solve_local(mpsim::Comm& comm, const la::Matrix& b_local) const {
+void ArdFactorization::solve_inplace(mpsim::Comm& comm, la::MatrixView x_local) const {
   ARDBT_TRACE_SPAN(comm, obs::SpanKind::kPhase, "ard.solve");
   const la::index_t m = m_;
   const la::index_t nloc = hi_ - lo_;
-  const la::index_t r = b_local.cols();
-  assert(b_local.rows() == nloc * m);
+  const la::index_t r = x_local.cols();
+  assert(x_local.rows() == nloc * m);
   const TwoPortOp::Context ctx{m, ws_};
   const int L = static_cast<int>(lanes_.size());
   const auto lane_rows = [&](la::MatrixView v, const Lane& ln) {
@@ -378,15 +371,13 @@ la::Matrix ArdFactorization::solve_local(mpsim::Comm& comm, const la::Matrix& b_
   const bool reduce = comm.size() > 1 || L > 1;
 
   // RHS panels of chunk_cols columns (0 or >= R: one panel). Each panel
-  // works inside its own columns of the result: b is copied in, the lanes
-  // solve it in place, and the spike corrections are applied there.
-  Matrix xloc = la::ws_acquire(ws_, nloc * m, r);
+  // is a column view of x_local, which holds b on entry: the lanes solve
+  // it in place and the spike corrections are applied there.
   const la::index_t chunk = (opts_.pipeline.chunk_cols > 0 && opts_.pipeline.chunk_cols < r)
                                 ? opts_.pipeline.chunk_cols
                                 : r;
   struct Panel {
-    la::index_t col0 = 0;
-    la::MatrixView x;  ///< this panel's columns of xloc
+    la::MatrixView x;  ///< this panel's columns of x_local
     typename CachedScan<TwoPortOp>::Replay fwd;
     typename CachedScan<TwoPortOpReversed>::Replay bwd;
     std::vector<TwoPortVec> lpv;  ///< [i]: local prefix of lanes [0, i), i >= 1
@@ -395,8 +386,7 @@ la::Matrix ArdFactorization::solve_local(mpsim::Comm& comm, const la::Matrix& b_
   std::vector<Panel> panels;
   for (la::index_t c0 = 0; c0 < r; c0 += chunk) {
     Panel p;
-    p.col0 = c0;
-    p.x = xloc.block(0, c0, nloc * m, std::min(chunk, r - c0));
+    p.x = x_local.block(0, c0, nloc * m, std::min(chunk, r - c0));
     panels.push_back(std::move(p));
   }
 
@@ -433,13 +423,11 @@ la::Matrix ArdFactorization::solve_local(mpsim::Comm& comm, const la::Matrix& b_
     return v;
   };
 
-  /// A-step: copy the panel's columns of b in, solve every lane in place,
-  /// run the rank-local reduction, and put both scans' round-0 sends on
-  /// the wire. No receives — so a rank runs this for panel k+1 while panel
-  /// k's replies are still in flight.
+  /// A-step: solve every lane in place, run the rank-local reduction, and
+  /// put both scans' round-0 sends on the wire. No receives — so a rank
+  /// runs this for panel k+1 while panel k's replies are still in flight.
   const auto start_panel = [&](Panel& p) {
     const la::index_t cols = p.x.cols();
-    la::copy(b_local.block(0, p.col0, nloc * m, cols), p.x);
     for_each_lane(comm, "ard.lane.solve", [&](int li, par::Pool* lane_pool) {
       at(lanes_, li).thomas.solve_inplace(lane_rows(p.x, at(lanes_, li)), lane_pool);
     });
@@ -548,7 +536,6 @@ la::Matrix ArdFactorization::solve_local(mpsim::Comm& comm, const la::Matrix& b_
     run_interleaved(comm, panels[k].fwd, panels[k].bwd);
     finish_panel(panels[k]);
   }
-  return xloc;
 }
 
 std::size_t ArdFactorization::storage_bytes() const {

@@ -137,14 +137,21 @@ class ArdFactorization {
                                  const btds::RowPartition& part, const ArdOptions& opts = {},
                                  la::Workspace* ws = nullptr);
 
-  /// Collective. Solve for all columns of `b` (phase 2); writes this
-  /// rank's block rows of `x`. `b` and `x` are global (N*M) x R matrices;
-  /// `x` must be preallocated with the shape of `b`.
+  /// Collective. The solve (phase 2), in place: `x_local` is this rank's
+  /// (nloc*M) x R rows, holding b on entry and the solution on exit. It
+  /// may be a strided view (a row range of a global matrix); its column
+  /// panels are solved and corrected where they lie, with no staging copy.
+  void solve_inplace(mpsim::Comm& comm, la::MatrixView x_local) const;
+
+  /// Collective. Solve for all columns of `b`: copies this rank's block
+  /// rows of `b` into the same rows of `x`, then solve_inplace on them.
+  /// `b` and `x` are global (N*M) x R matrices; `x` must be preallocated
+  /// with the shape of `b`, and its other ranks' rows are not touched.
   void solve(mpsim::Comm& comm, const la::Matrix& b, la::Matrix& x) const;
 
   /// Collective. Local-slice variant: `b_local` holds only this rank's
-  /// (nloc*M) x R rows (e.g. from btds::scatter_rows); the matching slice
-  /// of the solution is returned.
+  /// (nloc*M) x R rows (e.g. from btds::scatter_rows); a solved copy is
+  /// returned.
   la::Matrix solve_local(mpsim::Comm& comm, const la::Matrix& b_local) const;
 
   /// Collective. Cheap refactorization after the matrix changed on *some*

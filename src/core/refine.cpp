@@ -70,24 +70,21 @@ RefineResult solve_refined(mpsim::Comm& comm, const ArdFactorization& f,
   f.solve(comm, b, x);
   mpsim::barrier(comm);  // every rank's rows of x are ready for the apply
 
-  // Rank-local full-shape buffers: only this rank's rows are ever touched,
-  // which is all ArdFactorization::solve reads/writes.
-  Matrix residual_full(b.rows(), r);
-  Matrix correction_full(b.rows(), r);
+  // This rank's rows only: T x, and the residual, which solve_inplace
+  // turns into the correction where it lies.
   Matrix tx_local(nloc * m, r);
+  Matrix res_local(nloc * m, r);
 
   for (int step = 0; step <= max_steps; ++step) {
     apply_local(sys, x, lo, hi, tx_local, comm);
-    la::MatrixView res_local = residual_full.block(lo * m, 0, nloc * m, r);
-    la::copy(b.block(lo * m, 0, nloc * m, r), res_local);
-    la::matrix_axpy(-1.0, tx_local.view(), res_local);
-    const double res_norm = global_norm(comm, sumsq(res_local));
+    la::copy(b.block(lo * m, 0, nloc * m, r), res_local.view());
+    la::matrix_axpy(-1.0, tx_local.view(), res_local.view());
+    const double res_norm = global_norm(comm, sumsq(res_local.view()));
     result.residual_norms.push_back(res_norm);
     if (step == max_steps || res_norm <= tol * b_norm) break;
 
-    f.solve(comm, residual_full, correction_full);
-    la::matrix_axpy(1.0, correction_full.block(lo * m, 0, nloc * m, r),
-                    x.block(lo * m, 0, nloc * m, r));
+    f.solve_inplace(comm, res_local.view());
+    la::matrix_axpy(1.0, res_local.view(), x.block(lo * m, 0, nloc * m, r));
     mpsim::barrier(comm);  // updated x visible before the next apply
     ++result.steps;
   }
@@ -101,7 +98,8 @@ RefineResult solve_refined_local(mpsim::Comm& comm, const ArdFactorization& f,
   RefineResult result;
   const double b_norm = global_norm(comm, sumsq(b_local.view()));
 
-  x_local = f.solve_local(comm, b_local);
+  x_local = b_local;
+  f.solve_inplace(comm, x_local.view());
 
   for (int step = 0; step <= max_steps; ++step) {
     Matrix residual = btds::apply_distributed(comm, sys, x_local, part);
@@ -111,8 +109,8 @@ RefineResult solve_refined_local(mpsim::Comm& comm, const ArdFactorization& f,
     result.residual_norms.push_back(res_norm);
     if (step == max_steps || res_norm <= tol * b_norm) break;
 
-    const Matrix correction = f.solve_local(comm, residual);
-    la::matrix_axpy(1.0, correction.view(), x_local.view());
+    f.solve_inplace(comm, residual.view());  // the residual becomes the correction
+    la::matrix_axpy(1.0, residual.view(), x_local.view());
     ++result.steps;
   }
   return result;

@@ -300,16 +300,15 @@ void Session::ensure_fallback() {
   if (fallback_->storage_bytes() > storage_bytes_) storage_bytes_ = fallback_->storage_bytes();
 }
 
-la::Matrix Session::fallback_solve(const la::Matrix& b) {
+void Session::fallback_solve(const la::Matrix& b, la::Matrix& x) {
   assert(fallback_ != nullptr);
-  la::Matrix x(b.rows(), b.cols());
   double vtime = 0.0;
   run_engine("driver.fallback_solve", [&](mpsim::Comm& comm) {
     mpsim::barrier(comm);
     const double t0 = comm.vtime();
     auto span = comm.trace_scope(obs::SpanKind::kPhase, "driver.fallback_solve");
     if (comm.rank() == 0) {
-      x = fallback_->solve(b);
+      la::copy(fallback_->solve(b).view(), x.view());
       comm.charge_flops(btds::BandedLuFactorization::solve_flops(sys_->num_blocks(),
                                                                  sys_->block_size(), b.cols()));
     }
@@ -318,7 +317,6 @@ la::Matrix Session::fallback_solve(const la::Matrix& b) {
     if (comm.rank() == 0) vtime = comm.vtime() - t0;
   });
   last_phase_vtime_ = vtime;
-  return x;
 }
 
 void Session::factor() {
@@ -473,9 +471,23 @@ void Session::export_latency_metrics(obs::MetricsRegistry& reg) const {
 }
 
 la::Matrix Session::solve(const la::Matrix& b) {
+  la::Matrix x = la::Matrix::uninitialized(b.rows(), b.cols());
+  solve(b, x);
+  return x;
+}
+
+void Session::solve(const la::Matrix& b, la::Matrix& x) {
   if (b.rows() != sys_->num_blocks() * sys_->block_size()) {
     throw fault::ShapeMismatchError("core::Session::solve", "b.rows() == num_blocks*block_size",
                                     b.rows(), sys_->num_blocks() * sys_->block_size());
+  }
+  if (x.rows() != b.rows()) {
+    throw fault::ShapeMismatchError("core::Session::solve", "x.rows() == b.rows()", x.rows(),
+                                    b.rows());
+  }
+  if (x.cols() != b.cols()) {
+    throw fault::ShapeMismatchError("core::Session::solve", "x.cols() == b.cols()", x.cols(),
+                                    b.cols());
   }
   factor();
   const fault::BreakdownPolicy policy = engine_.on_breakdown;
@@ -488,7 +500,7 @@ la::Matrix Session::solve(const la::Matrix& b) {
     degraded_ = true;
   }
   if (degraded_) {
-    la::Matrix x = fallback_solve(b);
+    fallback_solve(b, x);
     solve_vtimes_.push_back(last_phase_vtime_);
     SolveOutcome outcome{.phase = "solve",
                          .action = "fallback",
@@ -497,7 +509,7 @@ la::Matrix Session::solve(const la::Matrix& b) {
                          .pivot_growth = pivot_growth_};
     log_outcome(outcome);
     outcomes_.push_back(std::move(outcome));
-    return x;
+    return;
   }
 
   // Ladder rung 2: a breakdown-flagged ARD factorization is kept, but
@@ -505,7 +517,6 @@ la::Matrix Session::solve(const la::Matrix& b) {
   // plus one cheap ARD solve) to recover the lost accuracy.
   const bool refine_path =
       breakdown_ && method_ == Method::kArd && policy != fault::BreakdownPolicy::kFailFast;
-  la::Matrix x(b.rows(), b.cols());
   int refine_steps = 0;
   double vtime = 0.0;
   run_engine("driver.solve", [&](mpsim::Comm& comm) {
@@ -557,7 +568,7 @@ la::Matrix Session::solve(const la::Matrix& b) {
       dump_postmortem("driver.solve", fault::ErrorCode::kBreakdown, message);
       ensure_fallback();
       degraded_ = true;
-      x = fallback_solve(b);
+      fallback_solve(b, x);
       vtime += last_phase_vtime_;
       outcome.action = "fallback";
       outcome.retries += last_retries_;
@@ -567,7 +578,6 @@ la::Matrix Session::solve(const la::Matrix& b) {
   solve_vtimes_.push_back(vtime);
   log_outcome(outcome);
   outcomes_.push_back(std::move(outcome));
-  return x;
 }
 
 DriverResult solve(Method method, const btds::BlockTridiag& sys, const la::Matrix& b, int nranks,

@@ -129,8 +129,16 @@ class Session {
   /// full pass, which is exactly the cost the accelerated methods avoid).
   void factor();
 
-  /// Solve T X = B for all columns of `b`; auto-factors on first use.
-  /// Appends the batch's modeled seconds to solve_vtimes().
+  /// Solve T X = B for all columns of `b` into the caller's `x`, which
+  /// must have the shape of `b` and must not alias it (its prior contents
+  /// are ignored: every element is overwritten); auto-factors on first
+  /// use. Appends the
+  /// batch's modeled seconds to solve_vtimes(). Throws
+  /// fault::ShapeMismatchError on a wrongly shaped `b` or `x` before any
+  /// rank runs.
+  void solve(const la::Matrix& b, la::Matrix& x);
+
+  /// The same, returning a freshly allocated solution.
   la::Matrix solve(const la::Matrix& b);
 
   bool factored() const { return factored_; }
@@ -212,8 +220,9 @@ class Session {
   /// Factor the banded-LU fallback (rank 0, inside an engine run) if not
   /// already cached.
   void ensure_fallback();
-  /// Solve with the cached fallback factorization (rank 0, engine run).
-  la::Matrix fallback_solve(const la::Matrix& b);
+  /// Solve into `x` with the cached fallback factorization (rank 0,
+  /// engine run).
+  void fallback_solve(const la::Matrix& b, la::Matrix& x);
 
   Method method_;
   /// Always set. Owning when constructed from a shared_ptr; a non-owning

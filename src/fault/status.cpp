@@ -59,6 +59,8 @@ std::string_view to_string(ErrorCode code) {
       return "overload";
     case ErrorCode::kCircuitOpen:
       return "circuit-open";
+    case ErrorCode::kIo:
+      return "io";
   }
   return "unknown";
 }
@@ -92,7 +94,8 @@ bool is_transient(ErrorCode code) {
       return true;
     // Numerical failures are deterministic; argument/shape errors are
     // caller bugs; service-boundary decisions (infeasible/expired
-    // deadline, shed, open breaker) are terminal for the request.
+    // deadline, shed, open breaker) are terminal for the request; a
+    // missing or malformed file stays so on a re-run.
     case ErrorCode::kOk:
     case ErrorCode::kSingularPivot:
     case ErrorCode::kNonSpdPivot:
@@ -106,6 +109,7 @@ bool is_transient(ErrorCode code) {
     case ErrorCode::kDeadlineExceeded:
     case ErrorCode::kOverload:
     case ErrorCode::kCircuitOpen:
+    case ErrorCode::kIo:
       return false;
   }
   return false;

@@ -46,6 +46,7 @@ enum class ErrorCode : std::uint8_t {
   kDeadlineExceeded,    ///< executor: the deadline passed while the request was queued
   kOverload,            ///< admission: shed by the overload controller
   kCircuitOpen,         ///< admission: the tenant's circuit breaker is open
+  kIo,                  ///< a file could not be opened, read or written, or is malformed
 };
 
 /// Stable lowercase name ("ok", "singular-pivot", ...).
@@ -163,6 +164,19 @@ class InvalidArgumentError : public SolveError {
   /// precondition ("nranks must be positive").
   InvalidArgumentError(const char* where, const std::string& detail)
       : SolveError(ErrorCode::kInvalidArgument, std::string(where) + ": " + detail) {}
+};
+
+/// A file could not be opened, read or written, or its contents are not
+/// in the expected format (btds/io.hpp). `path` names the file.
+class IoError : public SolveError {
+ public:
+  IoError(const std::string& what, const std::string& path)
+      : SolveError(ErrorCode::kIo, what + ": " + path), path_(path) {}
+
+  const std::string& path() const { return path_; }
+
+ private:
+  std::string path_;
 };
 
 /// Two concurrently in-flight scans (or any two registered users) claimed

@@ -2,7 +2,11 @@
 
 #include <cassert>
 #include <initializer_list>
+#include <memory>
+#include <new>
 #include <span>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "src/la/types.hpp"
@@ -16,10 +20,33 @@
 
 namespace ardbt::la {
 
+/// std::allocator whose value-less construct() default-initializes, so a
+/// vector grown by resize(n) leaves trivial elements unwritten. Every
+/// other construct (fill, copy) is the plain placement new.
+template <typename T>
+struct DefaultInitAllocator : std::allocator<T> {
+  DefaultInitAllocator() = default;
+  template <typename U>
+  DefaultInitAllocator(const DefaultInitAllocator<U>&) noexcept {}
+
+  template <typename U>
+  void construct(U* p) noexcept(std::is_nothrow_default_constructible_v<U>) {
+    ::new (static_cast<void*>(p)) U;
+  }
+  template <typename U, typename... Args>
+  void construct(U* p, Args&&... args) {
+    ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+  }
+};
+
+/// Element storage of a Matrix, also the unit Workspace pools.
+using Storage = std::vector<double, DefaultInitAllocator<double>>;
+
 /// Dense row-major `rows x cols` matrix owning its storage.
 ///
 /// Value-semantic (copyable, movable). Elements are zero-initialized on
-/// construction so freshly created matrices are valid additively.
+/// construction so freshly created matrices are valid additively; the one
+/// exception is the named constructor uninitialized().
 class Matrix {
  public:
   Matrix() = default;
@@ -33,7 +60,7 @@ class Matrix {
   /// Zero-initialized `rows x cols` matrix recycling `storage`'s
   /// allocation (Workspace pooling): assign() keeps the vector's capacity,
   /// so no heap traffic when it already fits rows*cols.
-  Matrix(index_t rows, index_t cols, std::vector<double>&& storage)
+  Matrix(index_t rows, index_t cols, Storage&& storage)
       : rows_(rows), cols_(cols), data_(std::move(storage)) {
     assert(rows >= 0 && cols >= 0);
     data_.assign(static_cast<std::size_t>(rows * cols), 0.0);
@@ -49,6 +76,18 @@ class Matrix {
       assert(static_cast<index_t>(r.size()) == cols_);
       data_.insert(data_.end(), r.begin(), r.end());
     }
+  }
+
+  /// `rows x cols` matrix whose elements are left unwritten, for an
+  /// output every element of which the caller overwrites before reading
+  /// (Session::solve's result). Skips the zero-fill pass over memory.
+  static Matrix uninitialized(index_t rows, index_t cols) {
+    assert(rows >= 0 && cols >= 0);
+    Matrix m;
+    m.rows_ = rows;
+    m.cols_ = cols;
+    m.data_.resize(static_cast<std::size_t>(rows * cols));
+    return m;
   }
 
   /// n x n identity matrix.
@@ -113,7 +152,7 @@ class Matrix {
 
   /// Steal the underlying allocation (leaves the matrix empty). Used by
   /// Workspace to return a released matrix's storage to its pool.
-  std::vector<double> take_storage() && {
+  Storage take_storage() && {
     rows_ = 0;
     cols_ = 0;
     return std::move(data_);
@@ -126,7 +165,7 @@ class Matrix {
  private:
   index_t rows_ = 0;
   index_t cols_ = 0;
-  std::vector<double> data_;
+  Storage data_;
 };
 
 /// Deep copy of a view into a fresh owning Matrix.

@@ -15,7 +15,7 @@ Matrix Workspace::acquire(index_t rows, index_t cols) {
     stats_.high_water_bytes = std::max(stats_.high_water_bytes, pooled_bytes_ + loaned_bytes_);
     return Matrix(rows, cols);
   }
-  std::vector<double> storage = std::move(it->second);
+  Storage storage = std::move(it->second);
   const std::uint64_t cap_bytes = it->first * sizeof(double);
   pool_.erase(it);
   pooled_bytes_ -= cap_bytes;
@@ -26,7 +26,7 @@ Matrix Workspace::acquire(index_t rows, index_t cols) {
 
 void Workspace::release(Matrix&& m) {
   ++stats_.releases;
-  std::vector<double> storage = std::move(m).take_storage();
+  Storage storage = std::move(m).take_storage();
   const std::size_t cap = storage.capacity();
   if (cap == 0) return;
   const std::uint64_t cap_bytes = cap * sizeof(double);

@@ -3,7 +3,6 @@
 #include <cstdint>
 #include <map>
 #include <utility>
-#include <vector>
 
 #include "src/la/matrix.hpp"
 
@@ -59,7 +58,7 @@ class Workspace {
   void trim();
 
  private:
-  std::multimap<std::size_t, std::vector<double>> pool_;  // capacity -> storage
+  std::multimap<std::size_t, Storage> pool_;  // capacity -> storage
   Stats stats_;
   std::uint64_t pooled_bytes_ = 0;  ///< bytes of capacity in pool_
   std::uint64_t loaned_bytes_ = 0;  ///< estimated bytes currently on loan

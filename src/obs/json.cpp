@@ -4,7 +4,8 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <stdexcept>
+
+#include "src/fault/status.hpp"
 
 namespace ardbt::obs {
 
@@ -140,12 +141,12 @@ std::string Json::dump(int indent) const {
 
 void write_json_file(const std::string& path, const Json& value, int indent) {
   std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) throw std::runtime_error("obs: cannot open '" + path + "' for writing");
+  if (f == nullptr) throw fault::IoError("cannot open for writing", path);
   const std::string text = value.dump(indent);
   const std::size_t written = std::fwrite(text.data(), 1, text.size(), f);
   const bool ok = written == text.size() && std::fputc('\n', f) != EOF;
   if (std::fclose(f) != 0 || !ok) {
-    throw std::runtime_error("obs: short write to '" + path + "'");
+    throw fault::IoError("short write", path);
   }
 }
 

@@ -76,8 +76,8 @@ class Json {
   std::vector<std::pair<std::string, Json>> items_;
 };
 
-/// Write `value.dump(indent)` to `path`, throwing std::runtime_error on
-/// I/O failure.
+/// Write `value.dump(indent)` to `path`, throwing fault::IoError on I/O
+/// failure.
 void write_json_file(const std::string& path, const Json& value, int indent = 1);
 
 }  // namespace ardbt::obs

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <random>
 #include <sstream>
 #include <string>
@@ -184,6 +185,8 @@ double residual_bound(SweepKind kind, double banded) {
 
 struct SweepRun {
   std::vector<Matrix> x;  ///< solve 1, solve 2, solve after update
+  Matrix via_local;       ///< solve 1 again, through solve_local
+  Matrix via_inplace;     ///< solve 1 again, through solve_inplace
 };
 
 SweepRun run_sweep_case(const SweepCase& c, const BlockTridiag& sys, const BlockTridiag& sys2,
@@ -200,6 +203,8 @@ SweepRun run_sweep_case(const SweepCase& c, const BlockTridiag& sys, const Block
   const btds::RowPartition part(c.n, c.p);
   SweepRun out;
   for (int k = 0; k < 3; ++k) out.x.emplace_back(b1.rows(), b1.cols());
+  out.via_local = Matrix(b1.rows(), b1.cols());
+  out.via_inplace = Matrix(b1.rows(), b1.cols());
   mpsim::run(
       c.p,
       [&](mpsim::Comm& comm) {
@@ -215,6 +220,14 @@ SweepRun run_sweep_case(const SweepCase& c, const BlockTridiag& sys, const Block
         }
         f.solve(comm, b1, out.x[0]);
         f.solve(comm, b2, out.x[1]);
+        const index_t row0 = part.begin(comm.rank()) * c.m;
+        const index_t rows = part.count(comm.rank()) * c.m;
+        const la::ConstMatrixView b_rows = b1.block(row0, 0, rows, b1.cols());
+        la::copy(f.solve_local(comm, la::to_matrix(b_rows)).view(),
+                 out.via_local.block(row0, 0, rows, b1.cols()));
+        const la::MatrixView x_rows = out.via_inplace.block(row0, 0, rows, b1.cols());
+        la::copy(b_rows, x_rows);
+        f.solve_inplace(comm, x_rows);
         if (c.local) {
           f.update(comm, loc2, changed);
         } else {
@@ -264,24 +277,34 @@ std::string check_sweep_case(const SweepCase& c) {
       return os.str();
     }
   }
+  // solve, solve_local and solve_inplace agree bit for bit, and every
+  // (chunk, threads) setting reproduces the default's bits.
+  const auto same_bits = [](const Matrix& a, const Matrix& b) {
+    return std::memcmp(a.data().data(), b.data().data(), a.data().size_bytes()) == 0;
+  };
+  const auto compare = [&](const SweepRun& run, const std::string& setting) -> std::string {
+    if (!same_bits(run.via_local, base.x[0])) return "solve_local differs from solve at " + setting;
+    if (!same_bits(run.via_inplace, base.x[0])) {
+      return "solve_inplace differs from solve at " + setting;
+    }
+    for (std::size_t k = 0; k < 3; ++k) {
+      if (!same_bits(run.x[k], base.x[k])) {
+        return "solve " + std::to_string(k) + " not bit-identical at " + setting;
+      }
+    }
+    return {};
+  };
+  if (std::string err = compare(base, "chunk=0 threads=1"); !err.empty()) return err;
   for (const auto& [chunk, threads] : {std::pair<index_t, int>{5, 1}, {0, 3}, {5, 3}}) {
+    const std::string setting =
+        "chunk=" + std::to_string(chunk) + " threads=" + std::to_string(threads);
     SweepRun other;
     try {
       other = run_sweep_case(c, sys, sys2, b1, b2, changed_rank, chunk, threads);
     } catch (const std::exception& e) {
-      return "chunk=" + std::to_string(chunk) + " threads=" + std::to_string(threads) +
-             " threw: " + e.what();
+      return setting + " threw: " + e.what();
     }
-    for (std::size_t k = 0; k < 3; ++k) {
-      for (index_t i = 0; i < b1.rows(); ++i) {
-        for (index_t j = 0; j < r; ++j) {
-          if (other.x[k](i, j) != base.x[k](i, j)) {
-            return "solve " + std::to_string(k) + " not bit-identical at chunk=" +
-                   std::to_string(chunk) + " threads=" + std::to_string(threads);
-          }
-        }
-      }
-    }
+    if (std::string err = compare(other, setting); !err.empty()) return err;
   }
   return {};
 }

@@ -4,8 +4,10 @@
 
 #include <cstdio>
 #include <fstream>
+#include <string>
 
 #include "src/btds/generators.hpp"
+#include "src/fault/status.hpp"
 #include "src/la/random.hpp"
 
 namespace ardbt::btds {
@@ -66,6 +68,24 @@ TEST(Io, SingleBlockRowSystem) {
 TEST(Io, MissingFileThrows) {
   EXPECT_THROW(load_matrix("/nonexistent/nowhere.ardbt"), std::runtime_error);
   EXPECT_THROW(load_block_tridiag("/nonexistent/nowhere.ardbt"), std::runtime_error);
+}
+
+TEST(Io, FileErrorsAreTypedAndNameThePath) {
+  const std::string path = "/nonexistent/nowhere.ardbt";
+  for (const auto& io : {+[](const std::string& p) { (void)load_matrix(p); },
+                           +[](const std::string& p) { (void)load_block_tridiag(p); },
+                           +[](const std::string& p) { save_matrix(p, Matrix(1, 1)); },
+                           +[](const std::string& p) { save_matrix_csv(p, Matrix(1, 1)); }}) {
+    try {
+      io(path);
+      FAIL() << "an unopenable path must throw";
+    } catch (const fault::IoError& e) {
+      EXPECT_EQ(e.code(), fault::ErrorCode::kIo);
+      EXPECT_EQ(e.path(), path);
+      EXPECT_NE(std::string(e.what()).find(path), std::string::npos) << e.what();
+      EXPECT_FALSE(fault::is_transient(e.code()));
+    }
+  }
 }
 
 TEST(Io, BadMagicThrows) {

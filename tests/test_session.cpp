@@ -3,10 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
+#include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/btds/generators.hpp"
+#include "src/btds/partition.hpp"
 #include "src/btds/spmv.hpp"
 #include "src/obs/metrics.hpp"
 
@@ -198,6 +202,115 @@ TEST(Session, ArdSolveIsArenaSteadyStateAfterFirstSolve) {
   obs::MetricsRegistry reg2;
   session.export_arena_metrics(reg2);
   EXPECT_EQ(reg2.gauge("arena.solve.slab_allocs").value(), solve_allocs);
+
+  // The solve runs in place in the caller's rows: its arena scratch is a
+  // set of M x R boundary vectors whose count does not grow with the rows
+  // a rank owns, never a staging copy of the rank's nloc*M x R panel. At
+  // 64 rows per rank one panel is well above that scratch, while staging
+  // copies of b and of the solution would add two panels.
+  const la::index_t n_big = 256;
+  const auto sys_big = make_problem(ProblemKind::kPoisson2D, n_big, 4);
+  const auto b_big = make_rhs(n_big, 4, 5, 3);
+  Session big(Method::kArd, sys_big, nranks, {.engine = charged()});
+  big.factor();
+  big.solve(b_big);
+  const btds::RowPartition part(n_big, nranks);
+  for (int r = 0; r < nranks; ++r) {
+    const std::uint64_t panel_bytes =
+        static_cast<std::uint64_t>(part.count(r) * 4 * b_big.cols()) * sizeof(double);
+    EXPECT_LT(big.arena_stats(r).high_water_bytes -
+                  big.arena_stats_after_factor(r).high_water_bytes,
+              panel_bytes)
+        << "rank " << r;
+  }
+}
+
+/// FNV-1a over the bit patterns of x's elements.
+std::uint64_t bits_hash(const la::Matrix& x) {
+  std::uint64_t h = 14695981039346656037ull;
+  for (const double v : x.data()) {
+    std::uint64_t u = 0;
+    std::memcpy(&u, &v, sizeof(u));
+    for (int k = 0; k < 8; ++k) {
+      h ^= (u >> (8 * k)) & 0xffu;
+      h *= 1099511628211ull;
+    }
+  }
+  return h;
+}
+
+bool same_bits(const la::Matrix& a, const la::Matrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.data().data(), b.data().data(), a.data().size_bytes()) == 0;
+}
+
+TEST(Session, CallerOwnedOutputOverwritesEveryElement) {
+  // solve(b, x) writes the caller's matrix and the returning solve(b)
+  // allocates its result uninitialized, so every path must write every
+  // element: x pre-filled with NaN must come back bit-identical to
+  // solve(b), and to the solution these shapes had when every solve
+  // returned a zero-filled matrix (the pinned hashes).
+  struct Case {
+    Method method;
+    fault::BreakdownPolicy policy;
+    double plant_eps;  ///< planted pivot magnitude at block row 0; < 0 = none
+    const char* action;
+    std::uint64_t pinned;
+  };
+  const Case cases[] = {
+      {Method::kRdBatched, fault::BreakdownPolicy::kFailFast, -1.0, "ok", 0x4012d0eddef59a54ull},
+      {Method::kRdPerRhs, fault::BreakdownPolicy::kFailFast, -1.0, "ok", 0x4012d0eddef59a54ull},
+      {Method::kArd, fault::BreakdownPolicy::kFailFast, -1.0, "ok", 0x4012d0eddef59a54ull},
+      {Method::kTransferRd, fault::BreakdownPolicy::kFailFast, -1.0, "ok", 0x8391a94e479d8cdcull},
+      {Method::kPcr, fault::BreakdownPolicy::kFailFast, -1.0, "ok", 0x91ca14deeea29b44ull},
+      {Method::kArd, fault::BreakdownPolicy::kRefine, 1e-13, "refine", 0x5dd8da5ae60145a5ull},
+      {Method::kArd, fault::BreakdownPolicy::kFallback, 0.0, "fallback", 0x3619d352c3b8bbd0ull},
+  };
+  const la::Matrix b = make_rhs(24, 3, 5, 8);
+  for (const Case& c : cases) {
+    SCOPED_TRACE(std::string(to_string(c.method)) + " " + c.action);
+    auto sys = make_problem(ProblemKind::kDiagDominant, 24, 3, 7);
+    if (c.plant_eps >= 0.0) btds::plant_singular_pivot(sys, 0, c.plant_eps);
+    mpsim::EngineOptions engine = charged();
+    engine.on_breakdown = c.policy;
+
+    Session returning(c.method, sys, 4, {.engine = engine});
+    const la::Matrix ref = returning.solve(b);
+    Session session(c.method, sys, 4, {.engine = engine});
+    la::Matrix x(b.rows(), b.cols());
+    x.fill(std::numeric_limits<double>::quiet_NaN());
+    session.solve(b, x);
+    ASSERT_NE(session.last_outcome(), nullptr);
+    EXPECT_EQ(session.last_outcome()->action, c.action);
+    EXPECT_TRUE(same_bits(x, ref));
+    EXPECT_EQ(bits_hash(x), c.pinned);
+    EXPECT_LT(btds::relative_residual(sys, x, b), 1e-10);
+
+    // A second solve into the same (now solved) matrix gives the same bits.
+    session.solve(b, x);
+    EXPECT_TRUE(same_bits(x, ref));
+  }
+}
+
+TEST(Session, RejectsWronglyShapedOutputBeforeAnyRun) {
+  const auto sys = make_problem(ProblemKind::kDiagDominant, 8, 2);
+  const la::Matrix b = make_rhs(8, 2, 3);
+  Session session(Method::kArd, sys, 2, {.engine = charged()});
+  for (const auto& [rows, cols] : {std::pair<la::index_t, la::index_t>{15, 3}, {16, 2}, {0, 0}}) {
+    la::Matrix x(rows, cols);
+    try {
+      session.solve(b, x);
+      FAIL() << "x of " << rows << " x " << cols << " must throw";
+    } catch (const fault::ShapeMismatchError& e) {
+      EXPECT_EQ(e.code(), fault::ErrorCode::kShapeMismatch);
+      EXPECT_EQ(e.got(), rows != 16 ? rows : cols);
+      EXPECT_EQ(e.expected(), rows != 16 ? 16 : 3);
+    }
+  }
+  // Nothing ran: not even the auto-factor before the first solve.
+  EXPECT_FALSE(session.factored());
+  EXPECT_TRUE(session.outcomes().empty());
+  EXPECT_TRUE(session.solve_vtimes().empty());
 }
 
 TEST(Session, RejectsBadShapesAndRankCounts) {

@@ -124,13 +124,18 @@ constexpr const char* kKnownFlags[] = {
   std::exit(2);
 }
 
-/// Malformed flag *values* (garbage/zero/negative numbers) exit through
-/// the same structured `ardbt: error: [code]` channel as solver failures,
-/// with exit 1, so scripted callers parse one error grammar.
-[[noreturn]] void die_invalid(const std::string& message) {
-  std::fprintf(stderr, "ardbt: error: [%s] %s\n",
-               std::string(fault::to_string(fault::ErrorCode::kInvalidArgument)).c_str(),
+/// The structured error channel scripted callers parse: one
+/// `ardbt: error: [code] message` line on stderr.
+void print_error(fault::ErrorCode code, const std::string& message) {
+  std::fprintf(stderr, "ardbt: error: [%s] %s\n", std::string(fault::to_string(code)).c_str(),
                message.c_str());
+}
+
+/// Malformed flag *values* (garbage/zero/negative numbers) exit through
+/// the same structured channel as solver failures, with exit 1, so
+/// scripted callers parse one error grammar.
+[[noreturn]] void die_invalid(const std::string& message) {
+  print_error(fault::ErrorCode::kInvalidArgument, message);
   std::exit(1);
 }
 
@@ -326,9 +331,7 @@ obs::Json outcome_json(const core::SolveOutcome& o) {
   return j;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run_cli(int argc, char** argv) {
   core::Method method = core::Method::kArd;
   btds::ProblemKind kind = btds::ProblemKind::kDiagDominant;
   la::index_t n = 1024, m = 8, r = 16;
@@ -796,11 +799,7 @@ int main(int argc, char** argv) {
                 degraded ? " degraded" : "", actions.empty() ? "" : " actions=",
                 actions.c_str());
   }
-  if (failed) {
-    std::fprintf(stderr, "ardbt: error: [%s] %s\n",
-                 std::string(fault::to_string(solve_status.code())).c_str(),
-                 solve_status.message().c_str());
-  }
+  if (failed) print_error(solve_status.code(), solve_status.message());
   if (!failed && !save_x.empty()) {
     if (save_x.size() > 4 && save_x.substr(save_x.size() - 4) == ".csv") {
       btds::save_matrix_csv(save_x, res.x);
@@ -955,4 +954,18 @@ int main(int argc, char** argv) {
   }
   close_live();
   return failed ? 1 : 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  // A typed failure outside the solve — a file that cannot be opened,
+  // read or written (--load-sys, --save-*, --trace, --json) — leaves on
+  // the structured error channel with exit 1 instead of terminating.
+  try {
+    return run_cli(argc, argv);
+  } catch (const fault::SolveError& e) {
+    print_error(e.code(), e.what());
+    return 1;
+  }
 }
