@@ -12,7 +12,7 @@
 #include <utility>
 #include <vector>
 
-#include "src/core/perfmodel.hpp"
+#include "src/core/flops.hpp"
 #include "src/mpsim/engine.hpp"
 #include "src/obs/live/telemetry.hpp"
 #include "src/obs/run_report.hpp"
@@ -226,7 +226,7 @@ class LiveStream {
 /// the primary mode; see DESIGN.md substitutions.)
 inline mpsim::EngineOptions virtual_engine() {
   static const mpsim::CostModel calibrated =
-      core::PerfModel::calibrate(mpsim::CostModel::cluster2014());
+      core::flops::calibrate_flop_rate(mpsim::CostModel::cluster2014());
   mpsim::EngineOptions options;
   options.cost = calibrated;
   options.timing = mpsim::TimingMode::ChargedFlops;

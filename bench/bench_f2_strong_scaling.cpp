@@ -9,7 +9,7 @@
 
 #include "bench/bench_common.hpp"
 #include "src/btds/generators.hpp"
-#include "src/core/perfmodel.hpp"
+#include "src/core/flops.hpp"
 #include "src/core/solver.hpp"
 
 int main(int argc, char** argv) {
@@ -23,7 +23,7 @@ int main(int argc, char** argv) {
   bench::JsonReport report(args, "bench_f2_strong_scaling");
   bench::LiveStream live(args);
   report.config("n", n).config("m", m).config("r", r).config("cost_model", engine.cost.name);
-  const core::PerfModel model(engine.cost);
+  const obs::CostModel model(engine.cost.oracle_constants());
   const auto sys = btds::make_problem(btds::ProblemKind::kDiagDominant, n, m);
   const auto b = btds::make_rhs(n, m, r);
 
@@ -38,11 +38,12 @@ int main(int argc, char** argv) {
     const auto res = core::solve(core::Method::kArd, sys, b, p, {.engine = engine, .telemetry = live.handle()});
     const double t_ard = res.factor_vtime + res.solve_vtime;
     if (p == 1) t1 = t_ard;
-    const double model_ard =
-        model.ard_factor_seconds(n, m, p) + model.ard_solve_seconds(n, m, r, p);
+    const double model_ard = model.predict(core::flops::ard_factor_terms(n, m, p)) +
+                             model.predict(core::flops::ard_solve_terms(n, m, r, p));
+    const double model_rd_per_rhs = model.predict(core::flops::rd_per_rhs_terms(n, m, r, p));
     table.add_row({bench::fmt_int(p), bench::fmt_sci(res.factor_vtime),
                    bench::fmt_sci(res.solve_vtime), bench::fmt_sci(t_ard),
-                   bench::fmt_sci(model_ard), bench::fmt_sci(model.rd_per_rhs_seconds(n, m, r, p)),
+                   bench::fmt_sci(model_ard), bench::fmt_sci(model_rd_per_rhs),
                    bench::fmt(t1 / t_ard), bench::fmt_int(p)});
   }
   table.print();

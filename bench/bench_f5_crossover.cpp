@@ -10,7 +10,7 @@
 #include "src/btds/cyclic_reduction.hpp"
 #include "src/btds/generators.hpp"
 #include "src/btds/thomas.hpp"
-#include "src/core/perfmodel.hpp"
+#include "src/core/flops.hpp"
 #include "src/core/solver.hpp"
 
 int main(int argc, char** argv) {
@@ -24,15 +24,18 @@ int main(int argc, char** argv) {
   bench::JsonReport report(args, "bench_f5_crossover");
   bench::LiveStream live(args);
   report.config("n", n).config("m", m).config("r", r).config("cost_model", engine.cost.name);
-  const core::PerfModel model(engine.cost);
+  const obs::CostModel model(engine.cost.oracle_constants());
 
   const auto sys = btds::make_problem(btds::ProblemKind::kDiagDominant, n, m);
   const auto b = btds::make_rhs(n, m, r);
 
-  // Sequential baselines, modeled at the same calibrated flop rate so the
-  // comparison is machine-consistent (their virtual P is always 1).
-  const double t_thomas = model.thomas_seconds(n, m, r);
-  const double t_bcr = btds::cyclic_reduction_flops(n, m, r) / engine.cost.flop_rate;
+  // Sequential baselines, predicted at the same calibrated flop rate so
+  // the comparison is machine-consistent (their virtual P is always 1, so
+  // they send nothing).
+  const double t_thomas =
+      model.predict({.flops = btds::ThomasFactorization::factor_flops(n, m) +
+                              btds::ThomasFactorization::solve_flops(n, m, r)});
+  const double t_bcr = model.predict({.flops = btds::cyclic_reduction_flops(n, m, r)});
 
   std::printf("# F5: crossover vs sequential baselines, N=%lld M=%lld R=%lld\n",
               static_cast<long long>(n), static_cast<long long>(m), static_cast<long long>(r));

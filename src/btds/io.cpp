@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <string>
 
 #include "src/fault/status.hpp"
 
@@ -12,6 +13,8 @@ namespace {
 
 constexpr char kMagicMatrix[8] = {'A', 'R', 'D', 'B', 'T', '1', 'M', '\n'};
 constexpr char kMagicTridiag[8] = {'A', 'R', 'D', 'B', 'T', '1', 'T', '\n'};
+/// Every stored field is an int64 or a double.
+constexpr std::int64_t kWord = 8;
 
 void write_exact(std::ofstream& out, const void* data, std::size_t bytes,
                  const std::string& path) {
@@ -44,10 +47,31 @@ void write_matrix_body(std::ofstream& out, const Matrix& m, const std::string& p
   write_exact(out, m.data().data(), static_cast<std::size_t>(m.size()) * sizeof(double), path);
 }
 
-Matrix read_matrix_body(std::ifstream& in, const std::string& path) {
+/// Bytes between the read position and the end of the file.
+std::int64_t bytes_left(std::ifstream& in) {
+  const std::streampos here = in.tellg();
+  in.seekg(0, std::ios::end);
+  const std::streampos end = in.tellg();
+  in.seekg(here);
+  return static_cast<std::int64_t>(end - here);
+}
+
+/// Reads one matrix body. A corrupt or hostile header never allocates
+/// more than the file holds: with `order` > 0 only an order x order block
+/// is accepted (the caller has bounded `order`), otherwise the dimensions
+/// must fit in the rest of the file.
+Matrix read_matrix_body(std::ifstream& in, const std::string& path, index_t order = 0) {
   std::int64_t dims[2];
   read_exact(in, dims, sizeof(dims), path);
   if (dims[0] < 0 || dims[1] < 0) throw fault::IoError("corrupt dimensions", path);
+  if (order > 0) {
+    if (dims[0] != order || dims[1] != order) {
+      throw fault::IoError("block is not " + std::to_string(order) + "x" + std::to_string(order),
+                           path);
+    }
+  } else if (dims[1] > 0 && dims[0] > bytes_left(in) / kWord / dims[1]) {
+    throw fault::IoError("dimensions exceed file size", path);
+  }
   Matrix m(dims[0], dims[1]);
   read_exact(in, m.data().data(), static_cast<std::size_t>(m.size()) * sizeof(double), path);
   return m;
@@ -93,11 +117,22 @@ BlockTridiag load_block_tridiag(const std::string& path) {
   std::int64_t shape[2];
   read_exact(in, shape, sizeof(shape), path);
   if (shape[0] < 1 || shape[1] < 1) throw fault::IoError("corrupt shape", path);
-  BlockTridiag t(shape[0], shape[1]);
+  // The 3N - 2 blocks must fit in the file before any is allocated: each
+  // is a 16-byte header plus M^2 doubles.
+  const std::int64_t left = bytes_left(in);
+  const std::int64_t m = shape[1];
+  if (m > left / kWord / m) {
+    throw fault::IoError("shape exceeds file size", path);
+  }
+  const std::int64_t block_bytes = (2 + m * m) * kWord;
+  if (shape[0] > (left / block_bytes + 2) / 3) {
+    throw fault::IoError("shape exceeds file size", path);
+  }
+  BlockTridiag t(shape[0], m);
   for (index_t i = 0; i < t.num_blocks(); ++i) {
-    if (i > 0) t.lower(i) = read_matrix_body(in, path);
-    t.diag(i) = read_matrix_body(in, path);
-    if (i + 1 < t.num_blocks()) t.upper(i) = read_matrix_body(in, path);
+    if (i > 0) t.lower(i) = read_matrix_body(in, path, m);
+    t.diag(i) = read_matrix_body(in, path, m);
+    if (i + 1 < t.num_blocks()) t.upper(i) = read_matrix_body(in, path, m);
   }
   return t;
 }

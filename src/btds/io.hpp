@@ -14,7 +14,9 @@
 ///
 /// Every loader and writer throws fault::IoError (code kIo, naming the
 /// file) on a file it cannot open, read or write, on bad magic, or on
-/// truncation.
+/// truncation. Loaders allocate only what the file can hold: a header
+/// claiming more data than remains, or a system block that is not M x M,
+/// is an IoError before any allocation.
 
 namespace ardbt::btds {
 

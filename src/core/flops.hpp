@@ -2,7 +2,10 @@
 
 #include <cmath>
 
+#include "src/btds/thomas.hpp"
+#include "src/la/gemm.hpp"
 #include "src/la/types.hpp"
+#include "src/mpsim/costmodel.hpp"
 #include "src/obs/cost_model.hpp"
 
 /// \file flops.hpp
@@ -10,7 +13,12 @@
 /// solvers actually call (experiment T1). All counts are the *per-rank
 /// critical path*: local terms use ceil(N/P) rows, cross-rank terms use
 /// ceil(log2 P) hypercube rounds. Cross-checked against the runtime flop
-/// counters (Comm::charge_flops) in tests.
+/// counters (Comm::charge_flops) in tests; the per-row counts call the
+/// same ThomasFactorization count functions the solver charges.
+///
+/// A phase's (flops, messages, bytes) bundle is a PhaseTerms;
+/// obs::CostModel::predict, seeded with mpsim::CostModel::
+/// oracle_constants(), is the only predictor of modeled seconds.
 
 namespace ardbt::core::flops {
 
@@ -59,8 +67,8 @@ inline double ard_factor_global(index_t m, int p) {
 ///            full M-column solve, W skips the forward sweep) ~ 12.7 M^3
 /// plus ard_factor_global's scans and interface system.
 inline double ard_factor(index_t n, index_t m, int p) {
-  const double m3 = static_cast<double>(m) * static_cast<double>(m) * static_cast<double>(m);
-  const double per_row = (14.0 / 3.0 + 8.0) * m3;
+  const double per_row =
+      btds::ThomasFactorization::factor_flops(1, m) + btds::ThomasFactorization::spike_flops(1, m);
   return rows_per_rank(n, p) * per_row + ard_factor_global(m, p);
 }
 
@@ -74,32 +82,11 @@ inline double ard_factor(index_t n, index_t m, int p) {
 inline double ard_solve(index_t n, index_t m, index_t r, int p) {
   const double m2r = static_cast<double>(m) * static_cast<double>(m) * static_cast<double>(r);
   const double s = interface_sides(p);
-  const double per_row = (6.0 + 2.0 * s) * m2r;
+  const double per_row =
+      btds::ThomasFactorization::solve_flops(1, m, r) + s * la::gemm_flops(m, r, m);
   const double interface = (2.0 * 2.0 * s + 2.0 * s * s) * m2r;
   return rows_per_rank(n, p) * per_row + log2_rounds(p) * kMergesPerRound * 8.0 * m2r +
          interface;
-}
-
-/// Classic RD, all R right-hand sides batched into one pass.
-inline double rd_batched(index_t n, index_t m, index_t r, int p) {
-  return ard_factor(n, m, p) + ard_solve(n, m, r, p);
-}
-
-/// Classic RD applied once per right-hand side (the paper's baseline).
-inline double rd_per_rhs(index_t n, index_t m, index_t r, int p) {
-  return static_cast<double>(r) * (ard_factor(n, m, p) + ard_solve(n, m, 1, p));
-}
-
-/// ARD amortized over R right-hand sides (one factor + one batched solve).
-inline double ard_amortized(index_t n, index_t m, index_t r, int p) {
-  return ard_factor(n, m, p) + ard_solve(n, m, r, p);
-}
-
-/// Predicted ARD-over-RD speedup for R right-hand sides (the F1 curve):
-/// approaches R for small R and saturates near factor/solve-per-rhs
-/// ~ 1.3 M.
-inline double predicted_speedup(index_t n, index_t m, index_t r, int p) {
-  return rd_per_rhs(n, m, r, p) / ard_amortized(n, m, r, p);
 }
 
 /// Factor-phase bytes sent per rank: two scans exchanging a six-matrix
@@ -147,5 +134,18 @@ inline obs::PhaseTerms rd_per_rhs_terms(index_t n, index_t m, index_t r, int p) 
   const double rr = static_cast<double>(r);
   return {rr * one.flops, rr * one.messages, rr * one.bytes};
 }
+
+/// Predicted ARD-over-RD speedup for R right-hand sides (the F1 curve):
+/// per-RHS RD's flops over ARD's one factor plus one batched solve.
+/// Approaches R for small R and saturates near factor/solve-per-rhs
+/// ~ 1.3 M.
+inline double predicted_speedup(index_t n, index_t m, index_t r, int p) {
+  return rd_per_rhs_terms(n, m, r, p).flops / rd_batched_terms(n, m, r, p).flops;
+}
+
+/// Measure this host's effective flop rate with a short dense-kernel
+/// loop at a representative block size, returning a CostModel whose
+/// flop_rate matches the host (alpha/beta taken from `base`).
+mpsim::CostModel calibrate_flop_rate(mpsim::CostModel base, index_t block_size = 32);
 
 }  // namespace ardbt::core::flops

@@ -80,10 +80,6 @@ Session::Session(Method method, std::shared_ptr<const btds::BlockTridiag> sys, i
 Session::Session(Method method, const btds::BlockTridiag& sys, int nranks, SessionConfig config)
     : Session(method, borrow(sys), nranks, std::move(config)) {}
 
-Session::Session(Method method, const btds::BlockTridiag& sys, int nranks, const ArdOptions& opts,
-                 const mpsim::EngineOptions& engine)
-    : Session(method, borrow(sys), nranks, SessionConfig{.ard = opts, .engine = engine}) {}
-
 void Session::fold_report(const mpsim::RunReport& run) {
   if (!have_report_) {
     report_ = run;
@@ -593,13 +589,6 @@ DriverResult solve(Method method, const btds::BlockTridiag& sys, const la::Matri
   return result;
 }
 
-DriverResult solve(Method method, const btds::BlockTridiag& sys, const la::Matrix& b, int nranks,
-                   const ArdOptions& opts, const mpsim::EngineOptions& engine,
-                   const obs::live::Telemetry& telemetry) {
-  return solve(method, sys, b, nranks,
-               SessionConfig{.ard = opts, .engine = engine, .telemetry = telemetry});
-}
-
 SessionResult ard_session(const btds::BlockTridiag& sys,
                           const std::vector<const la::Matrix*>& batches, int nranks,
                           const SessionConfig& config) {
@@ -618,14 +607,6 @@ SessionResult ard_session(const btds::BlockTridiag& sys,
   result.solve_vtimes = session.solve_vtimes();
   result.storage_bytes = session.storage_bytes();
   return result;
-}
-
-SessionResult ard_session(const btds::BlockTridiag& sys,
-                          const std::vector<const la::Matrix*>& batches, int nranks,
-                          const ArdOptions& opts, const mpsim::EngineOptions& engine,
-                          const obs::live::Telemetry& telemetry) {
-  return ard_session(sys, batches, nranks,
-                     SessionConfig{.ard = opts, .engine = engine, .telemetry = telemetry});
 }
 
 }  // namespace ardbt::core

@@ -62,10 +62,8 @@ std::string_view to_string(Method method);
 ///                     {.ard = {...}, .engine = {.timing = ...}});
 ///
 /// Replaces the (ArdOptions, EngineOptions, Telemetry) parameter triple
-/// previously threaded through Session, core::solve and ard_session; the
-/// old signatures survive as thin wrappers (see below) but new code —
-/// and everything in-tree — uses this form. A default SessionConfig{} is
-/// byte-for-byte the old default behaviour.
+/// previously threaded through Session, core::solve and ard_session. A
+/// default SessionConfig{} is byte-for-byte the old default behaviour.
 struct SessionConfig {
   ArdOptions ard{};               ///< algorithm options (tolerances, ladder)
   mpsim::EngineOptions engine{};  ///< cost model, timing mode, threads, faults
@@ -115,12 +113,6 @@ class Session {
   /// count.
   Session(Method method, std::shared_ptr<const btds::BlockTridiag> sys, int nranks,
           SessionConfig config = {});
-
-  /// Deprecated: prefer the SessionConfig form. Thin wrapper kept for
-  /// out-of-tree callers of the pre-service API; borrows `sys` like the
-  /// primary reference constructor.
-  Session(Method method, const btds::BlockTridiag& sys, int nranks, const ArdOptions& opts,
-          const mpsim::EngineOptions& engine = {});
 
   /// Run the right-hand-side-independent phase. Idempotent: repeated
   /// calls after a successful factor are no-ops. The classic RD methods
@@ -281,11 +273,6 @@ struct DriverResult {
 DriverResult solve(Method method, const btds::BlockTridiag& sys, const la::Matrix& b, int nranks,
                    const SessionConfig& config = {});
 
-/// Deprecated: prefer the SessionConfig form above.
-DriverResult solve(Method method, const btds::BlockTridiag& sys, const la::Matrix& b, int nranks,
-                   const ArdOptions& opts, const mpsim::EngineOptions& engine = {},
-                   const obs::live::Telemetry& telemetry = {});
-
 /// Result of an ARD session (factor once, many solve batches).
 struct SessionResult {
   std::vector<la::Matrix> x;        ///< one solution per batch
@@ -301,11 +288,5 @@ struct SessionResult {
 SessionResult ard_session(const btds::BlockTridiag& sys,
                           const std::vector<const la::Matrix*>& batches, int nranks,
                           const SessionConfig& config = {});
-
-/// Deprecated: prefer the SessionConfig form above.
-SessionResult ard_session(const btds::BlockTridiag& sys,
-                          const std::vector<const la::Matrix*>& batches, int nranks,
-                          const ArdOptions& opts, const mpsim::EngineOptions& engine = {},
-                          const obs::live::Telemetry& telemetry = {});
 
 }  // namespace ardbt::core

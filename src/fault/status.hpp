@@ -17,7 +17,7 @@
 /// `code()` without parsing strings. The library never reports a runtime
 /// numerical/communication failure through `assert` (which is a silent
 /// no-op under NDEBUG); dense-kernel shape mismatches throw
-/// kShapeMismatch in every build mode (src/la/{gemm,gemv,lu}.cpp), so a
+/// kShapeMismatch in every build mode (src/la/{gemm,lu}.cpp), so a
 /// dimension bug surfaces identically in release and debug runs.
 ///
 /// This module sits below every other library (no la/mpsim/obs

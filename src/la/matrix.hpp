@@ -15,7 +15,7 @@
 /// \file matrix.hpp
 /// Owning dense row-major matrix of doubles. Deliberately minimal: storage,
 /// element access, views, and a handful of constructors/factories. All
-/// numerical kernels live in free functions (blas1/gemm/gemv/lu) operating
+/// numerical kernels live in free functions (blas1/gemm/lu) operating
 /// on views, so the same code paths serve owned matrices and sub-blocks.
 
 namespace ardbt::la {

@@ -26,7 +26,7 @@ using la::Matrix;
 /// Run ARD end to end on `nranks` simulated ranks and return X.
 Matrix ard_driver(const BlockTridiag& sys, const Matrix& b, int nranks,
                   const ArdOptions& opts = {}) {
-  return solve(Method::kArd, sys, b, nranks, opts).x;
+  return solve(Method::kArd, sys, b, nranks, {.ard = opts}).x;
 }
 
 TEST(Ard, SolvesTinySystemOnOneRank) {

@@ -266,28 +266,31 @@ TEST(CostModel, CalibrateRescalesUniformly) {
   EXPECT_DOUBLE_EQ(empty.predict(t), 0.0);
 }
 
-TEST(CostModel, PaperTermsPredictEngineFactorTime) {
+TEST(CostModel, PaperTermsPredictEngineTimes) {
   // End to end: the simulator charges exactly the flops/messages/bytes
   // the formulas count, so seeding the oracle with the engine's own
-  // constants must land the ARD factor phase within the 2x band.
+  // constants must land every phase within the 2x band at every P. This
+  // is the model-vs-engine agreement the F2 table prints.
   const la::index_t n = 64;
   const la::index_t m = 4;
-  const int p = 4;
+  const la::index_t r = 4;
   const auto sys = btds::make_problem(btds::ProblemKind::kDiagDominant, n, m);
-  const auto b = btds::make_rhs(n, m, 4);
+  const auto b = btds::make_rhs(n, m, r);
   mpsim::EngineOptions engine;
   engine.timing = mpsim::TimingMode::ChargedFlops;
-  const auto res = core::solve(core::Method::kArd, sys, b, p, {.engine = engine});
-
-  obs::CostModel::Constants c;
-  c.seconds_per_flop = 1.0 / engine.cost.flop_rate;
-  c.alpha = engine.cost.alpha;
-  c.beta = engine.cost.beta;
-  obs::CostModel oracle(c);
-  const obs::CostVerdict v =
-      oracle.judge("driver.factor", core::flops::ard_factor_terms(n, m, p), res.factor_vtime);
-  EXPECT_GT(v.predicted_s, 0.0);
-  EXPECT_FALSE(v.flagged) << "measured/predicted = " << v.ratio;
+  const obs::CostModel oracle(engine.cost.oracle_constants());
+  for (int p : {1, 2, 4}) {
+    const auto ard = core::solve(core::Method::kArd, sys, b, p, {.engine = engine});
+    const auto rd = core::solve(core::Method::kRdBatched, sys, b, p, {.engine = engine});
+    const obs::CostVerdict verdicts[] = {
+        oracle.judge("ard.factor", core::flops::ard_factor_terms(n, m, p), ard.factor_vtime),
+        oracle.judge("ard.solve", core::flops::ard_solve_terms(n, m, r, p), ard.solve_vtime),
+        oracle.judge("rd.solve", core::flops::rd_batched_terms(n, m, r, p), rd.solve_vtime)};
+    for (const obs::CostVerdict& v : verdicts) {
+      EXPECT_GT(v.predicted_s, 0.0) << v.phase << " P=" << p;
+      EXPECT_FALSE(v.flagged) << v.phase << " P=" << p << ": measured/predicted = " << v.ratio;
+    }
+  }
 }
 
 // ------------------------------------------------- run_report v2 plumbing

@@ -327,7 +327,7 @@ TEST(FaultRecovery, DelayTripsTheVirtualDeadlineMonitor) {
   mpsim::EngineOptions engine = charged();
   engine.fault_plan = &plan;
   engine.virtual_deadline = 2e-3;
-  core::Session session(core::Method::kArd, sys, 4, {}, engine);
+  core::Session session(core::Method::kArd, sys, 4, {.engine = engine});
   const auto x = session.solve(b);
   EXPECT_LT(btds::relative_residual(sys, x, b), 1e-10);
   bool saw_delay_detection = false;

@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "src/core/perfmodel.hpp"
-
 namespace ardbt::core {
 namespace {
 
@@ -62,33 +60,42 @@ TEST(Flops, CommCountsGrowWithLogP) {
   EXPECT_EQ(flops::ard_solve_bytes(8, 64, 1), 0.0);
 }
 
-TEST(PerfModel, StrongScalingShapeFallsThenFlattens) {
-  const PerfModel model(mpsim::CostModel::cluster2014());
-  const double t1 = model.rd_batched_seconds(8192, 16, 256, 1);
-  const double t16 = model.rd_batched_seconds(8192, 16, 256, 16);
-  const double t1024 = model.rd_batched_seconds(8192, 16, 256, 1024);
+// The predictor: obs::CostModel over the *_terms builders at a machine's
+// oracle constants (the F2/F5 model columns).
+obs::CostModel cluster2014_oracle() {
+  return obs::CostModel(mpsim::CostModel::cluster2014().oracle_constants());
+}
+
+TEST(Predictor, StrongScalingShapeFallsThenFlattens) {
+  const obs::CostModel model = cluster2014_oracle();
+  const double t1 = model.predict(flops::rd_batched_terms(8192, 16, 256, 1));
+  const double t16 = model.predict(flops::rd_batched_terms(8192, 16, 256, 16));
+  const double t1024 = model.predict(flops::rd_batched_terms(8192, 16, 256, 1024));
   EXPECT_GT(t1 / t16, 8.0);       // near-linear early speedup
   EXPECT_LT(t16 / t1024, 64.0);   // sublinear by P = 1024 (log P floor)
   EXPECT_LT(t1024, t16);
 }
 
-TEST(PerfModel, ArdBeatsPerRhsByRoughlyR) {
-  const PerfModel model(mpsim::CostModel::cluster2014());
-  const double per = model.rd_per_rhs_seconds(2048, 32, 128, 64);
-  const double ard = model.ard_factor_seconds(2048, 32, 64) +
-                     model.ard_solve_seconds(2048, 32, 128, 64);
+TEST(Predictor, ArdBeatsPerRhsByRoughlyR) {
+  const obs::CostModel model = cluster2014_oracle();
+  const double per = model.predict(flops::rd_per_rhs_terms(2048, 32, 128, 64));
+  const double ard = model.predict(flops::ard_factor_terms(2048, 32, 64)) +
+                     model.predict(flops::ard_solve_terms(2048, 32, 128, 64));
   const double speedup = per / ard;
   EXPECT_GT(speedup, 20.0);
   EXPECT_LT(speedup, 128.0);
 }
 
-TEST(PerfModel, ThomasBeatsRdAtPEqualsOne) {
-  const PerfModel model(mpsim::CostModel::cluster2014());
-  EXPECT_LT(model.thomas_seconds(2048, 16, 64), model.rd_batched_seconds(2048, 16, 64, 1));
+TEST(Predictor, ThomasBeatsRdAtPEqualsOne) {
+  const obs::CostModel model = cluster2014_oracle();
+  const double thomas =
+      model.predict({.flops = btds::ThomasFactorization::factor_flops(2048, 16) +
+                              btds::ThomasFactorization::solve_flops(2048, 16, 64)});
+  EXPECT_LT(thomas, model.predict(flops::rd_batched_terms(2048, 16, 64, 1)));
 }
 
-TEST(PerfModel, CalibrationReturnsPlausibleRate) {
-  const mpsim::CostModel calibrated = PerfModel::calibrate(mpsim::CostModel{}, 16);
+TEST(Predictor, CalibrationReturnsPlausibleRate) {
+  const mpsim::CostModel calibrated = flops::calibrate_flop_rate(mpsim::CostModel{}, 16);
   EXPECT_GT(calibrated.flop_rate, 1e7);   // anything slower is broken
   EXPECT_LT(calibrated.flop_rate, 1e13);  // anything faster is a bug
 }

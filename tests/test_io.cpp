@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <initializer_list>
 #include <string>
+#include <vector>
 
 #include "src/btds/generators.hpp"
 #include "src/fault/status.hpp"
@@ -120,6 +123,57 @@ TEST(Io, TruncatedFileThrows) {
   out.write(contents.data(), static_cast<std::streamsize>(contents.size() / 2));
   out.close();
   EXPECT_THROW(load_matrix(path), std::runtime_error);
+  std::remove(path.c_str());
+}
+
+/// Writes `magic` followed by raw int64 header words and `doubles`
+/// zero-valued payload doubles: a hand-built (possibly hostile) file.
+void write_raw(const std::string& path, const char* magic,
+               std::initializer_list<std::int64_t> words, std::size_t doubles = 0) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(magic, 8);
+  for (const std::int64_t w : words) out.write(reinterpret_cast<const char*>(&w), sizeof(w));
+  const std::vector<double> payload(doubles, 0.0);
+  out.write(reinterpret_cast<const char*>(payload.data()),
+            static_cast<std::streamsize>(payload.size() * sizeof(double)));
+}
+
+TEST(Io, HeaderClaimingMoreBlocksThanTheFileHoldsThrowsBeforeAllocating) {
+  // A 40-byte file claiming 2^62 block rows of order 2 (or one block of
+  // order 2^31): neither may reach an allocation.
+  const std::string path = temp_path("huge_header.ardbt");
+  write_raw(path, "ARDBT1T\n", {std::int64_t{1} << 62, 2}, 2);
+  EXPECT_THROW(load_block_tridiag(path), fault::IoError);
+  write_raw(path, "ARDBT1T\n", {1, std::int64_t{1} << 31}, 2);
+  EXPECT_THROW(load_block_tridiag(path), fault::IoError);
+  // A system one block row short of its claimed N still fails cheaply.
+  write_raw(path, "ARDBT1T\n", {3, 2, 2, 2}, 4);
+  EXPECT_THROW(load_block_tridiag(path), fault::IoError);
+  std::remove(path.c_str());
+}
+
+TEST(Io, NonSquareBlockBodyIsRejected) {
+  // N = 1, M = 2, but the diagonal body claims 3 x 5 (and holds it).
+  const std::string path = temp_path("bad_block.ardbt");
+  write_raw(path, "ARDBT1T\n", {1, 2, 3, 5}, 15);
+  try {
+    (void)load_block_tridiag(path);
+    FAIL() << "a 3x5 diagonal block of an M = 2 system must throw";
+  } catch (const fault::IoError& e) {
+    EXPECT_EQ(e.path(), path);
+    EXPECT_NE(std::string(e.what()).find("2x2"), std::string::npos) << e.what();
+  }
+  std::remove(path.c_str());
+}
+
+TEST(Io, OverflowingBodyDimensionsThrow) {
+  // 2^32 x 2^32 wraps to 0 elements in 64-bit arithmetic; the loader must
+  // reject the header, not build a matrix with no storage.
+  const std::string path = temp_path("overflow.ardbt");
+  write_raw(path, "ARDBT1M\n", {std::int64_t{1} << 32, std::int64_t{1} << 32});
+  EXPECT_THROW(load_matrix(path), fault::IoError);
+  write_raw(path, "ARDBT1T\n", {1, 2, std::int64_t{1} << 32, std::int64_t{1} << 32}, 4);
+  EXPECT_THROW(load_block_tridiag(path), fault::IoError);
   std::remove(path.c_str());
 }
 

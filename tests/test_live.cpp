@@ -337,7 +337,7 @@ TEST(SessionTelemetry, PostmortemFileWrittenOnPlantedBreakdown) {
   obs::MetricsRegistry registry;
   LiveTelemetry live({.postmortem_path = path}, &registry);
   // charged_engine()'s default on_breakdown policy is kFailFast.
-  core::Session session(core::Method::kArd, sys, 4, {}, charged_engine());
+  core::Session session(core::Method::kArd, sys, 4, {.engine = charged_engine()});
   session.set_telemetry(live.handle());
   EXPECT_THROW(session.factor(), fault::BreakdownError);
 
@@ -363,7 +363,7 @@ TEST(SessionTelemetry, LadderOutcomesBecomeLogRecords) {
 
   obs::MetricsRegistry registry;
   LiveTelemetry live({}, &registry);  // in-memory sink
-  core::Session session(core::Method::kArd, sys, 4, {}, charged_engine());
+  core::Session session(core::Method::kArd, sys, 4, {.engine = charged_engine()});
   session.set_telemetry(live.handle());
   session.factor();
   (void)session.solve(b);
@@ -393,7 +393,7 @@ TEST(SessionTelemetry, ChainedSoakStaysBoundedAndBitIdentical) {
   const auto b = btds::make_rhs(n, m, 2);
 
   // Plain session: the reference bits.
-  core::Session plain(core::Method::kArd, sys, 4, {}, charged_engine());
+  core::Session plain(core::Method::kArd, sys, 4, {.engine = charged_engine()});
   plain.factor();
   std::vector<la::Matrix> ref;
   for (int i = 0; i < kSolves; ++i) ref.push_back(plain.solve(b));
@@ -401,7 +401,7 @@ TEST(SessionTelemetry, ChainedSoakStaysBoundedAndBitIdentical) {
   // Recorder attached but disabled: the zero-cost configuration.
   FlightRecorder off;
   off.set_enabled(false);
-  core::Session disabled(core::Method::kArd, sys, 4, {}, charged_engine());
+  core::Session disabled(core::Method::kArd, sys, 4, {.engine = charged_engine()});
   Telemetry off_handle;
   off_handle.recorder = &off;
   disabled.set_telemetry(off_handle);
@@ -413,7 +413,7 @@ TEST(SessionTelemetry, ChainedSoakStaysBoundedAndBitIdentical) {
   live_opts.recorder = {.capacity = 32, .tail_keep = 8, .max_anomalies = 4};
   live_opts.snapshot.period_s = 1e-5;
   LiveTelemetry live(std::move(live_opts), &registry);
-  core::Session instrumented(core::Method::kArd, sys, 4, {}, charged_engine());
+  core::Session instrumented(core::Method::kArd, sys, 4, {.engine = charged_engine()});
   instrumented.set_telemetry(live.handle());
   instrumented.factor();
 

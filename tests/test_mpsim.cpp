@@ -377,8 +377,11 @@ TEST(CostModel, MessageTimeAndProfiles) {
   m.beta = 1e-9;
   EXPECT_DOUBLE_EQ(m.message_time(1000), 1e-6 + 1e-6);
   EXPECT_GT(CostModel::cluster2014().flop_rate, 0.0);
-  EXPECT_GT(CostModel::slow_ethernet().alpha, CostModel::cluster2014().alpha);
-  EXPECT_EQ(CostModel::free_comm().alpha, 0.0);
+  // The oracle's constants are this machine, the flop rate inverted.
+  const obs::CostModel::Constants c = m.oracle_constants();
+  EXPECT_EQ(c.seconds_per_flop, 1.0 / m.flop_rate);
+  EXPECT_EQ(c.alpha, m.alpha);
+  EXPECT_EQ(c.beta, m.beta);
 }
 
 }  // namespace

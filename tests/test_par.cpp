@@ -10,7 +10,6 @@
 #include "src/btds/generators.hpp"
 #include "src/btds/thomas.hpp"
 #include "src/la/gemm.hpp"
-#include "src/la/gemv.hpp"
 #include "src/la/random.hpp"
 
 namespace ardbt {
@@ -104,21 +103,6 @@ TEST(Pool, GemmIsBitIdenticalForAnyPoolSize) {
     Matrix c(48, 512);
     la::gemm(1.0, a.view(), b.view(), 0.0, c.view(), &pool);
     EXPECT_TRUE(c == c_ref) << "threads=" << threads;
-  }
-}
-
-TEST(Pool, GemvIsBitIdenticalForAnyPoolSize) {
-  la::Rng rng = la::make_rng(12, 0);
-  const Matrix a = la::random_uniform(300, 200, rng);
-  const Matrix xv = la::random_uniform(200, 1, rng);
-  std::vector<double> x(xv.data().begin(), xv.data().end());
-  std::vector<double> y_ref(300, 0.5);
-  la::gemv(2.0, a.view(), x, 0.25, y_ref);
-  for (int threads : {1, 2, 8}) {
-    par::Pool pool(threads);
-    std::vector<double> y(300, 0.5);
-    la::gemv(2.0, a.view(), x, 0.25, y, &pool);
-    EXPECT_EQ(y, y_ref) << "threads=" << threads;
   }
 }
 

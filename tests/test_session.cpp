@@ -99,7 +99,7 @@ TEST(Session, SolutionsAreBitIdenticalAcrossThreadCounts) {
     for (int threads : {1, 2, 8}) {
       mpsim::EngineOptions engine = charged();
       engine.threads_per_rank = threads;
-      Session session(method, sys, 4, {}, engine);
+      Session session(method, sys, 4, {.engine = engine});
       session.factor();
       const la::Matrix x = session.solve(b);
       if (threads == 1) {
@@ -121,7 +121,7 @@ TEST(Session, VirtualTimesAreIndependentOfThreadCount) {
   for (int threads : {1, 2, 8}) {
     mpsim::EngineOptions engine = charged();
     engine.threads_per_rank = threads;
-    Session session(Method::kArd, sys, 4, {}, engine);
+    Session session(Method::kArd, sys, 4, {.engine = engine});
     session.factor();
     session.solve(b);
     if (threads == 1) {

@@ -45,8 +45,8 @@ TEST(Driver, ChargedFlopsModeGivesDeterministicVirtualTime) {
   const auto b = make_rhs(16, 2, 2);
   mpsim::EngineOptions engine;
   engine.timing = mpsim::TimingMode::ChargedFlops;
-  const DriverResult a = solve(Method::kArd, sys, b, 4, {}, engine);
-  const DriverResult c = solve(Method::kArd, sys, b, 4, {}, engine);
+  const DriverResult a = solve(Method::kArd, sys, b, 4, {.engine = engine});
+  const DriverResult c = solve(Method::kArd, sys, b, 4, {.engine = engine});
   EXPECT_DOUBLE_EQ(a.report.max_virtual_time(), c.report.max_virtual_time());
   EXPECT_GT(a.report.max_virtual_time(), 0.0);
 }

@@ -19,7 +19,7 @@ using btds::ProblemKind;
 using la::Matrix;
 
 double transfer_residual(const BlockTridiag& sys, const Matrix& b, int p, bool rescale = true) {
-  const Matrix x = solve(Method::kTransferRd, sys, b, p, ArdOptions{.rescale = rescale}).x;
+  const Matrix x = solve(Method::kTransferRd, sys, b, p, {.ard = {.rescale = rescale}}).x;
   return btds::relative_residual(sys, x, b);
 }
 

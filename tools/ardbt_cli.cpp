@@ -828,11 +828,7 @@ int run_cli(int argc, char** argv) {
     // whose measured/predicted ratio drifts past the threshold get a
     // structured warning — the formulas count the per-rank critical path,
     // so a clean run sits near ratio 1.
-    obs::CostModel::Constants constants;
-    constants.seconds_per_flop = 1.0 / engine.cost.flop_rate;
-    constants.alpha = engine.cost.alpha;
-    constants.beta = engine.cost.beta;
-    obs::CostModel oracle(constants);
+    obs::CostModel oracle(engine.cost.oracle_constants());
     std::vector<obs::CostVerdict> verdicts;
     if (!failed) {
       if (method == core::Method::kArd) {
