@@ -1,6 +1,6 @@
 // Experiment T4 (extension): factored-state memory. ARD caches one
-// boundary-reduced level (O(M^2 N/P) per rank, plus O(M^2 log P) of scan
-// caches); accelerated PCR must cache every one of its ceil(log2 N)
+// boundary-reduced level (O(M^2 N/P) per rank plus the corner spikes on
+// their support, plus O(M^2 log P) of scan caches); accelerated PCR must cache every one of its ceil(log2 N)
 // levels. This table quantifies the memory side of the F6 trade-off.
 
 #include <cstdio>
@@ -50,7 +50,9 @@ int main(int argc, char** argv) {
   table.print();
   report.add_table("main", table);
   report.write();
-  std::printf("\nExpected shapes: ard_MB ~ 5 M^2 (N/P) doubles; pcr/ard tracks ~log2 N\n"
-              "times a small constant; both scale with M^2 and 1/P.\n");
+  std::printf("\nExpected shapes: ard_MB ~ 3 M^2 (N/P) doubles plus the spikes' support\n"
+              "(2 M^2 per row on a short or non-decaying segment, a few hundred rows per\n"
+              "spike on a long dominant one); pcr/ard tracks ~log2 N times a small\n"
+              "constant; both scale with M^2 and 1/P.\n");
   return 0;
 }

@@ -44,6 +44,29 @@ class ThomasFactorization {
   /// (kLu) or a non-SPD pivot block (kCholesky).
   static ThomasFactorization factor(const BlockTridiag& t, PivotKind pivot = PivotKind::kLu);
 
+  /// Factor block rows [lo, lo + n) of `t` (a BlockTridiag or a
+  /// LocalBlockTridiag owning those rows; global indices) as a standalone
+  /// segment, reading the blocks in place, and compute the segment's
+  /// corner spikes [V W] = T_seg^{-1} [E_first E_last] in the same pass:
+  /// V's forward sweep runs inside the factor loop, and V's and W's
+  /// backward sweeps share one walk over the G_i. Same errors as factor().
+  ///
+  /// The spikes are kept on their support only. Column c of a spike has a
+  /// tip value t_c, the largest |entry| of column c in the tip block row
+  /// as its sweep first produces it (D'_0^{-1} for V, whose forward sweep
+  /// decides its support; W's final row N-1). Walking away from the tip,
+  /// the column is zero from the first block row whose M entries in that
+  /// column are all below DBL_MIN * t_c (a NaN, infinite or zero t_c never
+  /// cuts). Block rows past the last live column are neither computed nor
+  /// stored, and the few nonzero subnormals left in a support's last rows
+  /// are stored as +0. On a segment that does not decay that far the
+  /// support is the whole segment and the spikes are bit-identical to
+  /// solve_inplace() on the two unit loads. The rule is per column and
+  /// scale-invariant (docs/ALGORITHMS.md §4).
+  template <typename Sys>
+  static ThomasFactorization factor_segment(const Sys& t, index_t lo, index_t n,
+                                            PivotKind pivot = PivotKind::kLu);
+
   /// Pivot extremes accumulated over every factored pivot block — the
   /// cheap breakdown monitor read by the solve drivers.
   const fault::PivotDiagnostics& pivot_diagnostics() const { return diag_; }
@@ -67,14 +90,18 @@ class ThomasFactorization {
   /// pool contract as solve(), and bit-identical to it.
   void solve_inplace(la::MatrixView x, par::Pool* pool = nullptr) const;
 
-  /// The segment's corner spikes [V W] = T^{-1} [E_first E_last]: an
-  /// (N*M) x 2M matrix whose columns [0, M) solve the identity placed on
-  /// the first block row and columns [M, 2M) the identity on the last.
-  /// Bit-identical to solve_inplace on those two unit loads, but the W
-  /// columns skip the forward sweep: above the last row it only carries
-  /// zeros. Costs spike_flops() instead of solve_flops(n, m, 2m). Same
-  /// pool contract as solve().
-  Matrix corner_spikes(par::Pool* pool = nullptr) const;
+  /// Corner spikes of a factor_segment() factorization (both empty after
+  /// factor()). V is stored on block rows [0, v_rows()), W on
+  /// [w_first(), N); outside those ranges the spike is zero.
+  index_t v_rows() const { return v_rows_; }
+  index_t w_first() const { return n_ - w_rows_; }
+  /// Block row i of V (i < v_rows()) or of W (i >= w_first()).
+  la::ConstMatrixView v_block(index_t i) const;
+  la::ConstMatrixView w_block(index_t i) const;
+  /// Block row i of V or W as a matrix, zero outside the support (the
+  /// two-port corners P = V_0, Q = W_0, R = V_{N-1}, S = W_{N-1}).
+  Matrix v_corner(index_t i) const;
+  Matrix w_corner(index_t i) const;
 
   index_t num_blocks() const { return n_; }
   index_t block_size() const { return m_; }
@@ -83,35 +110,43 @@ class ThomasFactorization {
   /// pivot kind (Cholesky halves the pivot-factorization share).
   static double factor_flops(index_t n, index_t m, PivotKind pivot = PivotKind::kLu);
   static double solve_flops(index_t n, index_t m, index_t r);
-  /// corner_spikes(): a full M-column solve for V plus, for W, one pivot
-  /// solve and the backward sweep (8 M^3 per row instead of 12).
+  /// The dense model count of the corner spikes over n rows: a full
+  /// M-column solve for V plus, for W, one pivot solve and the backward
+  /// sweep (8 M^3 per row instead of 12). factor_segment() computes only
+  /// the spikes' support, so on a decaying segment it does less work than
+  /// this; the virtual clock charges this count regardless, modelling the
+  /// paper's dense algorithm.
   static double spike_flops(index_t n, index_t m);
 
-  /// Bytes of factored state (pivot LU, couplings, sub-diagonal copies).
+  /// Bytes of factored state (pivot LU, couplings, sub-diagonal copies,
+  /// and the spikes' stored support).
   std::size_t storage_bytes() const;
 
  private:
   /// D'_i^{-1} applied to a block, dispatching on the pivot kind.
   void pivot_solve(index_t i, la::MatrixView b) const;
 
-  /// solve_inplace for a right-hand side whose block rows above `first`
-  /// are zero: the forward sweep starts at row `first`.
-  void sweep_inplace(la::MatrixView x, index_t first, par::Pool* pool) const;
-
-  /// Both sweeps on one column panel of x (pre-initialized with b's
-  /// columns, zero above block row `first`). Strided views keep this
+  /// Both sweeps on one column panel of x. Strided views keep this
   /// zero-copy. For dispatchable block sizes with LU pivots, the fixed-M
   /// microkernel sweep below runs instead — one M-dispatch per panel
   /// rather than one per block.
-  void solve_panel(la::MatrixView x, index_t first) const;
+  void solve_panel(la::MatrixView x) const;
   template <index_t M>
-  void solve_panel_fixed(la::MatrixView x, index_t first) const;
+  void solve_panel_fixed(la::MatrixView x) const;
 
-  /// Slab-resident LU factor sweep (see the member comments below): the
-  /// whole factorization runs in three contiguous slabs with one
-  /// M-dispatch and zero per-block allocations.
-  template <index_t M>
-  void factor_slab(const BlockTridiag& t);
+  /// The factor sweep over rows [lo, lo + n) of `t`, on the slab (kLu with
+  /// a dispatchable M: one M-dispatch, zero per-block allocations) or the
+  /// per-block representation; with `spikes`, the fused spike sweep rides
+  /// along (see SpikeSweep in thomas.cpp).
+  template <index_t M, typename Sys>
+  void factor_slab(const Sys& t, index_t lo, bool spikes);
+  template <typename Sys>
+  void factor_blocks(const Sys& t, index_t lo, bool spikes);
+  template <typename Sys>
+  static ThomasFactorization factor_rows(const Sys& t, index_t lo, index_t n, PivotKind pivot,
+                                         bool spikes);
+  template <typename MulSub, typename Solve>
+  class SpikeSweep;
 
   /// Per-block views that read whichever representation this
   /// factorization was built with.
@@ -144,6 +179,13 @@ class ThomasFactorization {
   const double* lu_base(index_t i) const { return slab_store_.get() + i * m_ * m_; }
   const double* g_base(index_t i) const { return lu_base(n_ + i); }
   const double* lower_base(index_t i) const { return g_base(n_ - 1 + i); }
+  // Corner spikes on their support, M x M row-major blocks: V's block
+  // rows 0 .. v_rows_-1 in order, W's rows N-1, N-2, .. N-w_rows_ in the
+  // order the backward sweep produces them (walking away from its tip).
+  std::vector<double> v_;
+  std::vector<double> w_;
+  index_t v_rows_ = 0;
+  index_t w_rows_ = 0;
 };
 
 /// One-shot convenience: factor + solve.

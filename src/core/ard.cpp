@@ -14,21 +14,8 @@
 namespace ardbt::core {
 namespace {
 
-using btds::BlockTridiag;
 using btds::ThomasFactorization;
 using la::Matrix;
-
-/// Copy rows [lo, lo + nloc) of `sys` into a standalone segment system.
-template <typename SysView>
-BlockTridiag copy_segment(const SysView& sys, la::index_t lo, la::index_t nloc, la::index_t m) {
-  BlockTridiag tloc(nloc, m);
-  for (la::index_t k = 0; k < nloc; ++k) {
-    tloc.diag(k) = sys.diag(lo + k);
-    if (k > 0) tloc.lower(k) = sys.lower(lo + k);
-    if (k + 1 < nloc) tloc.upper(k) = sys.upper(lo + k);
-  }
-  return tloc;
-}
 
 /// Product a * b * c of three M x M blocks (the interface couplings
 /// F = A_first S_pre C_pre and G = C_last P_suf A_suf).
@@ -73,12 +60,14 @@ void ArdFactorization::local_phase(mpsim::Comm& comm, const SysView& sys) {
   const int L = static_cast<int>(
       std::clamp<la::index_t>(static_cast<la::index_t>(opts_.pipeline.lanes), 1, nloc));
 
-  // --- 1+2. Split the segment into L lanes (usually one), factor each, and
-  // keep its corner spikes [V W] = A_lane^{-1} [E_first E_last]. Their
-  // first and last block rows are the corner blocks P, Q, R, S of the
-  // lane's inverse — its two-port. Several lanes run in parallel on the
-  // pool; the flop charge stays on the rank thread, so ChargedFlops
-  // virtual times do not depend on --threads.
+  // --- 1+2. Split the segment into L lanes (usually one) and factor each
+  // in place in the caller's rows, its corner spikes
+  // [V W] = A_lane^{-1} [E_first E_last] computed in the same sweep and
+  // kept on their support. Their first and last block rows are the corner
+  // blocks P, Q, R, S of the lane's inverse — its two-port. Several lanes
+  // run in parallel on the pool; the flop charge stays on the rank thread
+  // and is the dense count, so ChargedFlops virtual times depend neither
+  // on --threads nor on how far the spikes decay.
   lanes_.clear();
   lanes_.resize(static_cast<std::size_t>(L));
   std::vector<TwoPort> tps(static_cast<std::size_t>(L));
@@ -90,20 +79,19 @@ void ArdFactorization::local_phase(mpsim::Comm& comm, const SysView& sys) {
     flops += ThomasFactorization::factor_flops(e - b, m, opts_.pivot) +
              ThomasFactorization::spike_flops(e - b, m);
   }
-  for_each_lane(comm, "ard.lane.factor", [&](int li, par::Pool* pool) {
+  for_each_lane(comm, "ard.lane.factor", [&](int li, par::Pool*) {
     Lane& ln = at(lanes_, li);
     const la::index_t rows = ln.hi - ln.lo;
-    ln.thomas = ThomasFactorization::factor(copy_segment(sys, lo_ + ln.lo, rows, m), opts_.pivot);
     const la::index_t gfirst = lo_ + ln.lo;
     const la::index_t glast = lo_ + ln.hi - 1;
+    ln.thomas = ThomasFactorization::factor_segment(sys, gfirst, rows, opts_.pivot);
     ln.a_first = (gfirst > 0) ? sys.lower(gfirst) : Matrix(m, m);
     ln.c_last = (glast + 1 < n_) ? sys.upper(glast) : Matrix(m, m);
-    ln.spikes = ln.thomas.corner_spikes(pool);
     TwoPort& tp = at(tps, li);
-    tp.P = la::to_matrix(ln.spikes.block(0, 0, m, m));
-    tp.Q = la::to_matrix(ln.spikes.block(0, m, m, m));
-    tp.R = la::to_matrix(ln.spikes.block((rows - 1) * m, 0, m, m));
-    tp.S = la::to_matrix(ln.spikes.block((rows - 1) * m, m, m, m));
+    tp.P = ln.thomas.v_corner(0);
+    tp.Q = ln.thomas.w_corner(0);
+    tp.R = ln.thomas.v_corner(rows - 1);
+    tp.S = ln.thomas.w_corner(rows - 1);
     tp.a_first = ln.a_first;
     tp.c_last = ln.c_last;
   });
@@ -203,21 +191,21 @@ void ArdFactorization::global_phase(mpsim::Comm& comm) {
     const la::index_t k = npre + (suf ? m : 0);
     ln.k = la::LuFactors{};
     if (k == 0) continue;
-    const la::index_t last = (ln.hi - ln.lo - 1) * m;
+    const la::index_t last = ln.hi - ln.lo - 1;
     Matrix kmat = Matrix::identity(k);
     if (pre) {
-      la::gemm(-1.0, ln.f_pre.view(), ln.spikes.block(0, 0, m, m), 1.0, kmat.block(0, 0, m, m));
+      la::gemm(-1.0, ln.f_pre.view(), ln.thomas.v_corner(0).view(), 1.0, kmat.block(0, 0, m, m));
       if (suf) {
-        la::gemm(-1.0, ln.f_pre.view(), ln.spikes.block(0, m, m, m), 1.0,
+        la::gemm(-1.0, ln.f_pre.view(), ln.thomas.w_corner(0).view(), 1.0,
                  kmat.block(0, m, m, m));
       }
     }
     if (suf) {
       if (pre) {
-        la::gemm(-1.0, ln.g_suf.view(), ln.spikes.block(last, 0, m, m), 1.0,
+        la::gemm(-1.0, ln.g_suf.view(), ln.thomas.v_corner(last).view(), 1.0,
                  kmat.block(npre, 0, m, m));
       }
-      la::gemm(-1.0, ln.g_suf.view(), ln.spikes.block(last, m, m, m), 1.0,
+      la::gemm(-1.0, ln.g_suf.view(), ln.thomas.w_corner(last).view(), 1.0,
                kmat.block(npre, npre, m, m));
     }
     const double sides = static_cast<double>(k / m);
@@ -321,36 +309,44 @@ void ArdFactorization::apply_spikes(const Lane& ln, la::ConstMatrixView gh, la::
                                     par::Pool* pool) const {
   const la::index_t m = m_;
   const la::index_t cols = x.cols();
+  const ThomasFactorization& t = ln.thomas;
   const bool has_g = !ln.f_pre.empty();
   const bool has_h = !ln.g_suf.empty();
   const la::ConstMatrixView g = has_g ? gh.block(0, 0, m, cols) : la::ConstMatrixView();
   const la::ConstMatrixView h = has_h ? gh.block(has_g ? m : 0, 0, m, cols) : la::ConstMatrixView();
+  // Only the spikes' support is touched: V g on rows [0, v_end), W h on
+  // rows [w_first, rows); outside them the spikes are zero. The loop runs
+  // over the union of the two ranges, skipping the gap between them.
+  const la::index_t rows = ln.hi - ln.lo;
+  const la::index_t v_end = has_g ? t.v_rows() : 0;
+  const la::index_t w_first = has_h ? t.w_first() : rows;
+  const la::index_t resume = std::max(v_end, w_first);
   // Block rows are independent; each element sees the same two k-ascending
   // accumulations (V_j g, then W_j h) however the rows are split.
   par::parallel_for(
-      pool, 0, ln.hi - ln.lo,
-      [&](std::int64_t rb, std::int64_t re) {
-        const la::index_t j0 = static_cast<la::index_t>(rb);
-        const la::index_t nj = static_cast<la::index_t>(re - rb);
+      pool, 0, v_end + rows - resume,
+      [&](std::int64_t ub, std::int64_t ue) {
+        const auto sweep = [&](auto&& mul_sub) {
+          for (la::index_t u = static_cast<la::index_t>(ub); u < ue; ++u) {
+            const la::index_t j = u < v_end ? u : resume + (u - v_end);
+            const la::MatrixView xj = x.block(j * m, 0, m, cols);
+            if (j < v_end) mul_sub(t.v_block(j), g, xj);
+            if (j >= w_first) mul_sub(t.w_block(j), h, xj);
+          }
+        };
         const bool fixed = la::smallblock::enabled() &&
                            la::smallblock::dispatch(m, [&](auto tag) {
                              constexpr la::index_t kM = decltype(tag)::value;
-                             for (la::index_t j = j0; j < j0 + nj; ++j) {
-                               la::MatrixView xj = x.block(j * kM, 0, kM, cols);
-                               if (has_g) {
-                                 la::smallblock::gemm_kernel<kM>(
-                                     -1.0, ln.spikes.block(j * kM, 0, kM, kM), g, xj);
-                               }
-                               if (has_h) {
-                                 la::smallblock::gemm_kernel<kM>(
-                                     -1.0, ln.spikes.block(j * kM, kM, kM, kM), h, xj);
-                               }
-                             }
+                             sweep([](la::ConstMatrixView a, la::ConstMatrixView b,
+                                      la::MatrixView c) {
+                               la::smallblock::gemm_kernel<kM>(-1.0, a, b, c);
+                             });
                            });
-        if (fixed) return;
-        la::MatrixView xr = x.block(j0 * m, 0, nj * m, cols);
-        if (has_g) la::gemm(-1.0, ln.spikes.block(j0 * m, 0, nj * m, m), g, 1.0, xr);
-        if (has_h) la::gemm(-1.0, ln.spikes.block(j0 * m, m, nj * m, m), h, 1.0, xr);
+        if (!fixed) {
+          sweep([](la::ConstMatrixView a, la::ConstMatrixView b, la::MatrixView c) {
+            la::gemm(-1.0, a, b, 1.0, c);
+          });
+        }
       },
       "ard.spike.update");
 }
@@ -554,13 +550,14 @@ std::size_t ArdFactorization::storage_bytes() const {
     return rounds * 2 * 4 * static_cast<std::size_t>(m_ * m_) * sizeof(double);
   };
   // Everything the solve replay retains, at its actual size: the lane
-  // factorizations, spikes, couplings and interface LUs, the rank
-  // two-port, the scan caches, and (with several lanes) the local chains
-  // and merge caches, so budget-based admission sees the true footprint.
+  // factorizations with their spikes' support, couplings and interface
+  // LUs, the rank two-port, the scan caches, and (with several lanes) the
+  // local chains and merge caches, so budget-based admission sees the true
+  // footprint.
   std::size_t bytes =
       tp_size(tp_) + scan_cache(fwd_.num_rounds()) + scan_cache(bwd_.num_rounds());
   for (const Lane& ln : lanes_) {
-    bytes += ln.thomas.storage_bytes() + mat_bytes(ln.spikes) + mat_bytes(ln.a_first) +
+    bytes += ln.thomas.storage_bytes() + mat_bytes(ln.a_first) +
              mat_bytes(ln.c_last) + mat_bytes(ln.f_pre) + mat_bytes(ln.g_suf) +
              mat_bytes(ln.k.lu) + ln.k.piv.size() * sizeof(la::index_t);
   }

@@ -21,10 +21,14 @@
 /// per right-hand-side batch:
 ///
 ///   factor — O(M^3 (N/P + log P)) work, O(M^2 (N/P + log P)) memory:
-///     1. block-Thomas factorization of this rank's row segment;
-///     2. the segment's corner spikes [V W] = A_seg^{-1} [E_first E_last]
-///        (a 2M-column local solve whose W half skips the forward sweep);
-///        their corner blocks form the segment's two-port;
+///     1. block-Thomas factorization of this rank's row segment, read in
+///        place from the caller's rows;
+///     2. in the same sweep, the segment's corner spikes
+///        [V W] = A_seg^{-1} [E_first E_last] (V's forward sweep inside the
+///        factor loop, one shared backward walk), kept only on the rows
+///        where they have not decayed below DBL_MIN relative to their tip
+///        (btds::ThomasFactorization::factor_segment); their corner blocks
+///        form the segment's two-port;
 ///     3. forward and backward hypercube prefix scans over two-ports
 ///        (CachedScan<TwoPortOp>, log P rounds of O(M^3) merges, caching
 ///        the per-round matrices);
@@ -168,8 +172,8 @@ class ArdFactorization {
   la::index_t local_rows() const { return hi_ - lo_; }
 
   /// Approximate bytes of factored state held by this rank (T1's memory
-  /// column): the segment factorization, its spikes (2 M^2 doubles per
-  /// block row), the interface LUs and the scan caches.
+  /// column): the segment factorization, its spikes' support (up to 2 M^2
+  /// doubles per block row), the interface LUs and the scan caches.
   std::size_t storage_bytes() const;
 
   /// The breakdown monitor the drivers compare against
@@ -203,8 +207,9 @@ class ArdFactorization {
   /// the whole segment.
   struct Lane {
     la::index_t lo = 0, hi = 0;  ///< block-row range within this segment
+    /// Factored in place from the caller's rows; also holds the lane's
+    /// corner spikes [V W] = A_lane^{-1} [E_first E_last] on their support.
     btds::ThomasFactorization thomas;
-    la::Matrix spikes;  ///< [V W] = A_lane^{-1} [E_first E_last], rows*M x 2M
     la::Matrix a_first;  ///< A of the lane's first global row (zero on row 0)
     la::Matrix c_last;   ///< C of the lane's last global row (zero on row N-1)
     la::Matrix f_pre;    ///< F = A_first S_pre C_pre (empty without a prefix)
@@ -212,8 +217,9 @@ class ArdFactorization {
     la::LuFactors k;     ///< LU of the interface matrix K (empty when both are)
   };
 
-  /// x -= V g + W h over one lane's block rows, with [g; h] the solved
-  /// interface right-hand side (rows for absent sides omitted).
+  /// x -= V g + W h over the block rows of one lane's spike support, with
+  /// [g; h] the solved interface right-hand side (rows for absent sides
+  /// omitted).
   void apply_spikes(const Lane& ln, la::ConstMatrixView gh, la::MatrixView x,
                     par::Pool* pool) const;
 

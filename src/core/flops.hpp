@@ -65,7 +65,11 @@ inline double ard_factor_global(index_t m, int p) {
 ///   per row: one block-Thomas factorization (14/3 M^3) plus the corner
 ///            spikes [V W] = A_seg^{-1} [E_first E_last] (8 M^3: V is a
 ///            full M-column solve, W skips the forward sweep) ~ 12.7 M^3
-/// plus ard_factor_global's scans and interface system.
+/// plus ard_factor_global's scans and interface system. The spike share
+/// is the dense model count (spike_flops): the code computes the spikes
+/// only on their support, which on a long decaying segment is a few
+/// hundred rows, but the engine charges this count, so virtual time
+/// models the paper's dense algorithm.
 inline double ard_factor(index_t n, index_t m, int p) {
   const double per_row =
       btds::ThomasFactorization::factor_flops(1, m) + btds::ThomasFactorization::spike_flops(1, m);
@@ -74,8 +78,9 @@ inline double ard_factor(index_t n, index_t m, int p) {
 
 /// ARD solve phase flops (phase 2) for R right-hand sides:
 ///   per row  : one local Thomas solve (6 M^2 R) plus the spike update
-///              x -= V g + W h (2 M^2 R per side): 10 M^2 R on an interior
-///              rank, 6 serially
+///              x -= V g + W h (2 M^2 R per side, the dense count; the
+///              code updates the spikes' support rows only): 10 M^2 R on
+///              an interior rank, 6 serially
 ///   per round: kMergesPerRound vector merges of 4 gemms (8 M^2 R each)
 ///   interface: the right-hand side of K (2 gemms per side) and the K
 ///              solve (2 (sides M)^2 R): 16 M^2 R on an interior rank.

@@ -5,9 +5,9 @@
 #include <cassert>
 #include <cstring>
 #include <map>
-#include <stdexcept>
 #include <utility>
 
+#include "src/fault/status.hpp"
 #include "src/la/blas1.hpp"
 #include "src/la/gemm.hpp"
 #include "src/la/smallblock/smallblock.hpp"
@@ -102,7 +102,10 @@ PcrFactorization PcrFactorization::factor_impl(mpsim::Comm& comm, const SysView&
   const index_t n = f.n_;
   const index_t m = f.m_;
   const index_t nloc = f.hi_ - f.lo_;
-  if (nloc < 1) throw std::runtime_error("PCR: every rank needs at least one block row");
+  if (nloc < 1) {
+    throw fault::InvalidArgumentError("core::PcrFactorization::factor",
+                                      "every rank needs at least one block row (N >= P)");
+  }
   ARDBT_TRACE_SPAN(comm, obs::SpanKind::kPhase, "pcr.factor");
   const auto uz = [](index_t k) { return static_cast<std::size_t>(k); };
 

@@ -1,9 +1,9 @@
 #include "src/core/periodic.hpp"
 
 #include <cassert>
-#include <stdexcept>
 
 #include "src/btds/spmv.hpp"
+#include "src/fault/status.hpp"
 #include "src/la/blas1.hpp"
 #include "src/la/gemm.hpp"
 #include "src/mpsim/collectives.hpp"
@@ -50,7 +50,9 @@ PeriodicArdFactorization PeriodicArdFactorization::factor(
     const la::Matrix& corner_upper, const btds::RowPartition& part, const ArdOptions& opts) {
   const index_t n = sys.num_blocks();
   const index_t m = sys.block_size();
-  if (n < 3) throw std::runtime_error("periodic ARD: N >= 3 required");
+  if (n < 3) {
+    throw fault::InvalidArgumentError("core::PeriodicArdFactorization::factor", "N >= 3 required");
+  }
   assert(corner_lower.rows() == m && corner_lower.cols() == m);
   assert(corner_upper.rows() == m && corner_upper.cols() == m);
 
@@ -78,7 +80,8 @@ PeriodicArdFactorization PeriodicArdFactorization::factor(
   f.cap_lu_ = la::lu_factor(std::move(k));
   comm.charge_flops(la::lu_factor_flops(2 * m));
   if (!f.cap_lu_.ok()) {
-    throw std::runtime_error("periodic ARD: singular capacitance matrix");
+    throw fault::SingularPivotError(fault::ErrorCode::kSingularPivot, "core::periodic_capacitance", -1,
+                                    f.cap_lu_.info - 1, f.cap_lu_.growth);
   }
   return f;
 }

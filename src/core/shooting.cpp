@@ -2,9 +2,9 @@
 
 #include <cassert>
 #include <cmath>
-#include <stdexcept>
 #include <utility>
 
+#include "src/fault/status.hpp"
 #include "src/la/blas1.hpp"
 #include "src/la/gemm.hpp"
 #include "src/la/lu.hpp"
@@ -56,7 +56,10 @@ la::Matrix shooting_solve(const btds::BlockTridiag& sys, const la::Matrix& b) {
     la::copy(btds::block_row(b, i, m), rhs.block(0, has_a ? 2 * m : m, m, r));
     if (has_c) {
       la::LuFactors c_lu = la::lu_factor(sys.upper(i).view());
-      if (!c_lu.ok()) throw std::runtime_error("shooting: singular super-diagonal block");
+      if (!c_lu.ok()) {
+        throw fault::SingularPivotError(fault::ErrorCode::kSingularPivot, "core::shooting_upper", i,
+                                        c_lu.info - 1, c_lu.growth);
+      }
       la::lu_solve_inplace(c_lu, rhs.view());
       c_lus[static_cast<std::size_t>(i)] = std::move(c_lu);
     }
@@ -85,7 +88,10 @@ la::Matrix shooting_solve(const btds::BlockTridiag& sys, const la::Matrix& b) {
   // Boundary: [x_N; x_{N-1}] proportional to p applied to [x_0; 0; 1];
   // the ghost condition x_N = 0 gives S11 X0 = -V_top.
   la::LuFactors s11 = la::lu_factor(p.s.block(0, 0, m, m));
-  if (!s11.ok()) throw std::runtime_error("shooting: singular boundary operator");
+  if (!s11.ok()) {
+    throw fault::SingularPivotError(fault::ErrorCode::kSingularPivot, "core::shooting_boundary", -1,
+                                    s11.info - 1, s11.growth);
+  }
   Matrix x0 = la::to_matrix(p.v.block(0, 0, m, r));
   la::matrix_scal(-1.0, x0.view());
   la::lu_solve_inplace(s11, x0.view());

@@ -1,11 +1,11 @@
 #include "src/core/transfer_rd.hpp"
 
 #include <cassert>
-#include <stdexcept>
 #include <utility>
 
 #include "src/core/serde.hpp"
 #include "src/core/transfer.hpp"
+#include "src/fault/status.hpp"
 #include "src/la/gemm.hpp"
 
 namespace ardbt::core {
@@ -38,7 +38,8 @@ TransferRdFactorization TransferRdFactorization::factor(mpsim::Comm& comm, const
   assert(part.nranks() == comm.size());
   ARDBT_TRACE_SPAN(comm, obs::SpanKind::kPhase, "transfer_rd.factor");
   if (f.hi_ - f.lo_ < 1) {
-    throw std::runtime_error("transfer RD: every rank needs at least one block row (N >= P)");
+    throw fault::InvalidArgumentError("core::TransferRdFactorization::factor",
+                                      "every rank needs at least one block row (N >= P)");
   }
 
   const la::index_t m = f.m_;
@@ -57,7 +58,8 @@ TransferRdFactorization TransferRdFactorization::factor(mpsim::Comm& comm, const
     if (has_c) {
       c_lu = la::lu_factor(sys.upper(i).view());
       if (!c_lu.ok()) {
-        throw std::runtime_error("transfer RD: singular super-diagonal block C_" + std::to_string(i));
+        throw fault::SingularPivotError(fault::ErrorCode::kSingularPivot, "core::transfer_rd_upper", i,
+                                        c_lu.info - 1, c_lu.growth);
       }
       comm.charge_flops(la::lu_factor_flops(m) + lu_solve_flops(m, a ? 2 * m : m));
     }
@@ -112,7 +114,8 @@ TransferRdFactorization TransferRdFactorization::factor(mpsim::Comm& comm, const
     la::LuFactors y_lu = la::lu_factor(y);
     comm.charge_flops(la::lu_factor_flops(m));
     if (!y_lu.ok()) {
-      throw std::runtime_error("transfer RD: singular pair denominator at block row " + std::to_string(i));
+      throw fault::SingularPivotError(fault::ErrorCode::kSingularPivot, "core::transfer_rd_pair", i,
+                                      y_lu.info - 1, y_lu.growth);
     }
     // U_i = C_i Z_i Y_i^{-1} (ghost C = I on the last row).
     Matrix v;
@@ -128,7 +131,8 @@ TransferRdFactorization TransferRdFactorization::factor(mpsim::Comm& comm, const
     f.u_lu_[uz(k)] = la::lu_factor(u.view());
     comm.charge_flops(la::lu_factor_flops(m));
     if (!f.u_lu_[uz(k)].ok()) {
-      throw std::runtime_error("transfer RD: singular block-LU pivot at block row " + std::to_string(i));
+      throw fault::SingularPivotError(fault::ErrorCode::kSingularPivot, "core::transfer_rd_pivot", i,
+                                      f.u_lu_[uz(k)].info - 1, f.u_lu_[uz(k)].growth);
     }
     if (i + 1 < f.n_) {
       f.g_[uz(k)] = la::lu_solve(f.u_lu_[uz(k)], sys.upper(i).view());
@@ -148,7 +152,10 @@ TransferRdFactorization TransferRdFactorization::factor(mpsim::Comm& comm, const
     const auto raw = comm.recv_bytes(f.rank_ - 1, transfer_tags::kBoundaryU);
     prev_u_lu = la::lu_factor(des_matrix(raw, m, m));
     comm.charge_flops(la::lu_factor_flops(m));
-    if (!prev_u_lu.ok()) throw std::runtime_error("transfer RD: singular boundary pivot");
+    if (!prev_u_lu.ok()) {
+      throw fault::SingularPivotError(fault::ErrorCode::kSingularPivot, "core::transfer_rd_boundary",
+                                      f.lo_ - 1, prev_u_lu.info - 1, prev_u_lu.growth);
+    }
   }
   for (la::index_t k = 0; k < nloc; ++k) {
     const la::index_t i = f.lo_ + k;

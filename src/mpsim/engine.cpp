@@ -5,8 +5,8 @@
 #include <chrono>
 #include <exception>
 #include <memory>
-#include <stdexcept>
 
+#include "src/fault/status.hpp"
 #include "src/par/pool.hpp"
 
 namespace ardbt::mpsim {
@@ -89,9 +89,10 @@ RankStats RunReport::totals() const {
 }
 
 RunReport run(int nranks, const RankFn& fn, const EngineOptions& options) {
-  if (nranks <= 0) throw std::invalid_argument("mpsim::run: nranks must be positive");
-  if (options.threads_per_rank < 1)
-    throw std::invalid_argument("mpsim::run: threads_per_rank must be >= 1");
+  if (nranks <= 0) throw fault::InvalidArgumentError("mpsim::run", "nranks must be positive");
+  if (options.threads_per_rank < 1) {
+    throw fault::InvalidArgumentError("mpsim::run", "threads_per_rank must be >= 1");
+  }
 
   World world(nranks, options.cost, options.timing, options.vtime_origin);
   // An empty plan is equivalent to none: the per-message pointer test stays

@@ -345,6 +345,34 @@ TEST(SpikeSweep, OptionCrossProductMatchesBandedLu) {
       }
     }
   }
+  // Long segments (N/P >= 1500, so even a third of a rank's rows outlasts
+  // the spikes' support): the support cutoff engages on every lane, and
+  // the cut spikes must keep the residual and bit-identity contracts.
+  int long_cases = 0;
+  for (const index_t m : {index_t{3}, index_t{8}, index_t{16}}) {
+    for (const int lanes : {1, 3}) {
+      for (const bool local : {false, true}) {
+        SweepCase c;
+        c.p = 2 + static_cast<int>(rng() % 2);
+        c.n = c.p * (1500 + static_cast<index_t>(rng() % 200));
+        c.m = m;
+        c.lanes = lanes;
+        c.local = local;
+        c.seed = rng() % 100000;
+        c.pivot = long_cases % 2 == 0 ? btds::PivotKind::kLu : btds::PivotKind::kCholesky;
+        c.kind = c.pivot == btds::PivotKind::kLu ? SweepKind::kDiagDominant : SweepKind::kSpd;
+        ++long_cases;
+        const BlockTridiag sys = make_sweep_system(c);
+        const index_t lane_rows = c.n / c.p / lanes;
+        const auto f = btds::ThomasFactorization::factor_segment(sys, 0, lane_rows, c.pivot);
+        EXPECT_LT(f.v_rows(), lane_rows) << c.describe();
+        EXPECT_GT(f.w_first(), 0) << c.describe();
+        std::string err = check_sweep_case(c);
+        if (!err.empty()) failures.emplace_back(c, std::move(err));
+      }
+    }
+  }
+  cases += long_cases;
   EXPECT_GT(cases, 600);
   if (!failures.empty()) {
     const auto smallest = std::min_element(

@@ -32,7 +32,9 @@ TEST(Engine, RunsAllRanks) {
 }
 
 TEST(Engine, RejectsNonPositiveRankCount) {
-  EXPECT_THROW(run(0, [](Comm&) {}), std::invalid_argument);
+  EXPECT_THROW(run(0, [](Comm&) {}), fault::InvalidArgumentError);
+  EXPECT_THROW(run(2, [](Comm&) {}, EngineOptions{.threads_per_rank = 0}),
+               fault::InvalidArgumentError);
 }
 
 TEST(Engine, PointToPointDeliversPayload) {

@@ -26,6 +26,15 @@ Matrix pcr_solve(const BlockTridiag& sys, const Matrix& b, int p) {
   return x;
 }
 
+TEST(Pcr, ThrowsTypedErrorWhenMoreRanksThanRows) {
+  const BlockTridiag sys = make_problem(ProblemKind::kPoisson2D, 2, 2);
+  const btds::RowPartition part(2, 3);
+  EXPECT_THROW(mpsim::run(3, [&](mpsim::Comm& comm) {
+                 (void)PcrFactorization::factor(comm, sys, part);
+               }),
+               fault::InvalidArgumentError);
+}
+
 class PcrSweep : public ::testing::TestWithParam<
                      std::tuple<ProblemKind, la::index_t, la::index_t, int, la::index_t>> {};
 

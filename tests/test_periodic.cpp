@@ -131,7 +131,21 @@ TEST(Periodic, RejectsTinySystems) {
   const btds::RowPartition part(2, 1);
   mpsim::run(1, [&](mpsim::Comm& comm) {
     EXPECT_THROW(PeriodicArdFactorization::factor(comm, sys, corner, corner, part),
-                 std::runtime_error);
+                 fault::InvalidArgumentError);
+  });
+}
+
+TEST(Periodic, SingularCapacitanceThrowsTypedPivotError) {
+  // Uncoupled unit rows closed into a ring by corners of -1: rows 0 and 2
+  // read x_0 - x_2 and x_2 - x_0, so the periodic matrix is singular, and
+  // so is K = I + [[0, -1], [-1, 0]], exactly (every value is +-1).
+  BlockTridiag sys(3, 1);
+  for (index_t i = 0; i < 3; ++i) sys.diag(i)(0, 0) = 1.0;
+  const Matrix corner{{-1.0}};
+  const btds::RowPartition part(3, 1);
+  mpsim::run(1, [&](mpsim::Comm& comm) {
+    EXPECT_THROW(PeriodicArdFactorization::factor(comm, sys, corner, corner, part),
+                 fault::SingularPivotError);
   });
 }
 

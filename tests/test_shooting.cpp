@@ -4,6 +4,7 @@
 
 #include "src/btds/generators.hpp"
 #include "src/btds/spmv.hpp"
+#include "src/fault/status.hpp"
 
 namespace ardbt::core {
 namespace {
@@ -11,6 +12,17 @@ namespace {
 using btds::make_problem;
 using btds::make_rhs;
 using btds::ProblemKind;
+
+TEST(Shooting, SingularBlocksThrowTypedPivotErrors) {
+  // A singular super-diagonal block cannot be solved against; a single
+  // zero row leaves the boundary operator S11 = -D_0 singular.
+  auto sys = make_problem(ProblemKind::kDiagDominant, 3, 2);
+  sys.upper(1) = la::Matrix(2, 2);
+  const auto b = make_rhs(3, 2, 1);
+  EXPECT_THROW(shooting_solve(sys, b), fault::SingularPivotError);
+  btds::BlockTridiag one(1, 1);
+  EXPECT_THROW(shooting_solve(one, make_rhs(1, 1, 1)), fault::SingularPivotError);
+}
 
 TEST(Shooting, ExactForTinySystems) {
   for (ProblemKind kind : {ProblemKind::kDiagDominant, ProblemKind::kPoisson2D}) {

@@ -2,6 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cfloat>
+#include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <string>
+
+#include "src/btds/distributed.hpp"
 #include "src/btds/generators.hpp"
 #include "src/btds/spmv.hpp"
 #include "src/la/blas1.hpp"
@@ -77,36 +85,181 @@ TEST(Thomas, ThrowsOnSingularPivot) {
   EXPECT_THROW(ThomasFactorization::factor(t), std::runtime_error);
 }
 
+/// [V W] by the plain solve: solve_inplace on [E_first E_last], every row
+/// swept.
+Matrix full_spikes(const ThomasFactorization& f) {
+  const index_t n = f.num_blocks();
+  const index_t m = f.block_size();
+  Matrix s(n * m, 2 * m);
+  for (index_t i = 0; i < m; ++i) {
+    s(i, i) = 1.0;
+    s((n - 1) * m + i, m + i) = 1.0;
+  }
+  f.solve_inplace(s.view());
+  return s;
+}
+
+/// The stored spikes as one (N*M) x 2M matrix, zero outside the support.
+Matrix stored_spikes(const ThomasFactorization& f) {
+  const index_t n = f.num_blocks();
+  const index_t m = f.block_size();
+  Matrix s(n * m, 2 * m);
+  for (index_t i = 0; i < f.v_rows(); ++i) la::copy(f.v_block(i), s.block(i * m, 0, m, m));
+  for (index_t i = f.w_first(); i < n; ++i) la::copy(f.w_block(i), s.block(i * m, m, m, m));
+  return s;
+}
+
+/// Random symmetric, strictly diagonally dominant (hence SPD) system with
+/// A_{i+1} = C_i^T, for the Cholesky pivots.
+BlockTridiag make_spd(index_t n, index_t m) {
+  BlockTridiag t = make_problem(ProblemKind::kDiagDominant, n, m);
+  for (index_t i = 0; i + 1 < n; ++i) {
+    for (index_t r = 0; r < m; ++r) {
+      for (index_t c = 0; c < m; ++c) t.lower(i + 1)(r, c) = t.upper(i)(c, r);
+    }
+  }
+  for (index_t i = 0; i < n; ++i) {
+    Matrix& d = t.diag(i);
+    for (index_t r = 0; r < m; ++r) {
+      for (index_t c = r + 1; c < m; ++c) d(r, c) = d(c, r);
+    }
+    for (index_t r = 0; r < m; ++r) {
+      double off = 1.0;
+      for (index_t c = 0; c < m; ++c) {
+        if (c != r) off += std::abs(d(r, c));
+        if (i > 0) off += std::abs(t.lower(i)(r, c));
+        if (i + 1 < n) off += std::abs(t.upper(i)(r, c));
+      }
+      d(r, r) = 2.0 * off;
+    }
+  }
+  return t;
+}
+
+BlockTridiag spike_system(PivotKind pivot, ProblemKind kind, index_t n, index_t m) {
+  return pivot == PivotKind::kCholesky && kind == ProblemKind::kDiagDominant
+             ? make_spd(n, m)
+             : make_problem(kind, n, m);
+}
+
 TEST(Thomas, CornerSpikesMatchUnitLoadSolves) {
-  // corner_spikes skips the forward sweep of the last-row unit load; the
-  // result must still be exactly what solve_inplace gives on [E_first
-  // E_last], on the fixed-M path (M = 8) and the generic one (M = 3), with
-  // LU and Cholesky pivots.
+  // A segment whose spikes never decay below DBL_MIN relative to their tip
+  // keeps full support, and its spikes are exactly what solve_inplace gives
+  // on [E_first E_last] — on the fixed-M path (M = 8, 16) and the generic
+  // one (M = 3), with LU and Cholesky pivots. Poisson's slowest mode decays
+  // by ~0.7 per row at M = 8, so 400 rows stay far above the cutoff.
   for (const PivotKind pivot : {PivotKind::kLu, PivotKind::kCholesky}) {
-    for (const index_t m : {index_t{3}, index_t{8}}) {
-      for (const index_t n : {index_t{1}, index_t{2}, index_t{9}}) {
-        const BlockTridiag t = make_problem(
-            pivot == PivotKind::kLu ? ProblemKind::kDiagDominant : ProblemKind::kPoisson2D, n, m);
-        const ThomasFactorization f = ThomasFactorization::factor(t, pivot);
-        Matrix ref(n * m, 2 * m);
-        for (index_t i = 0; i < m; ++i) {
-          ref(i, i) = 1.0;
-          ref((n - 1) * m + i, m + i) = 1.0;
-        }
-        f.solve_inplace(ref.view());
-        const Matrix s = f.corner_spikes();
-        ASSERT_EQ(s.rows(), ref.rows());
-        ASSERT_EQ(s.cols(), ref.cols());
+    for (const index_t m : {index_t{3}, index_t{8}, index_t{16}}) {
+      for (const index_t n : {index_t{1}, index_t{2}, index_t{9}, index_t{24}, index_t{400}}) {
+        const ProblemKind kind = n > 24 ? ProblemKind::kPoisson2D : ProblemKind::kDiagDominant;
+        if (n > 24 && m != 8) continue;
+        const BlockTridiag t = spike_system(pivot, kind, n, m);
+        const ThomasFactorization f = ThomasFactorization::factor_segment(t, 0, n, pivot);
+        const std::string where = "pivot=" + std::to_string(static_cast<int>(pivot)) +
+                                  " M=" + std::to_string(m) + " N=" + std::to_string(n);
+        ASSERT_EQ(f.v_rows(), n) << where;
+        ASSERT_EQ(f.w_first(), 0) << where;
+        const Matrix ref = full_spikes(f);
+        const Matrix s = stored_spikes(f);
         for (index_t i = 0; i < s.rows(); ++i) {
           for (index_t j = 0; j < s.cols(); ++j) {
-            ASSERT_EQ(s(i, j), ref(i, j)) << "pivot=" << static_cast<int>(pivot) << " M=" << m
-                                          << " N=" << n << " at (" << i << "," << j << ")";
+            ASSERT_EQ(std::bit_cast<std::uint64_t>(s(i, j)), std::bit_cast<std::uint64_t>(ref(i, j)))
+                << where << " at (" << i << "," << j << ")";
+          }
+        }
+        EXPECT_EQ(f.v_corner(n - 1).data()[0], ref((n - 1) * m, 0)) << where;
+        EXPECT_EQ(f.w_corner(0).data()[0], ref(0, m)) << where;
+      }
+    }
+  }
+  EXPECT_EQ(ThomasFactorization::spike_flops(10, 4), 8.0 * 10 * 64);
+}
+
+TEST(Thomas, LongDecayingSegmentStoresOnlyTheSpikeSupport) {
+  // On a long diagonally dominant segment the spikes underflow long before
+  // the far end. Against the full sweep:
+  //  * the support is shorter than the segment, and no subnormal is stored;
+  //  * every entry, stored or dropped, is within DBL_MIN (1 + t_c) of the
+  //    full sweep's value (the cut is below DBL_MIN t_c; a stored
+  //    subnormal becomes +0);
+  //  * W is swept from its tip exactly as before, so every stored W entry
+  //    is bit-identical; V's forward sweep stops at the cut, which moves
+  //    the backward sweep's V entries near it by less than DBL_MIN t_c, so
+  //    V entries more than 2^60 above that are bit-identical;
+  //  * storage_bytes() counts the support, not the segment.
+  for (const PivotKind pivot : {PivotKind::kLu, PivotKind::kCholesky}) {
+    for (const index_t m : {index_t{3}, index_t{8}, index_t{16}}) {
+      // At M = 3 the two supports overlap (rows swept for both spikes); at
+      // M = 8 and 16 a gap of untouched rows separates them.
+      const index_t n = m == 3 ? 400 : 700;
+      const BlockTridiag t = spike_system(pivot, ProblemKind::kDiagDominant, n, m);
+      const ThomasFactorization f = ThomasFactorization::factor_segment(t, 0, n, pivot);
+      const std::string where =
+          "pivot=" + std::to_string(static_cast<int>(pivot)) + " M=" + std::to_string(m);
+      EXPECT_LT(f.v_rows(), n) << where;
+      EXPECT_GT(f.w_first(), 0) << where;
+      const std::size_t support = static_cast<std::size_t>(f.v_rows() + n - f.w_first());
+      EXPECT_EQ(f.storage_bytes() - ThomasFactorization::factor(t, pivot).storage_bytes(),
+                support * static_cast<std::size_t>(m * m) * sizeof(double))
+          << where;
+
+      const Matrix ref = full_spikes(f);
+      const Matrix s = stored_spikes(f);
+      // Tips as the rule reads them: V's from the forward sweep's first
+      // row D_0^{-1}, W's from its own last row.
+      BlockTridiag d0(1, m);
+      d0.diag(0) = t.diag(0);
+      const Matrix z0 = ThomasFactorization::factor(d0, pivot).solve(Matrix::identity(m));
+      for (index_t j = 0; j < 2 * m; ++j) {
+        double tip = 0.0;
+        for (index_t r = 0; r < m; ++r) {
+          tip = std::max(tip, std::abs(j < m ? z0(r, j) : ref((n - 1) * m + r, j)));
+        }
+        const double cut = DBL_MIN * tip;
+        for (index_t i = 0; i < s.rows(); ++i) {
+          const double got = s(i, j);
+          const double want = ref(i, j);
+          ASSERT_FALSE(got != 0.0 && std::abs(got) < DBL_MIN) << where << " subnormal stored";
+          ASSERT_LE(std::abs(got - want), DBL_MIN * (1.0 + tip))
+              << where << " at (" << i << "," << j << ")";
+          if (j >= m ? got != 0.0 : std::abs(want) >= 0x1p60 * cut) {
+            ASSERT_EQ(got, want) << where << " at (" << i << "," << j << ")";
           }
         }
       }
     }
   }
-  EXPECT_EQ(ThomasFactorization::spike_flops(10, 4), 8.0 * 10 * 64);
+}
+
+TEST(Thomas, SegmentFactorReadsTheCallersRowsInPlace) {
+  // factor_segment over rows [lo, lo + n) of a larger system — global or
+  // distributed storage — gives the bits of factoring that segment copied
+  // out as a standalone system.
+  const index_t big = 51;
+  const RowPartition part(big, 3);  // rank 1 owns rows [17, 34)
+  const index_t lo = part.begin(1), n = part.count(1);
+  for (const index_t m : {index_t{3}, index_t{8}}) {
+    const BlockTridiag t = make_problem(ProblemKind::kDiagDominant, big, m);
+    BlockTridiag seg(n, m);
+    for (index_t k = 0; k < n; ++k) {
+      seg.diag(k) = t.diag(lo + k);
+      if (k > 0) seg.lower(k) = t.lower(lo + k);
+      if (k + 1 < n) seg.upper(k) = t.upper(lo + k);
+    }
+    const LocalBlockTridiag local = LocalBlockTridiag::from_shared(t, part, 1);
+    const Matrix b = make_rhs(n, m, 3);
+    const ThomasFactorization ref = ThomasFactorization::factor_segment(seg, 0, n);
+    const Matrix x_ref = ref.solve(b);
+    const Matrix s_ref = stored_spikes(ref);
+    for (const ThomasFactorization& f : {ThomasFactorization::factor_segment(t, lo, n),
+                                         ThomasFactorization::factor_segment(local, lo, n)}) {
+      EXPECT_EQ(f.storage_bytes(), ref.storage_bytes());
+      const Matrix x = f.solve(b);
+      const Matrix s = stored_spikes(f);
+      EXPECT_EQ(std::memcmp(x.data().data(), x_ref.data().data(), x.data().size_bytes()), 0);
+      EXPECT_EQ(std::memcmp(s.data().data(), s_ref.data().data(), s.data().size_bytes()), 0);
+    }
+  }
 }
 
 TEST(Thomas, FlopFormulasScale) {

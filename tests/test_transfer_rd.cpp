@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "src/btds/generators.hpp"
 #include "src/btds/spmv.hpp"
@@ -21,6 +22,43 @@ using la::Matrix;
 double transfer_residual(const BlockTridiag& sys, const Matrix& b, int p, bool rescale = true) {
   const Matrix x = solve(Method::kTransferRd, sys, b, p, {.ard = {.rescale = rescale}}).x;
   return btds::relative_residual(sys, x, b);
+}
+
+TEST(TransferRd, TypedErrors) {
+  {
+    const BlockTridiag sys = make_problem(ProblemKind::kPoisson2D, 2, 2);
+    const btds::RowPartition part(2, 3);
+    EXPECT_THROW(mpsim::run(3, [&](mpsim::Comm& comm) {
+                   (void)TransferRdFactorization::factor(comm, sys, part);
+                 }),
+                 fault::InvalidArgumentError);
+  }
+  {
+    BlockTridiag sys = make_problem(ProblemKind::kDiagDominant, 3, 2);
+    sys.upper(0) = Matrix(2, 2);
+    const btds::RowPartition part(3, 1);
+    EXPECT_THROW(mpsim::run(1, [&](mpsim::Comm& comm) {
+                   (void)TransferRdFactorization::factor(comm, sys, part);
+                 }),
+                 fault::SingularPivotError);
+  }
+  // [[0, 1], [1, 1]] on two ranks: rank 0's block-LU pivot U_0 = -D_0 is
+  // zero, and rank 1's entry pair has Y = 0.
+  BlockTridiag sys(2, 1);
+  sys.upper(0)(0, 0) = 1.0;
+  sys.lower(1)(0, 0) = 1.0;
+  sys.diag(1)(0, 0) = 1.0;
+  const btds::RowPartition part(2, 2);
+  std::string what[2];
+  mpsim::run(2, [&](mpsim::Comm& comm) {
+    try {
+      (void)TransferRdFactorization::factor(comm, sys, part);
+    } catch (const fault::SingularPivotError& e) {
+      what[comm.rank()] = e.what();
+    }
+  });
+  EXPECT_NE(what[0].find("core::transfer_rd_pivot"), std::string::npos) << what[0];
+  EXPECT_NE(what[1].find("core::transfer_rd_pair"), std::string::npos) << what[1];
 }
 
 TEST(TransferRd, AccurateForSmallN) {
