@@ -5,16 +5,12 @@
 #include <cfloat>
 #include <cmath>
 #include <cstring>
-#include <limits>
 #include <optional>
-#include <stdexcept>
-#include <utility>
 
 #include "src/btds/distributed.hpp"
 #include "src/la/blas1.hpp"
-#include "src/la/gemm.hpp"
+#include "src/la/cholesky.hpp"
 #include "src/la/smallblock/kernels.hpp"
-#include "src/la/smallblock/smallblock.hpp"
 #include "src/la/workspace.hpp"
 #include "src/par/pool.hpp"
 
@@ -73,17 +69,16 @@ class ColumnCutoff {
 
 }  // namespace
 
-/// The fused corner-spike sweep, one code path for the fixed-M and
-/// generic kernels and both pivot kinds: `mul_sub(a, b, c)` is c -= a b
-/// and `solve(i, b)` is b := D'_i^{-1} b, each exactly the operation the
-/// matching solve sweep runs, so a spike on full support is bit-identical
-/// to solve_inplace() on its unit load. Every new spike row starts as +0,
-/// the value the solve sweeps accumulate into.
-template <typename MulSub, typename Solve>
+/// The fused corner-spike sweep, one code path for every kernel set and
+/// both pivot kinds: it runs K::mul_sub (c -= a b) and pivot_solve<K>
+/// (b := D'_i^{-1} b), exactly the operations the solve sweep runs, so a
+/// spike on full support is bit-identical to solve_inplace() on its unit
+/// load. Every new spike row starts as +0, the value the solve sweeps
+/// accumulate into.
+template <typename K>
 class ThomasFactorization::SpikeSweep {
  public:
-  SpikeSweep(ThomasFactorization& f, MulSub mul_sub, Solve solve)
-      : f_(f), mm_(static_cast<std::size_t>(f.m_ * f.m_)), mul_sub_(mul_sub), solve_(solve) {}
+  explicit SpikeSweep(ThomasFactorization& f) : f_(f), mm_(static_cast<std::size_t>(f.m_ * f.m_)) {}
 
   /// V's forward sweep at block row i, run right after D'_i is factored
   /// (and A_i copied): z_0 = D'_0^{-1} I, z_i = -D'_i^{-1} A_i z_{i-1}.
@@ -100,9 +95,9 @@ class ThomasFactorization::SpikeSweep {
     if (i == 0) {
       for (index_t k = 0; k < m; ++k) z(k, k) = 1.0;
     } else {
-      mul_sub_(f_.lower_view(i - 1), block(f_.v_, i - 1), z);
+      K::mul_sub(f_.lower_block(i - 1), block(f_.v_, i - 1), z);
     }
-    solve_(i, z);
+    f_.pivot_solve<K>(i, z);
     if (i == 0) v_cut_.emplace(z);
     if (v_cut_->keep(z)) {
       f_.v_rows_ = i + 1;
@@ -123,7 +118,7 @@ class ThomasFactorization::SpikeSweep {
     f_.w_.resize(mm_);
     la::MatrixView tip = block(f_.w_, 0);
     for (index_t k = 0; k < m; ++k) tip(k, k) = 1.0;
-    solve_(n - 1, tip);
+    f_.pivot_solve<K>(n - 1, tip);
     f_.w_rows_ = 1;
     ColumnCutoff w_cut(tip);
     bool w_live = true;
@@ -132,7 +127,7 @@ class ThomasFactorization::SpikeSweep {
         const index_t k = f_.w_rows_;
         f_.w_.resize(static_cast<std::size_t>(k + 1) * mm_);
         la::MatrixView wi = block(f_.w_, k);
-        mul_sub_(f_.g_view(i), block(f_.w_, k - 1), wi);
+        K::mul_sub(f_.g_block(i), block(f_.w_, k - 1), wi);
         if (w_cut.keep(wi)) {
           f_.w_rows_ = k + 1;
         } else {
@@ -140,7 +135,7 @@ class ThomasFactorization::SpikeSweep {
           f_.w_.resize(static_cast<std::size_t>(k) * mm_);
         }
       }
-      if (i + 1 < f_.v_rows_) mul_sub_(f_.g_view(i), block(f_.v_, i + 1), block(f_.v_, i));
+      if (i + 1 < f_.v_rows_) K::mul_sub(f_.g_block(i), block(f_.v_, i + 1), block(f_.v_, i));
     }
     // Subnormal entries (at most the last rows of a support) are stored as
     // +0 once the sweeps no longer read them, so solves never multiply
@@ -160,145 +155,72 @@ class ThomasFactorization::SpikeSweep {
 
   ThomasFactorization& f_;
   std::size_t mm_;
-  MulSub mul_sub_;
-  Solve solve_;
   std::optional<ColumnCutoff> v_cut_;
   bool v_done_ = false;
 };
 
+template <typename K>
+void ThomasFactorization::factor_pivot(index_t i) {
+  const la::MatrixView d = pivot_block(i);
+  if (pivot_ == PivotKind::kLu) {
+    const la::LuInPlaceInfo f = K::lu_factor(d, pivots(i));
+    if (!f.ok()) {
+      throw fault::SingularPivotError(fault::ErrorCode::kSingularPivot, "btds::thomas_factor", i,
+                                      static_cast<std::int64_t>(f.info - 1), f.growth);
+    }
+    diag_.observe(f.min_pivot_abs, f.max_pivot_abs, i);
+  } else {
+    const la::CholeskyInPlaceInfo f = la::cholesky_factor_inplace(d);
+    if (!f.ok()) {
+      throw fault::SingularPivotError(fault::ErrorCode::kNonSpdPivot, "btds::thomas_factor", i,
+                                      static_cast<std::int64_t>(f.info - 1), f.growth());
+    }
+    diag_.observe(f.min_pivot_abs, f.max_pivot_abs, i);
+  }
+}
+
+template <typename K>
 void ThomasFactorization::pivot_solve(index_t i, la::MatrixView b) const {
   if (pivot_ == PivotKind::kLu) {
-    if (slab_) {
-      la::lu_solve_inplace(pivot_lu_view(i), {pivot_piv(i), static_cast<std::size_t>(m_)}, b);
-    } else {
-      la::lu_solve_inplace(pivot_lu_[static_cast<std::size_t>(i)], b);
-    }
+    K::lu_solve(pivot_block(i), pivots(i), b);
   } else {
-    la::cholesky_solve_inplace(pivot_chol_[static_cast<std::size_t>(i)], b);
+    la::cholesky_solve_inplace(pivot_block(i), b);
   }
 }
 
-la::ConstMatrixView ThomasFactorization::lower_view(index_t i) const {
-  return slab_ ? la::ConstMatrixView(lower_base(i), m_, m_)
-               : lower_[static_cast<std::size_t>(i)].view();
-}
-
-la::ConstMatrixView ThomasFactorization::g_view(index_t i) const {
-  return slab_ ? la::ConstMatrixView(g_base(i), m_, m_) : g_[static_cast<std::size_t>(i)].view();
-}
-
-la::ConstMatrixView ThomasFactorization::pivot_lu_view(index_t i) const {
-  return slab_ ? la::ConstMatrixView(lu_base(i), m_, m_)
-               : pivot_lu_[static_cast<std::size_t>(i)].lu.view();
-}
-
-const la::index_t* ThomasFactorization::pivot_piv(index_t i) const {
-  return slab_ ? piv_.get() + i * m_ : pivot_lu_[static_cast<std::size_t>(i)].piv.data();
-}
-
-template <index_t M, typename Sys>
-void ThomasFactorization::factor_slab(const Sys& t, index_t lo, bool spikes) {
-  namespace sb = la::smallblock;
+template <typename K, typename Sys>
+void ThomasFactorization::factor_sweep(const Sys& t, index_t lo, bool spikes) {
   const index_t n = n_;
-  constexpr std::size_t kBlock = static_cast<std::size_t>(M) * M;
-  slab_ = true;
+  const std::size_t mm = static_cast<std::size_t>(K::order(m_) * K::order(m_));
   // Deliberately uninitialized (make_unique_for_overwrite): the sweep
   // writes every entry — couplings and diagonals are memcpy'd into their
-  // final slots before the in-place factorization touches them, so
-  // zero-filling here would only add a full pass over the slab.
-  slab_store_ = std::make_unique_for_overwrite<double[]>(static_cast<std::size_t>(3 * n - 2) *
-                                                         kBlock);
-  piv_ = std::make_unique_for_overwrite<la::index_t[]>(static_cast<std::size_t>(n) * M);
-
-  // Compile-time-sized block copy: the source Matrix and the slab slot
-  // are both contiguous, and a constant byte count lets the compiler
-  // expand the memcpy inline instead of an out-of-line call per block.
-  const auto copy_block = [](double* dst, la::ConstMatrixView src) {
-    std::memcpy(dst, src.data(), kBlock * sizeof(double));
-  };
-  SpikeSweep sweep(
-      *this,
-      [](la::ConstMatrixView a, la::ConstMatrixView b, la::MatrixView c) {
-        sb::gemm_kernel<M>(-1.0, a, b, c);
-      },
-      [this](index_t i, la::MatrixView b) {
-        sb::lu_solve_view_kernel<M>(pivot_lu_view(i), pivot_piv(i), b);
-      });
-
-  // The same recurrence as factor_blocks() below, with every block a view
-  // into the contiguous slab: the pivot LU factors in place (no Matrix or
-  // pivot-vector allocation per block) and the couplings are copied once,
-  // straight from the caller's rows, into their final location.
-  // Arithmetic and operation order match the per-block path exactly, so
-  // factors — and later solves — are bit-identical across representations.
-  copy_block(slab_store_.get(), t.diag(lo).view());
-  for (index_t i = 0; i < n; ++i) {
-    la::MatrixView lui(slab_store_.get() + static_cast<std::size_t>(i) * kBlock, M, M);
-    la::index_t* piv = piv_.get() + i * M;
-    const la::LuInPlaceInfo d = sb::lu_factor_view_kernel<M>(lui, piv);
-    if (!d.ok()) {
-      throw fault::SingularPivotError(fault::ErrorCode::kSingularPivot, "btds::thomas_factor", i,
-                                      static_cast<std::int64_t>(d.info - 1), d.growth);
-    }
-    diag_.observe(d.min_pivot_abs, d.max_pivot_abs, i);
-    if (spikes) sweep.forward(i);
-    if (i + 1 < n) {
-      la::MatrixView gi(const_cast<double*>(g_base(i)), M, M);
-      copy_block(gi.data(), t.upper(lo + i).view());
-      sb::lu_solve_view_kernel<M>(lui, piv, gi);
-      la::MatrixView ai(const_cast<double*>(lower_base(i)), M, M);
-      copy_block(ai.data(), t.lower(lo + i + 1).view());
-      la::MatrixView next(slab_store_.get() + static_cast<std::size_t>(i + 1) * kBlock, M, M);
-      copy_block(next.data(), t.diag(lo + i + 1).view());
-      sb::gemm_kernel<M>(-1.0, ai, gi, next);
-    }
+  // final slots before the in-place factorization touches them.
+  blocks_ = std::make_unique_for_overwrite<double[]>(static_cast<std::size_t>(3 * n - 2) * mm);
+  if (pivot_ == PivotKind::kLu) {
+    piv_ = std::make_unique_for_overwrite<la::index_t[]>(static_cast<std::size_t>(n * m_));
   }
-  if (spikes) sweep.finish();
-}
+  // The caller's blocks and the slab slots are both contiguous; under
+  // FixedKernels the byte count is a constant and the memcpy inlines.
+  const auto copy_block = [mm](la::MatrixView dst, la::ConstMatrixView src) {
+    std::memcpy(dst.data(), src.data(), mm * sizeof(double));
+  };
+  SpikeSweep<K> sweep(*this);
 
-template <typename Sys>
-void ThomasFactorization::factor_blocks(const Sys& t, index_t lo, bool spikes) {
-  const index_t n = n_;
-  g_.reserve(static_cast<std::size_t>(n - 1));
-  lower_.reserve(static_cast<std::size_t>(n - 1));
-  SpikeSweep sweep(
-      *this,
-      [](la::ConstMatrixView a, la::ConstMatrixView b, la::MatrixView c) {
-        la::gemm(-1.0, a, b, 1.0, c);
-      },
-      [this](index_t i, la::MatrixView b) { pivot_solve(i, b); });
-
-  Matrix pivot = t.diag(lo);  // D'_0 = D_0
+  // D'_0 = D_0; per row: factor D'_i, G_i = D'_i^{-1} C_i, then
+  // D'_{i+1} = D_{i+1} - A_{i+1} G_i, every block in its slab slot.
+  copy_block(pivot_block(0), t.diag(lo).view());
   for (index_t i = 0; i < n; ++i) {
-    if (pivot_ == PivotKind::kLu) {
-      la::LuFactors lu = la::lu_factor(std::move(pivot));
-      if (!lu.ok()) {
-        throw fault::SingularPivotError(fault::ErrorCode::kSingularPivot, "btds::thomas_factor",
-                                        i, static_cast<std::int64_t>(lu.info - 1), lu.growth);
-      }
-      diag_.observe(lu.min_pivot_abs, lu.max_pivot_abs, i);
-      pivot_lu_.push_back(std::move(lu));
-    } else {
-      la::CholeskyFactors chol = la::cholesky_factor(pivot.view());
-      if (!chol.ok()) {
-        const double growth = chol.min_pivot_abs > 0.0 && chol.max_pivot_abs > 0.0
-                                  ? chol.max_pivot_abs / chol.min_pivot_abs
-                                  : std::numeric_limits<double>::infinity();
-        throw fault::SingularPivotError(fault::ErrorCode::kNonSpdPivot, "btds::thomas_factor",
-                                        i, static_cast<std::int64_t>(chol.info - 1), growth);
-      }
-      diag_.observe(chol.min_pivot_abs, chol.max_pivot_abs, i);
-      pivot_chol_.push_back(std::move(chol));
-    }
+    factor_pivot<K>(i);
     if (spikes) sweep.forward(i);
     if (i + 1 < n) {
-      // G_i = D'_i^{-1} C_i, then D'_{i+1} = D_{i+1} - A_{i+1} G_i.
-      Matrix g = la::to_matrix(t.upper(lo + i).view());
-      pivot_solve(i, g.view());
-      pivot = t.diag(lo + i + 1);
-      la::gemm(-1.0, t.lower(lo + i + 1).view(), g.view(), 1.0, pivot.view());
-      g_.push_back(std::move(g));
-      lower_.push_back(t.lower(lo + i + 1));
+      const la::MatrixView gi = g_block(i);
+      copy_block(gi, t.upper(lo + i).view());
+      pivot_solve<K>(i, gi);
+      const la::MatrixView ai = lower_block(i);
+      copy_block(ai, t.lower(lo + i + 1).view());
+      const la::MatrixView next = pivot_block(i + 1);
+      copy_block(next, t.diag(lo + i + 1).view());
+      K::mul_sub(ai, gi, next);
     }
   }
   if (spikes) sweep.finish();
@@ -307,19 +229,13 @@ void ThomasFactorization::factor_blocks(const Sys& t, index_t lo, bool spikes) {
 template <typename Sys>
 ThomasFactorization ThomasFactorization::factor_rows(const Sys& t, index_t lo, index_t n,
                                                      PivotKind pivot, bool spikes) {
-  const index_t m = t.block_size();
   ThomasFactorization f;
   f.n_ = n;
-  f.m_ = m;
+  f.m_ = t.block_size();
   f.pivot_ = pivot;
-  if (pivot == PivotKind::kLu && la::smallblock::enabled() && la::smallblock::dispatchable(m)) {
-    la::smallblock::dispatch(m, [&](auto tag) {
-      constexpr index_t kM = decltype(tag)::value;
-      f.factor_slab<kM>(t, lo, spikes);
-    });
-  } else {
-    f.factor_blocks(t, lo, spikes);
-  }
+  la::smallblock::with_kernels(f.m_, [&](auto k) {
+    f.factor_sweep<decltype(k)>(t, lo, spikes);
+  });
   return f;
 }
 
@@ -338,52 +254,21 @@ template ThomasFactorization ThomasFactorization::factor_segment(const BlockTrid
 template ThomasFactorization ThomasFactorization::factor_segment(const LocalBlockTridiag&,
                                                                  index_t, index_t, PivotKind);
 
-template <index_t M>
-void ThomasFactorization::solve_panel_fixed(la::MatrixView x) const {
-  const index_t n = n_;
-  const index_t w = x.cols();
-  namespace sb = la::smallblock;
-
-  // Same sweeps as solve_panel with the per-block M-dispatch hoisted out
-  // of the loops: each gemm here has beta == 1 (scale_c is a no-op) and
-  // every pivot LU was verified ok() at factor time, so the kernels can
-  // run back to back. Per-element operation order matches the generic
-  // path exactly — results are bit-identical.
-  for (index_t i = 0; i < n; ++i) {
-    la::MatrixView xi = x.block(i * M, 0, M, w);
-    if (i > 0) sb::gemm_kernel<M>(-1.0, lower_view(i - 1), x.block((i - 1) * M, 0, M, w), xi);
-    sb::lu_solve_view_kernel<M>(pivot_lu_view(i), pivot_piv(i), xi);
-  }
-  for (index_t i = n - 2; i >= 0; --i) {
-    la::MatrixView xi = x.block(i * M, 0, M, w);
-    sb::gemm_kernel<M>(-1.0, g_view(i), x.block((i + 1) * M, 0, M, w), xi);
-  }
-}
-
+template <typename K>
 void ThomasFactorization::solve_panel(la::MatrixView x) const {
   const index_t n = n_;
-  const index_t m = m_;
+  const index_t m = K::order(m_);
   const index_t w = x.cols();
-
-  if (pivot_ == PivotKind::kLu && la::smallblock::enabled() &&
-      la::smallblock::dispatchable(m)) {
-    la::smallblock::dispatch(m, [&](auto tag) {
-      constexpr index_t kM = decltype(tag)::value;
-      solve_panel_fixed<kM>(x);
-    });
-    return;
-  }
-
   // Forward sweep: y_i = b_i - A_i z_{i-1}, z_i = D'_i^{-1} y_i.
   // z is accumulated directly in x.
   for (index_t i = 0; i < n; ++i) {
     la::MatrixView xi = x.block(i * m, 0, m, w);
-    if (i > 0) la::gemm(-1.0, lower_view(i - 1), x.block((i - 1) * m, 0, m, w), 1.0, xi);
-    pivot_solve(i, xi);
+    if (i > 0) K::mul_sub(lower_block(i - 1), x.block((i - 1) * m, 0, m, w), xi);
+    pivot_solve<K>(i, xi);
   }
   // Backward sweep: x_i = z_i - G_i x_{i+1}.
   for (index_t i = n - 2; i >= 0; --i) {
-    la::gemm(-1.0, g_view(i), x.block((i + 1) * m, 0, m, w), 1.0, x.block(i * m, 0, m, w));
+    K::mul_sub(g_block(i), x.block((i + 1) * m, 0, m, w), x.block(i * m, 0, m, w));
   }
 }
 
@@ -396,19 +281,23 @@ Matrix ThomasFactorization::solve(const Matrix& b, par::Pool* pool, la::Workspac
 
 void ThomasFactorization::solve_inplace(la::MatrixView x, par::Pool* pool) const {
   assert(x.rows() == n_ * m_);
-  if (pool != nullptr && pool->threads() > 1 && x.cols() >= 2) {
-    // Column panels are independent; strided views make each panel solve
-    // zero-copy, and per-column operation order matches the serial path.
-    pool->parallel_for(
-        0, x.cols(),
-        [&](std::int64_t c0, std::int64_t c1) {
-          solve_panel(x.block(0, static_cast<index_t>(c0), x.rows(),
-                              static_cast<index_t>(c1 - c0)));
-        },
-        "thomas.solve");
-  } else {
-    solve_panel(x);
-  }
+  la::smallblock::with_kernels(m_, [&](auto k) {
+    using K = decltype(k);
+    if (pool != nullptr && pool->threads() > 1 && x.cols() >= 2) {
+      // Column panels are independent; strided views make each panel
+      // solve zero-copy, and per-column operation order matches the
+      // serial path.
+      pool->parallel_for(
+          0, x.cols(),
+          [&](std::int64_t c0, std::int64_t c1) {
+            solve_panel<K>(x.block(0, static_cast<index_t>(c0), x.rows(),
+                                   static_cast<index_t>(c1 - c0)));
+          },
+          "thomas.solve");
+    } else {
+      solve_panel<K>(x);
+    }
+  });
 }
 
 la::ConstMatrixView ThomasFactorization::v_block(index_t i) const {
@@ -456,18 +345,9 @@ double ThomasFactorization::spike_flops(index_t n, index_t m) {
 }
 
 std::size_t ThomasFactorization::storage_bytes() const {
-  std::size_t doubles = v_.size() + w_.size();
-  for (const auto& lu : pivot_lu_) doubles += static_cast<std::size_t>(lu.lu.size());
-  for (const auto& ch : pivot_chol_) doubles += static_cast<std::size_t>(ch.l.size());
-  for (const auto& g : g_) doubles += static_cast<std::size_t>(g.size());
-  for (const auto& a : lower_) doubles += static_cast<std::size_t>(a.size());
-  if (slab_) {
-    const std::size_t block = static_cast<std::size_t>(m_) * static_cast<std::size_t>(m_);
-    doubles += static_cast<std::size_t>(3 * n_ - 2) * block;
-    return doubles * sizeof(double) +
-           static_cast<std::size_t>(n_ * m_) * sizeof(la::index_t);
-  }
-  return doubles * sizeof(double);
+  const std::size_t slab = static_cast<std::size_t>((3 * n_ - 2) * m_ * m_);
+  const std::size_t piv = pivot_ == PivotKind::kLu ? static_cast<std::size_t>(n_ * m_) : 0;
+  return (slab + v_.size() + w_.size()) * sizeof(double) + piv * sizeof(la::index_t);
 }
 
 Matrix thomas_solve(const BlockTridiag& t, const Matrix& b) {

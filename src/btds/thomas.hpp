@@ -5,8 +5,7 @@
 
 #include "src/btds/block_tridiag.hpp"
 #include "src/fault/status.hpp"
-#include "src/la/cholesky.hpp"
-#include "src/la/lu.hpp"
+#include "src/la/matrix.hpp"
 
 namespace ardbt::par {
 class Pool;
@@ -35,7 +34,12 @@ enum class PivotKind {
               ///< pivot-factor work and unconditionally stable
 };
 
-/// Factor-once / solve-many block Thomas factorization.
+/// Factor-once / solve-many block Thomas factorization. Its factored state
+/// is one contiguous slab for both pivot kinds and every block order. The
+/// factor and the solve sweep each run over the kernel set that
+/// la::smallblock::with_kernels picks when they run; both sets give the
+/// same bits, so results do not depend on the small-block layer setting
+/// at either time (docs/KERNELS.md).
 class ThomasFactorization {
  public:
   /// Factor the system. Keeps a reference-free copy of the off-diagonal
@@ -118,67 +122,57 @@ class ThomasFactorization {
   /// paper's dense algorithm.
   static double spike_flops(index_t n, index_t m);
 
-  /// Bytes of factored state (pivot LU, couplings, sub-diagonal copies,
-  /// and the spikes' stored support).
+  /// Bytes of factored state: the (3N - 2) M x M slab blocks, the N M LU
+  /// row swaps under kLu, and the spikes' stored support.
   std::size_t storage_bytes() const;
 
  private:
-  /// D'_i^{-1} applied to a block, dispatching on the pivot kind.
-  void pivot_solve(index_t i, la::MatrixView b) const;
-
-  /// Both sweeps on one column panel of x. Strided views keep this
-  /// zero-copy. For dispatchable block sizes with LU pivots, the fixed-M
-  /// microkernel sweep below runs instead — one M-dispatch per panel
-  /// rather than one per block.
-  void solve_panel(la::MatrixView x) const;
-  template <index_t M>
-  void solve_panel_fixed(la::MatrixView x) const;
-
-  /// The factor sweep over rows [lo, lo + n) of `t`, on the slab (kLu with
-  /// a dispatchable M: one M-dispatch, zero per-block allocations) or the
-  /// per-block representation; with `spikes`, the fused spike sweep rides
-  /// along (see SpikeSweep in thomas.cpp).
-  template <index_t M, typename Sys>
-  void factor_slab(const Sys& t, index_t lo, bool spikes);
-  template <typename Sys>
-  void factor_blocks(const Sys& t, index_t lo, bool spikes);
+  /// The factor sweep over rows [lo, lo + n) of `t` with kernel set K
+  /// (la/smallblock/kernels.hpp); with `spikes`, the fused spike sweep
+  /// rides along (see SpikeSweep in thomas.cpp).
+  template <typename K, typename Sys>
+  void factor_sweep(const Sys& t, index_t lo, bool spikes);
   template <typename Sys>
   static ThomasFactorization factor_rows(const Sys& t, index_t lo, index_t n, PivotKind pivot,
                                          bool spikes);
-  template <typename MulSub, typename Solve>
+  template <typename K>
   class SpikeSweep;
 
-  /// Per-block views that read whichever representation this
-  /// factorization was built with.
-  la::ConstMatrixView lower_view(index_t i) const;
-  la::ConstMatrixView g_view(index_t i) const;
-  la::ConstMatrixView pivot_lu_view(index_t i) const;
-  const la::index_t* pivot_piv(index_t i) const;
+  /// Factor D'_i in place (LU or Cholesky, from the pivot kind), record
+  /// its diagnostics, and throw on a singular or non-SPD pivot.
+  template <typename K>
+  void factor_pivot(index_t i);
+  /// b := D'_i^{-1} b with the stored factors of D'_i.
+  template <typename K>
+  void pivot_solve(index_t i, la::MatrixView b) const;
+  /// Both sweeps on one column panel of x. Strided views keep this
+  /// zero-copy.
+  template <typename K>
+  void solve_panel(la::MatrixView x) const;
+
+  /// Slab block k, M x M row-major: the factors of D'_i at k = i, G_i at
+  /// N + i, the copy of A_{i+1} at 2N - 1 + i.
+  la::MatrixView slab_block(index_t k) const {
+    return la::MatrixView(blocks_.get() + k * m_ * m_, m_, m_);
+  }
+  la::MatrixView pivot_block(index_t i) const { return slab_block(i); }
+  la::MatrixView g_block(index_t i) const { return slab_block(n_ + i); }
+  la::MatrixView lower_block(index_t i) const { return slab_block(2 * n_ - 1 + i); }
+  /// The M row swaps of D'_i's LU (kLu only).
+  la::index_t* pivots(index_t i) const { return piv_.get() + i * m_; }
 
   index_t n_ = 0;
   index_t m_ = 0;
   PivotKind pivot_ = PivotKind::kLu;
-  bool slab_ = false;  ///< true when the slab representation is in use
   fault::PivotDiagnostics diag_;
-  // Per-block representation (kCholesky always; kLu when the smallblock
-  // layer is disabled or M is not dispatchable at factor time).
-  std::vector<la::LuFactors> pivot_lu_;          // LU of D'_i (kLu)
-  std::vector<la::CholeskyFactors> pivot_chol_;  // Cholesky of D'_i (kCholesky)
-  std::vector<Matrix> g_;                        // G_i = D'_i^{-1} C_i, i < N-1
-  std::vector<Matrix> lower_;                    // copies of A_i, i >= 1
-  // Slab representation (kLu with a dispatchable M and the smallblock
-  // layer enabled): the same blocks packed into one contiguous
-  // uninitialized allocation (every byte is overwritten by the factor
-  // sweep, so zero-filling Matrix storage would be pure overhead at
-  // small M) — the sweep runs with zero per-block allocations and the
-  // solve sweeps stream sequential memory. Layout: N pivot LUs, then
-  // N-1 G_i, then N-1 A_i copies, each an M x M row-major block.
-  // Numerical content is bit-identical to the per-block form.
-  std::unique_ptr<double[]> slab_store_;  // (3N-2) * M * M doubles
-  std::unique_ptr<la::index_t[]> piv_;    // N * M pivot indices
-  const double* lu_base(index_t i) const { return slab_store_.get() + i * m_ * m_; }
-  const double* g_base(index_t i) const { return lu_base(n_ + i); }
-  const double* lower_base(index_t i) const { return g_base(n_ - 1 + i); }
+  // The factored state in one contiguous uninitialized allocation of
+  // (3N - 2) M x M blocks: N pivot factors (LU packed, or Cholesky's L in
+  // the lower triangle), N - 1 G_i = D'_i^{-1} C_i, N - 1 copies of A_i.
+  // The factor sweep overwrites every entry, so zero-filling would only
+  // add a pass; the sweeps run with no per-block allocation and the
+  // solves stream sequential memory.
+  std::unique_ptr<double[]> blocks_;
+  std::unique_ptr<la::index_t[]> piv_;  // N * M LU row swaps (kLu)
   // Corner spikes on their support, M x M row-major blocks: V's block
   // rows 0 .. v_rows_-1 in order, W's rows N-1, N-2, .. N-w_rows_ in the
   // order the backward sweep produces them (walking away from its tip).

@@ -7,7 +7,6 @@
 #include "src/la/blas1.hpp"
 #include "src/la/gemm.hpp"
 #include "src/la/smallblock/kernels.hpp"
-#include "src/la/smallblock/smallblock.hpp"
 #include "src/la/workspace.hpp"
 #include "src/par/pool.hpp"
 
@@ -326,27 +325,14 @@ void ArdFactorization::apply_spikes(const Lane& ln, la::ConstMatrixView gh, la::
   par::parallel_for(
       pool, 0, v_end + rows - resume,
       [&](std::int64_t ub, std::int64_t ue) {
-        const auto sweep = [&](auto&& mul_sub) {
+        la::smallblock::with_kernels(m, [&](auto k) {
           for (la::index_t u = static_cast<la::index_t>(ub); u < ue; ++u) {
             const la::index_t j = u < v_end ? u : resume + (u - v_end);
             const la::MatrixView xj = x.block(j * m, 0, m, cols);
-            if (j < v_end) mul_sub(t.v_block(j), g, xj);
-            if (j >= w_first) mul_sub(t.w_block(j), h, xj);
+            if (j < v_end) k.mul_sub(t.v_block(j), g, xj);
+            if (j >= w_first) k.mul_sub(t.w_block(j), h, xj);
           }
-        };
-        const bool fixed = la::smallblock::enabled() &&
-                           la::smallblock::dispatch(m, [&](auto tag) {
-                             constexpr la::index_t kM = decltype(tag)::value;
-                             sweep([](la::ConstMatrixView a, la::ConstMatrixView b,
-                                      la::MatrixView c) {
-                               la::smallblock::gemm_kernel<kM>(-1.0, a, b, c);
-                             });
-                           });
-        if (!fixed) {
-          sweep([](la::ConstMatrixView a, la::ConstMatrixView b, la::MatrixView c) {
-            la::gemm(-1.0, a, b, 1.0, c);
-          });
-        }
+        });
       },
       "ard.spike.update");
 }

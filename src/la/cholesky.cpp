@@ -3,48 +3,39 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <limits>
 
 namespace ardbt::la {
 
-CholeskyFactors cholesky_factor(ConstMatrixView a) {
+CholeskyInPlaceInfo cholesky_factor_inplace(MatrixView a) {
   assert(a.rows() == a.cols());
   const index_t n = a.rows();
-  CholeskyFactors f;
-  f.l = Matrix(n, n);
-  Matrix& l = f.l;
+  CholeskyInPlaceInfo d;
 
+  // Column j of L overwrites column j of a's lower triangle; every read
+  // of a(i, j) precedes that write, and every L entry read is final.
   for (index_t j = 0; j < n; ++j) {
     double diag = a(j, j);
-    for (index_t k = 0; k < j; ++k) diag -= l(j, k) * l(j, k);
+    for (index_t k = 0; k < j; ++k) diag -= a(j, k) * a(j, k);
     if (diag <= 0.0) {
-      if (f.info == 0) f.info = j + 1;
-      return f;
+      d.info = j + 1;
+      return d;
     }
     const double ljj = std::sqrt(diag);
-    f.min_pivot_abs = std::min(f.min_pivot_abs, ljj);
-    f.max_pivot_abs = std::max(f.max_pivot_abs, ljj);
-    l(j, j) = ljj;
+    d.min_pivot_abs = std::min(d.min_pivot_abs, ljj);
+    d.max_pivot_abs = std::max(d.max_pivot_abs, ljj);
+    a(j, j) = ljj;
     for (index_t i = j + 1; i < n; ++i) {
       double s = a(i, j);
-      for (index_t k = 0; k < j; ++k) s -= l(i, k) * l(j, k);
-      l(i, j) = s / ljj;
+      for (index_t k = 0; k < j; ++k) s -= a(i, k) * a(j, k);
+      a(i, j) = s / ljj;
     }
   }
-  return f;
+  return d;
 }
 
-void cholesky_solve_inplace(const CholeskyFactors& f, MatrixView b) {
-  if (!f.ok()) {
-    const double growth = f.min_pivot_abs > 0.0 && f.max_pivot_abs > 0.0
-                              ? f.max_pivot_abs / f.min_pivot_abs
-                              : std::numeric_limits<double>::infinity();
-    throw fault::SingularPivotError(fault::ErrorCode::kNonSpdPivot, "la::cholesky_solve", -1,
-                                    static_cast<std::int64_t>(f.info - 1), growth);
-  }
-  const index_t n = f.n();
+void cholesky_solve_inplace(ConstMatrixView l, MatrixView b) {
+  const index_t n = l.rows();
   assert(b.rows() == n);
-  const ConstMatrixView l = f.l.view();
 
   // Forward: L y = b.
   for (index_t i = 0; i < n; ++i) {
@@ -70,6 +61,30 @@ void cholesky_solve_inplace(const CholeskyFactors& f, MatrixView b) {
     const double inv = 1.0 / l(i, i);
     for (index_t j = 0; j < b.cols(); ++j) bi[j] *= inv;
   }
+}
+
+CholeskyFactors cholesky_factor(ConstMatrixView a) {
+  CholeskyFactors f;
+  f.l = to_matrix(a);
+  static_cast<CholeskyInPlaceInfo&>(f) = cholesky_factor_inplace(f.l.view());
+  // Keep only the finished columns' lower triangle: the strict upper
+  // triangle, and the columns a failed factorization never reached, are 0.
+  const index_t n = f.n();
+  const index_t done = f.ok() ? n : f.info - 1;
+  for (index_t i = 0; i < n; ++i) {
+    for (index_t j = 0; j < n; ++j) {
+      if (j > i || j >= done) f.l(i, j) = 0.0;
+    }
+  }
+  return f;
+}
+
+void cholesky_solve_inplace(const CholeskyFactors& f, MatrixView b) {
+  if (!f.ok()) {
+    throw fault::SingularPivotError(fault::ErrorCode::kNonSpdPivot, "la::cholesky_solve", -1,
+                                    static_cast<std::int64_t>(f.info - 1), f.growth());
+  }
+  cholesky_solve_inplace(f.l.view(), b);
 }
 
 Matrix cholesky_solve(const CholeskyFactors& f, ConstMatrixView b) {

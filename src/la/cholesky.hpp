@@ -15,10 +15,9 @@
 
 namespace ardbt::la {
 
-/// Lower-triangular factor; `info == 0` on success, `info == k+1` when
-/// the leading k x k minor is not positive definite.
-struct CholeskyFactors {
-  Matrix l;  ///< lower triangle holds L; strict upper triangle is zero
+/// Diagnostics of a factorization: `info == 0` on success, `info == k+1`
+/// when the leading k x k minor is not positive definite.
+struct CholeskyInPlaceInfo {
   index_t info = 0;
   /// Extreme |L_kk| met so far — (sqrt of) the pivot magnitudes, the
   /// cheap condition proxy breakdown monitoring aggregates.
@@ -26,8 +25,30 @@ struct CholeskyFactors {
   double max_pivot_abs = 0.0;
 
   bool ok() const { return info == 0; }
+  /// max/min |L_kk|, the growth a failed factorization reports
+  /// (infinite when no positive pivot bounds it).
+  double growth() const {
+    return min_pivot_abs > 0.0 && max_pivot_abs > 0.0 ? max_pivot_abs / min_pivot_abs
+                                                      : std::numeric_limits<double>::infinity();
+  }
+};
+
+/// Lower-triangular factor with its diagnostics.
+struct CholeskyFactors : CholeskyInPlaceInfo {
+  Matrix l;  ///< lower triangle holds L; strict upper triangle is zero
+
   index_t n() const { return l.rows(); }
 };
+
+/// Factor the symmetric view in place: its lower triangle (the only part
+/// read) becomes L, column by column, and the strict upper triangle is
+/// left untouched. Stops at the first non-positive pivot. This is the
+/// storage-free core the slab-resident block-Thomas sweeps use.
+CholeskyInPlaceInfo cholesky_factor_inplace(MatrixView a);
+
+/// B := A^{-1} B via two triangular solves with the lower triangle of
+/// `l` (caller-owned factors; the caller checked ok() at factor time).
+void cholesky_solve_inplace(ConstMatrixView l, MatrixView b);
 
 /// Factor a copy of the symmetric matrix `a` (only its lower triangle is
 /// read).

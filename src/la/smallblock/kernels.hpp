@@ -5,15 +5,17 @@
 #include <type_traits>
 #include <utility>
 
+#include "src/la/gemm.hpp"
 #include "src/la/lu.hpp"
 #include "src/la/matrix.hpp"
+#include "src/la/smallblock/smallblock.hpp"
 #include "src/la/views.hpp"
 
 /// \file kernels.hpp
 /// The fixed-M kernel templates behind smallblock.hpp's entry points,
-/// exposed so sweeping call sites (block-Thomas panels, PCR levels) can
-/// hoist the M-dispatch out of their per-block loops: dispatch(m, ...)
-/// once per segment, then run the templated sweep with zero per-block
+/// exposed so sweeping call sites can hoist the M-dispatch out of their
+/// per-block loops: block sweeps take a kernel set from with_kernels(m,
+/// ...) (end of this file) once per sweep, then run with zero per-block
 /// branching.
 ///
 /// Every template here is a transcription of the corresponding generic
@@ -26,7 +28,9 @@
 namespace ardbt::la::smallblock {
 
 /// Invoke `f` with std::integral_constant<index_t, M> when `m` is a
-/// dispatchable size; returns false (without calling f) otherwise.
+/// dispatchable size; returns false (without calling f) otherwise. Block
+/// sweeps choose their kernels through with_kernels() at the end of this
+/// file instead.
 template <typename F>
 bool dispatch(index_t m, F&& f) {
   switch (m) {
@@ -413,5 +417,52 @@ ARDBT_SMALLBLOCK_EXTERN(8);
 ARDBT_SMALLBLOCK_EXTERN(16);
 ARDBT_SMALLBLOCK_EXTERN(32);
 #undef ARDBT_SMALLBLOCK_EXTERN
+
+/// A kernel set: the operations a block sweep (block-Thomas factor and
+/// solve, its spike sweeps, ARD's spike update) runs on M x M blocks.
+/// GenericKernels makes the la:: calls on views; FixedKernels<M> runs the
+/// microkernels above. Both produce the same bits, so the choice only
+/// changes speed.
+struct GenericKernels {
+  /// The block order the sweep runs with (a constant in FixedKernels).
+  static index_t order(index_t m) { return m; }
+  /// c -= a b.
+  static void mul_sub(ConstMatrixView a, ConstMatrixView b, MatrixView c) {
+    gemm(-1.0, a, b, 1.0, c);
+  }
+  /// getrf of `a` in place, the row swaps into caller-owned `piv`.
+  static LuInPlaceInfo lu_factor(MatrixView a, index_t* piv) {
+    return lu_factor_inplace(a, {piv, static_cast<std::size_t>(a.rows())});
+  }
+  /// b := A^{-1} b through caller-owned LU factors.
+  static void lu_solve(ConstMatrixView lu, const index_t* piv, MatrixView b) {
+    lu_solve_inplace(lu, {piv, static_cast<std::size_t>(lu.rows())}, b);
+  }
+};
+
+template <index_t M>
+struct FixedKernels {
+  static constexpr index_t order(index_t) { return M; }
+  static void mul_sub(ConstMatrixView a, ConstMatrixView b, MatrixView c) {
+    gemm_kernel<M>(-1.0, a, b, c);
+  }
+  static LuInPlaceInfo lu_factor(MatrixView a, index_t* piv) {
+    return lu_factor_view_kernel<M>(a, piv);
+  }
+  static void lu_solve(ConstMatrixView lu, const index_t* piv, MatrixView b) {
+    lu_solve_view_kernel<M>(lu, piv, b);
+  }
+};
+
+/// Call `f` with the kernel set for block order `m`: FixedKernels<M> when
+/// the layer is enabled and `m` is dispatchable, GenericKernels
+/// otherwise. The one place a block sweep chooses its kernels.
+template <typename F>
+void with_kernels(index_t m, F&& f) {
+  const bool fixed = enabled() && dispatch(m, [&](auto tag) {
+                       f(FixedKernels<decltype(tag)::value>{});
+                     });
+  if (!fixed) f(GenericKernels{});
+}
 
 }  // namespace ardbt::la::smallblock

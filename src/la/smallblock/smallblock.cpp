@@ -1,7 +1,6 @@
 #include "src/la/smallblock/smallblock.hpp"
 
 #include <atomic>
-#include <utility>
 
 #include "src/fault/status.hpp"
 #include "src/la/gemm.hpp"
@@ -74,38 +73,6 @@ void gemm_fixed(index_t m, double alpha, ConstMatrixView a, ConstMatrixView b, d
     gemm_kernel<kM>(alpha, a, b, c);
   });
   if (!hit) gemm_kernel_runtime(m, alpha, a, b, c);
-}
-
-void trsm_lower_unit_fixed(index_t m, ConstMatrixView lu, MatrixView b) {
-  dispatch(m, [&](auto tag) {
-    constexpr index_t kM = decltype(tag)::value;
-    trsm_lower_unit_kernel<kM>(lu, b);
-  });
-}
-
-void trsm_upper_fixed(index_t m, ConstMatrixView lu, MatrixView b) {
-  dispatch(m, [&](auto tag) {
-    constexpr index_t kM = decltype(tag)::value;
-    trsm_upper_kernel<kM>(lu, b);
-  });
-}
-
-LuFactors lu_factor_fixed(Matrix a) {
-  LuFactors out;
-  const index_t m = a.rows();
-  dispatch(m, [&](auto tag) {
-    constexpr index_t kM = decltype(tag)::value;
-    out = lu_factor_kernel<kM>(std::move(a));
-  });
-  return out;
-}
-
-void lu_solve_fixed(const LuFactors& f, MatrixView b) {
-  require_ok(f, "la::lu_solve");
-  dispatch(f.n(), [&](auto tag) {
-    constexpr index_t kM = decltype(tag)::value;
-    lu_solve_kernel<kM>(f, b);
-  });
 }
 
 LuInPlaceInfo lu_factor_inplace_fixed(index_t m, MatrixView a, index_t* piv) {

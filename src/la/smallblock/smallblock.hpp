@@ -30,9 +30,8 @@
 /// time the generic path, never to change results.
 ///
 /// Batched entry points sweep a sequence of equally-shaped blocks with
-/// one M-dispatch hoisted out of the loop — block-Thomas sweeps, the PCR
-/// level updates, and the two-port merges call once per segment instead
-/// of once per block.
+/// one M-dispatch hoisted out of the loop — the PCR level updates call
+/// once per level instead of once per block.
 
 namespace ardbt::la::smallblock {
 
@@ -49,19 +48,6 @@ void set_enabled(bool on);
 /// la::gemm; callers guarantee a.rows() == a.cols() == dispatchable M.
 void gemm_fixed(index_t m, double alpha, ConstMatrixView a, ConstMatrixView b, double beta,
                 MatrixView c);
-
-/// Forward substitution with the unit-lower triangle of a packed LU
-/// (TRSM, left, lower, unit-diagonal): B := L^{-1} B.
-void trsm_lower_unit_fixed(index_t m, ConstMatrixView lu, MatrixView b);
-
-/// Back substitution with the upper triangle of a packed LU (TRSM, left,
-/// upper): B := U^{-1} B.
-void trsm_upper_fixed(index_t m, ConstMatrixView lu, MatrixView b);
-
-/// Fixed-size counterparts of la::lu_factor / la::lu_solve_inplace.
-/// Preconditions: a is a dispatchable M x M block (for solve, f.n() is).
-LuFactors lu_factor_fixed(Matrix a);
-void lu_solve_fixed(const LuFactors& f, MatrixView b);
 
 /// Fixed-size counterparts of the caller-owned-storage primitives
 /// la::lu_factor_inplace / the view overload of la::lu_solve_inplace.

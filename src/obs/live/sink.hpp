@@ -1,10 +1,11 @@
 #pragma once
 
 #include <cstdio>
-#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <vector>
+
+#include "src/fault/status.hpp"
 
 /// \file sink.hpp
 /// Line-oriented output sinks for the live-telemetry subsystem. Every
@@ -29,11 +30,11 @@ class LineSink {
 };
 
 /// Appends lines to a file opened at construction (truncating).
-/// Throws std::runtime_error when the file cannot be opened.
+/// Throws fault::IoError when the file cannot be opened.
 class FileSink : public LineSink {
  public:
   explicit FileSink(const std::string& path) : file_(std::fopen(path.c_str(), "w")) {
-    if (file_ == nullptr) throw std::runtime_error("FileSink: cannot open " + path);
+    if (file_ == nullptr) throw fault::IoError("FileSink: cannot open", path);
   }
   FileSink(const FileSink&) = delete;
   FileSink& operator=(const FileSink&) = delete;

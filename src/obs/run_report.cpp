@@ -1,8 +1,9 @@
 #include "src/obs/run_report.hpp"
 
 #include <fstream>
-#include <stdexcept>
 #include <utility>
+
+#include "src/fault/status.hpp"
 
 namespace ardbt::obs {
 
@@ -13,7 +14,7 @@ void append_history_line(const std::string& path, const Json& entry) {
     need_header = !probe.good() || probe.peek() == std::ifstream::traits_type::eof();
   }
   std::ofstream out(path, std::ios::binary | std::ios::app);
-  if (!out) throw std::runtime_error("append_history_line: cannot open " + path);
+  if (!out) throw fault::IoError("append_history_line: cannot open", path);
   if (need_header) {
     Json header = Json::object();
     header.set("schema", kBenchHistorySchema);
@@ -21,7 +22,7 @@ void append_history_line(const std::string& path, const Json& entry) {
     out << header.dump(0) << '\n';
   }
   out << entry.dump(0) << '\n';
-  if (!out) throw std::runtime_error("append_history_line: write failed for " + path);
+  if (!out) throw fault::IoError("append_history_line: write failed", path);
 }
 
 RunReportBuilder::RunReportBuilder(std::string tool) : tool_(std::move(tool)) {}

@@ -55,7 +55,7 @@ inline constexpr int kBenchHistoryVersion = 1;
 
 /// Append `entry` as one compact line to the JSONL history at `path`,
 /// writing the schema header line first when the file is missing or
-/// empty. Throws std::runtime_error on I/O failure.
+/// empty. Throws fault::IoError on I/O failure.
 void append_history_line(const std::string& path, const Json& entry);
 
 /// Incremental builder for a run report.

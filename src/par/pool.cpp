@@ -1,12 +1,13 @@
 #include "src/par/pool.hpp"
 
 #include <cassert>
-#include <stdexcept>
+
+#include "src/fault/status.hpp"
 
 namespace ardbt::par {
 
 Pool::Pool(int threads) : nthreads_(threads) {
-  if (threads < 1) throw std::invalid_argument("par::Pool: threads must be >= 1");
+  if (threads < 1) throw fault::InvalidArgumentError("par::Pool", "threads must be >= 1");
   workers_.reserve(static_cast<std::size_t>(threads - 1));
   for (int w = 0; w < threads - 1; ++w) {
     workers_.emplace_back([this, w] { worker_main(w); });

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <cstring>
+
 #include "src/la/blas1.hpp"
 #include "src/la/gemm.hpp"
 #include "src/la/lu.hpp"
@@ -72,6 +76,43 @@ TEST(Cholesky, OnlyReadsLowerTriangle) {
   ASSERT_TRUE(fa.ok());
   ASSERT_TRUE(fg.ok());
   EXPECT_TRUE(fa.l == fg.l);
+}
+
+/// cholesky_factor / cholesky_solve_inplace wrap the in-place view core:
+/// the same bits in the lower triangle and the solution, and the wrapper
+/// zeroes the strict upper triangle the core leaves untouched.
+TEST(Cholesky, InPlaceCoreMatchesWrapperBits) {
+  Rng rng = make_rng(73);
+  for (index_t n : {1, 3, 8, 13}) {
+    const Matrix a = random_spd(n, rng);
+    const Matrix b = random_uniform(n, 5, rng);
+    const CholeskyFactors f = cholesky_factor(a.view());
+    Matrix l = a;
+    const CholeskyInPlaceInfo d = cholesky_factor_inplace(l.view());
+    ASSERT_TRUE(f.ok() && d.ok()) << n;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(f.min_pivot_abs),
+              std::bit_cast<std::uint64_t>(d.min_pivot_abs));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(f.max_pivot_abs),
+              std::bit_cast<std::uint64_t>(d.max_pivot_abs));
+    for (index_t i = 0; i < n; ++i) {
+      for (index_t j = 0; j < n; ++j) {
+        if (j <= i) {
+          EXPECT_EQ(std::bit_cast<std::uint64_t>(f.l(i, j)), std::bit_cast<std::uint64_t>(l(i, j)));
+        } else {
+          EXPECT_EQ(std::bit_cast<std::uint64_t>(f.l(i, j)), 0u) << n << " " << i << " " << j;
+          EXPECT_EQ(l(i, j), a(i, j));  // the core leaves the upper triangle alone
+        }
+      }
+    }
+    Matrix x_core = b;
+    cholesky_solve_inplace(l.view(), x_core.view());
+    Matrix x_wrap = b;
+    cholesky_solve_inplace(f, x_wrap.view());
+    EXPECT_EQ(std::memcmp(x_core.view().data(), x_wrap.view().data(),
+                          static_cast<std::size_t>(n * 5) * sizeof(double)),
+              0)
+        << n;
+  }
 }
 
 TEST(Cholesky, FlopFormulaIsHalfOfLuOrder) {

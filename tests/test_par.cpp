@@ -9,6 +9,7 @@
 
 #include "src/btds/generators.hpp"
 #include "src/btds/thomas.hpp"
+#include "src/fault/status.hpp"
 #include "src/la/gemm.hpp"
 #include "src/la/random.hpp"
 
@@ -43,8 +44,8 @@ TEST(ChunkBounds, IsAPureFunctionOfItsArguments) {
 }
 
 TEST(Pool, RejectsNonPositiveThreadCount) {
-  EXPECT_THROW(par::Pool(0), std::invalid_argument);
-  EXPECT_THROW(par::Pool(-3), std::invalid_argument);
+  EXPECT_THROW(par::Pool(0), fault::InvalidArgumentError);
+  EXPECT_THROW(par::Pool(-3), fault::InvalidArgumentError);
 }
 
 TEST(Pool, ParallelForCoversEveryIndexOnce) {

@@ -5,12 +5,16 @@
 #include <bit>
 #include <cstdint>
 #include <cstring>
+#include <functional>
 #include <limits>
 #include <random>
+#include <string>
 #include <utility>
 #include <vector>
 
+#include "src/btds/distributed.hpp"
 #include "src/btds/generators.hpp"
+#include "src/btds/partition.hpp"
 #include "src/btds/spmv.hpp"
 #include "src/btds/thomas.hpp"
 #include "src/core/solver.hpp"
@@ -353,27 +357,73 @@ TEST(SmallBlock, BatchedEntryPointsMatchPerItemCalls) {
 
 /// Thomas solve must be bit-identical with the microkernel sweep on and
 /// off, with an arena and without, and for any pool size.
+/// Bitwise equality of two factorizations' stored corner spikes.
+bool same_spikes(const btds::ThomasFactorization& x, const btds::ThomasFactorization& y) {
+  if (x.v_rows() != y.v_rows() || x.w_first() != y.w_first()) return false;
+  for (index_t i = 0; i < x.v_rows(); ++i) {
+    if (!same_bits(x.v_block(i), y.v_block(i))) return false;
+  }
+  for (index_t i = x.w_first(); i < x.num_blocks(); ++i) {
+    if (!same_bits(x.w_block(i), y.w_block(i))) return false;
+  }
+  return true;
+}
+
+/// The factor and the solve side each choose their kernel set: factoring
+/// with the layer on or off, then solving with it on or off, gives the
+/// same solutions and stored spikes bit for bit, for every factor entry
+/// point, pivot kind and block order (dispatchable or not).
 TEST(SmallBlock, ThomasSolveBitIdenticalAcrossPaths) {
-  for (index_t m : {index_t{4}, index_t{8}}) {
-    const auto sys = btds::make_problem(btds::ProblemKind::kDiagDominant, 12, m);
-    const la::Matrix b = btds::make_rhs(12, m, 6, 3);
-    const auto f = btds::ThomasFactorization::factor(sys);
+  using btds::PivotKind;
+  using btds::ThomasFactorization;
+  const index_t n = 12;
+  for (const PivotKind pivot : {PivotKind::kLu, PivotKind::kCholesky}) {
+    // Cholesky needs SPD pivots, which the 2-D Poisson blocks give.
+    const auto kind = pivot == PivotKind::kLu ? btds::ProblemKind::kDiagDominant
+                                              : btds::ProblemKind::kPoisson2D;
+    for (index_t m : {index_t{3}, index_t{4}, index_t{8}}) {
+      const auto sys = btds::make_problem(kind, n, m);
+      const btds::RowPartition part(n, 3);
+      const auto local = btds::LocalBlockTridiag::from_shared(sys, part, 1);
+      const index_t lo = part.begin(1);
+      const index_t rows = part.end(1) - lo;
+      const Matrix b = btds::make_rhs(n, m, 6, 3);
+      const Matrix b_local = btds::make_rhs(rows, m, 6, 5);
+      struct Entry {
+        const char* name;
+        std::function<ThomasFactorization()> factor;
+        const Matrix& b;
+      };
+      const Entry entries[] = {
+          {"factor", [&] { return ThomasFactorization::factor(sys, pivot); }, b},
+          {"segment", [&] { return ThomasFactorization::factor_segment(sys, 0, n, pivot); }, b},
+          {"local", [&] { return ThomasFactorization::factor_segment(local, lo, rows, pivot); },
+           b_local},
+      };
+      for (const Entry& e : entries) {
+        const std::string where = std::string(e.name) + " m=" + std::to_string(m) +
+                                  (pivot == PivotKind::kLu ? " lu" : " chol");
+        const ThomasFactorization f_on = e.factor();
+        const ThomasFactorization f_off = [&] {
+          DisabledGuard off;
+          return e.factor();
+        }();
+        EXPECT_TRUE(same_spikes(f_on, f_off)) << where;
 
-    const Matrix x_fixed = f.solve(b);
-    Matrix x_generic;
-    {
-      DisabledGuard off;
-      x_generic = f.solve(b);
+        const Matrix x = f_on.solve(e.b);
+        EXPECT_TRUE(same_bits(x.view(), f_off.solve(e.b).view())) << where << " off/on";
+        {
+          DisabledGuard off;
+          EXPECT_TRUE(same_bits(x.view(), f_on.solve(e.b).view())) << where << " on/off";
+          EXPECT_TRUE(same_bits(x.view(), f_off.solve(e.b).view())) << where << " off/off";
+        }
+
+        Workspace ws;
+        EXPECT_TRUE(same_bits(x.view(), f_on.solve(e.b, nullptr, &ws).view())) << where;
+        par::Pool pool(8);  // more lanes than the 6 RHS columns
+        EXPECT_TRUE(same_bits(x.view(), f_on.solve(e.b, &pool).view())) << where;
+      }
     }
-    EXPECT_TRUE(x_fixed == x_generic) << m;
-
-    Workspace ws;
-    const Matrix x_ws = f.solve(b, nullptr, &ws);
-    EXPECT_TRUE(x_fixed == x_ws) << m;
-
-    par::Pool pool(8);  // more lanes than the 6 RHS columns
-    const Matrix x_pool = f.solve(b, &pool);
-    EXPECT_TRUE(x_fixed == x_pool) << m;
   }
 }
 

@@ -14,6 +14,8 @@
 #include "src/btds/spmv.hpp"
 #include "src/la/blas1.hpp"
 #include "src/la/gemm.hpp"
+#include "src/la/lu.hpp"
+#include "src/la/smallblock/smallblock.hpp"
 
 namespace ardbt::btds {
 namespace {
@@ -270,10 +272,31 @@ TEST(Thomas, FlopFormulasScale) {
               2.0, 1e-9);
 }
 
-TEST(Thomas, StorageBytesPositive) {
-  const BlockTridiag t = make_problem(ProblemKind::kDiagDominant, 6, 3);
-  const ThomasFactorization f = ThomasFactorization::factor(t);
-  EXPECT_GT(f.storage_bytes(), 0u);
+/// storage_bytes() is exact: (3N - 2) M x M slab blocks, the N M LU row
+/// swaps under kLu, and the spikes' stored support, whatever the block
+/// order, pivot kind or small-block layer setting.
+TEST(Thomas, StorageBytesExact) {
+  const index_t n = 6;
+  for (const PivotKind pivot : {PivotKind::kLu, PivotKind::kCholesky}) {
+    const ProblemKind kind =
+        pivot == PivotKind::kLu ? ProblemKind::kDiagDominant : ProblemKind::kPoisson2D;
+    for (index_t m : {index_t{3}, index_t{8}}) {
+      for (bool layer : {true, false}) {
+        la::smallblock::set_enabled(layer);
+        const BlockTridiag t = make_problem(kind, n, m);
+        const ThomasFactorization f = ThomasFactorization::factor(t, pivot);
+        const ThomasFactorization s = ThomasFactorization::factor_segment(t, 0, n, pivot);
+        la::smallblock::set_enabled(true);
+        const std::size_t block = static_cast<std::size_t>(m * m) * sizeof(double);
+        const std::size_t piv =
+            pivot == PivotKind::kLu ? static_cast<std::size_t>(n * m) * sizeof(la::index_t) : 0;
+        const std::size_t base = static_cast<std::size_t>(3 * n - 2) * block + piv;
+        const std::size_t support = static_cast<std::size_t>(s.v_rows() + n - s.w_first());
+        EXPECT_EQ(f.storage_bytes(), base) << m << " " << layer;
+        EXPECT_EQ(s.storage_bytes(), base + support * block) << m << " " << layer;
+      }
+    }
+  }
 }
 
 }  // namespace
