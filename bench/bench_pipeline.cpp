@@ -93,7 +93,7 @@ int main(int argc, char** argv) {
       obs::Tracer tracer;
       engine.tracer = &tracer;
       core::ArdOptions opts;
-      opts.pipeline.chunk_cols = chunked == 1 ? s.chunk : 0;
+      opts.chunk_cols = chunked == 1 ? s.chunk : 0;
       auto res = core::solve(core::Method::kArd, sys, b, p, {.ard = opts, .engine = engine});
       const obs::Attribution a = obs::analyze(tracer);
       const obs::CriticalPath& cp = a.critical_path;

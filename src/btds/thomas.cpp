@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstring>
 #include <optional>
+#include <string>
 
 #include "src/btds/distributed.hpp"
 #include "src/la/blas1.hpp"
@@ -229,6 +230,13 @@ void ThomasFactorization::factor_sweep(const Sys& t, index_t lo, bool spikes) {
 template <typename Sys>
 ThomasFactorization ThomasFactorization::factor_rows(const Sys& t, index_t lo, index_t n,
                                                      PivotKind pivot, bool spikes) {
+  // Written so no sum can overflow: n >= 1 and num_blocks() >= 0.
+  if (n < 1 || lo < 0 || lo > t.num_blocks() - n) {
+    throw fault::InvalidArgumentError("btds::ThomasFactorization::factor",
+                                      "lo = " + std::to_string(lo) + ", n = " + std::to_string(n) +
+                                          " is not a non-empty range of the " +
+                                          std::to_string(t.num_blocks()) + " block rows");
+  }
   ThomasFactorization f;
   f.n_ = n;
   f.m_ = t.block_size();
@@ -272,7 +280,16 @@ void ThomasFactorization::solve_panel(la::MatrixView x) const {
   }
 }
 
+void ThomasFactorization::check_rhs_rows(index_t rows) const {
+  if (rows != n_ * m_) {
+    throw fault::InvalidArgumentError("btds::ThomasFactorization::solve",
+                                      "right-hand side has " + std::to_string(rows) +
+                                          " rows, expected N*M = " + std::to_string(n_ * m_));
+  }
+}
+
 Matrix ThomasFactorization::solve(const Matrix& b, par::Pool* pool, la::Workspace* ws) const {
+  check_rhs_rows(b.rows());
   Matrix x = la::ws_acquire(ws, b.rows(), b.cols());
   la::copy(b.view(), x.view());
   solve_inplace(x.view(), pool);
@@ -280,7 +297,7 @@ Matrix ThomasFactorization::solve(const Matrix& b, par::Pool* pool, la::Workspac
 }
 
 void ThomasFactorization::solve_inplace(la::MatrixView x, par::Pool* pool) const {
-  assert(x.rows() == n_ * m_);
+  check_rhs_rows(x.rows());
   la::smallblock::with_kernels(m_, [&](auto k) {
     using K = decltype(k);
     if (pool != nullptr && pool->threads() > 1 && x.cols() >= 2) {

@@ -45,7 +45,8 @@ class ThomasFactorization {
   /// Factor the system. Keeps a reference-free copy of the off-diagonal
   /// blocks it needs. Throws fault::SingularPivotError (carrying the block
   /// row, scalar pivot index, and pivot growth) on a singular pivot block
-  /// (kLu) or a non-SPD pivot block (kCholesky).
+  /// (kLu) or a non-SPD pivot block (kCholesky), and
+  /// fault::InvalidArgumentError on a system with no block rows.
   static ThomasFactorization factor(const BlockTridiag& t, PivotKind pivot = PivotKind::kLu);
 
   /// Factor block rows [lo, lo + n) of `t` (a BlockTridiag or a
@@ -53,7 +54,9 @@ class ThomasFactorization {
   /// segment, reading the blocks in place, and compute the segment's
   /// corner spikes [V W] = T_seg^{-1} [E_first E_last] in the same pass:
   /// V's forward sweep runs inside the factor loop, and V's and W's
-  /// backward sweeps share one walk over the G_i. Same errors as factor().
+  /// backward sweeps share one walk over the G_i. Same errors as factor(),
+  /// and fault::InvalidArgumentError unless 0 <= lo, 1 <= n and
+  /// lo + n <= t.num_blocks().
   ///
   /// The spikes are kept on their support only. Column c of a spike has a
   /// tip value t_c, the largest |entry| of column c in the tip block row
@@ -75,7 +78,8 @@ class ThomasFactorization {
   /// cheap breakdown monitor read by the solve drivers.
   const fault::PivotDiagnostics& pivot_diagnostics() const { return diag_; }
 
-  /// Solve for all columns of B; returns X with the same shape.
+  /// Solve for all columns of B; returns X with the same shape. Throws
+  /// fault::InvalidArgumentError unless B has N*M rows.
   ///
   /// A non-null `pool` splits the RHS columns into panels, one per pool
   /// lane, and runs both sweeps independently per panel (the sweeps'
@@ -91,7 +95,7 @@ class ThomasFactorization {
   /// In-place solve: `x` holds B on entry and X on return. It may be a
   /// strided block of a larger matrix (a column panel, a row range), so
   /// callers solve straight into their output without a temporary. Same
-  /// pool contract as solve(), and bit-identical to it.
+  /// pool contract and errors as solve(), and bit-identical to it.
   void solve_inplace(la::MatrixView x, par::Pool* pool = nullptr) const;
 
   /// Corner spikes of a factor_segment() factorization (both empty after
@@ -149,6 +153,8 @@ class ThomasFactorization {
   /// zero-copy.
   template <typename K>
   void solve_panel(la::MatrixView x) const;
+  /// Throw fault::InvalidArgumentError unless `rows` == N*M.
+  void check_rhs_rows(index_t rows) const;
 
   /// Slab block k, M x M row-major: the factors of D'_i at k = i, G_i at
   /// N + i, the copy of A_{i+1} at 2N - 1 + i.

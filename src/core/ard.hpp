@@ -1,8 +1,5 @@
 #pragma once
 
-#include <optional>
-#include <vector>
-
 #include "src/btds/block_tridiag.hpp"
 #include "src/btds/distributed.hpp"
 #include "src/btds/partition.hpp"
@@ -67,29 +64,6 @@ inline constexpr int kFwdFactor = 70;
 inline constexpr int kBwdFactor = 71;
 }  // namespace ard_tags
 
-/// Shape of the latency-hiding schedule (docs/PARALLELISM.md,
-/// "Latency-hiding pipeline"). The schedule itself is always on: the
-/// forward and backward scans are round-interleaved in both phases, and
-/// the RHS panels of solve(B) are software-pipelined — panel k+1's
-/// rank-local reduction runs while panel k's scan replay is in flight.
-/// These knobs only pick how many panels and lanes it works over; the
-/// defaults (one panel, one lane) are the plain ARD schedule of the paper.
-struct PipelineOptions {
-  /// Columns per RHS panel in solve(B); 0 = one panel with all R columns.
-  /// Solutions are bit-identical for any chunk size or --threads; see
-  /// docs/PARALLELISM.md for when more panels pay.
-  la::index_t chunk_cols = 0;
-  /// Two-level hierarchical scan: split this rank's segment into `lanes`
-  /// sub-segments factored/reduced independently (par::Pool runs them in
-  /// parallel) and chained into the rank two-port locally, so the wall
-  /// clock of the O(M^3 N/P) local reduction drops while the cross-rank
-  /// scan keeps its log P rounds and wire protocol. 1 = one lane per rank.
-  /// Several lanes are numerically equivalent but NOT bit-identical to one
-  /// (a different — equally stable — bracketing of the same prefix); for a
-  /// fixed `lanes` solutions are bit-identical across --threads and chunk.
-  int lanes = 1;
-};
-
 /// Solver knobs.
 struct ArdOptions {
   /// Consumed by the transfer-matrix ablation (see transfer_rd.hpp) when
@@ -108,8 +82,13 @@ struct ArdOptions {
   /// compares pivot magnitudes already computed — it never charges flops,
   /// so modeled virtual times are unchanged by any threshold.
   double breakdown_growth_threshold = 1e12;
-  /// Latency-hiding schedule shape (RHS panels / hierarchical lanes).
-  PipelineOptions pipeline{};
+  /// Columns per RHS panel in solve(B); 0 = one panel with all R columns.
+  /// The latency-hiding schedule itself is always on (docs/PARALLELISM.md,
+  /// "Latency-hiding pipeline"): the forward and backward scans are
+  /// round-interleaved in both phases, and panel k+1's local solve runs
+  /// while panel k's scan replay is in flight. Solutions are bit-identical
+  /// for any chunk size or --threads.
+  la::index_t chunk_cols = 0;
 };
 
 /// Factor-once / solve-many distributed factorization.
@@ -173,20 +152,20 @@ class ArdFactorization {
 
   /// Approximate bytes of factored state held by this rank (T1's memory
   /// column): the segment factorization, its spikes' support (up to 2 M^2
-  /// doubles per block row), the interface LUs and the scan caches.
+  /// doubles per block row), the interface LU and the scan caches.
   std::size_t storage_bytes() const;
 
   /// The breakdown monitor the drivers compare against
-  /// ArdOptions::breakdown_growth_threshold: the merged pivot extremes of
-  /// this rank's segment factorizations, or those of an interface matrix
-  /// K (read against its identity scale of 1) when its growth is larger.
+  /// ArdOptions::breakdown_growth_threshold: the pivot extremes of this
+  /// rank's segment factorization, or those of its interface matrix K
+  /// (read against its identity scale of 1) when its growth is larger.
   fault::PivotDiagnostics diagnostics() const;
 
  private:
   /// Storage-agnostic implementation pieces (defined in ard.cpp; the
   /// public overloads instantiate them there). The factor phase splits
-  /// into a purely local part (lane factorizations, spikes and two-ports,
-  /// the O(M^3 N/P) term) and a global part (scans + interface systems,
+  /// into a purely local part (segment factorization, spikes and two-port,
+  /// the O(M^3 N/P) term) and a global part (scans + interface system,
   /// O(M^3 log P)) so `update` can skip the former on unchanged ranks.
   template <typename SysView>
   static ArdFactorization factor_impl(mpsim::Comm& comm, const SysView& sys,
@@ -196,32 +175,10 @@ class ArdFactorization {
   void local_phase(mpsim::Comm& comm, const SysView& sys);
   void global_phase(mpsim::Comm& comm);
 
-  /// Run fn(lane index, pool) for every lane. A single lane runs on the
-  /// rank thread with the rank's pool (column- or row-parallel kernels);
-  /// several lanes run in parallel on the pool, each serial.
-  template <typename Fn>
-  void for_each_lane(mpsim::Comm& comm, const char* name, Fn&& fn) const;
-
-  /// One sub-segment of this rank's rows. A rank has
-  /// min(PipelineOptions::lanes, local rows) lanes — usually exactly one,
-  /// the whole segment.
-  struct Lane {
-    la::index_t lo = 0, hi = 0;  ///< block-row range within this segment
-    /// Factored in place from the caller's rows; also holds the lane's
-    /// corner spikes [V W] = A_lane^{-1} [E_first E_last] on their support.
-    btds::ThomasFactorization thomas;
-    la::Matrix a_first;  ///< A of the lane's first global row (zero on row 0)
-    la::Matrix c_last;   ///< C of the lane's last global row (zero on row N-1)
-    la::Matrix f_pre;    ///< F = A_first S_pre C_pre (empty without a prefix)
-    la::Matrix g_suf;    ///< G = C_last P_suf A_suf (empty without a suffix)
-    la::LuFactors k;     ///< LU of the interface matrix K (empty when both are)
-  };
-
-  /// x -= V g + W h over the block rows of one lane's spike support, with
+  /// x -= V g + W h over the block rows of the spikes' support, with
   /// [g; h] the solved interface right-hand side (rows for absent sides
   /// omitted).
-  void apply_spikes(const Lane& ln, la::ConstMatrixView gh, la::MatrixView x,
-                    par::Pool* pool) const;
+  void apply_spikes(la::ConstMatrixView gh, la::MatrixView x, par::Pool* pool) const;
 
   int rank_ = 0;
   ArdOptions opts_{};
@@ -231,21 +188,18 @@ class ArdFactorization {
   la::index_t lo_ = 0;  // first local block row
   la::index_t hi_ = 0;  // one past last local block row
 
+  /// The segment, factored in place from the caller's rows; also holds its
+  /// corner spikes [V W] = A_seg^{-1} [E_first E_last] on their support.
+  btds::ThomasFactorization thomas_;
+  la::Matrix a_first_;  ///< A of the segment's first row (zero on row 0)
+  la::Matrix c_last_;   ///< C of the segment's last row (zero on row N-1)
+  la::Matrix f_pre_;    ///< F = A_lo S_pre C_{lo-1} (empty on rank 0)
+  la::Matrix g_suf_;    ///< G = C_{hi-1} P_suf A_hi (empty on rank P-1)
+  la::LuFactors k_;     ///< LU of the interface matrix K (empty when P = 1)
+
   TwoPort tp_;  // this segment's two-port (kept for update())
   CachedScan<TwoPortOp> fwd_;
   CachedScan<TwoPortOpReversed> bwd_;
-
-  /// Lanes and their local prefix / suffix chains (the chains are empty
-  /// with one lane). The chains are merged once at factor time; solve
-  /// replays them with the cached merge matrices, exactly like the
-  /// cross-rank scans.
-  std::vector<Lane> lanes_;
-  std::vector<TwoPort> fpre_;  ///< fpre_[i]: two-port of lanes [0, i), i >= 1
-  std::vector<TwoPort> bsuf_;  ///< bsuf_[i]: two-port of lanes [i, L), i >= 1
-  std::vector<TwoPortCache> fchain_cache_;    ///< [i]: merge(fpre_[i], lane i)
-  std::vector<TwoPortCache> bchain_cache_;    ///< [i]: merge(lane i, bsuf_[i+1])
-  std::vector<TwoPortCache> pre_mix_cache_;   ///< [i]: merge(cross-rank pre, fpre_[i])
-  std::vector<TwoPortCache> suf_mix_cache_;   ///< [i]: merge(bsuf_[i+1], cross-rank suf)
 };
 
 }  // namespace ardbt::core

@@ -88,12 +88,12 @@ INSTANTIATE_TEST_SUITE_P(Seeds, FuzzDifferential, ::testing::Range<std::uint64_t
                          [](const auto& info) { return "seed" + std::to_string(info.param); });
 
 // ------------------------------------------------------------------------
-// Option cross-product sweep of the ARD spike path: every (P, N, M, lanes,
-// pivot, input storage) combination runs factor, solve, solve, update,
+// Option cross-product sweep of the ARD spike path: every (P, N, M, pivot,
+// input storage) combination runs factor, solve, solve, update,
 // solve under four (chunk, threads) settings. Residuals are checked
 // against banded LU and the four settings must agree bit for bit.
 
-enum class SweepKind { kDiagDominant, kConditioned, kNearSingular, kSpd };
+enum class SweepKind { kDiagDominant, kConditioned, kNearSingular, kSpd, kPoisson2D };
 
 const char* sweep_kind_name(SweepKind k) {
   switch (k) {
@@ -105,6 +105,8 @@ const char* sweep_kind_name(SweepKind k) {
       return "near_singular";
     case SweepKind::kSpd:
       return "spd";
+    case SweepKind::kPoisson2D:
+      return "poisson2d";
   }
   return "?";
 }
@@ -112,18 +114,17 @@ const char* sweep_kind_name(SweepKind k) {
 struct SweepCase {
   int p = 1;
   index_t n = 1, m = 1;
-  int lanes = 1;
   btds::PivotKind pivot = btds::PivotKind::kLu;
   bool local = false;  ///< LocalBlockTridiag input instead of the global system
   SweepKind kind = SweepKind::kDiagDominant;
   std::uint64_t seed = 0;
 
   /// Ordering for "smallest failing combination": fewest unknowns first.
-  auto size_key() const { return std::make_tuple(n * m, p, lanes, m, local, seed); }
+  auto size_key() const { return std::make_tuple(n * m, p, m, local, seed); }
 
   std::string describe() const {
     std::ostringstream os;
-    os << "P=" << p << " N=" << n << " M=" << m << " lanes=" << lanes
+    os << "P=" << p << " N=" << n << " M=" << m
        << " pivot=" << (pivot == btds::PivotKind::kLu ? "lu" : "cholesky")
        << " input=" << (local ? "local" : "global") << " kind=" << sweep_kind_name(kind)
        << " seed=" << seed;
@@ -166,6 +167,8 @@ BlockTridiag make_sweep_system(const SweepCase& c) {
       return btds::make_near_singular(c.n, c.m, 1e-6, c.seed);
     case SweepKind::kSpd:
       return make_spd(c.n, c.m, c.seed);
+    case SweepKind::kPoisson2D:
+      return make_problem(ProblemKind::kPoisson2D, c.n, c.m);
     case SweepKind::kDiagDominant:
       break;
   }
@@ -194,8 +197,7 @@ SweepRun run_sweep_case(const SweepCase& c, const BlockTridiag& sys, const Block
                         int threads) {
   core::ArdOptions opts;
   opts.pivot = c.pivot;
-  opts.pipeline.lanes = c.lanes;
-  opts.pipeline.chunk_cols = chunk;
+  opts.chunk_cols = chunk;
   mpsim::EngineOptions engine;
   engine.timing = mpsim::TimingMode::ChargedFlops;
   engine.threads_per_rank = threads;
@@ -318,62 +320,79 @@ TEST(SpikeSweep, OptionCrossProductMatchesBandedLu) {
     for (const index_t n :
          {np, np + 1, 2 * np - 1, 2 * np + static_cast<index_t>(rng() % (4 * np + 1))}) {
       for (const index_t m : {index_t{1}, index_t{3}, index_t{8}, index_t{16}}) {
-        for (const int lanes : {1, 3}) {
-          for (const btds::PivotKind pivot : {btds::PivotKind::kLu, btds::PivotKind::kCholesky}) {
-            for (const bool local : {false, true}) {
-              SweepCase c;
-              c.p = p;
-              c.n = std::max<index_t>(n, 1);
-              c.m = m;
-              c.lanes = lanes;
-              c.pivot = pivot;
-              c.local = local;
-              c.seed = rng() % 100000;
-              if (pivot == btds::PivotKind::kCholesky) {
-                c.kind = SweepKind::kSpd;
-              } else {
-                const SweepKind lu_kinds[] = {SweepKind::kDiagDominant, SweepKind::kConditioned,
-                                              SweepKind::kNearSingular};
-                c.kind = lu_kinds[cases % 3];
-              }
-              ++cases;
-              std::string err = check_sweep_case(c);
-              if (!err.empty()) failures.emplace_back(c, std::move(err));
+        for (const btds::PivotKind pivot : {btds::PivotKind::kLu, btds::PivotKind::kCholesky}) {
+          for (const bool local : {false, true}) {
+            SweepCase c;
+            c.p = p;
+            c.n = std::max<index_t>(n, 1);
+            c.m = m;
+            c.pivot = pivot;
+            c.local = local;
+            c.seed = rng() % 100000;
+            if (pivot == btds::PivotKind::kCholesky) {
+              c.kind = SweepKind::kSpd;
+            } else {
+              const SweepKind lu_kinds[] = {SweepKind::kDiagDominant, SweepKind::kConditioned,
+                                            SweepKind::kNearSingular};
+              c.kind = lu_kinds[cases % 3];
             }
+            ++cases;
+            std::string err = check_sweep_case(c);
+            if (!err.empty()) failures.emplace_back(c, std::move(err));
           }
         }
       }
     }
   }
-  // Long segments (N/P >= 1500, so even a third of a rank's rows outlasts
-  // the spikes' support): the support cutoff engages on every lane, and
-  // the cut spikes must keep the residual and bit-identity contracts.
-  int long_cases = 0;
+  // Long decaying segments (N/P >= 1500): the support cutoff engages on
+  // every rank, and the cut spikes must keep the residual and bit-identity
+  // contracts.
   for (const index_t m : {index_t{3}, index_t{8}, index_t{16}}) {
-    for (const int lanes : {1, 3}) {
+    for (const bool local : {false, true}) {
+      SweepCase c;
+      c.p = 2 + static_cast<int>(rng() % 2);
+      c.n = c.p * (1500 + static_cast<index_t>(rng() % 200));
+      c.m = m;
+      c.local = local;
+      c.seed = rng() % 100000;
+      c.pivot = cases % 2 == 0 ? btds::PivotKind::kLu : btds::PivotKind::kCholesky;
+      c.kind = c.pivot == btds::PivotKind::kLu ? SweepKind::kDiagDominant : SweepKind::kSpd;
+      ++cases;
+      const BlockTridiag sys = make_sweep_system(c);
+      const index_t seg_rows = c.n / c.p;
+      const auto f = btds::ThomasFactorization::factor_segment(sys, 0, seg_rows, c.pivot);
+      EXPECT_LT(f.v_rows(), seg_rows) << c.describe();
+      EXPECT_GT(f.w_first(), 0) << c.describe();
+      std::string err = check_sweep_case(c);
+      if (!err.empty()) failures.emplace_back(c, std::move(err));
+    }
+  }
+  // Long non-decaying segments (2-D Poisson, N/P >= 1024): the spikes keep
+  // their full support on every rank, under both pivot kinds (the system
+  // is SPD).
+  for (const index_t m : {index_t{8}, index_t{16}}) {
+    for (const btds::PivotKind pivot : {btds::PivotKind::kLu, btds::PivotKind::kCholesky}) {
       for (const bool local : {false, true}) {
         SweepCase c;
         c.p = 2 + static_cast<int>(rng() % 2);
-        c.n = c.p * (1500 + static_cast<index_t>(rng() % 200));
+        c.n = c.p * (1024 + static_cast<index_t>(rng() % 64));
         c.m = m;
-        c.lanes = lanes;
+        c.pivot = pivot;
         c.local = local;
-        c.seed = rng() % 100000;
-        c.pivot = long_cases % 2 == 0 ? btds::PivotKind::kLu : btds::PivotKind::kCholesky;
-        c.kind = c.pivot == btds::PivotKind::kLu ? SweepKind::kDiagDominant : SweepKind::kSpd;
-        ++long_cases;
+        c.kind = SweepKind::kPoisson2D;
+        ++cases;
         const BlockTridiag sys = make_sweep_system(c);
-        const index_t lane_rows = c.n / c.p / lanes;
-        const auto f = btds::ThomasFactorization::factor_segment(sys, 0, lane_rows, c.pivot);
-        EXPECT_LT(f.v_rows(), lane_rows) << c.describe();
-        EXPECT_GT(f.w_first(), 0) << c.describe();
+        const index_t seg_rows = c.n / c.p;
+        const auto f = btds::ThomasFactorization::factor_segment(sys, 0, seg_rows, c.pivot);
+        EXPECT_EQ(f.v_rows(), seg_rows) << c.describe();
+        EXPECT_EQ(f.w_first(), 0) << c.describe();
         std::string err = check_sweep_case(c);
         if (!err.empty()) failures.emplace_back(c, std::move(err));
       }
     }
   }
-  cases += long_cases;
-  EXPECT_GT(cases, 600);
+  // 320 cross-product cases, 6 long decaying and 8 long Poisson cases.
+  EXPECT_EQ(cases, 334);
   if (!failures.empty()) {
     const auto smallest = std::min_element(
         failures.begin(), failures.end(),

@@ -1,9 +1,9 @@
 // Tests for the latency-hiding scan pipeline (docs/PARALLELISM.md,
 // "Latency-hiding pipeline"): the bit-identity contract of chunked RHS
-// panels across thread counts, the hierarchical-lanes local reduction,
-// the attribution-visible effect of panel pipelining on a comm-bound
-// run, and the dynamic-tag registry the pipeline's concurrent scans lean
-// on (regression: tag uniqueness used to be a comment, not a check).
+// panels across thread counts, uneven partitions, the
+// attribution-visible effect of panel pipelining on a comm-bound run,
+// and the dynamic-tag registry the pipeline's concurrent scans lean on
+// (regression: tag uniqueness used to be a comment, not a check).
 
 #include <gtest/gtest.h>
 
@@ -49,10 +49,9 @@ double max_abs_diff(const la::Matrix& a, const la::Matrix& b) {
 }
 
 la::Matrix pipeline_solve(const btds::BlockTridiag& sys, const la::Matrix& b, int p,
-                          index_t chunk, int lanes, int threads) {
+                          index_t chunk, int threads) {
   core::ArdOptions opts;
-  opts.pipeline.chunk_cols = chunk;
-  opts.pipeline.lanes = lanes;
+  opts.chunk_cols = chunk;
   return core::solve(core::Method::kArd, sys, b, p,
                      {.ard = opts, .engine = charged_engine(threads)})
       .x;
@@ -70,59 +69,38 @@ TEST(Pipeline, BitIdentityAcrossChunkThreads) {
   // P=5: the interleaved scans must also complete on non-power-of-two
   // rank counts (their rounds go in hypercube-level order).
   for (const int p : {4, 5}) {
-    const la::Matrix base = pipeline_solve(sys, b, p, 0, 1, 1);
+    const la::Matrix base = pipeline_solve(sys, b, p, 0, 1);
     EXPECT_LT(btds::relative_residual(sys, base, b), 1e-12);
     for (const int threads : {1, 3})
       for (const index_t chunk : {index_t{1}, index_t{0}, r}) {
-        const la::Matrix x = pipeline_solve(sys, b, p, chunk, 1, threads);
+        const la::Matrix x = pipeline_solve(sys, b, p, chunk, threads);
         EXPECT_EQ(max_abs_diff(base, x), 0.0)
             << "P=" << p << " threads=" << threads << " chunk=" << chunk;
       }
   }
 
   // Serial specialization (P=1) takes the same panel path and must agree too.
-  const la::Matrix s_base = pipeline_solve(sys, b, 1, 0, 1, 1);
-  const la::Matrix s_pipe = pipeline_solve(sys, b, 1, 2, 1, 1);
+  const la::Matrix s_base = pipeline_solve(sys, b, 1, 0, 1);
+  const la::Matrix s_pipe = pipeline_solve(sys, b, 1, 2, 1);
   EXPECT_EQ(max_abs_diff(s_base, s_pipe), 0.0);
 }
 
-// Hierarchical lanes re-associate the local reduction, so they are only
-// numerically equivalent to one lane — but for a FIXED lane count the
-// solution must be bit-identical across chunking and thread counts (lane
-// bounds are pure in (nloc, lanes)).
-TEST(Pipeline, HierarchicalLanesResidualAndFixedLaneBitIdentity) {
-  const index_t n = 96, m = 4, r = 6;
-  const int p = 4, lanes = 3;
-  const auto sys = make_problem(ProblemKind::kDiagDominant, n, m);
-  const auto b = make_rhs(n, m, r);
-
-  const la::Matrix base = pipeline_solve(sys, b, p, 0, lanes, 1);
-  EXPECT_LT(btds::relative_residual(sys, base, b), 1e-12);
-
-  for (const int threads : {1, 3})
-    for (const index_t chunk : {index_t{1}, index_t{0}, r}) {
-      const la::Matrix x = pipeline_solve(sys, b, p, chunk, lanes, threads);
-      EXPECT_EQ(max_abs_diff(base, x), 0.0) << "threads=" << threads << " chunk=" << chunk;
-    }
-}
-
-// Regression (uneven partitions): with lanes > 1 and P <= N < 2P the
-// single-row ranks have one lane while the others have several. The solve
-// used to pick its replay path per rank, so the two groups replayed the
-// cross-rank scans under different tags and solve() hung. There is one
-// schedule now: the mixed fleet must complete, solve accurately, and stay
-// bit-identical across chunk sizes.
-TEST(Pipeline, UnevenPartitionWithLanesDoesNotDeadlock) {
+// Regression (uneven partitions): with P <= N < 2P rank 0 owns two rows
+// and the others one each. Every rank must replay the cross-rank scans
+// on the same schedule whatever its row count (a per-rank choice of
+// replay path once made solve() hang): the uneven fleet must complete,
+// solve accurately, and stay bit-identical across chunk sizes.
+TEST(Pipeline, UnevenPartitionDoesNotDeadlock) {
   const index_t n = 5, m = 3, r = 4;
-  const int p = 4;  // rows split {2,1,1,1}: only rank 0 builds lanes
+  const int p = 4;  // rows split {2,1,1,1}
   const auto sys = make_problem(ProblemKind::kDiagDominant, n, m);
   const auto b = make_rhs(n, m, r);
 
-  const la::Matrix base = pipeline_solve(sys, b, p, 0, 2, 1);
+  const la::Matrix base = pipeline_solve(sys, b, p, 0, 1);
   EXPECT_LT(btds::relative_residual(sys, base, b), 1e-12);
 
   for (const index_t chunk : {index_t{1}, index_t{2}}) {
-    const la::Matrix x = pipeline_solve(sys, b, p, chunk, 2, 1);
+    const la::Matrix x = pipeline_solve(sys, b, p, chunk, 1);
     EXPECT_EQ(max_abs_diff(base, x), 0.0) << "chunk=" << chunk;
   }
 }
@@ -147,7 +125,7 @@ PipelineRun comm_bound_run(index_t chunk) {
   engine.tracer = &tracer;
 
   core::ArdOptions opts;
-  opts.pipeline.chunk_cols = chunk;
+  opts.chunk_cols = chunk;
   const auto res = core::solve(core::Method::kArd, sys, b, p, {.ard = opts, .engine = engine});
   EXPECT_LT(btds::relative_residual(sys, res.x, b), 1e-12);
   return {obs::analyze(tracer), res.solve_vtime};

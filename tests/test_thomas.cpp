@@ -7,6 +7,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <string>
 
 #include "src/btds/distributed.hpp"
@@ -85,6 +86,56 @@ TEST(Thomas, ThrowsOnSingularPivot) {
   t.upper(0)(0, 0) = 1.0;
   t.lower(1)(0, 0) = 1.0;
   EXPECT_THROW(ThomasFactorization::factor(t), std::runtime_error);
+}
+
+/// EXPECT `fn` to throw fault::InvalidArgumentError with its typed code.
+template <typename Fn>
+void expect_invalid_argument(Fn&& fn, const std::string& what) {
+  try {
+    fn();
+    ADD_FAILURE() << what << ": no error";
+  } catch (const fault::InvalidArgumentError& e) {
+    EXPECT_EQ(e.code(), fault::ErrorCode::kInvalidArgument) << what;
+  }
+}
+
+// The public entry points reject bad shapes with a typed error in every
+// build type, before any block is read or written.
+TEST(Thomas, FactorRejectsEmptySystem) {
+  expect_invalid_argument([] { (void)ThomasFactorization::factor(BlockTridiag{}); },
+                          "empty system");
+}
+
+TEST(Thomas, FactorSegmentRejectsRowsOutsideTheSystem) {
+  const BlockTridiag t = make_problem(ProblemKind::kDiagDominant, 6, 2);
+  const struct {
+    index_t lo, n;
+  } bad[] = {{0, 0}, {2, -1}, {-1, 3}, {4, 3}, {0, 7}, {6, 1},
+             {1, std::numeric_limits<index_t>::max()}};
+  for (const auto& [lo, n] : bad) {
+    expect_invalid_argument([&] { (void)ThomasFactorization::factor_segment(t, lo, n); },
+                            "lo=" + std::to_string(lo) + " n=" + std::to_string(n));
+  }
+  EXPECT_EQ(ThomasFactorization::factor_segment(t, 3, 3).num_blocks(), 3);
+}
+
+TEST(Thomas, SolveRejectsWrongRowCount) {
+  const BlockTridiag t = make_problem(ProblemKind::kDiagDominant, 6, 2);
+  const ThomasFactorization f = ThomasFactorization::factor(t);
+  for (const index_t rows : {index_t{0}, index_t{11}, index_t{13}}) {
+    expect_invalid_argument([&] { (void)f.solve(Matrix(rows, 2)); },
+                            "rows=" + std::to_string(rows));
+  }
+}
+
+TEST(Thomas, SolveInplaceRejectsWrongRowCount) {
+  const BlockTridiag t = make_problem(ProblemKind::kDiagDominant, 6, 2);
+  const ThomasFactorization f = ThomasFactorization::factor(t);
+  Matrix x(14, 3);
+  for (const index_t rows : {index_t{10}, index_t{14}}) {
+    expect_invalid_argument([&] { f.solve_inplace(x.block(0, 0, rows, 3)); },
+                            "rows=" + std::to_string(rows));
+  }
 }
 
 /// [V W] by the plain solve: solve_inplace on [E_first E_last], every row

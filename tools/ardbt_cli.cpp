@@ -16,7 +16,6 @@
 //   --timing  charged (deterministic virtual clock) | measured [charged]
 //   --threads worker threads per rank for the solve kernels [1]
 //   --chunk   RHS columns per pipelined solve panel, 0 = all of R (ard only) [0]
-//   --lanes   intra-rank lanes of the two-level scan (ard only)     [1]
 //   --refine  extra iterative-refinement steps (ard only)   [0]
 //   --load-sys PATH   solve a system saved with save_block_tridiag
 //                     (overrides --kind/--n/--m)
@@ -107,7 +106,7 @@ using namespace ardbt;
 
 constexpr const char* kKnownFlags[] = {
     "--method", "--kind",     "--n",        "--m",      "--p",     "--r",
-    "--chunk",  "--lanes",
+    "--chunk",
     "--seed",   "--timing",   "--threads",  "--refine", "--load-sys", "--save-sys",
     "--save-x", "--trace",    "--json",     "--metrics", "--list",  "--help",
     "--on-breakdown", "--fault", "--plant-pivot", "--plant-eps",
@@ -226,9 +225,6 @@ void print_usage() {
   std::printf("                   panel k+1's local reduction hides panel k's\n");
   std::printf("                   in-flight scan rounds; solutions bit-identical\n");
   std::printf("                   for any C, only virtual waits change\n");
-  std::printf("  --lanes L        two-level hierarchical scan: L intra-rank lanes\n");
-  std::printf("                   reduce the segment in parallel before the\n");
-  std::printf("                   cross-rank scan (default 1; docs/PARALLELISM.md)\n");
   std::printf("  --refine K       iterative-refinement steps (ard only)\n");
   std::printf("  --load-sys PATH  solve a saved system (overrides --kind/--n/--m)\n");
   std::printf("  --save-sys PATH  save the generated system\n");
@@ -384,9 +380,7 @@ int run_cli(int argc, char** argv) {
     } else if (flag == "--r") {
       r = static_cast<la::index_t>(parse_int(flag, next(), 1));
     } else if (flag == "--chunk") {
-      ard_opts.pipeline.chunk_cols = static_cast<la::index_t>(parse_int(flag, next(), 0));
-    } else if (flag == "--lanes") {
-      ard_opts.pipeline.lanes = static_cast<int>(parse_int(flag, next(), 1, 1 << 16));
+      ard_opts.chunk_cols = static_cast<la::index_t>(parse_int(flag, next(), 0));
     } else if (flag == "--seed") {
       seed = static_cast<std::uint64_t>(parse_int(flag, next(), 0));
     } else if (flag == "--refine") {
@@ -899,8 +893,7 @@ int run_cli(int argc, char** argv) {
         .config("timing",
                 engine.timing == mpsim::TimingMode::ChargedFlops ? "charged" : "measured")
         .config("threads", engine.threads_per_rank)
-        .config("chunk", static_cast<std::int64_t>(ard_opts.pipeline.chunk_cols))
-        .config("lanes", ard_opts.pipeline.lanes)
+        .config("chunk", static_cast<std::int64_t>(ard_opts.chunk_cols))
         .config("refine", refine_steps)
         .config("on_breakdown", std::string(fault::to_string(engine.on_breakdown)));
     obs::Json timing = obs::Json::object();

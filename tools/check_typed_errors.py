@@ -1,0 +1,45 @@
+#!/usr/bin/env python3
+"""Typed-error guard: no raw standard-library throw under src/.
+
+Every error the library raises is a typed fault:: exception (src/fault/
+status.hpp), so callers can catch one hierarchy and read a stable error
+code. This check fails when any source file under the given directory
+contains `throw std::`, so a raw throw cannot creep back in.
+
+Usage: check_typed_errors.py SRC_DIR
+"""
+
+import pathlib
+import sys
+
+PATTERN = "throw std::"
+SUFFIXES = {".cpp", ".hpp", ".h", ".cc", ".inl"}
+
+
+def main():
+    if len(sys.argv) != 2:
+        print("usage: check_typed_errors.py SRC_DIR", file=sys.stderr)
+        sys.exit(2)
+    root = pathlib.Path(sys.argv[1])
+    if not root.is_dir():
+        print(f"check_typed_errors: FAIL: {root} is not a directory", file=sys.stderr)
+        sys.exit(1)
+    files = sorted(p for p in root.rglob("*") if p.is_file() and p.suffix in SUFFIXES)
+    if not files:
+        print(f"check_typed_errors: FAIL: no sources under {root}", file=sys.stderr)
+        sys.exit(1)
+    hits = []
+    for path in files:
+        for lineno, line in enumerate(path.read_text(errors="replace").splitlines(), 1):
+            if PATTERN in line:
+                hits.append(f"{path}:{lineno}: {line.strip()}")
+    if hits:
+        shown = "\n  ".join(hits)
+        print(f"check_typed_errors: FAIL: {len(hits)} raw `{PATTERN}` (use a fault:: error):\n"
+              f"  {shown}", file=sys.stderr)
+        sys.exit(1)
+    print(f"check_typed_errors: {len(files)} files, no `{PATTERN}`")
+
+
+if __name__ == "__main__":
+    main()
