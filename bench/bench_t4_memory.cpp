@@ -52,7 +52,9 @@ int main(int argc, char** argv) {
   report.write();
   std::printf("\nExpected shapes: ard_MB ~ 3 M^2 (N/P) doubles plus the spikes' support\n"
               "(2 M^2 per row on a short or non-decaying segment, a few hundred rows per\n"
-              "spike on a long dominant one); pcr/ard tracks ~log2 N times a small\n"
+              "spike on a long dominant one), plus O(M^2) per rank for the two-port (its\n"
+              "six blocks hold each boundary coupling once), F, G, the interface LU and\n"
+              "the O(M^2 log P) scan caches; pcr/ard tracks ~log2 N times a small\n"
               "constant; both scale with M^2 and 1/P.\n");
   return 0;
 }

@@ -30,7 +30,7 @@ using la::Matrix;
 
 /// Assemble this rank's rows of I + dt * L(kappa): an SPD diffusion
 /// operator whose conductivity varies in space and time.
-void assemble_local(btds::LocalBlockTridiag& sys, index_t n, index_t m, double dt, double t) {
+void assemble_local(btds::BlockTridiag& sys, index_t n, index_t m, double dt, double t) {
   const auto kappa = [&](index_t i) {
     return 1.0 + 0.4 * std::sin(0.17 * static_cast<double>(i) + 2.0 * t);
   };
@@ -78,8 +78,8 @@ int main() {
   double worst_residual = 0.0;
 
   mpsim::run(p_ranks, [&](mpsim::Comm& comm) {
-    btds::LocalBlockTridiag frozen(n, m, part, comm.rank());
-    btds::LocalBlockTridiag current(n, m, part, comm.rank());
+    btds::BlockTridiag frozen(n, m, part, comm.rank());
+    btds::BlockTridiag current(n, m, part, comm.rank());
     assemble_local(frozen, n, m, dt, /*t=*/0.0);
     auto precond = core::ArdFactorization::factor(comm, frozen, part);
     int local_factors = 1;
@@ -104,7 +104,7 @@ int main() {
       const core::KrylovResult res =
           core::pcg(comm, current, part, &precond, u, x, /*max_iters=*/50, /*tol=*/1e-10);
       const double final_res =
-          btds::relative_residual_distributed(comm, current, x, u, part);
+          btds::relative_residual_distributed(comm, current, x.view(), u.view(), part);
       if (comm.rank() == 0) {
         total_iters += res.iterations;
         max_iters_step = std::max(max_iters_step, res.iterations);

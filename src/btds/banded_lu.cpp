@@ -8,6 +8,7 @@
 namespace ardbt::btds {
 
 BandedLuFactorization BandedLuFactorization::factor(const BlockTridiag& t) {
+  require_rows(t, 0, t.num_blocks(), "btds::BandedLuFactorization::factor");
   const index_t n = t.num_blocks();
   const index_t m = t.block_size();
   BandedLuFactorization f;

@@ -23,7 +23,8 @@ class BandedLuFactorization {
  public:
   /// Assemble the band storage and factor with partial pivoting. Throws
   /// fault::SingularPivotError only if an entire pivot column is zero —
-  /// i.e. the global matrix itself is singular.
+  /// i.e. the global matrix itself is singular — and
+  /// fault::InvalidArgumentError on a slice.
   static BandedLuFactorization factor(const BlockTridiag& t);
 
   /// Solve for all columns of B; returns X with the same shape.

@@ -109,6 +109,7 @@ std::vector<Matrix> solve_level(Level lv) {
 }  // namespace
 
 Matrix cyclic_reduction_solve(const BlockTridiag& t, const Matrix& b) {
+  require_rows(t, 0, t.num_blocks(), "btds::cyclic_reduction_solve");
   const index_t n = t.num_blocks();
   const index_t m = t.block_size();
   assert(b.rows() == t.dim());

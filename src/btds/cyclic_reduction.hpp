@@ -13,7 +13,8 @@
 namespace ardbt::btds {
 
 /// Solve T X = B by block cyclic reduction. X has the shape of B.
-/// Throws std::runtime_error on a singular diagonal block at any level.
+/// Throws fault::SingularPivotError on a singular diagonal block at any
+/// level, and fault::InvalidArgumentError on a slice.
 Matrix cyclic_reduction_solve(const BlockTridiag& t, const Matrix& b);
 
 /// Approximate flop count (factor + solve; leading order).

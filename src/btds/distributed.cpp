@@ -1,100 +1,47 @@
 #include "src/btds/distributed.hpp"
 
-#include <cstring>
-
+#include "src/btds/serde.hpp"
 #include "src/mpsim/collectives.hpp"
 
 namespace ardbt::btds {
-namespace {
 
-void append_matrix(std::vector<std::byte>& buffer, const Matrix& m) {
-  const std::size_t old = buffer.size();
-  const std::size_t bytes = static_cast<std::size_t>(m.size()) * sizeof(double);
-  buffer.resize(old + bytes);
-  std::memcpy(buffer.data() + old, m.data().data(), bytes);
-}
-
-void take_matrix(std::span<const std::byte>& cursor, Matrix& out) {
-  const std::size_t bytes = static_cast<std::size_t>(out.size()) * sizeof(double);
-  assert(cursor.size() >= bytes);
-  std::memcpy(out.data().data(), cursor.data(), bytes);
-  cursor = cursor.subspan(bytes);
-}
-
-}  // namespace
-
-LocalBlockTridiag::LocalBlockTridiag(index_t num_blocks_global, index_t block_size,
-                                     const RowPartition& part, int rank)
-    : n_global_(num_blocks_global),
-      m_(block_size),
-      lo_(part.begin(rank)),
-      hi_(part.end(rank)) {
-  const auto nloc = static_cast<std::size_t>(hi_ - lo_);
-  lower_.assign(nloc, Matrix(m_, m_));
-  diag_.assign(nloc, Matrix(m_, m_));
-  upper_.assign(nloc, Matrix(m_, m_));
-}
-
-Matrix& LocalBlockTridiag::lower(index_t i) {
-  assert(i >= 1);
-  return lower_[local_of(i)];
-}
-const Matrix& LocalBlockTridiag::lower(index_t i) const {
-  assert(i >= 1);
-  return lower_[local_of(i)];
-}
-Matrix& LocalBlockTridiag::diag(index_t i) { return diag_[local_of(i)]; }
-const Matrix& LocalBlockTridiag::diag(index_t i) const { return diag_[local_of(i)]; }
-Matrix& LocalBlockTridiag::upper(index_t i) {
-  assert(i + 1 < n_global_);
-  return upper_[local_of(i)];
-}
-const Matrix& LocalBlockTridiag::upper(index_t i) const {
-  assert(i + 1 < n_global_);
-  return upper_[local_of(i)];
-}
-
-LocalBlockTridiag LocalBlockTridiag::scatter(mpsim::Comm& comm, const BlockTridiag* global,
-                                             index_t num_blocks_global, index_t block_size,
-                                             const RowPartition& part, int root) {
-  LocalBlockTridiag local(num_blocks_global, block_size, part, comm.rank());
-  const index_t n = num_blocks_global;
-
+BlockTridiag scatter(mpsim::Comm& comm, const BlockTridiag* global, index_t num_blocks,
+                     index_t block_size, const RowPartition& part, int root) {
+  const index_t n = num_blocks;
   if (comm.rank() == root) {
-    assert(global != nullptr && global->num_blocks() == n &&
-           global->block_size() == block_size);
+    if (global == nullptr || global->num_blocks() != n || global->block_size() != block_size) {
+      throw fault::InvalidArgumentError("btds::scatter",
+                                        "the root needs the N-row system of order M");
+    }
+    require_rows(*global, 0, n, "btds::scatter");
     for (int peer = 0; peer < comm.size(); ++peer) {
       if (peer == root) continue;
       std::vector<std::byte> buffer;
       for (index_t i = part.begin(peer); i < part.end(peer); ++i) {
-        if (i > 0) append_matrix(buffer, global->lower(i));
-        append_matrix(buffer, global->diag(i));
-        if (i + 1 < n) append_matrix(buffer, global->upper(i));
+        if (i > 0) append_matrix(buffer, global->lower(i).view());
+        append_matrix(buffer, global->diag(i).view());
+        if (i + 1 < n) append_matrix(buffer, global->upper(i).view());
       }
       comm.send_bytes(peer, dist_tags::kScatterSys, buffer);
     }
-    for (index_t i = local.lo_; i < local.hi_; ++i) {
-      if (i > 0) local.lower(i) = global->lower(i);
-      local.diag(i) = global->diag(i);
-      if (i + 1 < n) local.upper(i) = global->upper(i);
-    }
-  } else {
-    const std::vector<std::byte> raw = comm.recv_bytes(root, dist_tags::kScatterSys);
-    std::span<const std::byte> cursor(raw);
-    for (index_t i = local.lo_; i < local.hi_; ++i) {
-      if (i > 0) take_matrix(cursor, local.lower(i));
-      take_matrix(cursor, local.diag(i));
-      if (i + 1 < n) take_matrix(cursor, local.upper(i));
-    }
-    assert(cursor.empty());
+    return slice(*global, part, root);
   }
+  BlockTridiag local(n, block_size, part, comm.rank());
+  const std::vector<std::byte> raw = comm.recv_bytes(root, dist_tags::kScatterSys);
+  std::span<const std::byte> cursor(raw);
+  for (index_t i = local.lo(); i < local.hi(); ++i) {
+    if (i > 0) local.lower(i) = take_matrix(cursor, block_size, block_size);
+    local.diag(i) = take_matrix(cursor, block_size, block_size);
+    if (i + 1 < n) local.upper(i) = take_matrix(cursor, block_size, block_size);
+  }
+  assert(cursor.empty());
   return local;
 }
 
-LocalBlockTridiag LocalBlockTridiag::from_shared(const BlockTridiag& global,
-                                                 const RowPartition& part, int rank) {
-  LocalBlockTridiag local(global.num_blocks(), global.block_size(), part, rank);
-  for (index_t i = local.lo_; i < local.hi_; ++i) {
+BlockTridiag slice(const BlockTridiag& global, const RowPartition& part, int rank) {
+  require_rows(global, part.begin(rank), part.count(rank), "btds::slice");
+  BlockTridiag local(global.num_blocks(), global.block_size(), part, rank);
+  for (index_t i = local.lo(); i < local.hi(); ++i) {
     if (i > 0) local.lower(i) = global.lower(i);
     local.diag(i) = global.diag(i);
     if (i + 1 < global.num_blocks()) local.upper(i) = global.upper(i);

@@ -1,23 +1,21 @@
 #pragma once
 
-#include <optional>
-#include <vector>
-
 #include "src/btds/block_tridiag.hpp"
 #include "src/btds/partition.hpp"
 #include "src/mpsim/comm.hpp"
 
 /// \file distributed.hpp
-/// True distributed-memory storage of a block tridiagonal system: each
-/// rank owns only its partition's block rows. The solvers accept either a
-/// shared global BlockTridiag (convenient inside mpsim, where ranks share
-/// an address space) or a LocalBlockTridiag built here — the form a real
-/// MPI deployment would use. Construction paths:
+/// Distributing a block tridiagonal system and its right-hand sides over
+/// ranks. Each rank's share is a BlockTridiag slice holding only its
+/// partition's block rows (the domain-decomposition layout a real MPI
+/// deployment stores). The solvers read a slice and a shared whole system
+/// the same way. Ways to build a slice:
 ///
-///  * assemble locally (`LocalBlockTridiag(part, rank)` + fill) — the
-///    scalable path: no rank ever holds the global matrix;
-///  * `scatter(...)` — a root rank holds the global system and ships each
+///  * assemble locally (`BlockTridiag(n, m, part, rank)` + fill) — the
+///    scalable path: no rank ever holds the whole system;
+///  * `scatter(...)` — a root rank holds the whole system and ships each
 ///    rank its slice (one message per rank);
+///  * `slice(...)` — copy a rank's rows out of a shared whole system;
 ///
 /// plus `scatter_rows` / `gather_rows` for right-hand-side and solution
 /// matrices with the same layout.
@@ -30,56 +28,16 @@ inline constexpr int kScatterSys = 40;
 inline constexpr int kScatterRows = 41;
 }  // namespace dist_tags
 
-/// This rank's block rows of a distributed block tridiagonal matrix.
-/// Accessors use GLOBAL block-row indices and assert ownership, so solver
-/// code is identical for local and shared storage.
-class LocalBlockTridiag {
- public:
-  LocalBlockTridiag() = default;
+/// Root-driven distribution: `global` must be the whole N-row system of
+/// order M on `root` (it is ignored elsewhere; the root throws
+/// fault::InvalidArgumentError otherwise); every rank receives its slice.
+/// Collective.
+BlockTridiag scatter(mpsim::Comm& comm, const BlockTridiag* global, index_t num_blocks,
+                     index_t block_size, const RowPartition& part, int root = 0);
 
-  /// Zero-initialized local slice for rows [part.begin(rank),
-  /// part.end(rank)).
-  LocalBlockTridiag(index_t num_blocks_global, index_t block_size, const RowPartition& part,
-                    int rank);
-
-  /// Root-driven distribution: `global` must be non-null on `root` (and is
-  /// ignored elsewhere); every rank receives its slice. Collective.
-  static LocalBlockTridiag scatter(mpsim::Comm& comm, const BlockTridiag* global,
-                                   index_t num_blocks_global, index_t block_size,
-                                   const RowPartition& part, int root = 0);
-
-  /// Copy this rank's slice out of a shared global system (no messages).
-  static LocalBlockTridiag from_shared(const BlockTridiag& global, const RowPartition& part,
-                                       int rank);
-
-  index_t num_blocks() const { return n_global_; }
-  index_t block_size() const { return m_; }
-  index_t lo() const { return lo_; }
-  index_t hi() const { return hi_; }
-  index_t local_rows() const { return hi_ - lo_; }
-
-  /// Blocks by GLOBAL block-row index; `i` must be owned by this rank.
-  /// lower(i) requires i >= 1, upper(i) requires i < N-1 (as in
-  /// BlockTridiag).
-  Matrix& lower(index_t i);
-  const Matrix& lower(index_t i) const;
-  Matrix& diag(index_t i);
-  const Matrix& diag(index_t i) const;
-  Matrix& upper(index_t i);
-  const Matrix& upper(index_t i) const;
-
- private:
-  std::size_t local_of(index_t i) const {
-    assert(i >= lo_ && i < hi_);
-    return static_cast<std::size_t>(i - lo_);
-  }
-
-  index_t n_global_ = 0;
-  index_t m_ = 0;
-  index_t lo_ = 0;
-  index_t hi_ = 0;
-  std::vector<Matrix> lower_, diag_, upper_;
-};
+/// Copy `rank`'s slice out of a shared system (no messages). `global`
+/// must hold that rank's rows.
+BlockTridiag slice(const BlockTridiag& global, const RowPartition& part, int rank);
 
 /// Scatter the block rows of a global (N*M) x R matrix: returns this
 /// rank's (nloc*M) x R slice. `global` significant at root only.

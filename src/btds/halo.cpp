@@ -8,13 +8,16 @@
 
 namespace ardbt::btds {
 
-Halo exchange_halo(mpsim::Comm& comm, const Matrix& local, index_t block_size,
+Halo exchange_halo(mpsim::Comm& comm, la::ConstMatrixView local, index_t block_size,
                    const RowPartition& part) {
   const int rank = comm.rank();
   const index_t m = block_size;
   const index_t nloc = part.count(rank);
   const index_t r = local.cols();
-  assert(local.rows() == nloc * m);
+  if (local.rows() != nloc * m) {
+    throw fault::ShapeMismatchError("btds::exchange_halo", "local.rows() == nloc*M",
+                                    local.rows(), nloc * m);
+  }
 
   // Eager sends first (no deadlock), then receives.
   if (rank + 1 < comm.size()) {
@@ -40,14 +43,14 @@ Halo exchange_halo(mpsim::Comm& comm, const Matrix& local, index_t block_size,
   return halo;
 }
 
-Matrix apply_distributed(mpsim::Comm& comm, const LocalBlockTridiag& sys, const Matrix& x_local,
+Matrix apply_distributed(mpsim::Comm& comm, const BlockTridiag& sys, la::ConstMatrixView x_local,
                          const RowPartition& part) {
   const index_t m = sys.block_size();
-  const index_t lo = sys.lo();
-  const index_t hi = sys.hi();
+  const index_t lo = part.begin(comm.rank());
+  const index_t hi = part.end(comm.rank());
   const index_t nloc = hi - lo;
   const index_t r = x_local.cols();
-  assert(x_local.rows() == nloc * m);
+  require_rows(sys, lo, nloc, "btds::apply_distributed");
 
   const Halo halo = exchange_halo(comm, x_local, m, part);
   Matrix out(nloc * m, r);
@@ -72,17 +75,23 @@ Matrix apply_distributed(mpsim::Comm& comm, const LocalBlockTridiag& sys, const 
   return out;
 }
 
-double relative_residual_distributed(mpsim::Comm& comm, const LocalBlockTridiag& sys,
-                                     const Matrix& x_local, const Matrix& b_local,
-                                     const RowPartition& part) {
+Matrix residual_distributed(mpsim::Comm& comm, const BlockTridiag& sys,
+                            la::ConstMatrixView x_local, la::ConstMatrixView b_local,
+                            const RowPartition& part) {
   Matrix r_local = apply_distributed(comm, sys, x_local, part);
   la::matrix_scal(-1.0, r_local.view());
-  la::matrix_axpy(1.0, b_local.view(), r_local.view());
+  la::matrix_axpy(1.0, b_local, r_local.view());
+  return r_local;
+}
 
+double relative_residual_distributed(mpsim::Comm& comm, const BlockTridiag& sys,
+                                     la::ConstMatrixView x_local, la::ConstMatrixView b_local,
+                                     const RowPartition& part) {
+  const Matrix r_local = residual_distributed(comm, sys, x_local, b_local, part);
   double sums[2] = {0.0, 0.0};
   for (index_t i = 0; i < r_local.rows(); ++i) {
     for (double v : r_local.view().row(i)) sums[0] += v * v;
-    for (double v : b_local.view().row(i)) sums[1] += v * v;
+    for (double v : b_local.row(i)) sums[1] += v * v;
   }
   mpsim::allreduce_sum(comm, sums);
   const double bn = std::sqrt(sums[1]);

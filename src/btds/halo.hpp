@@ -10,9 +10,11 @@
 /// Applying a block tridiagonal operator to a row-distributed vector needs
 /// each rank's first/last neighbour block rows — the one-deep "halo". With
 /// it, residual computation (and therefore iterative refinement and any
-/// outer Krylov loop) runs without any rank touching global state: the
-/// genuinely message-passing data path, complementing
-/// LocalBlockTridiag / scatter_rows / gather_rows.
+/// outer Krylov loop) reads only this rank's rows of the operator and the
+/// vectors: the message-passing data path, complementing the slices and
+/// scatter_rows / gather_rows of distributed.hpp. The operator may be a
+/// shared whole system or a slice; either way it must hold this rank's
+/// partition rows.
 
 namespace ardbt::btds {
 
@@ -30,19 +32,28 @@ struct Halo {
 };
 
 /// Collective. Exchange boundary block rows of `local` with the
-/// neighbouring ranks. `local` holds this rank's rows for `part`.
-Halo exchange_halo(mpsim::Comm& comm, const Matrix& local, index_t block_size,
+/// neighbouring ranks. `local` holds this rank's rows for `part`
+/// (fault::ShapeMismatchError otherwise).
+Halo exchange_halo(mpsim::Comm& comm, la::ConstMatrixView local, index_t block_size,
                    const RowPartition& part);
 
-/// Collective. b_local := T x_local for the distributed operator: performs
-/// the halo exchange internally. Both slices belong to `part`'s layout.
-Matrix apply_distributed(mpsim::Comm& comm, const LocalBlockTridiag& sys, const Matrix& x_local,
+/// Collective. b_local := T x_local on this rank's rows of `part`:
+/// performs the halo exchange internally (and its shape check on
+/// `x_local`). Throws fault::InvalidArgumentError unless `sys` holds
+/// those rows.
+Matrix apply_distributed(mpsim::Comm& comm, const BlockTridiag& sys, la::ConstMatrixView x_local,
                          const RowPartition& part);
+
+/// Collective. B - T X on this rank's rows (apply_distributed, then the
+/// subtraction from `b_local`).
+Matrix residual_distributed(mpsim::Comm& comm, const BlockTridiag& sys,
+                            la::ConstMatrixView x_local, la::ConstMatrixView b_local,
+                            const RowPartition& part);
 
 /// Collective. || B - T X ||_F / ||B||_F over the distributed slices
 /// (allreduce of the squared norms). Every rank returns the same value.
-double relative_residual_distributed(mpsim::Comm& comm, const LocalBlockTridiag& sys,
-                                     const Matrix& x_local, const Matrix& b_local,
+double relative_residual_distributed(mpsim::Comm& comm, const BlockTridiag& sys,
+                                     la::ConstMatrixView x_local, la::ConstMatrixView b_local,
                                      const RowPartition& part);
 
 }  // namespace ardbt::btds

@@ -100,6 +100,7 @@ Matrix load_matrix(const std::string& path) {
 }
 
 void save_block_tridiag(const std::string& path, const BlockTridiag& t) {
+  require_rows(t, 0, t.num_blocks(), "btds::save_block_tridiag");
   std::ofstream out = open_out(path);
   write_exact(out, kMagicTridiag, sizeof(kMagicTridiag), path);
   const std::int64_t shape[2] = {t.num_blocks(), t.block_size()};

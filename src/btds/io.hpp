@@ -26,7 +26,8 @@ void save_matrix(const std::string& path, const Matrix& m);
 /// Read a matrix written by save_matrix.
 Matrix load_matrix(const std::string& path);
 
-/// Write a block tridiagonal system (binary, exact).
+/// Write a block tridiagonal system (binary, exact). Throws
+/// fault::InvalidArgumentError on a slice, before opening `path`.
 void save_block_tridiag(const std::string& path, const BlockTridiag& t);
 
 /// Read a system written by save_block_tridiag.

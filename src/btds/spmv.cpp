@@ -8,6 +8,7 @@
 namespace ardbt::btds {
 
 Matrix apply(const BlockTridiag& t, const Matrix& x) {
+  require_rows(t, 0, t.num_blocks(), "btds::apply");
   const index_t n = t.num_blocks();
   const index_t m = t.block_size();
   assert(x.rows() == t.dim());

@@ -8,7 +8,8 @@
 
 namespace ardbt::btds {
 
-/// Returns T * X for X of shape (N*M) x R.
+/// Returns T * X for X of shape (N*M) x R. Throws
+/// fault::InvalidArgumentError on a slice (as do the residuals below).
 Matrix apply(const BlockTridiag& t, const Matrix& x);
 
 /// Frobenius norm of (B - T X).

@@ -8,7 +8,6 @@
 #include <optional>
 #include <string>
 
-#include "src/btds/distributed.hpp"
 #include "src/la/blas1.hpp"
 #include "src/la/cholesky.hpp"
 #include "src/la/smallblock/kernels.hpp"
@@ -189,8 +188,8 @@ void ThomasFactorization::pivot_solve(index_t i, la::MatrixView b) const {
   }
 }
 
-template <typename K, typename Sys>
-void ThomasFactorization::factor_sweep(const Sys& t, index_t lo, bool spikes) {
+template <typename K>
+void ThomasFactorization::factor_sweep(const BlockTridiag& t, index_t lo, bool spikes) {
   const index_t n = n_;
   const std::size_t mm = static_cast<std::size_t>(K::order(m_) * K::order(m_));
   // Deliberately uninitialized (make_unique_for_overwrite): the sweep
@@ -227,16 +226,9 @@ void ThomasFactorization::factor_sweep(const Sys& t, index_t lo, bool spikes) {
   if (spikes) sweep.finish();
 }
 
-template <typename Sys>
-ThomasFactorization ThomasFactorization::factor_rows(const Sys& t, index_t lo, index_t n,
+ThomasFactorization ThomasFactorization::factor_rows(const BlockTridiag& t, index_t lo, index_t n,
                                                      PivotKind pivot, bool spikes) {
-  // Written so no sum can overflow: n >= 1 and num_blocks() >= 0.
-  if (n < 1 || lo < 0 || lo > t.num_blocks() - n) {
-    throw fault::InvalidArgumentError("btds::ThomasFactorization::factor",
-                                      "lo = " + std::to_string(lo) + ", n = " + std::to_string(n) +
-                                          " is not a non-empty range of the " +
-                                          std::to_string(t.num_blocks()) + " block rows");
-  }
+  require_rows(t, lo, n, "btds::ThomasFactorization::factor");
   ThomasFactorization f;
   f.n_ = n;
   f.m_ = t.block_size();
@@ -251,16 +243,10 @@ ThomasFactorization ThomasFactorization::factor(const BlockTridiag& t, PivotKind
   return factor_rows(t, 0, t.num_blocks(), pivot, false);
 }
 
-template <typename Sys>
-ThomasFactorization ThomasFactorization::factor_segment(const Sys& t, index_t lo, index_t n,
-                                                        PivotKind pivot) {
+ThomasFactorization ThomasFactorization::factor_segment(const BlockTridiag& t, index_t lo,
+                                                        index_t n, PivotKind pivot) {
   return factor_rows(t, lo, n, pivot, true);
 }
-
-template ThomasFactorization ThomasFactorization::factor_segment(const BlockTridiag&, index_t,
-                                                                 index_t, PivotKind);
-template ThomasFactorization ThomasFactorization::factor_segment(const LocalBlockTridiag&,
-                                                                 index_t, index_t, PivotKind);
 
 template <typename K>
 void ThomasFactorization::solve_panel(la::MatrixView x) const {

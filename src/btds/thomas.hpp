@@ -46,17 +46,18 @@ class ThomasFactorization {
   /// blocks it needs. Throws fault::SingularPivotError (carrying the block
   /// row, scalar pivot index, and pivot growth) on a singular pivot block
   /// (kLu) or a non-SPD pivot block (kCholesky), and
-  /// fault::InvalidArgumentError on a system with no block rows.
+  /// fault::InvalidArgumentError unless `t` holds all of a non-empty
+  /// system (a slice is rejected).
   static ThomasFactorization factor(const BlockTridiag& t, PivotKind pivot = PivotKind::kLu);
 
-  /// Factor block rows [lo, lo + n) of `t` (a BlockTridiag or a
-  /// LocalBlockTridiag owning those rows; global indices) as a standalone
-  /// segment, reading the blocks in place, and compute the segment's
-  /// corner spikes [V W] = T_seg^{-1} [E_first E_last] in the same pass:
-  /// V's forward sweep runs inside the factor loop, and V's and W's
-  /// backward sweeps share one walk over the G_i. Same errors as factor(),
-  /// and fault::InvalidArgumentError unless 0 <= lo, 1 <= n and
-  /// lo + n <= t.num_blocks().
+  /// Factor block rows [lo, lo + n) of `t` (global indices; `t` may be a
+  /// slice holding them) as a standalone segment, reading the blocks in
+  /// place, and compute the segment's corner spikes
+  /// [V W] = T_seg^{-1} [E_first E_last] in the same pass: V's forward
+  /// sweep runs inside the factor loop, and V's and W's backward sweeps
+  /// share one walk over the G_i. Same errors as factor(), and
+  /// fault::InvalidArgumentError unless 1 <= n and t.lo() <= lo and
+  /// lo + n <= t.hi().
   ///
   /// The spikes are kept on their support only. Column c of a spike has a
   /// tip value t_c, the largest |entry| of column c in the tip block row
@@ -70,8 +71,7 @@ class ThomasFactorization {
   /// support is the whole segment and the spikes are bit-identical to
   /// solve_inplace() on the two unit loads. The rule is per column and
   /// scale-invariant (docs/ALGORITHMS.md §4).
-  template <typename Sys>
-  static ThomasFactorization factor_segment(const Sys& t, index_t lo, index_t n,
+  static ThomasFactorization factor_segment(const BlockTridiag& t, index_t lo, index_t n,
                                             PivotKind pivot = PivotKind::kLu);
 
   /// Pivot extremes accumulated over every factored pivot block — the
@@ -134,11 +134,10 @@ class ThomasFactorization {
   /// The factor sweep over rows [lo, lo + n) of `t` with kernel set K
   /// (la/smallblock/kernels.hpp); with `spikes`, the fused spike sweep
   /// rides along (see SpikeSweep in thomas.cpp).
-  template <typename K, typename Sys>
-  void factor_sweep(const Sys& t, index_t lo, bool spikes);
-  template <typename Sys>
-  static ThomasFactorization factor_rows(const Sys& t, index_t lo, index_t n, PivotKind pivot,
-                                         bool spikes);
+  template <typename K>
+  void factor_sweep(const BlockTridiag& t, index_t lo, bool spikes);
+  static ThomasFactorization factor_rows(const BlockTridiag& t, index_t lo, index_t n,
+                                         PivotKind pivot, bool spikes);
   template <typename K>
   class SpikeSweep;
 

@@ -1,7 +1,6 @@
 #include "src/core/ard.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -32,8 +31,7 @@ Matrix triple_product(const Matrix& a, const Matrix& b, const Matrix& c, la::Wor
 
 }  // namespace
 
-template <typename SysView>
-void ArdFactorization::local_phase(mpsim::Comm& comm, const SysView& sys) {
+void ArdFactorization::local_phase(mpsim::Comm& comm, const btds::BlockTridiag& sys) {
   ARDBT_TRACE_SPAN(comm, obs::SpanKind::kPhase, "ard.factor.local");
   const la::index_t m = m_;
   const la::index_t nloc = hi_ - lo_;
@@ -45,14 +43,12 @@ void ArdFactorization::local_phase(mpsim::Comm& comm, const SysView& sys) {
   // flop charge is the dense count, so ChargedFlops virtual times do not
   // depend on how far the spikes decay.
   thomas_ = ThomasFactorization::factor_segment(sys, lo_, nloc, opts_.pivot);
-  a_first_ = (lo_ > 0) ? sys.lower(lo_) : Matrix(m, m);
-  c_last_ = (hi_ < n_) ? sys.upper(hi_ - 1) : Matrix(m, m);
   tp_ = TwoPort{.P = thomas_.v_corner(0),
                 .Q = thomas_.w_corner(0),
                 .R = thomas_.v_corner(nloc - 1),
                 .S = thomas_.w_corner(nloc - 1),
-                .a_first = a_first_,
-                .c_last = c_last_};
+                .a_first = (lo_ > 0) ? sys.lower(lo_) : Matrix(m, m),
+                .c_last = (hi_ < n_) ? sys.upper(hi_ - 1) : Matrix(m, m)};
   comm.charge_flops(ThomasFactorization::factor_flops(nloc, m, opts_.pivot) +
                     ThomasFactorization::spike_flops(nloc, m));
 }
@@ -86,8 +82,8 @@ void ArdFactorization::global_phase(mpsim::Comm& comm) {
   // LU-factored with partial pivoting under either pivot kind.
   const TwoPort* pre = fwd_.has_incoming() ? &fwd_.incoming_mat() : nullptr;
   const TwoPort* suf = bwd_.has_incoming() ? &bwd_.incoming_mat() : nullptr;
-  f_pre_ = pre ? triple_product(a_first_, pre->S, pre->c_last, ws_) : Matrix();
-  g_suf_ = suf ? triple_product(c_last_, suf->P, suf->a_first, ws_) : Matrix();
+  f_pre_ = pre ? triple_product(tp_.a_first, pre->S, pre->c_last, ws_) : Matrix();
+  g_suf_ = suf ? triple_product(tp_.c_last, suf->P, suf->a_first, ws_) : Matrix();
   const la::index_t npre = pre ? m : 0;
   const la::index_t k = npre + (suf ? m : 0);
   k_ = la::LuFactors{};
@@ -120,10 +116,9 @@ void ArdFactorization::global_phase(mpsim::Comm& comm) {
   comm.charge_flops(flops);
 }
 
-template <typename SysView>
-ArdFactorization ArdFactorization::factor_impl(mpsim::Comm& comm, const SysView& sys,
-                                               const btds::RowPartition& part,
-                                               const ArdOptions& opts, la::Workspace* ws) {
+ArdFactorization ArdFactorization::factor(mpsim::Comm& comm, const btds::BlockTridiag& sys,
+                                          const btds::RowPartition& part, const ArdOptions& opts,
+                                          la::Workspace* ws) {
   ArdFactorization f;
   f.rank_ = comm.rank();
   f.opts_ = opts;
@@ -132,11 +127,16 @@ ArdFactorization ArdFactorization::factor_impl(mpsim::Comm& comm, const SysView&
   f.m_ = sys.block_size();
   f.lo_ = part.begin(comm.rank());
   f.hi_ = part.end(comm.rank());
-  assert(part.nranks() == comm.size());
+  if (part.nranks() != comm.size()) {
+    throw fault::InvalidArgumentError("core::ArdFactorization::factor",
+                                      "the partition is for " + std::to_string(part.nranks()) +
+                                          " ranks, the run has " + std::to_string(comm.size()));
+  }
   if (f.hi_ - f.lo_ < 1) {
     throw fault::InvalidArgumentError("core::ArdFactorization::factor",
                                       "every rank needs at least one block row (N >= P)");
   }
+  btds::require_rows(sys, f.lo_, f.hi_ - f.lo_, "core::ArdFactorization::factor");
   ARDBT_TRACE_SPAN(comm, obs::SpanKind::kPhase, "ard.factor");
   f.local_phase(comm, sys);
   f.global_phase(comm);
@@ -151,29 +151,12 @@ ArdFactorization ArdFactorization::factor_impl(mpsim::Comm& comm, const SysView&
   return f;
 }
 
-ArdFactorization ArdFactorization::factor(mpsim::Comm& comm, const btds::BlockTridiag& sys,
-                                          const btds::RowPartition& part, const ArdOptions& opts,
-                                          la::Workspace* ws) {
-  return factor_impl(comm, sys, part, opts, ws);
-}
-
-ArdFactorization ArdFactorization::factor(mpsim::Comm& comm,
-                                          const btds::LocalBlockTridiag& sys,
-                                          const btds::RowPartition& part, const ArdOptions& opts,
-                                          la::Workspace* ws) {
-  assert(part.begin(comm.rank()) == sys.lo() && part.end(comm.rank()) == sys.hi());
-  return factor_impl(comm, sys, part, opts, ws);
-}
-
 void ArdFactorization::update(mpsim::Comm& comm, const btds::BlockTridiag& sys,
                               bool rows_changed) {
-  if (rows_changed) local_phase(comm, sys);
-  global_phase(comm);
-}
-
-void ArdFactorization::update(mpsim::Comm& comm, const btds::LocalBlockTridiag& sys,
-                              bool rows_changed) {
-  if (rows_changed) local_phase(comm, sys);
+  if (rows_changed) {
+    btds::require_rows(sys, lo_, hi_ - lo_, "core::ArdFactorization::update");
+    local_phase(comm, sys);
+  }
   global_phase(comm);
 }
 
@@ -192,16 +175,21 @@ fault::PivotDiagnostics ArdFactorization::diagnostics() const {
 }
 
 void ArdFactorization::solve(mpsim::Comm& comm, const la::Matrix& b, la::Matrix& x) const {
-  assert(b.rows() == n_ * m_ && x.rows() == b.rows() && x.cols() == b.cols());
+  if (b.rows() != n_ * m_) {
+    throw fault::ShapeMismatchError("core::ArdFactorization::solve", "b.rows() == N*M", b.rows(),
+                                    n_ * m_);
+  }
+  if (x.rows() != b.rows()) {
+    throw fault::ShapeMismatchError("core::ArdFactorization::solve", "x.rows() == b.rows()",
+                                    x.rows(), b.rows());
+  }
+  if (x.cols() != b.cols()) {
+    throw fault::ShapeMismatchError("core::ArdFactorization::solve", "x.cols() == b.cols()",
+                                    x.cols(), b.cols());
+  }
   const la::MatrixView x_local = x.block(lo_ * m_, 0, (hi_ - lo_) * m_, b.cols());
   la::copy(b.block(lo_ * m_, 0, (hi_ - lo_) * m_, b.cols()), x_local);
   solve_inplace(comm, x_local);
-}
-
-la::Matrix ArdFactorization::solve_local(mpsim::Comm& comm, const la::Matrix& b_local) const {
-  Matrix x = b_local;
-  solve_inplace(comm, x.view());
-  return x;
 }
 
 void ArdFactorization::apply_spikes(la::ConstMatrixView gh, la::MatrixView x,
@@ -242,7 +230,10 @@ void ArdFactorization::solve_inplace(mpsim::Comm& comm, la::MatrixView x_local) 
   const la::index_t m = m_;
   const la::index_t nloc = hi_ - lo_;
   const la::index_t r = x_local.cols();
-  assert(x_local.rows() == nloc * m);
+  if (x_local.rows() != nloc * m) {
+    throw fault::ShapeMismatchError("core::ArdFactorization::solve_inplace",
+                                    "x_local.rows() == nloc*M", x_local.rows(), nloc * m);
+  }
   const TwoPortOp::Context ctx{m, ws_};
   // Boundary data comes from the cross-rank scans; a serial solve is one
   // Thomas solve.
@@ -308,13 +299,13 @@ void ArdFactorization::solve_inplace(mpsim::Comm& comm, la::MatrixView x_local) 
       const la::index_t npre = pre ? m : 0;
       if (pre) {
         la::MatrixView g = gh.block(0, 0, m, cols);
-        la::gemm(1.0, a_first_.view(), pre->q.view(), 0.0, g);
+        la::gemm(1.0, tp_.a_first.view(), pre->q.view(), 0.0, g);
         la::gemm(-1.0, f_pre_.view(), p.x.block(0, 0, m, cols), 1.0, g);
         flops += la::gemm_flops(m, cols, m) * (2.0 + static_cast<double>(nloc));
       }
       if (suf) {
         la::MatrixView h = gh.block(npre, 0, m, cols);
-        la::gemm(1.0, c_last_.view(), suf->p.view(), 0.0, h);
+        la::gemm(1.0, tp_.c_last.view(), suf->p.view(), 0.0, h);
         la::gemm(-1.0, g_suf_.view(), p.x.block((nloc - 1) * m, 0, m, cols), 1.0, h);
         flops += la::gemm_flops(m, cols, m) * (2.0 + static_cast<double>(nloc));
       }
@@ -354,9 +345,8 @@ std::size_t ArdFactorization::storage_bytes() const {
   // the true footprint.
   return mat_bytes(tp_.P) + mat_bytes(tp_.Q) + mat_bytes(tp_.R) + mat_bytes(tp_.S) +
          mat_bytes(tp_.a_first) + mat_bytes(tp_.c_last) + scan_cache(fwd_.num_rounds()) +
-         scan_cache(bwd_.num_rounds()) + thomas_.storage_bytes() + mat_bytes(a_first_) +
-         mat_bytes(c_last_) + mat_bytes(f_pre_) + mat_bytes(g_suf_) + mat_bytes(k_.lu) +
-         k_.piv.size() * sizeof(la::index_t);
+         scan_cache(bwd_.num_rounds()) + thomas_.storage_bytes() + mat_bytes(f_pre_) +
+         mat_bytes(g_suf_) + mat_bytes(k_.lu) + k_.piv.size() * sizeof(la::index_t);
 }
 
 }  // namespace ardbt::core

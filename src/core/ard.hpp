@@ -1,7 +1,6 @@
 #pragma once
 
 #include "src/btds/block_tridiag.hpp"
-#include "src/btds/distributed.hpp"
 #include "src/btds/partition.hpp"
 #include "src/btds/thomas.hpp"
 #include "src/core/scan.hpp"
@@ -49,10 +48,12 @@
 /// abstract's O(R) improvement (experiment F1).
 ///
 /// All entry points are SPMD-collective: every rank calls with the same
-/// global arguments; rank r reads/writes only the block rows its
-/// partition assigns. Ranks share the address space (mpsim), so global
-/// inputs are passed by const reference and each rank writes disjoint row
-/// ranges of the output.
+/// partition; rank r reads/writes only the block rows its partition
+/// assigns. The system may be shared by the ranks (mpsim ranks share the
+/// address space) or be each rank's own slice (btds/distributed.hpp); it
+/// only has to hold the rank's rows. Solves run in place on the rank's
+/// rows of the right-hand side, which may be a row range of a shared
+/// global matrix or a rank-local one.
 
 namespace ardbt::core {
 
@@ -96,11 +97,13 @@ class ArdFactorization {
  public:
   ArdFactorization() = default;
 
-  /// Collective. Factor the system (phase 1). Throws
-  /// fault::InvalidArgumentError when a rank owns no block row (N < P) and
-  /// fault::SingularPivotError on a singular segment pivot or a singular
-  /// interface matrix (system not block-LU factorizable; cannot happen for
-  /// block-diagonally-dominant input).
+  /// Collective. Factor the system (phase 1). `sys` is the whole system or
+  /// this rank's slice; it must hold the rank's partition rows. Throws
+  /// fault::InvalidArgumentError when a rank owns no block row (N < P) or
+  /// `sys` does not hold its rows, and fault::SingularPivotError on a
+  /// singular segment pivot or a singular interface matrix (system not
+  /// block-LU factorizable; cannot happen for block-diagonally-dominant
+  /// input).
   ///
   /// A non-null `ws` is this rank's workspace arena: every solve-phase
   /// temporary (boundary panels, scan replay vectors, right-divide
@@ -112,39 +115,29 @@ class ArdFactorization {
                                  const btds::RowPartition& part, const ArdOptions& opts = {},
                                  la::Workspace* ws = nullptr);
 
-  /// Collective. Factor from truly distributed storage — each rank reads
-  /// only the block rows it owns (see btds/distributed.hpp). This is the
-  /// path a real MPI deployment uses; the shared-global overload above is
-  /// a convenience for in-process runs.
-  static ArdFactorization factor(mpsim::Comm& comm, const btds::LocalBlockTridiag& sys,
-                                 const btds::RowPartition& part, const ArdOptions& opts = {},
-                                 la::Workspace* ws = nullptr);
-
   /// Collective. The solve (phase 2), in place: `x_local` is this rank's
   /// (nloc*M) x R rows, holding b on entry and the solution on exit. It
-  /// may be a strided view (a row range of a global matrix); its column
-  /// panels are solved and corrected where they lie, with no staging copy.
+  /// may be a strided view (a row range of a global matrix) or a
+  /// rank-local slice (e.g. from btds::scatter_rows); its column panels
+  /// are solved and corrected where they lie, with no staging copy.
+  /// Throws fault::ShapeMismatchError unless it has nloc*M rows.
   void solve_inplace(mpsim::Comm& comm, la::MatrixView x_local) const;
 
   /// Collective. Solve for all columns of `b`: copies this rank's block
   /// rows of `b` into the same rows of `x`, then solve_inplace on them.
   /// `b` and `x` are global (N*M) x R matrices; `x` must be preallocated
   /// with the shape of `b`, and its other ranks' rows are not touched.
+  /// Throws fault::ShapeMismatchError on any other shape.
   void solve(mpsim::Comm& comm, const la::Matrix& b, la::Matrix& x) const;
-
-  /// Collective. Local-slice variant: `b_local` holds only this rank's
-  /// (nloc*M) x R rows (e.g. from btds::scatter_rows); a solved copy is
-  /// returned.
-  la::Matrix solve_local(mpsim::Comm& comm, const la::Matrix& b_local) const;
 
   /// Collective. Cheap refactorization after the matrix changed on *some*
   /// ranks. Pass `rows_changed = true` on ranks whose block rows differ
   /// from what was factored; those redo the full local phase. Unchanged
   /// ranks keep their segment factorization, spikes and two-port, and
   /// only replay the O(M^3 log P) scans and rebuild F, G and K. The
-  /// partition must be unchanged.
+  /// partition must be unchanged, and `sys` must hold this rank's rows
+  /// (as in factor()).
   void update(mpsim::Comm& comm, const btds::BlockTridiag& sys, bool rows_changed);
-  void update(mpsim::Comm& comm, const btds::LocalBlockTridiag& sys, bool rows_changed);
 
   la::index_t num_blocks() const { return n_; }
   la::index_t block_size() const { return m_; }
@@ -162,17 +155,11 @@ class ArdFactorization {
   fault::PivotDiagnostics diagnostics() const;
 
  private:
-  /// Storage-agnostic implementation pieces (defined in ard.cpp; the
-  /// public overloads instantiate them there). The factor phase splits
-  /// into a purely local part (segment factorization, spikes and two-port,
-  /// the O(M^3 N/P) term) and a global part (scans + interface system,
-  /// O(M^3 log P)) so `update` can skip the former on unchanged ranks.
-  template <typename SysView>
-  static ArdFactorization factor_impl(mpsim::Comm& comm, const SysView& sys,
-                                      const btds::RowPartition& part, const ArdOptions& opts,
-                                      la::Workspace* ws);
-  template <typename SysView>
-  void local_phase(mpsim::Comm& comm, const SysView& sys);
+  /// The factor phase splits into a purely local part (segment
+  /// factorization, spikes and two-port, the O(M^3 N/P) term) and a global
+  /// part (scans + interface system, O(M^3 log P)) so `update` can skip
+  /// the former on unchanged ranks.
+  void local_phase(mpsim::Comm& comm, const btds::BlockTridiag& sys);
   void global_phase(mpsim::Comm& comm);
 
   /// x -= V g + W h over the block rows of the spikes' support, with
@@ -191,13 +178,14 @@ class ArdFactorization {
   /// The segment, factored in place from the caller's rows; also holds its
   /// corner spikes [V W] = A_seg^{-1} [E_first E_last] on their support.
   btds::ThomasFactorization thomas_;
-  la::Matrix a_first_;  ///< A of the segment's first row (zero on row 0)
-  la::Matrix c_last_;   ///< C of the segment's last row (zero on row N-1)
   la::Matrix f_pre_;    ///< F = A_lo S_pre C_{lo-1} (empty on rank 0)
   la::Matrix g_suf_;    ///< G = C_{hi-1} P_suf A_hi (empty on rank P-1)
   la::LuFactors k_;     ///< LU of the interface matrix K (empty when P = 1)
 
-  TwoPort tp_;  // this segment's two-port (kept for update())
+  /// This segment's two-port (kept for update()); its a_first and c_last
+  /// are the segment's boundary couplings A_lo and C_hi-1 (zero on rows 0
+  /// and N-1).
+  TwoPort tp_;
   CachedScan<TwoPortOp> fwd_;
   CachedScan<TwoPortOpReversed> bwd_;
 };

@@ -35,9 +35,16 @@ void columns_axpy(const std::vector<double>& s, const Matrix& b, Matrix& a) {
   }
 }
 
+/// M^{-1} v with the ARD preconditioner, or a copy of v without one.
+Matrix precondition(mpsim::Comm& comm, const ArdFactorization* precond, const Matrix& v) {
+  Matrix z = v;
+  if (precond != nullptr) precond->solve_inplace(comm, z.view());
+  return z;
+}
+
 }  // namespace
 
-KrylovResult pcg(mpsim::Comm& comm, const btds::LocalBlockTridiag& op,
+KrylovResult pcg(mpsim::Comm& comm, const btds::BlockTridiag& op,
                  const btds::RowPartition& part, const ArdFactorization* precond,
                  const la::Matrix& b_local, la::Matrix& x_local, int max_iters, double tol) {
   const index_t rows = b_local.rows();
@@ -48,12 +55,10 @@ KrylovResult pcg(mpsim::Comm& comm, const btds::LocalBlockTridiag& op,
   const auto b_norm2 = column_dots(comm, b_local, b_local);
 
   // r0 = b - A x0.
-  Matrix residual = btds::apply_distributed(comm, op, x_local, part);
-  la::matrix_scal(-1.0, residual.view());
-  la::matrix_axpy(1.0, b_local.view(), residual.view());
+  Matrix residual = btds::residual_distributed(comm, op, x_local.view(), b_local.view(), part);
 
   // z = M^{-1} r, p = z.
-  Matrix z = precond ? precond->solve_local(comm, residual) : residual;
+  Matrix z = precondition(comm, precond, residual);
   Matrix p = z;
   std::vector<double> rz = column_dots(comm, residual, z);
 
@@ -74,7 +79,7 @@ KrylovResult pcg(mpsim::Comm& comm, const btds::LocalBlockTridiag& op,
       break;
     }
 
-    const Matrix ap = btds::apply_distributed(comm, op, p, part);
+    const Matrix ap = btds::apply_distributed(comm, op, p.view(), part);
     const auto pap = column_dots(comm, p, ap);
     std::vector<double> alpha(static_cast<std::size_t>(r));
     std::vector<double> neg_alpha(static_cast<std::size_t>(r));
@@ -85,7 +90,7 @@ KrylovResult pcg(mpsim::Comm& comm, const btds::LocalBlockTridiag& op,
     columns_axpy(alpha, p, x_local);
     columns_axpy(neg_alpha, ap, residual);
 
-    z = precond ? precond->solve_local(comm, residual) : residual;
+    z = precondition(comm, precond, residual);
     const auto rz_new = column_dots(comm, residual, z);
     std::vector<double> beta(static_cast<std::size_t>(r));
     for (std::size_t j = 0; j < beta.size(); ++j) {
@@ -102,16 +107,15 @@ KrylovResult pcg(mpsim::Comm& comm, const btds::LocalBlockTridiag& op,
   }
 
   // Exact final residual (the recurrence can drift).
-  Matrix final_res = btds::apply_distributed(comm, op, x_local, part);
-  la::matrix_scal(-1.0, final_res.view());
-  la::matrix_axpy(1.0, b_local.view(), final_res.view());
+  const Matrix final_res =
+      btds::residual_distributed(comm, op, x_local.view(), b_local.view(), part);
   const auto fr2 = column_dots(comm, final_res, final_res);
   if (!result.residual_norms.empty() || true) result.residual_norms.push_back(max_rel(fr2));
   result.converged = result.residual_norms.back() <= tol;
   return result;
 }
 
-KrylovResult bicgstab(mpsim::Comm& comm, const btds::LocalBlockTridiag& op,
+KrylovResult bicgstab(mpsim::Comm& comm, const btds::BlockTridiag& op,
                       const btds::RowPartition& part, const ArdFactorization* precond,
                       const la::Matrix& b_local, la::Matrix& x_local, int max_iters,
                       double tol) {
@@ -132,9 +136,7 @@ KrylovResult bicgstab(mpsim::Comm& comm, const btds::LocalBlockTridiag& op,
   };
 
   // r = b - A x; rhat = r (shadow residual).
-  Matrix residual = btds::apply_distributed(comm, op, x_local, part);
-  la::matrix_scal(-1.0, residual.view());
-  la::matrix_axpy(1.0, b_local.view(), residual.view());
+  Matrix residual = btds::residual_distributed(comm, op, x_local.view(), b_local.view(), part);
   const Matrix rhat = residual;
 
   std::vector<double> rho(ur, 1.0), alpha(ur, 1.0), omega(ur, 1.0);
@@ -160,8 +162,8 @@ KrylovResult bicgstab(mpsim::Comm& comm, const btds::LocalBlockTridiag& op,
     }
     rho = rho_new;
 
-    const Matrix p_hat = precond ? precond->solve_local(comm, p) : p;
-    v = btds::apply_distributed(comm, op, p_hat, part);
+    const Matrix p_hat = precondition(comm, precond, p);
+    v = btds::apply_distributed(comm, op, p_hat.view(), part);
     const auto rhat_v = column_dots(comm, rhat, v);
     for (std::size_t j = 0; j < ur; ++j) alpha[j] = rhat_v[j] != 0.0 ? rho[j] / rhat_v[j] : 0.0;
 
@@ -170,8 +172,8 @@ KrylovResult bicgstab(mpsim::Comm& comm, const btds::LocalBlockTridiag& op,
       for (index_t j = 0; j < r; ++j) s(i, j) -= alpha[static_cast<std::size_t>(j)] * v(i, j);
     }
 
-    const Matrix s_hat = precond ? precond->solve_local(comm, s) : s;
-    const Matrix t = btds::apply_distributed(comm, op, s_hat, part);
+    const Matrix s_hat = precondition(comm, precond, s);
+    const Matrix t = btds::apply_distributed(comm, op, s_hat.view(), part);
     const auto ts = column_dots(comm, t, s);
     const auto tt = column_dots(comm, t, t);
     for (std::size_t j = 0; j < ur; ++j) omega[j] = tt[j] != 0.0 ? ts[j] / tt[j] : 0.0;
@@ -187,9 +189,8 @@ KrylovResult bicgstab(mpsim::Comm& comm, const btds::LocalBlockTridiag& op,
   }
 
   // Exact final residual.
-  Matrix final_res = btds::apply_distributed(comm, op, x_local, part);
-  la::matrix_scal(-1.0, final_res.view());
-  la::matrix_axpy(1.0, b_local.view(), final_res.view());
+  const Matrix final_res =
+      btds::residual_distributed(comm, op, x_local.view(), b_local.view(), part);
   const auto fr2 = column_dots(comm, final_res, final_res);
   result.residual_norms.push_back(max_rel(fr2));
   result.converged = result.residual_norms.back() <= tol;

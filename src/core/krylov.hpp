@@ -33,14 +33,16 @@ struct KrylovResult {
   std::vector<double> residual_norms;
 };
 
-/// Collective. Solve `op` X = B by PCG on the distributed slices.
+/// Collective. Solve `op` X = B by PCG on the distributed slices: `op`
+/// is the whole system or this rank's slice (it must hold the rank's
+/// partition rows); `b_local` and `x_local` are the rank's rows.
 ///
 /// `op` must be SPD. `precond` may be null (plain CG) or an ARD
 /// factorization of an SPD matrix near `op`. `x_local` is used as the
 /// initial guess if its shape matches `b_local` (otherwise it is resized
 /// to zeros). Converges when every column's relative residual drops below
 /// `tol`.
-KrylovResult pcg(mpsim::Comm& comm, const btds::LocalBlockTridiag& op,
+KrylovResult pcg(mpsim::Comm& comm, const btds::BlockTridiag& op,
                  const btds::RowPartition& part, const ArdFactorization* precond,
                  const la::Matrix& b_local, la::Matrix& x_local, int max_iters = 100,
                  double tol = 1e-10);
@@ -48,7 +50,7 @@ KrylovResult pcg(mpsim::Comm& comm, const btds::LocalBlockTridiag& op,
 /// Collective. Preconditioned BiCGStab (van der Vorst) for general
 /// (nonsymmetric) operators, same conventions as pcg. Each iteration
 /// costs two halo applies and two preconditioner solves.
-KrylovResult bicgstab(mpsim::Comm& comm, const btds::LocalBlockTridiag& op,
+KrylovResult bicgstab(mpsim::Comm& comm, const btds::BlockTridiag& op,
                       const btds::RowPartition& part, const ArdFactorization* precond,
                       const la::Matrix& b_local, la::Matrix& x_local, int max_iters = 100,
                       double tol = 1e-10);

@@ -1,7 +1,7 @@
 #pragma once
 
 #include "src/core/scan.hpp"
-#include "src/core/serde.hpp"
+#include "src/btds/serde.hpp"
 #include "src/la/gemm.hpp"
 
 /// \file ops_affine.hpp
@@ -45,14 +45,20 @@ struct AffineOp {
     return out;
   }
 
-  static std::vector<std::byte> ser_mat(const Context&, const Mat& m) { return ser_matrix(m); }
-  static Mat des_mat(const Context& ctx, std::span<const std::byte> bytes) {
-    return des_matrix(bytes, ctx.m, ctx.m);
+  static std::vector<std::byte> ser_mat(const Context&, const Mat& m) {
+    std::vector<std::byte> bytes;
+    btds::append_matrix(bytes, m.view());
+    return bytes;
   }
-  static std::vector<std::byte> ser_vec(const Context&, const Vec& v) { return ser_matrix(v); }
+  static Mat des_mat(const Context& ctx, std::span<const std::byte> bytes) {
+    return btds::take_matrix(bytes, ctx.m, ctx.m);
+  }
+  static std::vector<std::byte> ser_vec(const Context& ctx, const Vec& v) {
+    return ser_mat(ctx, v);
+  }
   static Vec des_vec(const Context& ctx, std::span<const std::byte> bytes) {
     const auto r = static_cast<la::index_t>(bytes.size() / sizeof(double)) / ctx.m;
-    return des_matrix(bytes, ctx.m, r);
+    return btds::take_matrix(bytes, ctx.m, r);
   }
 };
 

@@ -3,10 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <cassert>
-#include <cstring>
 #include <map>
 #include <utility>
 
+#include "src/btds/serde.hpp"
 #include "src/fault/status.hpp"
 #include "src/la/blas1.hpp"
 #include "src/la/gemm.hpp"
@@ -72,27 +72,10 @@ void exchange_rows(mpsim::Comm& comm, const RowPartition& part, index_t s, index
   }
 }
 
-void append_matrix(std::vector<std::byte>& buffer, const Matrix& m) {
-  const std::size_t old = buffer.size();
-  buffer.resize(old + static_cast<std::size_t>(m.size()) * sizeof(double));
-  std::memcpy(buffer.data() + old, m.data().data(),
-              static_cast<std::size_t>(m.size()) * sizeof(double));
-}
-
-Matrix take_matrix(std::span<const std::byte>& cursor, index_t rows, index_t cols) {
-  Matrix m(rows, cols);
-  const std::size_t bytes = static_cast<std::size_t>(m.size()) * sizeof(double);
-  assert(cursor.size() >= bytes);
-  std::memcpy(m.data().data(), cursor.data(), bytes);
-  cursor = cursor.subspan(bytes);
-  return m;
-}
-
 }  // namespace
 
-template <typename SysView>
-PcrFactorization PcrFactorization::factor_impl(mpsim::Comm& comm, const SysView& sys,
-                                               const RowPartition& part) {
+PcrFactorization PcrFactorization::factor(mpsim::Comm& comm, const btds::BlockTridiag& sys,
+                                          const RowPartition& part) {
   PcrFactorization f;
   f.n_ = sys.num_blocks();
   f.m_ = sys.block_size();
@@ -106,6 +89,7 @@ PcrFactorization PcrFactorization::factor_impl(mpsim::Comm& comm, const SysView&
     throw fault::InvalidArgumentError("core::PcrFactorization::factor",
                                       "every rank needs at least one block row (N >= P)");
   }
+  btds::require_rows(sys, f.lo_, nloc, "core::PcrFactorization::factor");
   ARDBT_TRACE_SPAN(comm, obs::SpanKind::kPhase, "pcr.factor");
   const auto uz = [](index_t k) { return static_cast<std::size_t>(k); };
 
@@ -176,13 +160,13 @@ PcrFactorization PcrFactorization::factor_impl(mpsim::Comm& comm, const SysView&
         comm, part, s, n, pcr_tags::kFactor,
         [&](index_t j, std::vector<std::byte>& buffer) {
           const index_t k = j - f.lo_;
-          if (has_a(j, s)) append_matrix(buffer, ha[uz(k)]);
-          if (has_c(j, s, n)) append_matrix(buffer, hc[uz(k)]);
+          if (has_a(j, s)) btds::append_matrix(buffer, ha[uz(k)].view());
+          if (has_c(j, s, n)) btds::append_matrix(buffer, hc[uz(k)].view());
         },
         [&](index_t j, std::span<const std::byte>& cursor) {
           std::pair<Matrix, Matrix> entry;
-          if (has_a(j, s)) entry.first = take_matrix(cursor, m, m);
-          if (has_c(j, s, n)) entry.second = take_matrix(cursor, m, m);
+          if (has_a(j, s)) entry.first = btds::take_matrix(cursor, m, m);
+          if (has_c(j, s, n)) entry.second = btds::take_matrix(cursor, m, m);
           remote.emplace(j, std::move(entry));
         });
 
@@ -255,16 +239,6 @@ PcrFactorization PcrFactorization::factor_impl(mpsim::Comm& comm, const SysView&
   return f;
 }
 
-PcrFactorization PcrFactorization::factor(mpsim::Comm& comm, const btds::BlockTridiag& sys,
-                                          const RowPartition& part) {
-  return factor_impl(comm, sys, part);
-}
-
-PcrFactorization PcrFactorization::factor(mpsim::Comm& comm, const btds::LocalBlockTridiag& sys,
-                                          const RowPartition& part) {
-  return factor_impl(comm, sys, part);
-}
-
 void PcrFactorization::solve(mpsim::Comm& comm, const la::Matrix& b, la::Matrix& x) const {
   ARDBT_TRACE_SPAN(comm, obs::SpanKind::kPhase, "pcr.solve");
   const index_t n = n_;
@@ -303,10 +277,10 @@ void PcrFactorization::solve(mpsim::Comm& comm, const la::Matrix& b, la::Matrix&
     exchange_rows(
         comm, part_, s, n, pcr_tags::kSolve,
         [&](index_t j, std::vector<std::byte>& buffer) {
-          append_matrix(buffer, la::to_matrix(h.block((j - lo_) * m, 0, m, r)));
+          btds::append_matrix(buffer, h.block((j - lo_) * m, 0, m, r));
         },
         [&](index_t j, std::span<const std::byte>& cursor) {
-          remote.emplace(j, take_matrix(cursor, m, r));
+          remote.emplace(j, btds::take_matrix(cursor, m, r));
         });
     const auto get_h = [&](index_t j) -> la::ConstMatrixView {
       if (j >= lo_ && j < hi_) return h.block((j - lo_) * m, 0, m, r);

@@ -3,7 +3,6 @@
 #include <vector>
 
 #include "src/btds/block_tridiag.hpp"
-#include "src/btds/distributed.hpp"
 #include "src/btds/partition.hpp"
 #include "src/la/lu.hpp"
 #include "src/mpsim/comm.hpp"
@@ -54,15 +53,13 @@ class PcrFactorization {
  public:
   PcrFactorization() = default;
 
-  /// Collective. Throws fault::SingularPivotError on a singular diagonal
-  /// block at any level (cannot happen for block-diagonally-dominant
-  /// input).
+  /// Collective. Each rank reads only its own block rows: `sys` is the
+  /// whole system or this rank's slice (btds/distributed.hpp). Throws
+  /// fault::InvalidArgumentError when a rank owns no block row (N < P) or
+  /// `sys` does not hold its rows, and fault::SingularPivotError on a
+  /// singular diagonal block at any level (cannot happen for
+  /// block-diagonally-dominant input).
   static PcrFactorization factor(mpsim::Comm& comm, const btds::BlockTridiag& sys,
-                                 const btds::RowPartition& part);
-
-  /// Collective. Factor from truly distributed storage (each rank reads
-  /// only its own block rows).
-  static PcrFactorization factor(mpsim::Comm& comm, const btds::LocalBlockTridiag& sys,
                                  const btds::RowPartition& part);
 
   /// Collective. Writes this rank's block rows of `x` (preallocated,
@@ -85,10 +82,6 @@ class PcrFactorization {
   static double solve_flops(la::index_t n, la::index_t m, la::index_t r, int p);
 
  private:
-  template <typename SysView>
-  static PcrFactorization factor_impl(mpsim::Comm& comm, const SysView& sys,
-                                      const btds::RowPartition& part);
-
   struct RowCache {
     la::LuFactors d_lu;  // LU of D_i entering this level
     la::Matrix a, c;     // coefficients entering this level (empty if absent)

@@ -68,10 +68,10 @@ PeriodicArdFactorization PeriodicArdFactorization::factor(
   // U = E W: row-block 0 = [0 | B_0], row-block N-1 = [C_N | 0]; build
   // this rank's rows and solve T X = U for the local slice of T^{-1} U.
   const index_t nloc = f.hi_ - f.lo_;
-  Matrix u_local(nloc * m, 2 * m);
-  if (f.lo_ == 0) la::copy(corner_lower.view(), u_local.block(0, m, m, m));
-  if (f.hi_ == n) la::copy(corner_upper.view(), u_local.block((nloc - 1) * m, 0, m, m));
-  f.tu_local_ = f.base_.solve_local(comm, u_local);
+  f.tu_local_ = Matrix(nloc * m, 2 * m);
+  if (f.lo_ == 0) la::copy(corner_lower.view(), f.tu_local_.block(0, m, m, m));
+  if (f.hi_ == n) la::copy(corner_upper.view(), f.tu_local_.block((nloc - 1) * m, 0, m, m));
+  f.base_.solve_inplace(comm, f.tu_local_.view());
 
   // Capacitance K = I + F^T T^{-1} U (2M x 2M), same on every rank.
   const Matrix edges = gather_edge_rows(comm, f.tu_local_, m);
@@ -94,9 +94,9 @@ void PeriodicArdFactorization::solve(mpsim::Comm& comm, const la::Matrix& b,
   assert(b.rows() == n_ * m && x.rows() == b.rows() && x.cols() == r);
 
   // y = T^{-1} b (local slice).
-  Matrix b_local(nloc * m, r);
-  la::copy(b.block(lo_ * m, 0, nloc * m, r), b_local.view());
-  Matrix y = base_.solve_local(comm, b_local);
+  Matrix y(nloc * m, r);
+  la::copy(b.block(lo_ * m, 0, nloc * m, r), y.view());
+  base_.solve_inplace(comm, y.view());
 
   // z = F^T y, w = K^{-1} z (small; every rank solves its own copy).
   Matrix z = gather_edge_rows(comm, y, m);

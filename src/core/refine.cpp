@@ -1,11 +1,9 @@
 #include "src/core/refine.hpp"
 
-#include <cassert>
 #include <cmath>
 
-#include "src/la/blas1.hpp"
-#include "src/la/gemm.hpp"
 #include "src/btds/halo.hpp"
+#include "src/la/blas1.hpp"
 #include "src/la/random.hpp"
 #include "src/mpsim/collectives.hpp"
 
@@ -14,27 +12,6 @@ namespace {
 
 using la::index_t;
 using la::Matrix;
-
-/// out_rows := (T x)[lo..hi) — this rank's rows of the operator applied to
-/// the (fully populated) global x.
-void apply_local(const btds::BlockTridiag& sys, const Matrix& x, index_t lo, index_t hi,
-                 Matrix& out, mpsim::Comm& comm) {
-  const index_t m = sys.block_size();
-  const index_t r = x.cols();
-  for (index_t i = lo; i < hi; ++i) {
-    la::MatrixView oi = out.block((i - lo) * m, 0, m, r);
-    la::gemm(1.0, sys.diag(i).view(), btds::block_row(x, i, m), 0.0, oi);
-    comm.charge_flops(la::gemm_flops(m, r, m));
-    if (i > 0) {
-      la::gemm(1.0, sys.lower(i).view(), btds::block_row(x, i - 1, m), 1.0, oi);
-      comm.charge_flops(la::gemm_flops(m, r, m));
-    }
-    if (i + 1 < sys.num_blocks()) {
-      la::gemm(1.0, sys.upper(i).view(), btds::block_row(x, i + 1, m), 1.0, oi);
-      comm.charge_flops(la::gemm_flops(m, r, m));
-    }
-  }
-}
 
 /// Frobenius norm over all ranks of a quantity whose local part is given
 /// by `local_sumsq` (allreduce of one double).
@@ -56,61 +33,22 @@ double sumsq(la::ConstMatrixView v) {
 
 RefineResult solve_refined(mpsim::Comm& comm, const ArdFactorization& f,
                            const btds::BlockTridiag& sys, const btds::RowPartition& part,
-                           const la::Matrix& b, la::Matrix& x, int max_steps, double tol) {
-  const index_t m = sys.block_size();
-  const index_t lo = part.begin(comm.rank());
-  const index_t hi = part.end(comm.rank());
-  const index_t nloc = hi - lo;
-  const index_t r = b.cols();
-
+                           la::ConstMatrixView b_local, la::MatrixView x_local, int max_steps,
+                           double tol) {
   RefineResult result;
-  const double b_norm =
-      global_norm(comm, sumsq(b.block(lo * m, 0, nloc * m, r)));
+  const double b_norm = global_norm(comm, sumsq(b_local));
 
-  f.solve(comm, b, x);
-  mpsim::barrier(comm);  // every rank's rows of x are ready for the apply
-
-  // This rank's rows only: T x, and the residual, which solve_inplace
-  // turns into the correction where it lies.
-  Matrix tx_local(nloc * m, r);
-  Matrix res_local(nloc * m, r);
+  la::copy(b_local, x_local);
+  f.solve_inplace(comm, x_local);
 
   for (int step = 0; step <= max_steps; ++step) {
-    apply_local(sys, x, lo, hi, tx_local, comm);
-    la::copy(b.block(lo * m, 0, nloc * m, r), res_local.view());
-    la::matrix_axpy(-1.0, tx_local.view(), res_local.view());
-    const double res_norm = global_norm(comm, sumsq(res_local.view()));
-    result.residual_norms.push_back(res_norm);
-    if (step == max_steps || res_norm <= tol * b_norm) break;
-
-    f.solve_inplace(comm, res_local.view());
-    la::matrix_axpy(1.0, res_local.view(), x.block(lo * m, 0, nloc * m, r));
-    mpsim::barrier(comm);  // updated x visible before the next apply
-    ++result.steps;
-  }
-  return result;
-}
-
-RefineResult solve_refined_local(mpsim::Comm& comm, const ArdFactorization& f,
-                                 const btds::LocalBlockTridiag& sys,
-                                 const btds::RowPartition& part, const la::Matrix& b_local,
-                                 la::Matrix& x_local, int max_steps, double tol) {
-  RefineResult result;
-  const double b_norm = global_norm(comm, sumsq(b_local.view()));
-
-  x_local = b_local;
-  f.solve_inplace(comm, x_local.view());
-
-  for (int step = 0; step <= max_steps; ++step) {
-    Matrix residual = btds::apply_distributed(comm, sys, x_local, part);
-    la::matrix_scal(-1.0, residual.view());
-    la::matrix_axpy(1.0, b_local.view(), residual.view());
+    Matrix residual = btds::residual_distributed(comm, sys, x_local, b_local, part);
     const double res_norm = global_norm(comm, sumsq(residual.view()));
     result.residual_norms.push_back(res_norm);
     if (step == max_steps || res_norm <= tol * b_norm) break;
 
     f.solve_inplace(comm, residual.view());  // the residual becomes the correction
-    la::matrix_axpy(1.0, residual.view(), x_local.view());
+    la::matrix_axpy(1.0, residual.view(), x_local);
     ++result.steps;
   }
   return result;

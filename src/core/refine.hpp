@@ -8,11 +8,12 @@
 /// Accuracy utilities on top of a factorization:
 ///
 /// * iterative refinement — each step computes the true residual
-///   r = B - T X (distributed apply, O(M^2 R N/P)) and applies one ARD
-///   solve as the correction. Because an ARD solve is so much cheaper than
-///   the factorization, refinement is nearly free relative to factoring
-///   and drives the residual to machine precision even on the
-///   ill-conditioned dial;
+///   r = B - T X on this rank's rows (the halo-exchange apply of
+///   btds/halo.hpp, O(M^2 R N/P), which reads no other rank's rows) and
+///   applies one ARD solve as the correction. Because an ARD solve is so
+///   much cheaper than the factorization, refinement is nearly free
+///   relative to factoring and drives the residual to machine precision
+///   even on the ill-conditioned dial;
 /// * a randomized condition estimate — power iteration on T^{-1} via
 ///   repeated solves, times ||T||_inf, giving an order-of-magnitude
 ///   kappa_inf(T) without forming anything dense.
@@ -32,20 +33,14 @@ struct RefineResult {
 
 /// Collective. Solve T X = B with `f`, then apply up to `max_steps` rounds
 /// of iterative refinement, stopping early when the residual norm drops
-/// below `tol * ||B||_F`. Writes this rank's rows of `x`.
+/// below `tol * ||B||_F`. `b_local` and `x_local` are this rank's
+/// (nloc*M) x R rows of B and X: row views of global matrices or
+/// rank-local slices. `sys` is the whole system or this rank's slice and
+/// must hold the rank's partition rows.
 RefineResult solve_refined(mpsim::Comm& comm, const ArdFactorization& f,
                            const btds::BlockTridiag& sys, const btds::RowPartition& part,
-                           const la::Matrix& b, la::Matrix& x, int max_steps = 3,
-                           double tol = 1e-14);
-
-/// Collective. Fully distributed variant: operator, right-hand side and
-/// solution live as row slices; residuals are computed via halo exchange
-/// (btds/halo.hpp). Returns the refined local solution slice — no rank
-/// ever touches global state.
-RefineResult solve_refined_local(mpsim::Comm& comm, const ArdFactorization& f,
-                                 const btds::LocalBlockTridiag& sys,
-                                 const btds::RowPartition& part, const la::Matrix& b_local,
-                                 la::Matrix& x_local, int max_steps = 3, double tol = 1e-14);
+                           la::ConstMatrixView b_local, la::MatrixView x_local,
+                           int max_steps = 3, double tol = 1e-14);
 
 /// Collective. Randomized estimate of kappa_inf(T) ~ ||T||_inf *
 /// ||T^{-1}||, the latter from `iters` rounds of normalized power

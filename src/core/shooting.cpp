@@ -38,6 +38,7 @@ struct AffinePrefix {
 }  // namespace
 
 la::Matrix shooting_solve(const btds::BlockTridiag& sys, const la::Matrix& b) {
+  btds::require_rows(sys, 0, sys.num_blocks(), "core::shooting_solve");
   const index_t n = sys.num_blocks();
   const index_t m = sys.block_size();
   const index_t r = b.cols();

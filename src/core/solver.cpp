@@ -44,6 +44,7 @@ std::shared_ptr<const btds::BlockTridiag> checked_system(
   if (sys == nullptr) {
     throw fault::InvalidArgumentError("core::Session", "system must not be null");
   }
+  btds::require_rows(*sys, 0, sys->num_blocks(), "core::Session");
   if (nranks <= 0) {
     throw fault::InvalidArgumentError("core::Session", "nranks must be positive");
   }
@@ -521,7 +522,12 @@ void Session::solve(const la::Matrix& b, la::Matrix& x) {
     auto span = comm.trace_scope(obs::SpanKind::kPhase, "driver.solve");
     const std::size_t r = static_cast<std::size_t>(comm.rank());
     if (refine_path) {
-      const RefineResult rr = solve_refined(comm, ard_[r], *sys_, part_, b, x);
+      const la::index_t m = sys_->block_size();
+      const la::index_t lo = part_.begin(comm.rank()) * m;
+      const la::index_t rows = part_.count(comm.rank()) * m;
+      const RefineResult rr = solve_refined(comm, ard_[r], *sys_, part_,
+                                            b.block(lo, 0, rows, b.cols()),
+                                            x.block(lo, 0, rows, x.cols()));
       if (comm.rank() == 0) refine_steps = rr.steps;
     } else {
       switch (method_) {

@@ -105,12 +105,13 @@ struct SolveOutcome {
 class Session {
  public:
   /// Borrows `sys` (see the lifetime contract above). Throws
-  /// fault::InvalidArgumentError on a non-positive rank count.
+  /// fault::InvalidArgumentError on a non-positive rank count or a slice
+  /// (a Session solves whole systems).
   Session(Method method, const btds::BlockTridiag& sys, int nranks, SessionConfig config = {});
 
   /// Shares ownership of `sys` (see the lifetime contract above). Throws
-  /// fault::InvalidArgumentError on a null system or non-positive rank
-  /// count.
+  /// fault::InvalidArgumentError on a null system, a slice or a
+  /// non-positive rank count.
   Session(Method method, std::shared_ptr<const btds::BlockTridiag> sys, int nranks,
           SessionConfig config = {});
 

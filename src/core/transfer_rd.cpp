@@ -3,7 +3,7 @@
 #include <cassert>
 #include <utility>
 
-#include "src/core/serde.hpp"
+#include "src/btds/serde.hpp"
 #include "src/core/transfer.hpp"
 #include "src/fault/status.hpp"
 #include "src/la/gemm.hpp"
@@ -41,6 +41,7 @@ TransferRdFactorization TransferRdFactorization::factor(mpsim::Comm& comm, const
     throw fault::InvalidArgumentError("core::TransferRdFactorization::factor",
                                       "every rank needs at least one block row (N >= P)");
   }
+  btds::require_rows(sys, f.lo_, f.hi_ - f.lo_, "core::TransferRdFactorization::factor");
 
   const la::index_t m = f.m_;
   const la::index_t two_m = 2 * m;
@@ -80,9 +81,13 @@ TransferRdFactorization TransferRdFactorization::factor(mpsim::Comm& comm, const
     if (opts.rescale) rescale_pow2(out.view());
     return out;
   };
-  auto ser = [](const Matrix& mat) { return ser_matrix(mat); };
+  auto ser = [](const Matrix& mat) {
+    std::vector<std::byte> bytes;
+    btds::append_matrix(bytes, mat.view());
+    return bytes;
+  };
   auto des = [two_m](std::span<const std::byte> bytes) {
-    return des_matrix(bytes, two_m, two_m);
+    return btds::take_matrix(bytes, two_m, two_m);
   };
   std::optional<Matrix> incoming = mpsim::exscan(comm, std::move(seg), op, ser, des);
 
@@ -145,12 +150,13 @@ TransferRdFactorization TransferRdFactorization::factor(mpsim::Comm& comm, const
 
   // Boundary exchange: rank r+1 needs U_{hi_r - 1} for its first Phi.
   if (f.rank_ + 1 < comm.size()) {
-    comm.send_bytes(f.rank_ + 1, transfer_tags::kBoundaryU, ser_matrix(u_last));
+    comm.send_bytes(f.rank_ + 1, transfer_tags::kBoundaryU, ser(u_last));
   }
   la::LuFactors prev_u_lu;
   if (f.rank_ > 0) {
     const auto raw = comm.recv_bytes(f.rank_ - 1, transfer_tags::kBoundaryU);
-    prev_u_lu = la::lu_factor(des_matrix(raw, m, m));
+    std::span<const std::byte> cursor(raw);
+    prev_u_lu = la::lu_factor(btds::take_matrix(cursor, m, m));
     comm.charge_flops(la::lu_factor_flops(m));
     if (!prev_u_lu.ok()) {
       throw fault::SingularPivotError(fault::ErrorCode::kSingularPivot, "core::transfer_rd_boundary",

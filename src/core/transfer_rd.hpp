@@ -56,8 +56,11 @@ class TransferRdFactorization {
  public:
   TransferRdFactorization() = default;
 
-  /// Collective. Throws std::runtime_error on singular pivots or pair
-  /// denominators (the latter is the instability manifesting).
+  /// Collective. Each rank reads only its partition rows of `sys` (the
+  /// whole system or its slice). Throws fault::SingularPivotError on
+  /// singular pivots or pair denominators (the latter is the instability
+  /// manifesting), and fault::InvalidArgumentError when a rank owns no
+  /// block row or `sys` does not hold its rows.
   static TransferRdFactorization factor(mpsim::Comm& comm, const btds::BlockTridiag& sys,
                                         const btds::RowPartition& part,
                                         const TransferRdOptions& opts = {});

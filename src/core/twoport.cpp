@@ -1,11 +1,10 @@
 #include "src/core/twoport.hpp"
 
 #include <cassert>
-#include <cstring>
 #include <stdexcept>
 #include <utility>
 
-#include "src/core/serde.hpp"
+#include "src/btds/serde.hpp"
 #include "src/la/blas1.hpp"
 #include "src/la/gemm.hpp"
 
@@ -18,30 +17,8 @@ std::vector<std::byte> pack(std::initializer_list<const Matrix*> mats) {
   for (const Matrix* m : mats) total += static_cast<std::size_t>(m->size()) * sizeof(double);
   std::vector<std::byte> bytes;
   bytes.reserve(total);
-  for (const Matrix* m : mats) {
-    const auto chunk = ser_matrix(*m);
-    bytes.insert(bytes.end(), chunk.begin(), chunk.end());
-  }
+  for (const Matrix* m : mats) btds::append_matrix(bytes, m->view());
   return bytes;
-}
-
-Matrix unpack_one(std::span<const std::byte>& bytes, index_t rows, index_t cols) {
-  const std::size_t n = static_cast<std::size_t>(rows * cols) * sizeof(double);
-  Matrix m = des_matrix(bytes.first(n), rows, cols);
-  bytes = bytes.subspan(n);
-  return m;
-}
-
-/// unpack_one into an arena-backed matrix (replay path: one fresh Matrix
-/// per round per rank would otherwise defeat the allocation-free solve).
-Matrix unpack_one_ws(la::Workspace* ws, std::span<const std::byte>& bytes, index_t rows,
-                     index_t cols) {
-  if (ws == nullptr) return unpack_one(bytes, rows, cols);
-  const std::size_t n = static_cast<std::size_t>(rows * cols) * sizeof(double);
-  Matrix m = ws->acquire(rows, cols);
-  std::memcpy(m.data().data(), bytes.data(), n);
-  bytes = bytes.subspan(n);
-  return m;
 }
 
 }  // namespace
@@ -150,12 +127,12 @@ std::vector<std::byte> TwoPortOp::ser_mat(const Context&, const Mat& m) {
 
 TwoPortOp::Mat TwoPortOp::des_mat(const Context& ctx, std::span<const std::byte> bytes) {
   TwoPort out;
-  out.P = unpack_one(bytes, ctx.m, ctx.m);
-  out.Q = unpack_one(bytes, ctx.m, ctx.m);
-  out.R = unpack_one(bytes, ctx.m, ctx.m);
-  out.S = unpack_one(bytes, ctx.m, ctx.m);
-  out.a_first = unpack_one(bytes, ctx.m, ctx.m);
-  out.c_last = unpack_one(bytes, ctx.m, ctx.m);
+  out.P = btds::take_matrix(bytes, ctx.m, ctx.m);
+  out.Q = btds::take_matrix(bytes, ctx.m, ctx.m);
+  out.R = btds::take_matrix(bytes, ctx.m, ctx.m);
+  out.S = btds::take_matrix(bytes, ctx.m, ctx.m);
+  out.a_first = btds::take_matrix(bytes, ctx.m, ctx.m);
+  out.c_last = btds::take_matrix(bytes, ctx.m, ctx.m);
   assert(bytes.empty());
   return out;
 }
@@ -167,8 +144,8 @@ std::vector<std::byte> TwoPortOp::ser_vec(const Context&, const Vec& v) {
 TwoPortOp::Vec TwoPortOp::des_vec(const Context& ctx, std::span<const std::byte> bytes) {
   const auto r = static_cast<index_t>(bytes.size() / sizeof(double)) / (2 * ctx.m);
   TwoPortVec out;
-  out.p = unpack_one_ws(ctx.ws, bytes, ctx.m, r);
-  out.q = unpack_one_ws(ctx.ws, bytes, ctx.m, r);
+  out.p = btds::take_matrix(bytes, ctx.m, r, ctx.ws);
+  out.q = btds::take_matrix(bytes, ctx.m, r, ctx.ws);
   assert(bytes.empty());
   return out;
 }

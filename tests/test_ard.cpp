@@ -6,6 +6,7 @@
 #include <tuple>
 #include <vector>
 
+#include "src/btds/distributed.hpp"
 #include "src/btds/generators.hpp"
 #include "src/btds/spmv.hpp"
 #include "src/btds/thomas.hpp"
@@ -13,6 +14,7 @@
 #include "src/core/rd.hpp"
 #include "src/core/solver.hpp"
 #include "src/mpsim/engine.hpp"
+#include "tests/run_ranks.hpp"
 
 namespace ardbt::core {
 namespace {
@@ -133,12 +135,68 @@ TEST(Ard, ThrowsWhenMoreRanksThanRows) {
   const BlockTridiag sys = make_problem(ProblemKind::kPoisson2D, 2, 2);
   const Matrix b = make_rhs(2, 2, 1);
   EXPECT_THROW(ard_driver(sys, b, 3), fault::InvalidArgumentError);
-  // The rank-level entry point rejects an empty segment by itself too.
+  // The rank-level entry point rejects an empty segment by itself too,
+  // and a partition made for another rank count.
   const btds::RowPartition part(2, 3);
-  EXPECT_THROW(mpsim::run(3, [&](mpsim::Comm& comm) {
+  EXPECT_THROW(test::run_ranks(3, [&](mpsim::Comm& comm) {
                  (void)ArdFactorization::factor(comm, sys, part);
                }),
                fault::InvalidArgumentError);
+  EXPECT_THROW(test::run_ranks(1, [&](mpsim::Comm& comm) {
+                 (void)ArdFactorization::factor(comm, sys, btds::RowPartition(2, 2));
+               }),
+               fault::InvalidArgumentError);
+}
+
+TEST(Ard, FactorAndUpdateRejectSliceWithoutTheRanksRows) {
+  // Every rank passes rank 0's slice; ranks 1 and 2 do not hold their
+  // rows and fail typed before reading a block.
+  const BlockTridiag sys = make_problem(ProblemKind::kDiagDominant, 12, 2);
+  const btds::RowPartition part(12, 3);
+  const BlockTridiag first = btds::slice(sys, part, 0);
+  EXPECT_THROW(test::run_ranks(3, [&](mpsim::Comm& comm) {
+                 (void)ArdFactorization::factor(comm, first, part);
+               }),
+               fault::InvalidArgumentError);
+  EXPECT_THROW(test::run_ranks(3, [&](mpsim::Comm& comm) {
+                 ArdFactorization f =
+                     ArdFactorization::factor(comm, btds::slice(sys, part, comm.rank()), part);
+                 f.update(comm, first, /*rows_changed=*/comm.rank() == 2);
+               }),
+               fault::InvalidArgumentError);
+}
+
+TEST(Ard, SolveRejectsWrongShapes) {
+  const BlockTridiag sys = make_problem(ProblemKind::kDiagDominant, 8, 2);
+  const btds::RowPartition part(8, 2);
+  const Matrix b = make_rhs(8, 2, 3);
+  const struct {
+    Matrix b, x;
+  } bad[] = {{Matrix(15, 3), Matrix(15, 3)}, {b, Matrix(14, 3)}, {b, Matrix(16, 2)}};
+  for (const auto& c : bad) {
+    Matrix x = c.x;
+    EXPECT_THROW(test::run_ranks(2, [&](mpsim::Comm& comm) {
+                   const auto f = ArdFactorization::factor(comm, sys, part);
+                   f.solve(comm, c.b, x);
+                 }),
+                 fault::ShapeMismatchError)
+        << c.b.rows() << "x" << c.b.cols() << " into " << x.rows() << "x" << x.cols();
+  }
+}
+
+TEST(Ard, SolveInplaceRejectsWrongRowCount) {
+  // Each rank owns 4 block rows of order 2: its rows are 8 scalar rows.
+  const BlockTridiag sys = make_problem(ProblemKind::kDiagDominant, 8, 2);
+  const btds::RowPartition part(8, 2);
+  for (const la::index_t rows : {la::index_t{7}, la::index_t{9}, la::index_t{16}}) {
+    EXPECT_THROW(test::run_ranks(2, [&](mpsim::Comm& comm) {
+                   const auto f = ArdFactorization::factor(comm, sys, part);
+                   Matrix x(rows, 2);
+                   f.solve_inplace(comm, x.view());
+                 }),
+                 fault::ShapeMismatchError)
+        << "rows=" << rows;
+  }
 }
 
 /// Two scalar rows [[1, 1], [1, 1 + eps]] on two ranks: each rank's
@@ -156,7 +214,7 @@ BlockTridiag coupled_pair(double eps) {
 TEST(Ard, SingularInterfaceThrowsTypedPivotError) {
   const BlockTridiag sys = coupled_pair(0.0);
   const btds::RowPartition part(2, 2);
-  EXPECT_THROW(mpsim::run(2, [&](mpsim::Comm& comm) {
+  EXPECT_THROW(test::run_ranks(2, [&](mpsim::Comm& comm) {
                  (void)ArdFactorization::factor(comm, sys, part);
                }),
                fault::SingularPivotError);
@@ -166,7 +224,7 @@ TEST(Ard, BreakdownMonitorTripsOnBadInterface) {
   const BlockTridiag sys = coupled_pair(1e-14);
   const btds::RowPartition part(2, 2);
   std::vector<double> growth(2, 0.0);
-  mpsim::run(2, [&](mpsim::Comm& comm) {
+  test::run_ranks(2, [&](mpsim::Comm& comm) {
     const auto f = ArdFactorization::factor(comm, sys, part);
     growth[static_cast<std::size_t>(comm.rank())] = f.diagnostics().growth();
   });
@@ -175,7 +233,7 @@ TEST(Ard, BreakdownMonitorTripsOnBadInterface) {
   EXPECT_GT(growth[1], threshold);
   // A well-separated pair keeps both readings near 1.
   const BlockTridiag ok = coupled_pair(1.0);
-  mpsim::run(2, [&](mpsim::Comm& comm) {
+  test::run_ranks(2, [&](mpsim::Comm& comm) {
     const auto f = ArdFactorization::factor(comm, ok, part);
     EXPECT_LT(f.diagnostics().growth(), 10.0);
   });
@@ -191,7 +249,7 @@ TEST(Ard, FlopCounterMatchesAnalyticFormulaWithinFactor) {
   Matrix x(b.rows(), b.cols());
   const btds::RowPartition part(n, p);
   std::vector<double> charged(static_cast<std::size_t>(p), 0.0);
-  mpsim::run(p, [&](mpsim::Comm& comm) {
+  test::run_ranks(p, [&](mpsim::Comm& comm) {
     const double f0 = comm.stats().flops_charged;
     const auto f = ArdFactorization::factor(comm, sys, part);
     f.solve(comm, b, x);

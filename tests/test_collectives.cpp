@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "src/mpsim/engine.hpp"
+#include "tests/run_ranks.hpp"
 
 namespace ardbt::mpsim {
 namespace {
@@ -18,7 +19,7 @@ class Collectives : public ::testing::TestWithParam<int> {};
 TEST_P(Collectives, BarrierCompletes) {
   const int p = GetParam();
   std::atomic<int> entered{0};
-  run(p, [&](Comm& comm) {
+  test::run_ranks(p, [&](Comm& comm) {
     entered.fetch_add(1);
     barrier(comm);
     // After the barrier, every rank must have entered.
@@ -29,7 +30,7 @@ TEST_P(Collectives, BarrierCompletes) {
 TEST_P(Collectives, BcastFromEveryRoot) {
   const int p = GetParam();
   for (int root = 0; root < p; ++root) {
-    run(p, [&](Comm& comm) {
+    test::run_ranks(p, [&](Comm& comm) {
       std::vector<double> data(4, comm.rank() == root ? 3.25 : -1.0);
       bcast(comm, data, root);
       for (double v : data) EXPECT_EQ(v, 3.25) << "root=" << root << " rank=" << comm.rank();
@@ -40,7 +41,7 @@ TEST_P(Collectives, BcastFromEveryRoot) {
 TEST_P(Collectives, ReduceSumsToRoot) {
   const int p = GetParam();
   const int root = p - 1;
-  run(p, [&](Comm& comm) {
+  test::run_ranks(p, [&](Comm& comm) {
     std::vector<double> data{static_cast<double>(comm.rank()), 1.0};
     reduce_sum(comm, data, root);
     if (comm.rank() == root) {
@@ -52,7 +53,7 @@ TEST_P(Collectives, ReduceSumsToRoot) {
 
 TEST_P(Collectives, AllreduceSumOnAllRanks) {
   const int p = GetParam();
-  run(p, [&](Comm& comm) {
+  test::run_ranks(p, [&](Comm& comm) {
     std::vector<double> data{1.0, static_cast<double>(comm.rank())};
     allreduce_sum(comm, data);
     EXPECT_EQ(data[0], static_cast<double>(p));
@@ -62,7 +63,7 @@ TEST_P(Collectives, AllreduceSumOnAllRanks) {
 
 TEST_P(Collectives, AllreduceMax) {
   const int p = GetParam();
-  run(p, [&](Comm& comm) {
+  test::run_ranks(p, [&](Comm& comm) {
     std::vector<double> data{static_cast<double>(comm.rank()), -static_cast<double>(comm.rank())};
     allreduce_max(comm, data);
     EXPECT_EQ(data[0], static_cast<double>(p - 1));
@@ -72,7 +73,7 @@ TEST_P(Collectives, AllreduceMax) {
 
 TEST_P(Collectives, GatherInRankOrder) {
   const int p = GetParam();
-  run(p, [&](Comm& comm) {
+  test::run_ranks(p, [&](Comm& comm) {
     const std::vector<double> mine{static_cast<double>(comm.rank()) + 0.5};
     std::vector<double> out(static_cast<std::size_t>(p));
     gather(comm, mine, out, /*root=*/0);
@@ -84,7 +85,7 @@ TEST_P(Collectives, GatherInRankOrder) {
 
 TEST_P(Collectives, GathervVariableCounts) {
   const int p = GetParam();
-  run(p, [&](Comm& comm) {
+  test::run_ranks(p, [&](Comm& comm) {
     // Rank r contributes r+1 copies of r.
     const std::vector<double> mine(static_cast<std::size_t>(comm.rank()) + 1,
                                    static_cast<double>(comm.rank()));
@@ -104,7 +105,7 @@ TEST_P(Collectives, GathervVariableCounts) {
 
 TEST_P(Collectives, AllgatherEveryRankSeesAll) {
   const int p = GetParam();
-  run(p, [&](Comm& comm) {
+  test::run_ranks(p, [&](Comm& comm) {
     const std::vector<double> mine{static_cast<double>(comm.rank() * 10),
                                    static_cast<double>(comm.rank() * 10 + 1)};
     std::vector<double> out(static_cast<std::size_t>(2 * p));
@@ -118,7 +119,7 @@ TEST_P(Collectives, AllgatherEveryRankSeesAll) {
 
 TEST_P(Collectives, ExscanSumMatchesFormula) {
   const int p = GetParam();
-  run(p, [&](Comm& comm) {
+  test::run_ranks(p, [&](Comm& comm) {
     const std::vector<double> mine{static_cast<double>(comm.rank() + 1)};
     const std::vector<double> result = exscan_sum(comm, mine);
     // Exclusive prefix of 1, 2, ..., P at rank r is r(r+1)/2.
@@ -128,7 +129,7 @@ TEST_P(Collectives, ExscanSumMatchesFormula) {
 
 TEST_P(Collectives, InclusiveScanSumMatchesFormula) {
   const int p = GetParam();
-  run(p, [&](Comm& comm) {
+  test::run_ranks(p, [&](Comm& comm) {
     const std::vector<double> mine{static_cast<double>(comm.rank() + 1)};
     const std::vector<double> result = scan_sum(comm, mine);
     // Inclusive prefix of 1, 2, ..., P at rank r is (r+1)(r+2)/2.
@@ -138,7 +139,7 @@ TEST_P(Collectives, InclusiveScanSumMatchesFormula) {
 
 TEST_P(Collectives, GenericInclusiveScanStringConcat) {
   const int p = GetParam();
-  run(p, [&](Comm& comm) {
+  test::run_ranks(p, [&](Comm& comm) {
     using S = std::string;
     const S mine(1, static_cast<char>('a' + comm.rank()));
     auto op = [](const S& left, const S& right) { return left + right; };
@@ -159,7 +160,7 @@ TEST_P(Collectives, GenericInclusiveScanStringConcat) {
 
 TEST_P(Collectives, ExscanNonCommutativeStringConcat) {
   const int p = GetParam();
-  run(p, [&](Comm& comm) {
+  test::run_ranks(p, [&](Comm& comm) {
     using S = std::string;
     S mine(1, static_cast<char>('a' + comm.rank()));
     auto op = [](const S& left, const S& right) { return left + right; };
@@ -187,7 +188,7 @@ INSTANTIATE_TEST_SUITE_P(RankCounts, Collectives, ::testing::Values(1, 2, 3, 4, 
                          [](const auto& info) { return "P" + std::to_string(info.param); });
 
 TEST(Comm, SendrecvExchangesPairwise) {
-  run(2, [](Comm& comm) {
+  test::run_ranks(2, [](Comm& comm) {
     const double mine[2] = {static_cast<double>(comm.rank()), 42.0};
     double theirs[2] = {};
     comm.sendrecv(1 - comm.rank(), /*tag=*/5, std::span<const double>(mine, 2),

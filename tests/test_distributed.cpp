@@ -2,10 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <memory>
+#include <string>
+
+#include "src/btds/banded_lu.hpp"
 #include "src/btds/generators.hpp"
+#include "src/btds/io.hpp"
 #include "src/btds/spmv.hpp"
 #include "src/core/ard.hpp"
+#include "src/core/solver.hpp"
 #include "src/mpsim/engine.hpp"
+#include "tests/run_ranks.hpp"
 
 namespace ardbt::btds {
 namespace {
@@ -19,11 +27,11 @@ TEST(Distributed, ScatterDeliversExactSlices) {
   for (int p : {1, 2, 4, 5}) {
     const RowPartition part(n, p);
     for (int root = 0; root < p; ++root) {
-      mpsim::run(p, [&](mpsim::Comm& comm) {
+      test::run_ranks(p, [&](mpsim::Comm& comm) {
         const BlockTridiag* src = comm.rank() == root ? &global : nullptr;
-        const LocalBlockTridiag local =
-            LocalBlockTridiag::scatter(comm, src, n, m, part, root);
-        EXPECT_EQ(local.local_rows(), part.count(comm.rank()));
+        const BlockTridiag local = scatter(comm, src, n, m, part, root);
+        EXPECT_EQ(local.lo(), part.begin(comm.rank()));
+        EXPECT_EQ(local.hi(), part.end(comm.rank()));
         for (index_t i = local.lo(); i < local.hi(); ++i) {
           EXPECT_TRUE(local.diag(i) == global.diag(i));
           if (i > 0) {
@@ -38,18 +46,63 @@ TEST(Distributed, ScatterDeliversExactSlices) {
   }
 }
 
-TEST(Distributed, FromSharedMatchesScatter) {
+TEST(Distributed, ScatterRejectsARootWithoutTheWholeSystem) {
   const index_t n = 9, m = 2;
   const BlockTridiag global = make_problem(ProblemKind::kToeplitz, n, m);
   const RowPartition part(n, 3);
-  mpsim::run(3, [&](mpsim::Comm& comm) {
+  const BlockTridiag local = slice(global, part, 0);
+  for (const BlockTridiag* src : {static_cast<const BlockTridiag*>(nullptr), &local}) {
+    EXPECT_THROW(test::run_ranks(3,
+                                 [&](mpsim::Comm& comm) {
+                                   (void)scatter(comm, comm.rank() == 0 ? src : nullptr, n, m,
+                                                 part, 0);
+                                 }),
+                 fault::InvalidArgumentError);
+  }
+  EXPECT_THROW(test::run_ranks(1,
+                               [&](mpsim::Comm& comm) {
+                                 (void)scatter(comm, &global, n, m + 1, RowPartition(n, 1), 0);
+                               }),
+               fault::InvalidArgumentError);
+}
+
+TEST(Distributed, SliceMatchesScatter) {
+  const index_t n = 9, m = 2;
+  const BlockTridiag global = make_problem(ProblemKind::kToeplitz, n, m);
+  const RowPartition part(n, 3);
+  test::run_ranks(3, [&](mpsim::Comm& comm) {
     const BlockTridiag* src = comm.rank() == 0 ? &global : nullptr;
-    const LocalBlockTridiag a = LocalBlockTridiag::scatter(comm, src, n, m, part, 0);
-    const LocalBlockTridiag b = LocalBlockTridiag::from_shared(global, part, comm.rank());
+    const BlockTridiag a = scatter(comm, src, n, m, part, 0);
+    const BlockTridiag b = slice(global, part, comm.rank());
     for (index_t i = a.lo(); i < a.hi(); ++i) {
       EXPECT_TRUE(a.diag(i) == b.diag(i));
     }
   });
+}
+
+TEST(Distributed, WholeSystemEntryPointsRejectASlice) {
+  // Entry points that read every row fail typed on a slice, before
+  // reading a block or opening a file.
+  const index_t n = 9, m = 2;
+  const BlockTridiag global = make_problem(ProblemKind::kDiagDominant, n, m);
+  const RowPartition part(n, 3);
+  const BlockTridiag local = slice(global, part, 1);
+  const Matrix x = make_rhs(n, m, 1);
+  EXPECT_THROW((void)apply(local, x), fault::InvalidArgumentError);
+  EXPECT_THROW((void)residual_fro(local, x, x), fault::InvalidArgumentError);
+  EXPECT_THROW((void)relative_residual(local, x, x), fault::InvalidArgumentError);
+  EXPECT_THROW((void)BandedLuFactorization::factor(local), fault::InvalidArgumentError);
+  const std::string path = ::testing::TempDir() + "ardbt_slice.bt";
+  std::filesystem::remove(path);
+  EXPECT_THROW(save_block_tridiag(path, local), fault::InvalidArgumentError);
+  EXPECT_FALSE(std::filesystem::exists(path));
+  EXPECT_THROW(core::Session(core::Method::kArd, local, 3), fault::InvalidArgumentError);
+  EXPECT_THROW(core::Session(core::Method::kPcr, std::make_shared<const BlockTridiag>(local), 3),
+               fault::InvalidArgumentError);
+  // A slice of a slice needs rows the first one holds.
+  EXPECT_THROW((void)slice(local, part, 0), fault::InvalidArgumentError);
+  EXPECT_TRUE(slice(local, part, 1).diag(part.begin(1)) == global.diag(part.begin(1)));
+  EXPECT_LT(relative_residual(global, x, apply(global, x)), 1e-15);
 }
 
 TEST(Distributed, ScatterGatherRowsRoundTrip) {
@@ -58,7 +111,7 @@ TEST(Distributed, ScatterGatherRowsRoundTrip) {
   for (int p : {1, 3, 4}) {
     const RowPartition part(n, p);
     Matrix regathered;
-    mpsim::run(p, [&](mpsim::Comm& comm) {
+    test::run_ranks(p, [&](mpsim::Comm& comm) {
       const Matrix* src = comm.rank() == 0 ? &global : nullptr;
       const Matrix local = scatter_rows(comm, src, m, part, 0);
       EXPECT_EQ(local.rows(), part.count(comm.rank()) * m);
@@ -78,7 +131,7 @@ TEST(Distributed, ArdFullyDistributedMatchesSharedPath) {
   const Matrix x_shared = [&] {
     Matrix x(b.rows(), b.cols());
     const RowPartition part(n, 4);
-    mpsim::run(4, [&](mpsim::Comm& comm) {
+    test::run_ranks(4, [&](mpsim::Comm& comm) {
       const auto f = core::ArdFactorization::factor(comm, global, part);
       f.solve(comm, b, x);
     });
@@ -87,13 +140,12 @@ TEST(Distributed, ArdFullyDistributedMatchesSharedPath) {
 
   Matrix x_dist;
   const RowPartition part(n, 4);
-  mpsim::run(4, [&](mpsim::Comm& comm) {
+  test::run_ranks(4, [&](mpsim::Comm& comm) {
     const bool is_root = comm.rank() == 0;
-    const LocalBlockTridiag local_sys =
-        LocalBlockTridiag::scatter(comm, is_root ? &global : nullptr, n, m, part, 0);
-    const Matrix local_b = scatter_rows(comm, is_root ? &b : nullptr, m, part, 0);
+    const BlockTridiag local_sys = scatter(comm, is_root ? &global : nullptr, n, m, part, 0);
+    Matrix local_x = scatter_rows(comm, is_root ? &b : nullptr, m, part, 0);
     const auto f = core::ArdFactorization::factor(comm, local_sys, part);
-    const Matrix local_x = f.solve_local(comm, local_b);
+    f.solve_inplace(comm, local_x.view());
     gather_rows(comm, local_x, is_root ? &x_dist : nullptr, m, part, 0);
   });
 
@@ -113,8 +165,8 @@ TEST(Distributed, LocalAssemblyWithoutAnyGlobalObject) {
   const RowPartition part(n, 3);
   const Matrix b = make_rhs(n, m, r);
   Matrix x(b.rows(), b.cols());
-  mpsim::run(3, [&](mpsim::Comm& comm) {
-    LocalBlockTridiag local(n, m, part, comm.rank());
+  test::run_ranks(3, [&](mpsim::Comm& comm) {
+    BlockTridiag local(n, m, part, comm.rank());
     for (index_t i = local.lo(); i < local.hi(); ++i) {
       for (index_t rr = 0; rr < m; ++rr) {
         local.diag(i)(rr, rr) = 4.0;

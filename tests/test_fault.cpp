@@ -14,6 +14,7 @@
 #include "src/core/solver.hpp"
 #include "src/fault/status.hpp"
 #include "src/mpsim/engine.hpp"
+#include "tests/run_ranks.hpp"
 
 namespace ardbt {
 namespace {
@@ -154,7 +155,7 @@ TEST(Generators, NearSingularEpsilonControlsPivot) {
 
 TEST(Comm, SizeMismatchedReceiveThrowsMessageSizeError) {
   EXPECT_THROW(
-      mpsim::run(2,
+      test::run_ranks(2,
                  [](mpsim::Comm& comm) {
                    const double payload[3] = {1.0, 2.0, 3.0};
                    if (comm.rank() == 0) {

@@ -23,6 +23,7 @@
 #include "src/core/ard.hpp"
 #include "src/core/solver.hpp"
 #include "src/mpsim/engine.hpp"
+#include "tests/run_ranks.hpp"
 
 namespace ardbt {
 namespace {
@@ -115,7 +116,7 @@ struct SweepCase {
   int p = 1;
   index_t n = 1, m = 1;
   btds::PivotKind pivot = btds::PivotKind::kLu;
-  bool local = false;  ///< LocalBlockTridiag input instead of the global system
+  bool local = false;  ///< each rank's slice as input instead of the shared system
   SweepKind kind = SweepKind::kDiagDominant;
   std::uint64_t seed = 0;
 
@@ -188,7 +189,7 @@ double residual_bound(SweepKind kind, double banded) {
 
 struct SweepRun {
   std::vector<Matrix> x;  ///< solve 1, solve 2, solve after update
-  Matrix via_local;       ///< solve 1 again, through solve_local
+  Matrix via_local;       ///< solve 1 again, in place on a rank-local copy of the rows
   Matrix via_inplace;     ///< solve 1 again, through solve_inplace
 };
 
@@ -207,34 +208,29 @@ SweepRun run_sweep_case(const SweepCase& c, const BlockTridiag& sys, const Block
   for (int k = 0; k < 3; ++k) out.x.emplace_back(b1.rows(), b1.cols());
   out.via_local = Matrix(b1.rows(), b1.cols());
   out.via_inplace = Matrix(b1.rows(), b1.cols());
-  mpsim::run(
+  test::run_ranks(
       c.p,
       [&](mpsim::Comm& comm) {
         const bool changed = comm.rank() == changed_rank;
-        core::ArdFactorization f;
-        btds::LocalBlockTridiag loc, loc2;
+        BlockTridiag loc, loc2;
         if (c.local) {
-          loc = btds::LocalBlockTridiag::from_shared(sys, part, comm.rank());
-          loc2 = btds::LocalBlockTridiag::from_shared(sys2, part, comm.rank());
-          f = core::ArdFactorization::factor(comm, loc, part, opts);
-        } else {
-          f = core::ArdFactorization::factor(comm, sys, part, opts);
+          loc = btds::slice(sys, part, comm.rank());
+          loc2 = btds::slice(sys2, part, comm.rank());
         }
+        core::ArdFactorization f =
+            core::ArdFactorization::factor(comm, c.local ? loc : sys, part, opts);
         f.solve(comm, b1, out.x[0]);
         f.solve(comm, b2, out.x[1]);
         const index_t row0 = part.begin(comm.rank()) * c.m;
         const index_t rows = part.count(comm.rank()) * c.m;
         const la::ConstMatrixView b_rows = b1.block(row0, 0, rows, b1.cols());
-        la::copy(f.solve_local(comm, la::to_matrix(b_rows)).view(),
-                 out.via_local.block(row0, 0, rows, b1.cols()));
+        Matrix x_local = la::to_matrix(b_rows);
+        f.solve_inplace(comm, x_local.view());
+        la::copy(x_local.view(), out.via_local.block(row0, 0, rows, b1.cols()));
         const la::MatrixView x_rows = out.via_inplace.block(row0, 0, rows, b1.cols());
         la::copy(b_rows, x_rows);
         f.solve_inplace(comm, x_rows);
-        if (c.local) {
-          f.update(comm, loc2, changed);
-        } else {
-          f.update(comm, sys2, changed);
-        }
+        f.update(comm, c.local ? loc2 : sys2, changed);
         f.solve(comm, b1, out.x[2]);
       },
       engine);
@@ -279,13 +275,16 @@ std::string check_sweep_case(const SweepCase& c) {
       return os.str();
     }
   }
-  // solve, solve_local and solve_inplace agree bit for bit, and every
-  // (chunk, threads) setting reproduces the default's bits.
+  // solve and solve_inplace on rank-local and on strided rows agree bit
+  // for bit, and every (chunk, threads) setting reproduces the default's
+  // bits.
   const auto same_bits = [](const Matrix& a, const Matrix& b) {
     return std::memcmp(a.data().data(), b.data().data(), a.data().size_bytes()) == 0;
   };
   const auto compare = [&](const SweepRun& run, const std::string& setting) -> std::string {
-    if (!same_bits(run.via_local, base.x[0])) return "solve_local differs from solve at " + setting;
+    if (!same_bits(run.via_local, base.x[0])) {
+      return "solve_inplace on local rows differs from solve at " + setting;
+    }
     if (!same_bits(run.via_inplace, base.x[0])) {
       return "solve_inplace differs from solve at " + setting;
     }

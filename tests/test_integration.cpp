@@ -17,6 +17,7 @@
 #include "src/la/gemm.hpp"
 #include "src/mpsim/collectives.hpp"
 #include "src/mpsim/engine.hpp"
+#include "tests/run_ranks.hpp"
 
 namespace ardbt {
 namespace {
@@ -77,7 +78,7 @@ TEST(Integration, ImplicitEulerHeatStepping) {
   std::vector<double> heat;
   const btds::RowPartition part(n, p);
 
-  mpsim::run(p, [&](mpsim::Comm& comm) {
+  test::run_ranks(p, [&](mpsim::Comm& comm) {
     const auto f = core::ArdFactorization::factor(comm, implicit, part);
     for (int step = 0; step < steps; ++step) {
       f.solve(comm, u, u_next);
@@ -109,14 +110,16 @@ TEST(Integration, DistributedSolveWithRefinement) {
   Matrix x(b.rows(), b.cols());
   const btds::RowPartition part(n, p);
 
-  mpsim::run(p, [&](mpsim::Comm& comm) {
-    const auto local = btds::LocalBlockTridiag::scatter(
-        comm, comm.rank() == 0 ? &global : nullptr, n, m, part, 0);
+  test::run_ranks(p, [&](mpsim::Comm& comm) {
+    const BlockTridiag local =
+        btds::scatter(comm, comm.rank() == 0 ? &global : nullptr, n, m, part, 0);
     const auto f = core::ArdFactorization::factor(comm, local, part);
-    // Refinement needs the operator for residuals; the shared `global` is
-    // available in-process. (A pure-MPI code would apply the operator
-    // from local rows + halo exchange.)
-    core::solve_refined(comm, f, global, part, b, x, /*max_steps=*/2);
+    // Residuals apply the slice with a halo exchange; b and x are shared
+    // in-process, so each rank passes its row views of them.
+    const index_t lo = part.begin(comm.rank()) * m;
+    const index_t rows = part.count(comm.rank()) * m;
+    core::solve_refined(comm, f, local, part, b.block(lo, 0, rows, r), x.block(lo, 0, rows, r),
+                        /*max_steps=*/2);
   });
   EXPECT_LT(btds::relative_residual(global, x, b), 1e-13);
 }
@@ -132,7 +135,7 @@ TEST(Integration, TwoFactorizationsCoexist) {
   Matrix xb(rhs.rows(), rhs.cols());
   const btds::RowPartition part(n, 3);
 
-  mpsim::run(3, [&](mpsim::Comm& comm) {
+  test::run_ranks(3, [&](mpsim::Comm& comm) {
     const auto fa = core::ArdFactorization::factor(comm, sys_a, part);
     const auto fb = core::ArdFactorization::factor(comm, sys_b, part);
     // Interleave solves.
@@ -152,7 +155,7 @@ TEST(Integration, PcrAndArdSideBySide) {
   Matrix x_ard(b.rows(), b.cols());
   Matrix x_pcr(b.rows(), b.cols());
   const btds::RowPartition part(n, 2);
-  mpsim::run(2, [&](mpsim::Comm& comm) {
+  test::run_ranks(2, [&](mpsim::Comm& comm) {
     const auto fa = core::ArdFactorization::factor(comm, sys, part);
     const auto fp = core::PcrFactorization::factor(comm, sys, part);
     fa.solve(comm, b, x_ard);

@@ -7,12 +7,12 @@
 #include "src/btds/generators.hpp"
 #include "src/btds/spmv.hpp"
 #include "src/mpsim/engine.hpp"
+#include "tests/run_ranks.hpp"
 
 namespace ardbt::core {
 namespace {
 
 using btds::BlockTridiag;
-using btds::LocalBlockTridiag;
 using btds::make_problem;
 using btds::make_rhs;
 using btds::ProblemKind;
@@ -29,8 +29,8 @@ TEST(Pcg, ExactPreconditionerConvergesInOneIteration) {
   const BlockTridiag sys = spd(n, m);
   const Matrix b = make_rhs(n, m, r);
   const btds::RowPartition part(n, 4);
-  mpsim::run(4, [&](mpsim::Comm& comm) {
-    const auto local = LocalBlockTridiag::from_shared(sys, part, comm.rank());
+  test::run_ranks(4, [&](mpsim::Comm& comm) {
+    const auto local = btds::slice(sys, part, comm.rank());
     const auto f = ArdFactorization::factor(comm, local, part);
     const index_t lo = part.begin(comm.rank());
     const Matrix b_local = la::to_matrix(b.block(lo * m, 0, part.count(comm.rank()) * m, r));
@@ -38,7 +38,9 @@ TEST(Pcg, ExactPreconditionerConvergesInOneIteration) {
     const KrylovResult res = pcg(comm, local, part, &f, b_local, x_local, 10, 1e-12);
     EXPECT_TRUE(res.converged);
     EXPECT_LE(res.iterations, 1);
-    EXPECT_LT(btds::relative_residual_distributed(comm, local, x_local, b_local, part), 1e-12);
+    EXPECT_LT(
+        btds::relative_residual_distributed(comm, local, x_local.view(), b_local.view(), part),
+        1e-12);
   });
 }
 
@@ -47,14 +49,16 @@ TEST(Pcg, UnpreconditionedCgConverges) {
   const BlockTridiag sys = spd(n, m);
   const Matrix b = make_rhs(n, m, r);
   const btds::RowPartition part(n, 3);
-  mpsim::run(3, [&](mpsim::Comm& comm) {
-    const auto local = LocalBlockTridiag::from_shared(sys, part, comm.rank());
+  test::run_ranks(3, [&](mpsim::Comm& comm) {
+    const auto local = btds::slice(sys, part, comm.rank());
     const index_t lo = part.begin(comm.rank());
     const Matrix b_local = la::to_matrix(b.block(lo * m, 0, part.count(comm.rank()) * m, r));
     Matrix x_local;
     const KrylovResult res = pcg(comm, local, part, nullptr, b_local, x_local, 500, 1e-10);
     EXPECT_TRUE(res.converged) << "final residual " << res.residual_norms.back();
-    EXPECT_LT(btds::relative_residual_distributed(comm, local, x_local, b_local, part), 1e-9);
+    EXPECT_LT(
+        btds::relative_residual_distributed(comm, local, x_local.view(), b_local.view(), part),
+        1e-9);
   });
 }
 
@@ -73,9 +77,9 @@ TEST(Pcg, FrozenCoefficientPreconditionerBeatsPlainCg) {
   const btds::RowPartition part(n, 4);
   int iters_pcg = 0;
   int iters_cg = 0;
-  mpsim::run(4, [&](mpsim::Comm& comm) {
-    const auto local_op = LocalBlockTridiag::from_shared(op, part, comm.rank());
-    const auto local_frozen = LocalBlockTridiag::from_shared(frozen, part, comm.rank());
+  test::run_ranks(4, [&](mpsim::Comm& comm) {
+    const auto local_op = btds::slice(op, part, comm.rank());
+    const auto local_frozen = btds::slice(frozen, part, comm.rank());
     const auto f = ArdFactorization::factor(comm, local_frozen, part);
     const index_t lo = part.begin(comm.rank());
     const Matrix b_local = la::to_matrix(b.block(lo * m, 0, part.count(comm.rank()) * m, r));
@@ -99,8 +103,8 @@ TEST(Pcg, MultiColumnBatchConvergesTogether) {
   const BlockTridiag sys = spd(n, m);
   const Matrix b = make_rhs(n, m, r);
   const btds::RowPartition part(n, 2);
-  mpsim::run(2, [&](mpsim::Comm& comm) {
-    const auto local = LocalBlockTridiag::from_shared(sys, part, comm.rank());
+  test::run_ranks(2, [&](mpsim::Comm& comm) {
+    const auto local = btds::slice(sys, part, comm.rank());
     const auto f = ArdFactorization::factor(comm, local, part);
     const index_t lo = part.begin(comm.rank());
     const Matrix b_local = la::to_matrix(b.block(lo * m, 0, part.count(comm.rank()) * m, r));
@@ -115,8 +119,8 @@ TEST(Pcg, ResidualHistoryIsMonitored) {
   const BlockTridiag sys = spd(n, m);
   const Matrix b = make_rhs(n, m, 1);
   const btds::RowPartition part(n, 2);
-  mpsim::run(2, [&](mpsim::Comm& comm) {
-    const auto local = LocalBlockTridiag::from_shared(sys, part, comm.rank());
+  test::run_ranks(2, [&](mpsim::Comm& comm) {
+    const auto local = btds::slice(sys, part, comm.rank());
     const index_t lo = part.begin(comm.rank());
     const Matrix b_local = la::to_matrix(b.block(lo * m, 0, part.count(comm.rank()) * m, 1));
     Matrix x_local;
@@ -131,14 +135,16 @@ TEST(Bicgstab, ConvergesOnNonsymmetricOperator) {
   const BlockTridiag sys = make_problem(ProblemKind::kConvectionDiffusion, n, m);
   const Matrix b = make_rhs(n, m, r);
   const btds::RowPartition part(n, 4);
-  mpsim::run(4, [&](mpsim::Comm& comm) {
-    const auto local = LocalBlockTridiag::from_shared(sys, part, comm.rank());
+  test::run_ranks(4, [&](mpsim::Comm& comm) {
+    const auto local = btds::slice(sys, part, comm.rank());
     const index_t lo = part.begin(comm.rank());
     const Matrix b_local = la::to_matrix(b.block(lo * m, 0, part.count(comm.rank()) * m, r));
     Matrix x_local;
     const KrylovResult res = bicgstab(comm, local, part, nullptr, b_local, x_local, 400, 1e-9);
     EXPECT_TRUE(res.converged) << "final residual " << res.residual_norms.back();
-    EXPECT_LT(btds::relative_residual_distributed(comm, local, x_local, b_local, part), 1e-8);
+    EXPECT_LT(
+        btds::relative_residual_distributed(comm, local, x_local.view(), b_local.view(), part),
+        1e-8);
   });
 }
 
@@ -147,8 +153,8 @@ TEST(Bicgstab, ExactPreconditionerConvergesImmediately) {
   const BlockTridiag sys = make_problem(ProblemKind::kConvectionDiffusion, n, m);
   const Matrix b = make_rhs(n, m, r);
   const btds::RowPartition part(n, 3);
-  mpsim::run(3, [&](mpsim::Comm& comm) {
-    const auto local = LocalBlockTridiag::from_shared(sys, part, comm.rank());
+  test::run_ranks(3, [&](mpsim::Comm& comm) {
+    const auto local = btds::slice(sys, part, comm.rank());
     const auto f = ArdFactorization::factor(comm, local, part);
     const index_t lo = part.begin(comm.rank());
     const Matrix b_local = la::to_matrix(b.block(lo * m, 0, part.count(comm.rank()) * m, r));
@@ -172,9 +178,9 @@ TEST(Bicgstab, PreconditioningReducesIterations) {
   const btds::RowPartition part(n, 4);
   int iters_pre = 0;
   int iters_plain = 0;
-  mpsim::run(4, [&](mpsim::Comm& comm) {
-    const auto local_op = LocalBlockTridiag::from_shared(op, part, comm.rank());
-    const auto local_frozen = LocalBlockTridiag::from_shared(frozen, part, comm.rank());
+  test::run_ranks(4, [&](mpsim::Comm& comm) {
+    const auto local_op = btds::slice(op, part, comm.rank());
+    const auto local_frozen = btds::slice(frozen, part, comm.rank());
     const auto f = ArdFactorization::factor(comm, local_frozen, part);
     const index_t lo = part.begin(comm.rank());
     const Matrix b_local = la::to_matrix(b.block(lo * m, 0, part.count(comm.rank()) * m, 1));

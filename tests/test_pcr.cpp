@@ -2,10 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include "src/btds/distributed.hpp"
 #include "src/btds/generators.hpp"
 #include "src/btds/spmv.hpp"
 #include "src/btds/thomas.hpp"
 #include "src/mpsim/engine.hpp"
+#include "tests/run_ranks.hpp"
 
 namespace ardbt::core {
 namespace {
@@ -19,7 +21,7 @@ using la::Matrix;
 Matrix pcr_solve(const BlockTridiag& sys, const Matrix& b, int p) {
   Matrix x(b.rows(), b.cols());
   const btds::RowPartition part(sys.num_blocks(), p);
-  mpsim::run(p, [&](mpsim::Comm& comm) {
+  test::run_ranks(p, [&](mpsim::Comm& comm) {
     const auto f = PcrFactorization::factor(comm, sys, part);
     f.solve(comm, b, x);
   });
@@ -29,8 +31,27 @@ Matrix pcr_solve(const BlockTridiag& sys, const Matrix& b, int p) {
 TEST(Pcr, ThrowsTypedErrorWhenMoreRanksThanRows) {
   const BlockTridiag sys = make_problem(ProblemKind::kPoisson2D, 2, 2);
   const btds::RowPartition part(2, 3);
-  EXPECT_THROW(mpsim::run(3, [&](mpsim::Comm& comm) {
+  EXPECT_THROW(test::run_ranks(3, [&](mpsim::Comm& comm) {
                  (void)PcrFactorization::factor(comm, sys, part);
+               }),
+               fault::InvalidArgumentError);
+}
+
+TEST(Pcr, FactorsFromSlicesAndRejectsSliceWithoutTheRanksRows) {
+  // Each rank's own slice gives the shared system's bits; rank 0's slice
+  // on every rank fails typed on the ranks that do not hold their rows.
+  const BlockTridiag sys = make_problem(ProblemKind::kDiagDominant, 12, 2);
+  const Matrix b = make_rhs(12, 2, 3);
+  const btds::RowPartition part(12, 3);
+  Matrix x(b.rows(), b.cols());
+  test::run_ranks(3, [&](mpsim::Comm& comm) {
+    const auto f = PcrFactorization::factor(comm, btds::slice(sys, part, comm.rank()), part);
+    f.solve(comm, b, x);
+  });
+  EXPECT_TRUE(x == pcr_solve(sys, b, 3));
+  const BlockTridiag first = btds::slice(sys, part, 0);
+  EXPECT_THROW(test::run_ranks(3, [&](mpsim::Comm& comm) {
+                 (void)PcrFactorization::factor(comm, first, part);
                }),
                fault::InvalidArgumentError);
 }
@@ -89,7 +110,7 @@ TEST(Pcr, FactorReusedAcrossSolves) {
   Matrix x1(b1.rows(), b1.cols());
   Matrix x2(b2.rows(), b2.cols());
   const btds::RowPartition part(24, 3);
-  mpsim::run(3, [&](mpsim::Comm& comm) {
+  test::run_ranks(3, [&](mpsim::Comm& comm) {
     const auto f = PcrFactorization::factor(comm, sys, part);
     EXPECT_GT(f.storage_bytes(), 0u);
     EXPECT_EQ(f.num_levels(), 5);  // ceil(log2 24)
@@ -123,7 +144,7 @@ TEST(Pcr, FlopCounterWithinModelFactor) {
   const Matrix b = make_rhs(n, m, r);
   Matrix x(b.rows(), b.cols());
   const btds::RowPartition part(n, p);
-  const auto report = mpsim::run(p, [&](mpsim::Comm& comm) {
+  const auto report = test::run_ranks(p, [&](mpsim::Comm& comm) {
     const auto f = PcrFactorization::factor(comm, sys, part);
     f.solve(comm, b, x);
   });

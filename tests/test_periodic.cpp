@@ -7,6 +7,7 @@
 #include "src/la/lu.hpp"
 #include "src/la/random.hpp"
 #include "src/mpsim/engine.hpp"
+#include "tests/run_ranks.hpp"
 
 namespace ardbt::core {
 namespace {
@@ -57,7 +58,7 @@ TEST_P(PeriodicSweep, MatchesDenseSolve) {
 
   Matrix x(b.rows(), b.cols());
   const btds::RowPartition part(n, p);
-  mpsim::run(p, [&](mpsim::Comm& comm) {
+  test::run_ranks(p, [&](mpsim::Comm& comm) {
     const auto f = PeriodicArdFactorization::factor(comm, sys, bl, bu, part);
     f.solve(comm, b, x);
   });
@@ -93,7 +94,7 @@ TEST(Periodic, ResidualAgainstPeriodicApply) {
   const Matrix b = make_rhs(n, m, 5);
   Matrix x(b.rows(), b.cols());
   const btds::RowPartition part(n, 4);
-  mpsim::run(4, [&](mpsim::Comm& comm) {
+  test::run_ranks(4, [&](mpsim::Comm& comm) {
     const auto f = PeriodicArdFactorization::factor(comm, sys, bl, bu, part);
     f.solve(comm, b, x);
   });
@@ -112,7 +113,7 @@ TEST(Periodic, FactorReusedAcrossSolves) {
   Matrix x1(b1.rows(), 1);
   Matrix x2(b2.rows(), 4);
   const btds::RowPartition part(n, 2);
-  mpsim::run(2, [&](mpsim::Comm& comm) {
+  test::run_ranks(2, [&](mpsim::Comm& comm) {
     const auto f = PeriodicArdFactorization::factor(comm, sys, bl, bu, part);
     f.solve(comm, b1, x1);
     f.solve(comm, b2, x2);
@@ -129,7 +130,7 @@ TEST(Periodic, RejectsTinySystems) {
   const BlockTridiag sys = make_problem(ProblemKind::kDiagDominant, 2, 2);
   const Matrix corner = Matrix::identity(2);
   const btds::RowPartition part(2, 1);
-  mpsim::run(1, [&](mpsim::Comm& comm) {
+  test::run_ranks(1, [&](mpsim::Comm& comm) {
     EXPECT_THROW(PeriodicArdFactorization::factor(comm, sys, corner, corner, part),
                  fault::InvalidArgumentError);
   });
@@ -143,7 +144,7 @@ TEST(Periodic, SingularCapacitanceThrowsTypedPivotError) {
   for (index_t i = 0; i < 3; ++i) sys.diag(i)(0, 0) = 1.0;
   const Matrix corner{{-1.0}};
   const btds::RowPartition part(3, 1);
-  mpsim::run(1, [&](mpsim::Comm& comm) {
+  test::run_ranks(1, [&](mpsim::Comm& comm) {
     EXPECT_THROW(PeriodicArdFactorization::factor(comm, sys, corner, corner, part),
                  fault::SingularPivotError);
   });
@@ -157,7 +158,7 @@ TEST(Periodic, ZeroCornersReduceToAcyclicSolve) {
   Matrix x_per(b.rows(), b.cols());
   Matrix x_acyclic(b.rows(), b.cols());
   const btds::RowPartition part(n, 3);
-  mpsim::run(3, [&](mpsim::Comm& comm) {
+  test::run_ranks(3, [&](mpsim::Comm& comm) {
     const auto fp = PeriodicArdFactorization::factor(comm, sys, zero, zero, part);
     fp.solve(comm, b, x_per);
     const auto fa = ArdFactorization::factor(comm, sys, part);

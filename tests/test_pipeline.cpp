@@ -19,6 +19,7 @@
 #include "src/mpsim/engine.hpp"
 #include "src/obs/attribution.hpp"
 #include "src/obs/trace.hpp"
+#include "tests/run_ranks.hpp"
 
 namespace ardbt {
 namespace {
@@ -157,7 +158,7 @@ TEST(TagAllocator, CollisionRaisesTypedError) {
   std::atomic<int> caught{0};
   std::atomic<int> missed{0};
 
-  mpsim::run(
+  test::run_ranks(
       p,
       [&](mpsim::Comm& comm) {
         mpsim::TagGuard hold(comm, core::ard_tags::kFwdFactor);
@@ -179,7 +180,7 @@ TEST(TagAllocator, CollisionRaisesTypedError) {
 // next_tag() hands out tags from the dynamic range and never one that is
 // currently held, so concurrent panel replays get distinct wire tags.
 TEST(TagAllocator, NextTagSkipsHeldTags) {
-  mpsim::run(
+  test::run_ranks(
       1,
       [&](mpsim::Comm& comm) {
         const int t0 = comm.next_tag();

@@ -6,6 +6,7 @@
 #include "src/btds/spmv.hpp"
 #include "src/la/lu.hpp"
 #include "src/mpsim/engine.hpp"
+#include "tests/run_ranks.hpp"
 
 namespace ardbt::core {
 namespace {
@@ -16,18 +17,28 @@ using btds::make_rhs;
 using btds::ProblemKind;
 using la::Matrix;
 
+/// solve_refined on this rank's row views of the shared `b` and `x`.
+RefineResult refine_rows(mpsim::Comm& comm, const ArdFactorization& f, const BlockTridiag& sys,
+                         const btds::RowPartition& part, const Matrix& b, Matrix& x,
+                         int max_steps = 3, double tol = 1e-14) {
+  const la::index_t lo = part.begin(comm.rank()) * sys.block_size();
+  const la::index_t rows = part.count(comm.rank()) * sys.block_size();
+  return solve_refined(comm, f, sys, part, b.block(lo, 0, rows, b.cols()),
+                       x.block(lo, 0, rows, x.cols()), max_steps, tol);
+}
+
 TEST(Refine, ResidualDecreasesMonotonicallyAndConverges) {
   const BlockTridiag sys = make_problem(ProblemKind::kIllConditioned, 64, 4);
   const Matrix b = make_rhs(64, 4, 3);
   Matrix x(b.rows(), b.cols());
   RefineResult result;
   const btds::RowPartition part(64, 4);
-  mpsim::run(4, [&](mpsim::Comm& comm) {
+  test::run_ranks(4, [&](mpsim::Comm& comm) {
     const auto f = ArdFactorization::factor(comm, sys, part);
     // tol = 0 forces every step so the monotonicity of the recorded
     // residual norms can be checked.
-    const RefineResult local = solve_refined(comm, f, sys, part, b, x, /*max_steps=*/3,
-                                             /*tol=*/0.0);
+    const RefineResult local = refine_rows(comm, f, sys, part, b, x, /*max_steps=*/3,
+                                           /*tol=*/0.0);
     if (comm.rank() == 0) result = local;
   });
   ASSERT_GE(result.residual_norms.size(), 2u);
@@ -43,10 +54,10 @@ TEST(Refine, StopsEarlyWhenAlreadyConverged) {
   Matrix x(b.rows(), b.cols());
   RefineResult result;
   const btds::RowPartition part(16, 2);
-  mpsim::run(2, [&](mpsim::Comm& comm) {
+  test::run_ranks(2, [&](mpsim::Comm& comm) {
     const auto f = ArdFactorization::factor(comm, sys, part);
     const RefineResult local =
-        solve_refined(comm, f, sys, part, b, x, /*max_steps=*/10, /*tol=*/1e-12);
+        refine_rows(comm, f, sys, part, b, x, /*max_steps=*/10, /*tol=*/1e-12);
     if (comm.rank() == 0) result = local;
   });
   // A well-conditioned solve is already at machine precision; refinement
@@ -60,9 +71,9 @@ TEST(Refine, WorksOnSingleRank) {
   const Matrix b = make_rhs(12, 3, 2);
   Matrix x(b.rows(), b.cols());
   const btds::RowPartition part(12, 1);
-  mpsim::run(1, [&](mpsim::Comm& comm) {
+  test::run_ranks(1, [&](mpsim::Comm& comm) {
     const auto f = ArdFactorization::factor(comm, sys, part);
-    solve_refined(comm, f, sys, part, b, x);
+    refine_rows(comm, f, sys, part, b, x);
   });
   EXPECT_LT(btds::relative_residual(sys, x, b), 1e-13);
 }
@@ -72,7 +83,7 @@ TEST(ConditionEstimate, MatchesDenseOrderOfMagnitude) {
   const BlockTridiag sys = make_problem(ProblemKind::kPoisson2D, n, m);
   double estimate = 0.0;
   const btds::RowPartition part(n, 3);
-  mpsim::run(3, [&](mpsim::Comm& comm) {
+  test::run_ranks(3, [&](mpsim::Comm& comm) {
     const auto f = ArdFactorization::factor(comm, sys, part);
     const double local = condition_estimate(comm, f, sys, part, /*iters=*/10);
     if (comm.rank() == 0) estimate = local;
@@ -97,7 +108,7 @@ TEST(ConditionEstimate, DistinguishesWellFromIllConditioned) {
        {std::pair{ProblemKind::kDiagDominant, &well}, {ProblemKind::kIllConditioned, &ill}}) {
     const BlockTridiag sys = make_problem(kind, 32, 4);
     const btds::RowPartition part(32, 2);
-    mpsim::run(2, [&, kind = kind, out = out](mpsim::Comm& comm) {
+    test::run_ranks(2, [&, kind = kind, out = out](mpsim::Comm& comm) {
       const auto f = ArdFactorization::factor(comm, sys, part);
       const double est = condition_estimate(comm, f, sys, part);
       if (comm.rank() == 0) *out = est;

@@ -8,6 +8,7 @@
 #include "src/la/gemm.hpp"
 #include "src/la/random.hpp"
 #include "src/mpsim/engine.hpp"
+#include "tests/run_ranks.hpp"
 
 namespace ardbt::core {
 namespace {
@@ -81,7 +82,7 @@ TEST_P(CachedAffine, MatchesSequentialRecurrence) {
   const std::vector<Matrix> ref2 = reference_affine(f_elems, g_elems_r2);
   const std::vector<Matrix> ref5 = reference_affine(f_elems, g_elems_r5);
 
-  mpsim::run(p, [&](mpsim::Comm& comm) {
+  test::run_ranks(p, [&](mpsim::Comm& comm) {
     const int s = seq_rank(comm.rank());
     const auto scan = CachedScan<AffineOp>::factor(comm, dir, AffineOp::Context{m},
                                                    seg_matrix(s), /*tag=*/11);
@@ -120,7 +121,7 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(CachedAffine, InterleavedScansMatchSequentialScans) {
   const index_t m = 3;
   for (int p = 1; p <= 9; ++p) {
-    mpsim::run(p, [&](mpsim::Comm& comm) {
+    test::run_ranks(p, [&](mpsim::Comm& comm) {
       la::Rng rng = la::make_rng(100 + static_cast<std::uint64_t>(comm.rank()));
       const Matrix seg = la::random_uniform(m, m, rng, -0.4, 0.4);
       const Matrix vec = la::random_uniform(m, 2, rng);
@@ -171,7 +172,7 @@ TEST(CachedAffine, InterleavedScansMatchSequentialScans) {
 
 TEST(CachedAffine, IncomingMatIsPrefixProduct) {
   const index_t m = 2;
-  mpsim::run(3, [&](mpsim::Comm& comm) {
+  test::run_ranks(3, [&](mpsim::Comm& comm) {
     // Segment matrix of rank r is diag(r + 2).
     Matrix seg = Matrix::identity(m);
     seg.scale(static_cast<double>(comm.rank() + 2));

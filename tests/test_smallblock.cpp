@@ -384,7 +384,7 @@ TEST(SmallBlock, ThomasSolveBitIdenticalAcrossPaths) {
     for (index_t m : {index_t{3}, index_t{4}, index_t{8}}) {
       const auto sys = btds::make_problem(kind, n, m);
       const btds::RowPartition part(n, 3);
-      const auto local = btds::LocalBlockTridiag::from_shared(sys, part, 1);
+      const auto local = btds::slice(sys, part, 1);
       const index_t lo = part.begin(1);
       const index_t rows = part.end(1) - lo;
       const Matrix b = btds::make_rhs(n, m, 6, 3);

@@ -7,6 +7,7 @@
 #include "src/btds/thomas.hpp"
 #include "src/core/ard.hpp"
 #include "src/mpsim/engine.hpp"
+#include "tests/run_ranks.hpp"
 
 namespace ardbt {
 namespace {
@@ -52,7 +53,7 @@ TEST(SpdPivot, ArdWithCholeskyPivots) {
   const btds::RowPartition part(48, 4);
   core::ArdOptions opts;
   opts.pivot = PivotKind::kCholesky;
-  mpsim::run(4, [&](mpsim::Comm& comm) {
+  test::run_ranks(4, [&](mpsim::Comm& comm) {
     const auto f = core::ArdFactorization::factor(comm, sys, part, opts);
     f.solve(comm, b, x);
   });
@@ -65,7 +66,7 @@ TEST(SpdPivot, ArdCholeskyMatchesLuBitForBitInShape) {
   Matrix x_lu(b.rows(), b.cols());
   Matrix x_ch(b.rows(), b.cols());
   const btds::RowPartition part(24, 3);
-  mpsim::run(3, [&](mpsim::Comm& comm) {
+  test::run_ranks(3, [&](mpsim::Comm& comm) {
     const auto f1 = core::ArdFactorization::factor(comm, sys, part);
     f1.solve(comm, b, x_lu);
     core::ArdOptions opts;
@@ -85,7 +86,7 @@ TEST(SpdPivot, UpdateKeepsPivotKind) {
   const btds::RowPartition part(16, 2);
   core::ArdOptions opts;
   opts.pivot = PivotKind::kCholesky;
-  mpsim::run(2, [&](mpsim::Comm& comm) {
+  test::run_ranks(2, [&](mpsim::Comm& comm) {
     auto f = core::ArdFactorization::factor(comm, sys, part, opts);
     mpsim::barrier(comm);
     if (comm.rank() == 0) {

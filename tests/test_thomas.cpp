@@ -119,6 +119,24 @@ TEST(Thomas, FactorSegmentRejectsRowsOutsideTheSystem) {
   EXPECT_EQ(ThomasFactorization::factor_segment(t, 3, 3).num_blocks(), 3);
 }
 
+TEST(Thomas, FactorSegmentRejectsRowsOutsideTheSlice) {
+  // A slice holds rows [lo(), hi()) of the system; a range inside the
+  // system but outside the slice is rejected, and factor() (every row)
+  // rejects the slice outright.
+  const BlockTridiag t = make_problem(ProblemKind::kDiagDominant, 12, 2);
+  const RowPartition part(12, 3);  // rank 1 holds rows [4, 8)
+  const BlockTridiag local = slice(t, part, 1);
+  const struct {
+    index_t lo, n;
+  } bad[] = {{0, 4}, {3, 2}, {6, 3}, {8, 1}, {4, 5}};
+  for (const auto& [lo, n] : bad) {
+    expect_invalid_argument([&] { (void)ThomasFactorization::factor_segment(local, lo, n); },
+                            "slice lo=" + std::to_string(lo) + " n=" + std::to_string(n));
+  }
+  expect_invalid_argument([&] { (void)ThomasFactorization::factor(local); }, "slice factor");
+  EXPECT_EQ(ThomasFactorization::factor_segment(local, 4, 4).num_blocks(), 4);
+}
+
 TEST(Thomas, SolveRejectsWrongRowCount) {
   const BlockTridiag t = make_problem(ProblemKind::kDiagDominant, 6, 2);
   const ThomasFactorization f = ThomasFactorization::factor(t);
@@ -285,8 +303,8 @@ TEST(Thomas, LongDecayingSegmentStoresOnlyTheSpikeSupport) {
 }
 
 TEST(Thomas, SegmentFactorReadsTheCallersRowsInPlace) {
-  // factor_segment over rows [lo, lo + n) of a larger system — global or
-  // distributed storage — gives the bits of factoring that segment copied
+  // factor_segment over rows [lo, lo + n) of a larger system — the whole
+  // system or a slice holding them — gives the bits of factoring that segment copied
   // out as a standalone system.
   const index_t big = 51;
   const RowPartition part(big, 3);  // rank 1 owns rows [17, 34)
@@ -299,7 +317,7 @@ TEST(Thomas, SegmentFactorReadsTheCallersRowsInPlace) {
       if (k > 0) seg.lower(k) = t.lower(lo + k);
       if (k + 1 < n) seg.upper(k) = t.upper(lo + k);
     }
-    const LocalBlockTridiag local = LocalBlockTridiag::from_shared(t, part, 1);
+    const BlockTridiag local = slice(t, part, 1);
     const Matrix b = make_rhs(n, m, 3);
     const ThomasFactorization ref = ThomasFactorization::factor_segment(seg, 0, n);
     const Matrix x_ref = ref.solve(b);

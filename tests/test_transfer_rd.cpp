@@ -9,6 +9,7 @@
 #include "src/btds/spmv.hpp"
 #include "src/core/solver.hpp"
 #include "src/mpsim/engine.hpp"
+#include "tests/run_ranks.hpp"
 
 namespace ardbt::core {
 namespace {
@@ -28,7 +29,7 @@ TEST(TransferRd, TypedErrors) {
   {
     const BlockTridiag sys = make_problem(ProblemKind::kPoisson2D, 2, 2);
     const btds::RowPartition part(2, 3);
-    EXPECT_THROW(mpsim::run(3, [&](mpsim::Comm& comm) {
+    EXPECT_THROW(test::run_ranks(3, [&](mpsim::Comm& comm) {
                    (void)TransferRdFactorization::factor(comm, sys, part);
                  }),
                  fault::InvalidArgumentError);
@@ -37,7 +38,7 @@ TEST(TransferRd, TypedErrors) {
     BlockTridiag sys = make_problem(ProblemKind::kDiagDominant, 3, 2);
     sys.upper(0) = Matrix(2, 2);
     const btds::RowPartition part(3, 1);
-    EXPECT_THROW(mpsim::run(1, [&](mpsim::Comm& comm) {
+    EXPECT_THROW(test::run_ranks(1, [&](mpsim::Comm& comm) {
                    (void)TransferRdFactorization::factor(comm, sys, part);
                  }),
                  fault::SingularPivotError);
@@ -50,7 +51,7 @@ TEST(TransferRd, TypedErrors) {
   sys.diag(1)(0, 0) = 1.0;
   const btds::RowPartition part(2, 2);
   std::string what[2];
-  mpsim::run(2, [&](mpsim::Comm& comm) {
+  test::run_ranks(2, [&](mpsim::Comm& comm) {
     try {
       (void)TransferRdFactorization::factor(comm, sys, part);
     } catch (const fault::SingularPivotError& e) {

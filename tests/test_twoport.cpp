@@ -6,6 +6,7 @@
 #include "src/la/blas1.hpp"
 #include "src/la/gemm.hpp"
 #include "src/mpsim/engine.hpp"
+#include "tests/run_ranks.hpp"
 
 namespace ardbt::core {
 namespace {
@@ -72,7 +73,7 @@ TEST(TwoPort, MergeMatchesDenseSchurComplement) {
   for (ProblemKind kind : {ProblemKind::kDiagDominant, ProblemKind::kPoisson2D}) {
     const BlockTridiag sys = btds::make_problem(kind, 9, 3);
     const Matrix b = btds::make_rhs(9, 3, 2);
-    mpsim::run(1, [&](mpsim::Comm& comm) {
+    test::run_ranks(1, [&](mpsim::Comm& comm) {
       // Split [2..7] at several interface positions; all must reproduce
       // the dense two-port of the union.
       const TwoPort whole = dense_twoport(sys, 2, 7);
@@ -96,7 +97,7 @@ TEST(TwoPort, MergeMatchesDenseSchurComplement) {
 TEST(TwoPort, MergeIsAssociative) {
   const BlockTridiag sys = btds::make_problem(ProblemKind::kDiagDominant, 12, 2, /*seed=*/3);
   const Matrix b = btds::make_rhs(12, 2, 3);
-  mpsim::run(1, [&](mpsim::Comm& comm) {
+  test::run_ranks(1, [&](mpsim::Comm& comm) {
     // Three adjacent segments of unequal length.
     const TwoPort s1 = dense_twoport(sys, 1, 3);
     const TwoPort s2 = dense_twoport(sys, 4, 4);
@@ -148,7 +149,7 @@ TEST(TwoPort, SingleRowTwoPortIsInverseDiagonal) {
 
 TEST(TwoPort, ReversedOpSwapsOperands) {
   const BlockTridiag sys = btds::make_problem(ProblemKind::kDiagDominant, 8, 2);
-  mpsim::run(1, [&](mpsim::Comm& comm) {
+  test::run_ranks(1, [&](mpsim::Comm& comm) {
     const TwoPort lo = dense_twoport(sys, 1, 3);   // lower rows
     const TwoPort hi = dense_twoport(sys, 4, 6);   // higher rows
     TwoPortCache c_fwd, c_rev;

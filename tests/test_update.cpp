@@ -5,6 +5,7 @@
 #include "src/core/ard.hpp"
 #include "src/core/flops.hpp"
 #include "src/mpsim/engine.hpp"
+#include "tests/run_ranks.hpp"
 
 namespace ardbt::core {
 namespace {
@@ -23,7 +24,7 @@ TEST(Update, NoChangeReproducesSameSolution) {
   Matrix x_before(b.rows(), b.cols());
   Matrix x_after(b.rows(), b.cols());
   const btds::RowPartition part(n, 4);
-  mpsim::run(4, [&](mpsim::Comm& comm) {
+  test::run_ranks(4, [&](mpsim::Comm& comm) {
     auto f = ArdFactorization::factor(comm, sys, part);
     f.solve(comm, b, x_before);
     f.update(comm, sys, /*rows_changed=*/false);
@@ -43,7 +44,7 @@ TEST(Update, TracksMatrixChangeOnOneRank) {
   const btds::RowPartition part(n, p);
   const int changed_rank = 2;
 
-  mpsim::run(p, [&](mpsim::Comm& comm) {
+  test::run_ranks(p, [&](mpsim::Comm& comm) {
     auto f = ArdFactorization::factor(comm, sys, part);
     mpsim::barrier(comm);
     // Rank 2's rows change (a diagonal shift); everyone else's are intact.
@@ -67,7 +68,7 @@ TEST(Update, UnchangedRanksChargeFewerFlops) {
   double factor_flops_rank1 = 0.0;
   double update_flops_rank1 = 0.0;
 
-  mpsim::run(p, [&](mpsim::Comm& comm) {
+  test::run_ranks(p, [&](mpsim::Comm& comm) {
     const double f0 = comm.stats().flops_charged;
     auto f = ArdFactorization::factor(comm, sys, part);
     mpsim::barrier(comm);
@@ -97,7 +98,7 @@ TEST(Update, RepeatedUpdatesStayAccurate) {
   const btds::RowPartition part(n, 3);
   Matrix x(n * m, 1);
 
-  mpsim::run(3, [&](mpsim::Comm& comm) {
+  test::run_ranks(3, [&](mpsim::Comm& comm) {
     auto f = ArdFactorization::factor(comm, sys, part);
     for (int round = 0; round < 4; ++round) {
       mpsim::barrier(comm);

@@ -727,7 +727,11 @@ int run_cli(int argc, char** argv) {
             if (comm.rank() == 0) res.factor_vtime = comm.vtime() - t0;
             const double t1 = comm.vtime();
             auto solve_span = comm.trace_scope(obs::SpanKind::kPhase, "driver.solve");
-            const auto rr = core::solve_refined(comm, f, sys, part, b, res.x, refine_steps, 0.0);
+            const la::index_t lo = part.begin(comm.rank()) * m;
+            const la::index_t rows = part.count(comm.rank()) * m;
+            const auto rr = core::solve_refined(comm, f, sys, part, b.block(lo, 0, rows, b.cols()),
+                                                res.x.block(lo, 0, rows, b.cols()), refine_steps,
+                                                0.0);
             mpsim::barrier(comm);
             solve_span.close();
             if (comm.rank() == 0) {
