@@ -3,13 +3,14 @@
 // as more batches reuse one factorization — the time-stepping scenario
 // that motivates ARD.
 //
-// Phase times come from the tracer's attribution layer (obs::analyze):
-// every rank's driver.factor / driver.solve spans are aggregated into the
-// deterministic per-phase stats, and the critical-path / wait columns
-// show where the session's makespan actually went — the same numbers the
-// CLI exports in run_report v2, so this bench measures what it reports.
+// Phase times are the Session's own (factor_vtime, solve_vtimes): each
+// phase's largest final rank clock minus its run's origin. The tracer's
+// attribution layer (obs::analyze) supplies the critical-path / wait
+// columns that show where the session's makespan actually went — the
+// same numbers the CLI exports in run_report v2.
 
 #include <cstdio>
+#include <numeric>
 #include <vector>
 
 #include "bench/bench_common.hpp"
@@ -55,12 +56,10 @@ int main(int argc, char** argv) {
     for (const auto& b : batches) (void)session.solve(b);
 
     const obs::Attribution attr = obs::analyze(tracer);
-    const obs::PhaseStats& factor = attr.phases.at("driver.factor");
-    const obs::PhaseStats& solve = attr.phases.at("driver.solve");
-    // Spans are barrier-aligned, so the slowest rank's factor span is the
-    // phase's elapsed time and the mean solve span is the per-batch time.
-    const double t_factor = factor.max_s;
-    const double avg_solve = solve.total_s / static_cast<double>(solve.count);
+    const double t_factor = session.factor_vtime();
+    const std::vector<double>& solves = session.solve_vtimes();
+    const double avg_solve =
+        std::accumulate(solves.begin(), solves.end(), 0.0) / static_cast<double>(solves.size());
     const double amortized1 = t_factor + avg_solve;
     const double amortized4 = t_factor + num_batches * avg_solve;
     // Classic RD re-factors for every batch.

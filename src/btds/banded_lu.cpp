@@ -1,7 +1,6 @@
 #include "src/btds/banded_lu.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <utility>
 
@@ -90,7 +89,10 @@ BandedLuFactorization BandedLuFactorization::factor(const BlockTridiag& t) {
 }
 
 Matrix BandedLuFactorization::solve(const Matrix& b) const {
-  assert(b.rows() == nn_);
+  if (b.rows() != nn_) {
+    throw fault::ShapeMismatchError("btds::BandedLuFactorization::solve", "b.rows() == N*M",
+                                    b.rows(), nn_);
+  }
   const index_t nn = nn_;
   const index_t kl = kl_;
   const index_t ku = ku_;

@@ -27,7 +27,8 @@ class BandedLuFactorization {
   /// fault::InvalidArgumentError on a slice.
   static BandedLuFactorization factor(const BlockTridiag& t);
 
-  /// Solve for all columns of B; returns X with the same shape.
+  /// Solve for all columns of B; returns X with the same shape. Throws
+  /// fault::ShapeMismatchError unless B has N*M rows.
   Matrix solve(const Matrix& b) const;
 
   /// Pivot extremes over all N*M scalar elimination steps.

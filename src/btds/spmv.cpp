@@ -1,7 +1,5 @@
 #include "src/btds/spmv.hpp"
 
-#include <cassert>
-
 #include "src/la/blas1.hpp"
 #include "src/la/gemm.hpp"
 
@@ -11,7 +9,9 @@ Matrix apply(const BlockTridiag& t, const Matrix& x) {
   require_rows(t, 0, t.num_blocks(), "btds::apply");
   const index_t n = t.num_blocks();
   const index_t m = t.block_size();
-  assert(x.rows() == t.dim());
+  if (x.rows() != t.dim()) {
+    throw fault::ShapeMismatchError("btds::apply", "x.rows() == N*M", x.rows(), t.dim());
+  }
   Matrix b(x.rows(), x.cols());
   for (index_t i = 0; i < n; ++i) {
     la::MatrixView bi = block_row(b, i, m);

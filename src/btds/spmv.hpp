@@ -9,7 +9,8 @@
 namespace ardbt::btds {
 
 /// Returns T * X for X of shape (N*M) x R. Throws
-/// fault::InvalidArgumentError on a slice (as do the residuals below).
+/// fault::InvalidArgumentError on a slice and fault::ShapeMismatchError
+/// on an X without N*M rows (as do the residuals below).
 Matrix apply(const BlockTridiag& t, const Matrix& x);
 
 /// Frobenius norm of (B - T X).

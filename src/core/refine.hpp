@@ -5,25 +5,15 @@
 #include "src/core/ard.hpp"
 
 /// \file refine.hpp
-/// Accuracy utilities on top of a factorization:
-///
-/// * iterative refinement — each step computes the true residual
-///   r = B - T X on this rank's rows (the halo-exchange apply of
-///   btds/halo.hpp, O(M^2 R N/P), which reads no other rank's rows) and
-///   applies one ARD solve as the correction. Because an ARD solve is so
-///   much cheaper than the factorization, refinement is nearly free
-///   relative to factoring and drives the residual to machine precision
-///   even on the ill-conditioned dial;
-/// * a randomized condition estimate — power iteration on T^{-1} via
-///   repeated solves, times ||T||_inf, giving an order-of-magnitude
-///   kappa_inf(T) without forming anything dense.
+/// Iterative refinement on top of an ARD factorization: each step
+/// computes the true residual r = B - T X on this rank's rows (the
+/// halo-exchange apply of btds/halo.hpp, O(M^2 R N/P), which reads no
+/// other rank's rows) and applies one ARD solve as the correction.
+/// Because an ARD solve is so much cheaper than the factorization,
+/// refinement is nearly free relative to factoring and drives the
+/// residual to machine precision even on the ill-conditioned dial.
 
 namespace ardbt::core {
-
-/// Tags used by the refinement/estimation collectives.
-namespace refine_tags {
-inline constexpr int kNorm = 96;
-}
 
 /// Outcome of solve_refined.
 struct RefineResult {
@@ -41,13 +31,5 @@ RefineResult solve_refined(mpsim::Comm& comm, const ArdFactorization& f,
                            const btds::BlockTridiag& sys, const btds::RowPartition& part,
                            la::ConstMatrixView b_local, la::MatrixView x_local,
                            int max_steps = 3, double tol = 1e-14);
-
-/// Collective. Randomized estimate of kappa_inf(T) ~ ||T||_inf *
-/// ||T^{-1}||, the latter from `iters` rounds of normalized power
-/// iteration on T^{-1} (each round is one solve). An order-of-magnitude
-/// diagnostic, not a certified bound.
-double condition_estimate(mpsim::Comm& comm, const ArdFactorization& f,
-                          const btds::BlockTridiag& sys, const btds::RowPartition& part,
-                          int iters = 6, std::uint64_t seed = 12345);
 
 }  // namespace ardbt::core

@@ -7,7 +7,6 @@
 #include "src/btds/spmv.hpp"
 #include "src/core/rd.hpp"
 #include "src/core/refine.hpp"
-#include "src/mpsim/collectives.hpp"
 #include "src/mpsim/obs_bridge.hpp"
 #include "src/obs/live/postmortem.hpp"
 #include "src/obs/metrics.hpp"
@@ -238,12 +237,16 @@ void Session::dump_postmortem(const char* phase, fault::ErrorCode code,
                               telemetry_.metrics, std::move(extra));
 }
 
-mpsim::RunReport Session::run_engine(const char* phase, const mpsim::RankFn& fn) {
+double Session::run_engine(const char* phase, const mpsim::RankFn& fn) {
   // Transient faults (corrupted message, injected crash, missed deadline)
   // are retried as whole engine runs: the FaultPlan's one-shot specs stay
   // fired, so the retry sees a clean wire. Failed attempts never advance
   // the session timeline or its counters — only the successful run is
   // charged (vtime_cursor_/fold_report move on success alone).
+  //
+  // The phase time is the run's largest final rank clock minus its
+  // origin: every rank starts at the origin and the engine folds trailing
+  // compute into each clock, so no rank needs to time itself.
   last_retries_ = 0;
   const double t0 = vtime_cursor_;
   for (;;) {
@@ -253,7 +256,7 @@ mpsim::RunReport Session::run_engine(const char* phase, const mpsim::RankFn& fn)
       vtime_cursor_ = run.max_virtual_time();
       fold_report(run);
       after_run(phase, run, t0);
-      return run;
+      return vtime_cursor_ - t0;
     } catch (const fault::SolveError& e) {
       const bool retryable = engine_.on_breakdown != fault::BreakdownPolicy::kFailFast &&
                              fault::is_transient(e.status()) &&
@@ -279,41 +282,27 @@ void Session::ensure_fallback() {
   if (fallback_) return;
   const la::index_t n = sys_->num_blocks();
   const la::index_t m = sys_->block_size();
-  double vtime = 0.0;
-  run_engine("driver.fallback_factor", [&](mpsim::Comm& comm) {
-    mpsim::barrier(comm);
-    const double t0 = comm.vtime();
+  factor_vtime_ += run_engine("driver.fallback_factor", [&](mpsim::Comm& comm) {
     auto span = comm.trace_scope(obs::SpanKind::kPhase, "driver.fallback_factor");
     if (comm.rank() == 0) {
       fallback_ = std::make_unique<btds::BandedLuFactorization>(
           btds::BandedLuFactorization::factor(*sys_));
       comm.charge_flops(btds::BandedLuFactorization::factor_flops(n, m));
     }
-    mpsim::barrier(comm);
-    span.close();
-    if (comm.rank() == 0) vtime = comm.vtime() - t0;
   });
-  factor_vtime_ += vtime;
   if (fallback_->storage_bytes() > storage_bytes_) storage_bytes_ = fallback_->storage_bytes();
 }
 
-void Session::fallback_solve(const la::Matrix& b, la::Matrix& x) {
+double Session::fallback_solve(const la::Matrix& b, la::Matrix& x) {
   assert(fallback_ != nullptr);
-  double vtime = 0.0;
-  run_engine("driver.fallback_solve", [&](mpsim::Comm& comm) {
-    mpsim::barrier(comm);
-    const double t0 = comm.vtime();
+  return run_engine("driver.fallback_solve", [&](mpsim::Comm& comm) {
     auto span = comm.trace_scope(obs::SpanKind::kPhase, "driver.fallback_solve");
     if (comm.rank() == 0) {
       la::copy(fallback_->solve(b).view(), x.view());
       comm.charge_flops(btds::BandedLuFactorization::solve_flops(sys_->num_blocks(),
                                                                  sys_->block_size(), b.cols()));
     }
-    mpsim::barrier(comm);
-    span.close();
-    if (comm.rank() == 0) vtime = comm.vtime() - t0;
   });
-  last_phase_vtime_ = vtime;
 }
 
 void Session::factor() {
@@ -338,12 +327,9 @@ void Session::factor() {
   }
   const fault::BreakdownPolicy policy = engine_.on_breakdown;
   double vtime = 0.0;
-  std::size_t bytes = 0;
   std::vector<double> growths(static_cast<std::size_t>(nranks_), 0.0);
   try {
-    run_engine("driver.factor", [&](mpsim::Comm& comm) {
-      mpsim::barrier(comm);
-      const double t0 = comm.vtime();
+    vtime = run_engine("driver.factor", [&](mpsim::Comm& comm) {
       auto span = comm.trace_scope(obs::SpanKind::kPhase, "driver.factor");
       const std::size_t r = static_cast<std::size_t>(comm.rank());
       switch (method_) {
@@ -362,13 +348,6 @@ void Session::factor() {
         }
         default:
           break;
-      }
-      mpsim::barrier(comm);
-      span.close();
-      if (comm.rank() == 0) {
-        vtime = comm.vtime() - t0;
-        if (method_ == Method::kArd) bytes = ard_[r].storage_bytes();
-        if (method_ == Method::kPcr) bytes = pcr_[r].storage_bytes();
       }
     });
   } catch (const fault::SingularPivotError& e) {
@@ -419,7 +398,8 @@ void Session::factor() {
   log_outcome(outcome);
   outcomes_.push_back(std::move(outcome));
   factor_vtime_ = vtime;
-  storage_bytes_ = bytes;
+  if (method_ == Method::kArd) storage_bytes_ = ard_[0].storage_bytes();
+  if (method_ == Method::kPcr) storage_bytes_ = pcr_[0].storage_bytes();
   factored_ = true;
 }
 
@@ -497,8 +477,7 @@ void Session::solve(const la::Matrix& b, la::Matrix& x) {
     degraded_ = true;
   }
   if (degraded_) {
-    fallback_solve(b, x);
-    solve_vtimes_.push_back(last_phase_vtime_);
+    solve_vtimes_.push_back(fallback_solve(b, x));
     SolveOutcome outcome{.phase = "solve",
                          .action = "fallback",
                          .retries = last_retries_,
@@ -515,10 +494,7 @@ void Session::solve(const la::Matrix& b, la::Matrix& x) {
   const bool refine_path =
       breakdown_ && method_ == Method::kArd && policy != fault::BreakdownPolicy::kFailFast;
   int refine_steps = 0;
-  double vtime = 0.0;
-  run_engine("driver.solve", [&](mpsim::Comm& comm) {
-    mpsim::barrier(comm);
-    const double t0 = comm.vtime();
+  double vtime = run_engine("driver.solve", [&](mpsim::Comm& comm) {
     auto span = comm.trace_scope(obs::SpanKind::kPhase, "driver.solve");
     const std::size_t r = static_cast<std::size_t>(comm.rank());
     if (refine_path) {
@@ -548,9 +524,6 @@ void Session::solve(const la::Matrix& b, la::Matrix& x) {
           break;
       }
     }
-    mpsim::barrier(comm);
-    span.close();
-    if (comm.rank() == 0) vtime = comm.vtime() - t0;
   });
 
   SolveOutcome outcome{.phase = "solve",
@@ -570,8 +543,7 @@ void Session::solve(const la::Matrix& b, la::Matrix& x) {
       dump_postmortem("driver.solve", fault::ErrorCode::kBreakdown, message);
       ensure_fallback();
       degraded_ = true;
-      fallback_solve(b, x);
-      vtime += last_phase_vtime_;
+      vtime += fallback_solve(b, x);
       outcome.action = "fallback";
       outcome.retries += last_retries_;
       outcome.residual = btds::relative_residual(*sys_, x, b);

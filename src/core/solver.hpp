@@ -32,6 +32,13 @@ class MetricsRegistry;
 /// threaded across runs (EngineOptions::vtime_origin) so a session's
 /// trace reads as one seamless timeline: factor, then solve, then solve…
 ///
+/// Phase time: a phase's modeled seconds are the largest final rank
+/// clock of its engine run minus the run's origin (RunReport::
+/// max_virtual_time() − vtime_origin). No barrier brackets a phase and no
+/// rank times itself. Under TimingMode::MeasuredCpu every clock read folds
+/// the rank's pending CPU time, so the value does not depend on whether a
+/// tracer is installed.
+///
 /// Intra-rank parallelism: set EngineOptions::threads_per_rank > 1 and
 /// every rank's solve kernels fan RHS-column panels out over a par::Pool.
 /// Charged flops stay on the rank thread, so modeled virtual times — and
@@ -138,10 +145,12 @@ class Session {
   Method method() const { return method_; }
   int nranks() const { return nranks_; }
 
-  /// Modeled seconds of the factor run (0 until factored; 0 forever for
-  /// the classic RD methods).
+  /// Modeled seconds of the factor run, plus the fallback factor when the
+  /// ladder took it (0 until factored; 0 forever for the classic RD
+  /// methods). See "Phase time" above.
   double factor_vtime() const { return factor_vtime_; }
-  /// Modeled seconds of each solve batch, in call order.
+  /// Modeled seconds of each solve batch, in call order (a batch the ladder
+  /// escalated includes its fallback solve run).
   const std::vector<double>& solve_vtimes() const { return solve_vtimes_; }
   /// Bytes of factored state on rank 0 (0 for methods without one).
   std::size_t storage_bytes() const { return storage_bytes_; }
@@ -199,7 +208,10 @@ class Session {
   double pivot_growth() const { return pivot_growth_; }
 
  private:
-  mpsim::RunReport run_engine(const char* phase, const mpsim::RankFn& fn);
+  /// Run `fn` on every rank (retrying transient faults), fold the run into
+  /// the session report and return the phase's modeled seconds: the
+  /// largest final rank clock minus the run's origin.
+  double run_engine(const char* phase, const mpsim::RankFn& fn);
   void fold_report(const mpsim::RunReport& run);
   /// Telemetry fan-out after a successful engine run: driver-channel
   /// span + metric deltas, registry refresh, watchdogs, snapshot tick.
@@ -214,8 +226,8 @@ class Session {
   /// already cached.
   void ensure_fallback();
   /// Solve into `x` with the cached fallback factorization (rank 0,
-  /// engine run).
-  void fallback_solve(const la::Matrix& b, la::Matrix& x);
+  /// engine run); returns the run's modeled seconds.
+  double fallback_solve(const la::Matrix& b, la::Matrix& x);
 
   Method method_;
   /// Always set. Owning when constructed from a shared_ptr; a non-owning
@@ -243,7 +255,6 @@ class Session {
   int last_retries_ = 0;  ///< transient-fault retries of the latest run
   std::uint64_t arena_allocs_prev_ = 0;  ///< slab allocs at the last telemetry check
   bool arena_warm_ = false;  ///< a solve has run; the arena should be steady
-  double last_phase_vtime_ = 0.0;  ///< rank-0 phase seconds of the latest helper run
   std::unique_ptr<btds::BandedLuFactorization> fallback_;
 
   // Per-rank factored state (indexed by rank; only the active method's

@@ -178,16 +178,16 @@ class Comm {
   /// Always counted in stats; advances the clock in ChargedFlops mode.
   void charge_flops(double f);
 
-  /// Current virtual time in seconds.
-  double vtime() const { return vtime_; }
+  /// Current virtual time in seconds. Folds the measured CPU time since
+  /// the last event first, so under MeasuredCpu every read is current
+  /// whether or not a tracer is installed.
+  double vtime() {
+    sync_compute();
+    return vtime_;
+  }
 
   /// Per-rank counters (final values collected by the engine).
   const RankStats& stats() const { return stats_; }
-
-  /// Fold measured CPU time since the last event into the clock. Called
-  /// automatically by send/recv; exposed so timing sections can close
-  /// before reading vtime().
-  void sync_compute();
 
   /// Install this rank's event buffer (engine-called; null = no tracing).
   void set_trace(obs::RankTrace* trace) { trace_ = trace; }
@@ -209,11 +209,11 @@ class Comm {
   par::Pool* pool() const { return pool_; }
 
   /// Current {vtime, wall} sample (folds pending measured compute first).
-  /// Used by the engine to anchor pool worker-lane spans on this rank's
-  /// virtual clock; requires tracing to be installed.
-  obs::TimeSample now_sample() { return trace_now(); }
+  /// Anchors trace spans, including pool worker-lane spans, on this
+  /// rank's virtual clock; requires tracing to be installed.
+  obs::TimeSample now_sample() { return {vtime(), trace_->wall_now()}; }
   static obs::TimeSample now_sample_thunk(void* ctx) {
-    return static_cast<Comm*>(ctx)->trace_now();
+    return static_cast<Comm*>(ctx)->now_sample();
   }
 
   /// Open an RAII phase span on this rank's trace (see ARDBT_TRACE_SPAN).
@@ -222,21 +222,15 @@ class Comm {
   obs::SpanScope trace_scope(obs::SpanKind kind, const char* name) {
     if constexpr (!obs::kTraceCompiledIn) return {};
     if (trace_ == nullptr) return {};
-    sync_compute();
-    return obs::SpanScope(trace_, kind, name, &Comm::trace_now_thunk, this);
+    return obs::SpanScope(trace_, kind, name, &Comm::now_sample_thunk, this);
   }
 
  private:
   void reset_cpu_baseline();
   double cpu_now() const;
-
-  obs::TimeSample trace_now() {
-    sync_compute();
-    return {vtime_, trace_->wall_now()};
-  }
-  static obs::TimeSample trace_now_thunk(void* ctx) {
-    return static_cast<Comm*>(ctx)->trace_now();
-  }
+  /// Fold measured CPU time since the last event into the clock (and into
+  /// stats().cpu_seconds). Every clock read and every send/recv calls it.
+  void sync_compute();
 
   World* world_;
   int rank_;

@@ -161,7 +161,6 @@ RunReport run(int nranks, const RankFn& fn, const EngineOptions& options) {
     }
     try {
       fn(comm);
-      comm.sync_compute();  // fold trailing compute into the clock
     } catch (const AbortedError&) {
       rank_error[static_cast<std::size_t>(r)] = std::current_exception();
       // This rank died of a dead peer; mark it dead too so failure
@@ -175,8 +174,9 @@ RunReport run(int nranks, const RankFn& fn, const EngineOptions& options) {
       world.dead[static_cast<std::size_t>(r)].store(true, std::memory_order_release);
       for (auto& mb : world.mailboxes) mb.interrupt();
     }
+    const double vtime = comm.vtime();  // folds trailing compute into the clock
     RankStats s = comm.stats();
-    s.virtual_time = comm.vtime();
+    s.virtual_time = vtime;
     report.ranks[static_cast<std::size_t>(r)] = s;
   }, "mpsim.run");
   const auto t1 = std::chrono::steady_clock::now();

@@ -142,11 +142,14 @@ TEST(Attribution, EmptyTracerIsBenign) {
 
 // --------------------------------------------- Engine-level invariants
 
+/// R = 256 puts M*R = 1024 doubles in each solve message: longer on the
+/// wire (8 KiB * beta) than the sender's alpha, so ranks wait for the
+/// scan and the critical path crosses ranks.
 void traced_session(obs::Tracer* tracer, int threads) {
   const la::index_t n = 64;
   const la::index_t m = 4;
   const auto sys = btds::make_problem(btds::ProblemKind::kDiagDominant, n, m);
-  const auto b = btds::make_rhs(n, m, 4);
+  const auto b = btds::make_rhs(n, m, 256);
   mpsim::EngineOptions engine;
   engine.timing = mpsim::TimingMode::ChargedFlops;
   engine.tracer = tracer;

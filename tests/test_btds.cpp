@@ -64,6 +64,18 @@ TEST(Spmv, ResidualOfExactSolutionIsZero) {
   EXPECT_LT(relative_residual(t, x, b), 1e-14);
 }
 
+TEST(Spmv, ApplyRejectsAWrongRowCount) {
+  const BlockTridiag t = make_problem(ProblemKind::kPoisson2D, 5, 2);
+  const Matrix x(t.dim() + 3, 2);
+  try {
+    (void)apply(t, x);
+    FAIL() << "expected fault::ShapeMismatchError";
+  } catch (const fault::ShapeMismatchError& e) {
+    EXPECT_EQ(e.got(), t.dim() + 3);
+    EXPECT_EQ(e.expected(), t.dim());
+  }
+}
+
 TEST(Spmv, ApplyFlopsPositiveAndScales) {
   EXPECT_GT(apply_flops(10, 4, 2), 0.0);
   EXPECT_GT(apply_flops(20, 4, 2), apply_flops(10, 4, 2));

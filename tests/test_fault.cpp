@@ -134,6 +134,19 @@ TEST(BandedLu, ReportsExactSingularity) {
   EXPECT_THROW(btds::BandedLuFactorization::factor(sys), fault::SingularPivotError);
 }
 
+TEST(BandedLu, SolveRejectsAWrongRowCount) {
+  const auto sys = make_problem(ProblemKind::kDiagDominant, 6, 2, 11);
+  const auto f = btds::BandedLuFactorization::factor(sys);
+  const la::Matrix b(sys.dim() + 2, 1);
+  try {
+    (void)f.solve(b);
+    FAIL() << "expected fault::ShapeMismatchError";
+  } catch (const fault::ShapeMismatchError& e) {
+    EXPECT_EQ(e.got(), sys.dim() + 2);
+    EXPECT_EQ(e.expected(), sys.dim());
+  }
+}
+
 // -------------------------------------------------------------- generators
 
 TEST(Generators, ConditionedSystemShowsPivotGrowth) {

@@ -180,7 +180,6 @@ TEST(Engine, MeasuredCpuModeAccumulatesCpuSeconds) {
     volatile double sink = 0.0;
     for (int chunk = 0; chunk < 100 && comm.vtime() == 0.0; ++chunk) {
       for (int i = 0; i < 4000000; ++i) sink = sink + static_cast<double>(i) * 1e-9;
-      comm.sync_compute();
     }
     EXPECT_GT(comm.vtime(), 0.0);
   });
@@ -225,6 +224,20 @@ int process_threads_settled(int expected) {
   for (int i = 0; i < 200 && n != expected; ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
     n = process_threads();
+  }
+  return n;
+}
+
+/// process_threads() once it has stopped falling: the same count for five
+/// polls 10 ms apart (or after ~2 s). Threads a previous test joined may
+/// still be counted until the kernel reaps them.
+int process_threads_after_reaping() {
+  int n = process_threads();
+  for (int i = 0, steady = 0; i < 200 && steady < 5; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    const int next = process_threads();
+    steady = next < n ? 0 : steady + 1;
+    n = std::min(n, next);
   }
   return n;
 }
@@ -306,7 +319,7 @@ TEST(EngineTeam, CleanRunAfterAFailedRunMatchesAFreshCaller) {
 }
 
 TEST(EngineTeam, ConcurrentCallersEachKeepTheirOwnTeam) {
-  const int before = process_threads();
+  const int before = process_threads_after_reaping();
   const EngineOptions options = charged_options();
   std::vector<RunReport> last(2);
   std::vector<std::thread> callers;

@@ -4,7 +4,6 @@
 
 #include "src/btds/generators.hpp"
 #include "src/btds/spmv.hpp"
-#include "src/la/lu.hpp"
 #include "src/mpsim/engine.hpp"
 #include "tests/run_ranks.hpp"
 
@@ -76,45 +75,6 @@ TEST(Refine, WorksOnSingleRank) {
     refine_rows(comm, f, sys, part, b, x);
   });
   EXPECT_LT(btds::relative_residual(sys, x, b), 1e-13);
-}
-
-TEST(ConditionEstimate, MatchesDenseOrderOfMagnitude) {
-  const la::index_t n = 12, m = 3;
-  const BlockTridiag sys = make_problem(ProblemKind::kPoisson2D, n, m);
-  double estimate = 0.0;
-  const btds::RowPartition part(n, 3);
-  test::run_ranks(3, [&](mpsim::Comm& comm) {
-    const auto f = ArdFactorization::factor(comm, sys, part);
-    const double local = condition_estimate(comm, f, sys, part, /*iters=*/10);
-    if (comm.rank() == 0) estimate = local;
-  });
-
-  // Dense reference kappa_inf.
-  Matrix dense(n * m, n * m);
-  for (la::index_t i = 0; i < n; ++i) {
-    la::copy(sys.diag(i).view(), dense.block(i * m, i * m, m, m));
-    if (i > 0) la::copy(sys.lower(i).view(), dense.block(i * m, (i - 1) * m, m, m));
-    if (i + 1 < n) la::copy(sys.upper(i).view(), dense.block(i * m, (i + 1) * m, m, m));
-  }
-  const double exact = la::condition_inf(dense.view());
-  EXPECT_GT(estimate, exact / 30.0);
-  EXPECT_LT(estimate, exact * 30.0);
-}
-
-TEST(ConditionEstimate, DistinguishesWellFromIllConditioned) {
-  double well = 0.0;
-  double ill = 0.0;
-  for (auto [kind, out] :
-       {std::pair{ProblemKind::kDiagDominant, &well}, {ProblemKind::kIllConditioned, &ill}}) {
-    const BlockTridiag sys = make_problem(kind, 32, 4);
-    const btds::RowPartition part(32, 2);
-    test::run_ranks(2, [&, kind = kind, out = out](mpsim::Comm& comm) {
-      const auto f = ArdFactorization::factor(comm, sys, part);
-      const double est = condition_estimate(comm, f, sys, part);
-      if (comm.rank() == 0) *out = est;
-    });
-  }
-  EXPECT_GT(ill, well);
 }
 
 }  // namespace

@@ -13,6 +13,7 @@
 #include "src/btds/partition.hpp"
 #include "src/btds/spmv.hpp"
 #include "src/obs/metrics.hpp"
+#include "src/obs/trace.hpp"
 
 namespace ardbt::core {
 namespace {
@@ -153,6 +154,38 @@ TEST(Session, RunsChainOnOneVirtualTimeline) {
   EXPECT_GT(after_factor, 0.0);
   EXPECT_GT(after_one, after_factor);
   EXPECT_GT(after_two, after_one);
+}
+
+TEST(Session, MeasuredPhaseTimesDoNotDependOnTracing) {
+  // Under MeasuredCpu a phase's time is its rank's folded CPU time. At
+  // P=1 nothing is sent, so only the clock read at the end of the run
+  // folds it: the value must not depend on a tracer's span boundaries.
+  const auto sys = make_problem(ProblemKind::kDiagDominant, 1024, 8);
+  const auto b = make_rhs(1024, 8, 16);
+  for (const bool traced : {false, true}) {
+    SCOPED_TRACE(traced ? "traced" : "untraced");
+    obs::Tracer tracer;
+    mpsim::EngineOptions engine;
+    engine.timing = mpsim::TimingMode::MeasuredCpu;
+    if (traced) engine.tracer = &tracer;
+    Session session(Method::kArd, sys, 1, {.engine = engine});
+    session.factor();
+    EXPECT_GT(session.factor_vtime(), 0.0);
+    EXPECT_EQ(session.factor_vtime(), session.report().ranks[0].cpu_seconds);
+    (void)session.solve(b);
+    ASSERT_EQ(session.solve_vtimes().size(), 1u);
+    EXPECT_GT(session.solve_vtimes()[0], 0.0);
+  }
+}
+
+TEST(Session, ServiceShapeSendsOnlyTheAlgorithmsMessages) {
+  // No barrier brackets a phase: an ARD factor plus one single-column
+  // solve at N=96, M=8, P=4 sends only its scans' 32 messages.
+  const auto sys = make_problem(ProblemKind::kDiagDominant, 96, 8);
+  Session session(Method::kArd, sys, 4, {.engine = charged()});
+  session.factor();
+  (void)session.solve(make_rhs(96, 8, 1));
+  EXPECT_EQ(session.report().totals().msgs_sent, 32u);
 }
 
 TEST(Session, ArdSolveIsArenaSteadyStateAfterFirstSolve) {

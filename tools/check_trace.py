@@ -199,8 +199,11 @@ def main():
     with tempfile.TemporaryDirectory() as tmp:
         trace_path = str(Path(tmp) / "trace.json")
         report_path = str(Path(tmp) / "report.json")
+        # R = 256 puts M*R = 1024 doubles in each solve message: longer on
+        # the wire (8 KiB * beta) than the sender's alpha, so ranks wait
+        # for the scan and the trace carries wait events.
         cmd = [cli, "--method", "ard", "--n", "64", "--m", "4", "--p", str(nranks),
-               "--r", "4", "--trace", trace_path, "--json", report_path]
+               "--r", "256", "--trace", trace_path, "--json", report_path]
         proc = subprocess.run(cmd, capture_output=True, text=True)
         if proc.returncode != 0:
             fail(f"{' '.join(cmd)} exited {proc.returncode}:\n{proc.stderr}")
