@@ -89,10 +89,7 @@ BandedLuFactorization BandedLuFactorization::factor(const BlockTridiag& t) {
 }
 
 Matrix BandedLuFactorization::solve(const Matrix& b) const {
-  if (b.rows() != nn_) {
-    throw fault::ShapeMismatchError("btds::BandedLuFactorization::solve", "b.rows() == N*M",
-                                    b.rows(), nn_);
-  }
+  require_rhs(nn_, b, "btds::BandedLuFactorization::solve");
   const index_t nn = nn_;
   const index_t kl = kl_;
   const index_t ku = ku_;

@@ -120,6 +120,24 @@ inline void require_rows(const BlockTridiag& t, index_t lo, index_t n, const cha
   }
 }
 
+/// The one right-hand-side shape check of the whole-system solves: throws
+/// fault::ShapeMismatchError from `where` unless `b` has `dim` (= N*M)
+/// rows. Under NDEBUG a wrong shape would otherwise be read out of bounds.
+inline void require_rhs(index_t dim, const Matrix& b, const char* where) {
+  if (b.rows() != dim) throw fault::ShapeMismatchError(where, "b.rows() == N*M", b.rows(), dim);
+}
+
+/// The same, and the solution `x` must have the shape of `b`.
+inline void require_rhs(index_t dim, const Matrix& b, const Matrix& x, const char* where) {
+  require_rhs(dim, b, where);
+  if (x.rows() != b.rows()) {
+    throw fault::ShapeMismatchError(where, "x.rows() == b.rows()", x.rows(), b.rows());
+  }
+  if (x.cols() != b.cols()) {
+    throw fault::ShapeMismatchError(where, "x.cols() == b.cols()", x.cols(), b.cols());
+  }
+}
+
 /// Mutable view of block row i of an (N*M) x R right-hand-side/solution
 /// matrix.
 inline la::MatrixView block_row(Matrix& x, index_t i, index_t m) {

@@ -1,7 +1,6 @@
 #include "src/btds/cyclic_reduction.hpp"
 
 #include "src/fault/status.hpp"
-#include <cassert>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -112,7 +111,7 @@ Matrix cyclic_reduction_solve(const BlockTridiag& t, const Matrix& b) {
   require_rows(t, 0, t.num_blocks(), "btds::cyclic_reduction_solve");
   const index_t n = t.num_blocks();
   const index_t m = t.block_size();
-  assert(b.rows() == t.dim());
+  require_rhs(t.dim(), b, "btds::cyclic_reduction_solve");
 
   Level lv;
   lv.lower.resize(static_cast<std::size_t>(n));

@@ -34,9 +34,4 @@ double relative_residual(const BlockTridiag& t, const Matrix& x, const Matrix& b
   return bn > 0.0 ? rn / bn : rn;
 }
 
-double apply_flops(index_t num_blocks, index_t block_size, index_t num_rhs) {
-  const double per_gemm = la::gemm_flops(block_size, num_rhs, block_size);
-  return (3.0 * static_cast<double>(num_blocks) - 2.0) * per_gemm;
-}
-
 }  // namespace ardbt::btds

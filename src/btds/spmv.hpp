@@ -20,7 +20,4 @@ double residual_fro(const BlockTridiag& t, const Matrix& x, const Matrix& b);
 /// tests and the accuracy table (T3).
 double relative_residual(const BlockTridiag& t, const Matrix& x, const Matrix& b);
 
-/// Flops of one application (three block gemms per row, minus boundaries).
-double apply_flops(index_t num_blocks, index_t block_size, index_t num_rhs);
-
 }  // namespace ardbt::btds

@@ -175,18 +175,7 @@ fault::PivotDiagnostics ArdFactorization::diagnostics() const {
 }
 
 void ArdFactorization::solve(mpsim::Comm& comm, const la::Matrix& b, la::Matrix& x) const {
-  if (b.rows() != n_ * m_) {
-    throw fault::ShapeMismatchError("core::ArdFactorization::solve", "b.rows() == N*M", b.rows(),
-                                    n_ * m_);
-  }
-  if (x.rows() != b.rows()) {
-    throw fault::ShapeMismatchError("core::ArdFactorization::solve", "x.rows() == b.rows()",
-                                    x.rows(), b.rows());
-  }
-  if (x.cols() != b.cols()) {
-    throw fault::ShapeMismatchError("core::ArdFactorization::solve", "x.cols() == b.cols()",
-                                    x.cols(), b.cols());
-  }
+  btds::require_rhs(n_ * m_, b, x, "core::ArdFactorization::solve");
   const la::MatrixView x_local = x.block(lo_ * m_, 0, (hi_ - lo_) * m_, b.cols());
   la::copy(b.block(lo_ * m_, 0, (hi_ - lo_) * m_, b.cols()), x_local);
   solve_inplace(comm, x_local);

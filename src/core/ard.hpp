@@ -141,7 +141,6 @@ class ArdFactorization {
 
   la::index_t num_blocks() const { return n_; }
   la::index_t block_size() const { return m_; }
-  la::index_t local_rows() const { return hi_ - lo_; }
 
   /// Approximate bytes of factored state held by this rank (T1's memory
   /// column): the segment factorization, its spikes' support (up to 2 M^2

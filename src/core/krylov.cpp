@@ -110,88 +110,6 @@ KrylovResult pcg(mpsim::Comm& comm, const btds::BlockTridiag& op,
   const Matrix final_res =
       btds::residual_distributed(comm, op, x_local.view(), b_local.view(), part);
   const auto fr2 = column_dots(comm, final_res, final_res);
-  if (!result.residual_norms.empty() || true) result.residual_norms.push_back(max_rel(fr2));
-  result.converged = result.residual_norms.back() <= tol;
-  return result;
-}
-
-KrylovResult bicgstab(mpsim::Comm& comm, const btds::BlockTridiag& op,
-                      const btds::RowPartition& part, const ArdFactorization* precond,
-                      const la::Matrix& b_local, la::Matrix& x_local, int max_iters,
-                      double tol) {
-  const index_t rows = b_local.rows();
-  const index_t r = b_local.cols();
-  const auto ur = static_cast<std::size_t>(r);
-  if (x_local.rows() != rows || x_local.cols() != r) x_local.resize(rows, r);
-
-  KrylovResult result;
-  const auto b_norm2 = column_dots(comm, b_local, b_local);
-  const auto max_rel = [&](const std::vector<double>& r2) {
-    double mx = 0.0;
-    for (std::size_t j = 0; j < r2.size(); ++j) {
-      const double denom = b_norm2[j] > 0.0 ? b_norm2[j] : 1.0;
-      mx = std::max(mx, std::sqrt(std::max(r2[j], 0.0) / denom));
-    }
-    return mx;
-  };
-
-  // r = b - A x; rhat = r (shadow residual).
-  Matrix residual = btds::residual_distributed(comm, op, x_local.view(), b_local.view(), part);
-  const Matrix rhat = residual;
-
-  std::vector<double> rho(ur, 1.0), alpha(ur, 1.0), omega(ur, 1.0);
-  Matrix v(rows, r), p(rows, r);
-
-  for (int it = 0; it < max_iters; ++it) {
-    const auto r2 = column_dots(comm, residual, residual);
-    result.residual_norms.push_back(max_rel(r2));
-    if (result.residual_norms.back() <= tol) {
-      result.converged = true;
-      break;
-    }
-
-    const auto rho_new = column_dots(comm, rhat, residual);
-    for (index_t i = 0; i < rows; ++i) {
-      for (index_t j = 0; j < r; ++j) {
-        const auto uj = static_cast<std::size_t>(j);
-        const double beta =
-            (rho[uj] != 0.0 && omega[uj] != 0.0) ? (rho_new[uj] / rho[uj]) * (alpha[uj] / omega[uj])
-                                                 : 0.0;
-        p(i, j) = residual(i, j) + beta * (p(i, j) - omega[uj] * v(i, j));
-      }
-    }
-    rho = rho_new;
-
-    const Matrix p_hat = precondition(comm, precond, p);
-    v = btds::apply_distributed(comm, op, p_hat.view(), part);
-    const auto rhat_v = column_dots(comm, rhat, v);
-    for (std::size_t j = 0; j < ur; ++j) alpha[j] = rhat_v[j] != 0.0 ? rho[j] / rhat_v[j] : 0.0;
-
-    Matrix s = residual;
-    for (index_t i = 0; i < rows; ++i) {
-      for (index_t j = 0; j < r; ++j) s(i, j) -= alpha[static_cast<std::size_t>(j)] * v(i, j);
-    }
-
-    const Matrix s_hat = precondition(comm, precond, s);
-    const Matrix t = btds::apply_distributed(comm, op, s_hat.view(), part);
-    const auto ts = column_dots(comm, t, s);
-    const auto tt = column_dots(comm, t, t);
-    for (std::size_t j = 0; j < ur; ++j) omega[j] = tt[j] != 0.0 ? ts[j] / tt[j] : 0.0;
-
-    for (index_t i = 0; i < rows; ++i) {
-      for (index_t j = 0; j < r; ++j) {
-        const auto uj = static_cast<std::size_t>(j);
-        x_local(i, j) += alpha[uj] * p_hat(i, j) + omega[uj] * s_hat(i, j);
-        residual(i, j) = s(i, j) - omega[uj] * t(i, j);
-      }
-    }
-    ++result.iterations;
-  }
-
-  // Exact final residual.
-  const Matrix final_res =
-      btds::residual_distributed(comm, op, x_local.view(), b_local.view(), part);
-  const auto fr2 = column_dots(comm, final_res, final_res);
   result.residual_norms.push_back(max_rel(fr2));
   result.converged = result.residual_norms.back() <= tol;
   return result;

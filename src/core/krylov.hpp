@@ -47,12 +47,4 @@ KrylovResult pcg(mpsim::Comm& comm, const btds::BlockTridiag& op,
                  const la::Matrix& b_local, la::Matrix& x_local, int max_iters = 100,
                  double tol = 1e-10);
 
-/// Collective. Preconditioned BiCGStab (van der Vorst) for general
-/// (nonsymmetric) operators, same conventions as pcg. Each iteration
-/// costs two halo applies and two preconditioner solves.
-KrylovResult bicgstab(mpsim::Comm& comm, const btds::BlockTridiag& op,
-                      const btds::RowPartition& part, const ArdFactorization* precond,
-                      const la::Matrix& b_local, la::Matrix& x_local, int max_iters = 100,
-                      double tol = 1e-10);
-
 }  // namespace ardbt::core

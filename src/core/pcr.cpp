@@ -245,7 +245,7 @@ void PcrFactorization::solve(mpsim::Comm& comm, const la::Matrix& b, la::Matrix&
   const index_t m = m_;
   const index_t nloc = hi_ - lo_;
   const index_t r = b.cols();
-  assert(b.rows() == n * m && x.rows() == b.rows() && x.cols() == r);
+  btds::require_rhs(n * m, b, x, "core::PcrFactorization::solve");
   const auto uz = [](index_t k) { return static_cast<std::size_t>(k); };
 
   Matrix b_cur(nloc * m, r);

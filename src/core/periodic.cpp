@@ -1,7 +1,5 @@
 #include "src/core/periodic.hpp"
 
-#include <cassert>
-
 #include "src/btds/spmv.hpp"
 #include "src/fault/status.hpp"
 #include "src/la/blas1.hpp"
@@ -53,8 +51,12 @@ PeriodicArdFactorization PeriodicArdFactorization::factor(
   if (n < 3) {
     throw fault::InvalidArgumentError("core::PeriodicArdFactorization::factor", "N >= 3 required");
   }
-  assert(corner_lower.rows() == m && corner_lower.cols() == m);
-  assert(corner_upper.rows() == m && corner_upper.cols() == m);
+  for (const Matrix* corner : {&corner_lower, &corner_upper}) {
+    if (corner->rows() != m || corner->cols() != m) {
+      throw fault::ShapeMismatchError("core::PeriodicArdFactorization::factor",
+                                      "corner is M x M", corner->rows() * corner->cols(), m * m);
+    }
+  }
 
   PeriodicArdFactorization f;
   f.rank_ = comm.rank();
@@ -91,7 +93,7 @@ void PeriodicArdFactorization::solve(mpsim::Comm& comm, const la::Matrix& b,
   const index_t m = m_;
   const index_t nloc = hi_ - lo_;
   const index_t r = b.cols();
-  assert(b.rows() == n_ * m && x.rows() == b.rows() && x.cols() == r);
+  btds::require_rhs(n_ * m, b, x, "core::PeriodicArdFactorization::solve");
 
   // y = T^{-1} b (local slice).
   Matrix y(nloc * m, r);

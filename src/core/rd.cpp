@@ -1,7 +1,5 @@
 #include "src/core/rd.hpp"
 
-#include <cassert>
-
 namespace ardbt::core {
 
 void rd_solve(mpsim::Comm& comm, const btds::BlockTridiag& sys, const btds::RowPartition& part,
@@ -14,7 +12,7 @@ void rd_solve(mpsim::Comm& comm, const btds::BlockTridiag& sys, const btds::RowP
 void rd_solve_per_rhs(mpsim::Comm& comm, const btds::BlockTridiag& sys,
                       const btds::RowPartition& part, const la::Matrix& b, la::Matrix& x,
                       const ArdOptions& opts) {
-  assert(x.rows() == b.rows() && x.cols() == b.cols());
+  btds::require_rhs(sys.dim(), b, x, "core::rd_solve_per_rhs");
   const la::index_t rows = b.rows();
   const la::index_t lo = part.begin(comm.rank()) * sys.block_size();
   const la::index_t hi = part.end(comm.rank()) * sys.block_size();

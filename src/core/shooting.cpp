@@ -1,6 +1,5 @@
 #include "src/core/shooting.hpp"
 
-#include <cassert>
 #include <cmath>
 #include <utility>
 
@@ -42,7 +41,7 @@ la::Matrix shooting_solve(const btds::BlockTridiag& sys, const la::Matrix& b) {
   const index_t n = sys.num_blocks();
   const index_t m = sys.block_size();
   const index_t r = b.cols();
-  assert(b.rows() == sys.dim());
+  btds::require_rhs(sys.dim(), b, "core::shooting_solve");
 
   AffinePrefix p{.s = Matrix::identity(2 * m), .v = Matrix(2 * m, r), .c = 1.0};
   std::vector<la::LuFactors> c_lus(static_cast<std::size_t>(n - 1));

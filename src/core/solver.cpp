@@ -188,6 +188,14 @@ void Session::log_outcome(const SolveOutcome& outcome) {
   }
 }
 
+void Session::record_outcome(SolveOutcome outcome) {
+  log_outcome(outcome);
+  const bool untroubled_solve = outcome.phase == "solve" && outcome.action == "ok" &&
+                                outcome.retries == 0 && outcome.residual < 0.0;
+  if (!untroubled_solve) outcomes_.push_back(outcome);
+  last_outcome_ = std::move(outcome);
+}
+
 void Session::dump_postmortem(const char* phase, fault::ErrorCode code,
                               const std::string& message) {
   const std::string_view reason = fault::to_string(code);
@@ -357,16 +365,14 @@ void Session::factor() {
     SolveOutcome outcome{.phase = "factor", .status = e.status(), .retries = last_retries_};
     if (policy == fault::BreakdownPolicy::kFailFast) {
       outcome.action = "failfast";
-      log_outcome(outcome);
-      outcomes_.push_back(std::move(outcome));
+      record_outcome(std::move(outcome));
       throw;
     }
     ensure_fallback();
     degraded_ = true;
     outcome.action = "fallback";
     outcome.detail = "banded-LU fallback factored; session degraded to the exact path";
-    log_outcome(outcome);
-    outcomes_.push_back(std::move(outcome));
+    record_outcome(std::move(outcome));
     factored_ = true;
     return;
   }
@@ -383,8 +389,7 @@ void Session::factor() {
     if (policy == fault::BreakdownPolicy::kFailFast) {
       outcome.status = fault::Status::error(fault::ErrorCode::kBreakdown, message);
       outcome.action = "failfast";
-      log_outcome(outcome);
-      outcomes_.push_back(std::move(outcome));
+      record_outcome(std::move(outcome));
       dump_postmortem("driver.factor", fault::ErrorCode::kBreakdown, message);
       throw fault::BreakdownError("core::Session::factor", pivot_growth_,
                                   opts_.breakdown_growth_threshold);
@@ -395,8 +400,7 @@ void Session::factor() {
     outcome.detail = "breakdown flagged; solves take the recovery rung";
     dump_postmortem("driver.factor", fault::ErrorCode::kBreakdown, message);
   }
-  log_outcome(outcome);
-  outcomes_.push_back(std::move(outcome));
+  record_outcome(std::move(outcome));
   factor_vtime_ = vtime;
   if (method_ == Method::kArd) storage_bytes_ = ard_[0].storage_bytes();
   if (method_ == Method::kPcr) storage_bytes_ = pcr_[0].storage_bytes();
@@ -454,18 +458,7 @@ la::Matrix Session::solve(const la::Matrix& b) {
 }
 
 void Session::solve(const la::Matrix& b, la::Matrix& x) {
-  if (b.rows() != sys_->num_blocks() * sys_->block_size()) {
-    throw fault::ShapeMismatchError("core::Session::solve", "b.rows() == num_blocks*block_size",
-                                    b.rows(), sys_->num_blocks() * sys_->block_size());
-  }
-  if (x.rows() != b.rows()) {
-    throw fault::ShapeMismatchError("core::Session::solve", "x.rows() == b.rows()", x.rows(),
-                                    b.rows());
-  }
-  if (x.cols() != b.cols()) {
-    throw fault::ShapeMismatchError("core::Session::solve", "x.cols() == b.cols()", x.cols(),
-                                    b.cols());
-  }
+  btds::require_rhs(sys_->dim(), b, x, "core::Session::solve");
   factor();
   const fault::BreakdownPolicy policy = engine_.on_breakdown;
 
@@ -483,8 +476,7 @@ void Session::solve(const la::Matrix& b, la::Matrix& x) {
                          .retries = last_retries_,
                          .residual = btds::relative_residual(*sys_, x, b),
                          .pivot_growth = pivot_growth_};
-    log_outcome(outcome);
-    outcomes_.push_back(std::move(outcome));
+    record_outcome(std::move(outcome));
     return;
   }
 
@@ -550,8 +542,7 @@ void Session::solve(const la::Matrix& b, la::Matrix& x) {
     }
   }
   solve_vtimes_.push_back(vtime);
-  log_outcome(outcome);
-  outcomes_.push_back(std::move(outcome));
+  record_outcome(std::move(outcome));
 }
 
 DriverResult solve(Method method, const btds::BlockTridiag& sys, const la::Matrix& b, int nranks,

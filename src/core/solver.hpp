@@ -1,6 +1,7 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -81,7 +82,7 @@ struct SessionConfig {
 
 /// One entry of the session's robustness log: what happened during a
 /// factor or solve phase and what the driver did about it. An untroubled
-/// phase records {status ok, action "ok"}; a degraded one records the
+/// phase reads {status ok, action "ok"}; a degraded one records the
 /// triggering error and the recovery rung taken.
 struct SolveOutcome {
   std::string phase;       ///< "factor" or "solve"
@@ -190,14 +191,15 @@ class Session {
   void set_telemetry(const obs::live::Telemetry& telemetry);
   const obs::live::Telemetry& telemetry() const { return telemetry_; }
 
-  /// Robustness log, one entry per factor/solve phase (see SolveOutcome).
+  /// Robustness log (see SolveOutcome): one entry per factor phase and per
+  /// troubled solve batch. An untroubled solve (action "ok", no retries,
+  /// no residual computed) is not logged, so a long-lived session's log
+  /// does not grow with the batches it serves.
   const std::vector<SolveOutcome>& outcomes() const { return outcomes_; }
-  /// Latest ladder entry, or nullptr before any phase ran. Service-layer
-  /// callers read it to attach the triggering status and recovery rung of
-  /// a degraded solve to the Completion they hand back.
-  const SolveOutcome* last_outcome() const {
-    return outcomes_.empty() ? nullptr : &outcomes_.back();
-  }
+  /// Latest phase's outcome, logged or not; nullptr before any phase ran.
+  /// Service-layer callers read it to attach the triggering status and
+  /// recovery rung of a degraded solve to the Completion they hand back.
+  const SolveOutcome* last_outcome() const { return last_outcome_ ? &*last_outcome_ : nullptr; }
   /// True once the session runs on the exact banded-LU fallback.
   bool degraded() const { return degraded_; }
   /// True when the breakdown monitor flagged the fast factorization
@@ -219,6 +221,9 @@ class Session {
   /// Structured log record for a ladder outcome (info when untroubled,
   /// warn when a recovery rung was taken).
   void log_outcome(const SolveOutcome& outcome);
+  /// Log `outcome`, make it the last_outcome(), and append it to
+  /// outcomes() unless it is an untroubled solve.
+  void record_outcome(SolveOutcome outcome);
   /// Write the postmortem bundle (no-op without a postmortem_path). The
   /// code classifies the incident; its stable name becomes the reason.
   void dump_postmortem(const char* phase, fault::ErrorCode code, const std::string& message);
@@ -249,6 +254,7 @@ class Session {
 
   // Robustness state (see docs/ROBUSTNESS.md).
   std::vector<SolveOutcome> outcomes_;
+  std::optional<SolveOutcome> last_outcome_;
   bool degraded_ = false;   ///< solves go through the banded-LU fallback
   bool breakdown_ = false;  ///< monitor flagged the fast factorization
   double pivot_growth_ = 0.0;

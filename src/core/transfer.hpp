@@ -41,7 +41,4 @@ Matrix build_theta(const Matrix& d, const Matrix* a, const la::LuFactors* c_lu);
 /// applied exponent (for diagnostics).
 int rescale_pow2(la::MatrixView m);
 
-/// Combined rescale of the stacked pair [Z; Y] held as one 2M x M matrix.
-inline int rescale_pair(la::MatrixView zy) { return rescale_pow2(zy); }
-
 }  // namespace ardbt::core

@@ -202,7 +202,7 @@ void TransferRdFactorization::solve(mpsim::Comm& comm, const la::Matrix& b, la::
   const la::index_t m = m_;
   const la::index_t nloc = hi_ - lo_;
   const la::index_t r = b.cols();
-  assert(b.rows() == n_ * m_ && x.rows() == b.rows() && x.cols() == r);
+  btds::require_rhs(n_ * m, b, x, "core::TransferRdFactorization::solve");
   const auto uz = [](la::index_t k) { return static_cast<std::size_t>(k); };
 
   // Forward sweep, pass 1 (zero entry value): w_k = b_i - Phi_i w_{k-1}.

@@ -151,14 +151,6 @@ std::vector<FaultEvent> FaultPlan::detected() const {
   return all;
 }
 
-std::size_t FaultPlan::event_count() const {
-  std::size_t n = 0;
-  for (const RankState& state : per_rank_) {
-    n += state.injected.size() + state.detected.size();
-  }
-  return n;
-}
-
 std::uint64_t checksum(std::span<const std::byte> bytes) {
   std::uint64_t h = 0xcbf29ce484222325ull;
   for (const std::byte b : bytes) {

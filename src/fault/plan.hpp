@@ -131,8 +131,6 @@ class FaultPlan {
   /// Logs merged over ranks in (rank, time) order; call after the run.
   std::vector<FaultEvent> injected() const;
   std::vector<FaultEvent> detected() const;
-  /// injected().size() + detected().size() without the copies.
-  std::size_t event_count() const;
 
  private:
   struct RankState {

@@ -278,7 +278,7 @@ std::optional<BreakdownPolicy> parse_breakdown_policy(std::string_view name);
 enum class AlertKind : std::uint8_t {
   kStraggler,       ///< one rank's wait fraction far above the fleet median
   kDeadlineMiss,    ///< a receive exceeded its deadline during the run
-  kArenaPressure,   ///< arena high-watermark close to its reserved capacity
+  kArenaPressure,   ///< workspace arena still growing after steady state
   kCostModelDrift,  ///< measured/predicted phase time outside the threshold
   kTraceDrop,       ///< a bounded trace/recorder ring overwrote events
   kShedStorm,       ///< the service shed a large share of offered load

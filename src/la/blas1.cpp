@@ -15,31 +15,6 @@ void scal(double alpha, std::span<double> x) {
   for (auto& v : x) v *= alpha;
 }
 
-double dot(std::span<const double> x, std::span<const double> y) {
-  assert(x.size() == y.size());
-  double s = 0.0;
-  const std::size_t n = x.size();
-  for (std::size_t i = 0; i < n; ++i) s += x[i] * y[i];
-  return s;
-}
-
-double nrm2(std::span<const double> x) {
-  // Scaled accumulation to avoid overflow for large entries.
-  double scale = 0.0;
-  double ssq = 1.0;
-  for (double v : x) {
-    if (v == 0.0) continue;
-    const double a = std::abs(v);
-    if (scale < a) {
-      ssq = 1.0 + ssq * (scale / a) * (scale / a);
-      scale = a;
-    } else {
-      ssq += (a / scale) * (a / scale);
-    }
-  }
-  return scale * std::sqrt(ssq);
-}
-
 double amax(std::span<const double> x) {
   double m = 0.0;
   for (double v : x) m = std::max(m, std::abs(v));
@@ -77,16 +52,6 @@ double norm_inf(ConstMatrixView a) {
 double norm_max(ConstMatrixView a) {
   double m = 0.0;
   for (index_t i = 0; i < a.rows(); ++i) m = std::max(m, amax(a.row(i)));
-  return m;
-}
-
-double norm_one(ConstMatrixView a) {
-  double m = 0.0;
-  for (index_t j = 0; j < a.cols(); ++j) {
-    double s = 0.0;
-    for (index_t i = 0; i < a.rows(); ++i) s += std::abs(a(i, j));
-    m = std::max(m, s);
-  }
   return m;
 }
 

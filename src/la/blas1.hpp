@@ -17,12 +17,6 @@ void axpy(double alpha, std::span<const double> x, std::span<double> y);
 /// x *= alpha.
 void scal(double alpha, std::span<double> x);
 
-/// Dot product <x, y>.
-double dot(std::span<const double> x, std::span<const double> y);
-
-/// Euclidean norm of a vector.
-double nrm2(std::span<const double> x);
-
 /// Max-abs element of a vector (0 for empty).
 double amax(std::span<const double> x);
 
@@ -34,9 +28,6 @@ double norm_inf(ConstMatrixView a);
 
 /// Max absolute element of a matrix view.
 double norm_max(ConstMatrixView a);
-
-/// 1-norm (max absolute column sum).
-double norm_one(ConstMatrixView a);
 
 /// B += alpha * A elementwise (shapes must match).
 void matrix_axpy(double alpha, ConstMatrixView a, MatrixView b);

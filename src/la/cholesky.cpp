@@ -63,34 +63,4 @@ void cholesky_solve_inplace(ConstMatrixView l, MatrixView b) {
   }
 }
 
-CholeskyFactors cholesky_factor(ConstMatrixView a) {
-  CholeskyFactors f;
-  f.l = to_matrix(a);
-  static_cast<CholeskyInPlaceInfo&>(f) = cholesky_factor_inplace(f.l.view());
-  // Keep only the finished columns' lower triangle: the strict upper
-  // triangle, and the columns a failed factorization never reached, are 0.
-  const index_t n = f.n();
-  const index_t done = f.ok() ? n : f.info - 1;
-  for (index_t i = 0; i < n; ++i) {
-    for (index_t j = 0; j < n; ++j) {
-      if (j > i || j >= done) f.l(i, j) = 0.0;
-    }
-  }
-  return f;
-}
-
-void cholesky_solve_inplace(const CholeskyFactors& f, MatrixView b) {
-  if (!f.ok()) {
-    throw fault::SingularPivotError(fault::ErrorCode::kNonSpdPivot, "la::cholesky_solve", -1,
-                                    static_cast<std::int64_t>(f.info - 1), f.growth());
-  }
-  cholesky_solve_inplace(f.l.view(), b);
-}
-
-Matrix cholesky_solve(const CholeskyFactors& f, ConstMatrixView b) {
-  Matrix x = to_matrix(b);
-  cholesky_solve_inplace(f, x.view());
-  return x;
-}
-
 }  // namespace ardbt::la

@@ -2,7 +2,6 @@
 
 #include <limits>
 
-#include "src/fault/status.hpp"
 #include "src/la/matrix.hpp"
 
 /// \file cholesky.hpp
@@ -10,8 +9,8 @@
 /// matrices (LAPACK potrf/potrs contract): roughly half the work of LU
 /// and unconditionally stable — the fast path for SPD pivot blocks (e.g.
 /// symmetric diffusion operators); see ThomasFactorization's pivot option.
-/// Solving with a failed factorization throws fault::SingularPivotError
-/// (code kNonSpdPivot) — loud in release builds.
+/// The kernels work in place on views; a failed factorization is reported
+/// through CholeskyInPlaceInfo, and the caller raises the typed error.
 
 namespace ardbt::la {
 
@@ -33,13 +32,6 @@ struct CholeskyInPlaceInfo {
   }
 };
 
-/// Lower-triangular factor with its diagnostics.
-struct CholeskyFactors : CholeskyInPlaceInfo {
-  Matrix l;  ///< lower triangle holds L; strict upper triangle is zero
-
-  index_t n() const { return l.rows(); }
-};
-
 /// Factor the symmetric view in place: its lower triangle (the only part
 /// read) becomes L, column by column, and the strict upper triangle is
 /// left untouched. Stops at the first non-positive pivot. This is the
@@ -49,21 +41,5 @@ CholeskyInPlaceInfo cholesky_factor_inplace(MatrixView a);
 /// B := A^{-1} B via two triangular solves with the lower triangle of
 /// `l` (caller-owned factors; the caller checked ok() at factor time).
 void cholesky_solve_inplace(ConstMatrixView l, MatrixView b);
-
-/// Factor a copy of the symmetric matrix `a` (only its lower triangle is
-/// read).
-CholeskyFactors cholesky_factor(ConstMatrixView a);
-
-/// B := A^{-1} B via two triangular solves.
-void cholesky_solve_inplace(const CholeskyFactors& f, MatrixView b);
-
-/// Returns A^{-1} B.
-Matrix cholesky_solve(const CholeskyFactors& f, ConstMatrixView b);
-
-/// Flop count (n^3 / 3).
-inline double cholesky_factor_flops(index_t n) {
-  const double dn = static_cast<double>(n);
-  return dn * dn * dn / 3.0;
-}
 
 }  // namespace ardbt::la

@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <utility>
 
-#include "src/la/blas1.hpp"
 #include "src/la/shape_check.hpp"
 #include "src/la/smallblock/smallblock.hpp"
 #include "src/la/workspace.hpp"
@@ -154,6 +152,10 @@ void lu_solve_inplace(const LuFactors& f, std::span<double> b) {
   lu_solve_inplace(f, v);
 }
 
+namespace {
+
+/// B := A^{-T} B using the same factors (getrs with trans='T'):
+/// A^T = U^T L^T P, so solve U^T s = B, L^T t = s, B = P^{-1} t.
 void lu_solve_transposed_inplace(const LuFactors& f, MatrixView b) {
   require_ok(f, "la::lu_solve_transposed");
   const index_t n = f.n();
@@ -191,11 +193,7 @@ void lu_solve_transposed_inplace(const LuFactors& f, MatrixView b) {
   }
 }
 
-Matrix right_divide(ConstMatrixView b, const LuFactors& f) {
-  Matrix bt = transposed(b);
-  lu_solve_transposed_inplace(f, bt.view());
-  return transposed(bt.view());
-}
+}  // namespace
 
 Matrix right_divide(ConstMatrixView b, const LuFactors& f, Workspace* ws) {
   Matrix bt = ws_acquire(ws, b.cols(), b.rows());
@@ -219,14 +217,6 @@ Matrix inverse(ConstMatrixView a) {
   Matrix inv = Matrix::identity(a.rows());
   lu_solve_inplace(f, inv.view());
   return inv;
-}
-
-double condition_inf(ConstMatrixView a) {
-  const LuFactors f = lu_factor(a);
-  if (!f.ok()) return std::numeric_limits<double>::infinity();
-  Matrix inv = Matrix::identity(a.rows());
-  lu_solve_inplace(f, inv.view());
-  return norm_inf(a) * norm_inf(inv.view());
 }
 
 }  // namespace ardbt::la

@@ -77,28 +77,17 @@ Matrix lu_solve(const LuFactors& f, ConstMatrixView b);
 /// Single right-hand side, in place.
 void lu_solve_inplace(const LuFactors& f, std::span<double> b);
 
-/// B := A^{-T} B using the same factors (getrs with trans='T'):
-/// A^T = U^T L^T P, so solve U^T s = B, L^T t = s, B = P^{-1} t.
-void lu_solve_transposed_inplace(const LuFactors& f, MatrixView b);
-
-/// Right division: returns X = B A^{-1} (i.e. solves X A = B) via the
-/// transposed system. B has any number of rows and n columns.
-Matrix right_divide(ConstMatrixView b, const LuFactors& f);
-
 class Workspace;
 
-/// Workspace-backed right division: the transpose scratch and the result
-/// both come from `ws` (result storage returns to the pool when the
-/// caller releases it). `ws == nullptr` behaves exactly like the
-/// two-argument overload; results are bit-identical either way.
-Matrix right_divide(ConstMatrixView b, const LuFactors& f, Workspace* ws);
+/// Right division: returns X = B A^{-1} (i.e. solves X A = B) via the
+/// transposed system A^T X^T = B^T. B has any number of rows and n
+/// columns. With a `ws`, the transpose scratch and the result come from
+/// it (result storage returns to the pool when the caller releases it);
+/// results are bit-identical with or without one.
+Matrix right_divide(ConstMatrixView b, const LuFactors& f, Workspace* ws = nullptr);
 
 /// Explicit inverse via LU (test/diagnostic utility; solvers never call it).
 Matrix inverse(ConstMatrixView a);
-
-/// Cheap infinity-norm condition estimate via the explicit inverse.
-/// Intended for the small (M x M, 2M x 2M) blocks this library handles.
-double condition_inf(ConstMatrixView a);
 
 /// Flop counts (LAPACK conventions).
 inline double lu_factor_flops(index_t n) {

@@ -38,9 +38,4 @@ void Workspace::release(Matrix&& m) {
   pool_.emplace(cap, std::move(storage));
 }
 
-void Workspace::trim() {
-  pool_.clear();
-  pooled_bytes_ = 0;
-}
-
 }  // namespace ardbt::la

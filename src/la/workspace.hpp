@@ -54,9 +54,6 @@ class Workspace {
   /// Buffers currently sitting in the free list.
   std::size_t pooled_buffers() const { return pool_.size(); }
 
-  /// Drop all pooled buffers (stats are kept; they are monotonic).
-  void trim();
-
  private:
   std::multimap<std::size_t, Storage> pool_;  // capacity -> storage
   Stats stats_;

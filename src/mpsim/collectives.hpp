@@ -1,6 +1,5 @@
 #pragma once
 
-#include <cstdint>
 #include <optional>
 #include <span>
 #include <utility>
@@ -9,18 +8,15 @@
 #include "src/mpsim/comm.hpp"
 
 /// \file collectives.hpp
-/// MPI-style collectives built from point-to-point messages with the
-/// classic tree/hypercube algorithms, so the virtual-time engine charges
-/// the textbook O(log P) / O(P) costs:
-///   barrier    — dissemination, ceil(log2 P) rounds
-///   bcast      — binomial tree
-///   reduce     — binomial tree (mirror of bcast)
-///   allreduce  — reduce + bcast
-///   gather(v)  — direct to root (result collection, not perf critical)
-///   allgather  — ring, P-1 steps
-///   exscan     — hypercube, correct for non-commutative operators and any
-///                P; its deterministic schedule is exposed so the
-///                accelerated solver can replay it with cached operands.
+/// The MPI-style collectives the solvers use, built from point-to-point
+/// messages with the classic tree/hypercube algorithms, so the
+/// virtual-time engine charges the textbook O(log P) costs:
+///   barrier        — dissemination, ceil(log2 P) rounds
+///   bcast          — binomial tree
+///   allreduce_sum  — binomial-tree reduce to rank 0, then bcast
+///   exscan         — hypercube, correct for non-commutative operators and
+///                    any P; its deterministic schedule is exposed so the
+///                    accelerated solver can replay it with cached operands.
 
 namespace ardbt::mpsim {
 
@@ -29,8 +25,6 @@ namespace tags {
 inline constexpr int kBarrier = 1 << 24;
 inline constexpr int kBcast = (1 << 24) + 1;
 inline constexpr int kReduce = (1 << 24) + 2;
-inline constexpr int kGather = (1 << 24) + 3;
-inline constexpr int kAllgather = (1 << 24) + 4;
 inline constexpr int kExscan = (1 << 24) + 5;
 }  // namespace tags
 
@@ -41,30 +35,8 @@ void barrier(Comm& comm);
 /// must pass a buffer of identical size.
 void bcast(Comm& comm, std::span<double> data, int root);
 
-/// Elementwise-sum reduction into `inout` at `root` (binomial tree). On
-/// non-root ranks `inout` is consumed as the local contribution and left
-/// unspecified afterwards.
-void reduce_sum(Comm& comm, std::span<double> inout, int root);
-
-/// Elementwise-sum allreduce (reduce to 0, then bcast).
+/// Elementwise-sum allreduce (binomial-tree reduce to rank 0, then bcast).
 void allreduce_sum(Comm& comm, std::span<double> inout);
-
-/// Elementwise-max allreduce.
-void allreduce_max(Comm& comm, std::span<double> inout);
-
-/// Gather equal-size contributions to `root`. On root, `out` must have
-/// size P * send.size() and receives rank blocks in rank order; on other
-/// ranks `out` is ignored.
-void gather(Comm& comm, std::span<const double> send, std::span<double> out, int root);
-
-/// Gather variable-size contributions to `root`. `counts` (significant at
-/// root only) lists each rank's element count; blocks land in rank order.
-void gatherv(Comm& comm, std::span<const double> send, std::span<const std::int64_t> counts,
-             std::span<double> out, int root);
-
-/// Ring allgather of equal-size contributions; `out` has size
-/// P * send.size() on every rank.
-void allgather(Comm& comm, std::span<const double> send, std::span<double> out);
 
 /// One step of the hypercube exscan schedule. `partner_is_lower` is true
 /// when the partner's block covers strictly lower ranks than ours.
@@ -105,21 +77,5 @@ std::optional<T> exscan(Comm& comm, T local, Op op, Ser ser, Des des) {
   }
   return result;
 }
-
-/// Generic inclusive scan: the combined value over all ranks up to and
-/// including this one. Same operator contract as exscan.
-template <typename T, typename Op, typename Ser, typename Des>
-T scan(Comm& comm, const T& local, Op op, Ser ser, Des des) {
-  T mine = local;
-  std::optional<T> lower = exscan(comm, std::move(mine), op, ser, des);
-  return lower ? op(*lower, local) : local;
-}
-
-/// Convenience exscan over doubles with elementwise sum; rank 0 receives
-/// zeros. Used by tests to validate the schedule against a plain formula.
-std::vector<double> exscan_sum(Comm& comm, std::span<const double> local);
-
-/// Convenience inclusive scan over doubles with elementwise sum.
-std::vector<double> scan_sum(Comm& comm, std::span<const double> local);
 
 }  // namespace ardbt::mpsim

@@ -166,14 +166,6 @@ class Comm {
     return v;
   }
 
-  /// Symmetric exchange with one peer: eager send, then receive. Safe for
-  /// pairwise exchange patterns because sends never block.
-  template <typename T>
-  void sendrecv(int peer, int tag, std::span<const T> out, std::span<T> in) {
-    send(peer, tag, out);
-    recv_into(peer, tag, in);
-  }
-
   /// Report `f` floating-point operations performed since the last event.
   /// Always counted in stats; advances the clock in ChargedFlops mode.
   void charge_flops(double f);

@@ -53,7 +53,6 @@ class Snapshotter {
   void force(double vtime_s);
 
   std::uint64_t snapshots_written() const { return written_; }
-  double next_due_s() const { return next_due_; }
 
  private:
   void emit(double vtime_s);

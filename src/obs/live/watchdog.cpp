@@ -80,24 +80,6 @@ std::size_t Watchdogs::check_ranks(const std::vector<RankSample>& samples, doubl
   return raised;
 }
 
-std::size_t Watchdogs::check_arena(const char* name, std::size_t high_watermark_bytes,
-                                   std::size_t capacity_bytes, double vtime_s) {
-  if (capacity_bytes == 0) return 0;
-  const double frac =
-      static_cast<double>(high_watermark_bytes) / static_cast<double>(capacity_bytes);
-  if (frac < options_.arena_fraction) return 0;
-  Json fields = Json::object();
-  fields.set("arena", name);
-  fields.set("high_watermark_bytes", static_cast<std::uint64_t>(high_watermark_bytes));
-  fields.set("capacity_bytes", static_cast<std::uint64_t>(capacity_bytes));
-  fields.set("fraction", frac);
-  raise(fault::AlertKind::kArenaPressure, vtime_s,
-        std::string("arena '") + name + "' high watermark at " + format_double(100.0 * frac) +
-            "% of capacity",
-        std::move(fields));
-  return 1;
-}
-
 std::size_t Watchdogs::check_arena_growth(const char* name, std::uint64_t grown_allocs,
                                           double vtime_s) {
   if (grown_allocs == 0) return 0;

@@ -49,8 +49,6 @@ struct WatchdogOptions {
   /// ...and is also above this absolute floor (a fleet of uniformly tiny
   /// waits has no straggler no matter the ratio).
   double straggler_min_wait_fraction = 0.25;
-  /// Arena alert when high_watermark / capacity reaches this fraction.
-  double arena_fraction = 0.9;
   /// Shed-storm alert when shed / offered columns reaches this fraction.
   double shed_storm_fraction = 0.1;
 };
@@ -73,11 +71,6 @@ class Watchdogs {
   /// Straggler + deadline detector over one run's rank samples. Returns
   /// the number of alerts raised.
   std::size_t check_ranks(const std::vector<RankSample>& samples, double vtime_s);
-
-  /// Arena-pressure detector against a configured budget. `name` labels
-  /// the arena ("factor", "solve").
-  std::size_t check_arena(const char* name, std::size_t high_watermark_bytes,
-                          std::size_t capacity_bytes, double vtime_s);
 
   /// Steady-state violation detector for grow-on-demand arenas (no fixed
   /// capacity): after warmup, a solve should recycle every scratch matrix

@@ -3,9 +3,8 @@
 namespace ardbt::service {
 
 namespace {
-// Domain tags keep the content and params key spaces disjoint.
+// Domain tag folded first; kept so every digest stays the same.
 constexpr std::uint64_t kContentDomain = 0x61726474'636f6e74ull;  // "ardt" "cont"
-constexpr std::uint64_t kParamsDomain = 0x61726474'70726d73ull;   // "ardt" "prms"
 }  // namespace
 
 Fingerprint fingerprint(const btds::BlockTridiag& sys) {
@@ -17,17 +16,6 @@ Fingerprint fingerprint(const btds::BlockTridiag& sys) {
   for (la::index_t i = 1; i < n; ++i) h.f64(sys.lower(i).data());
   for (la::index_t i = 0; i < n; ++i) h.f64(sys.diag(i).data());
   for (la::index_t i = 0; i + 1 < n; ++i) h.f64(sys.upper(i).data());
-  return h.digest();
-}
-
-Fingerprint fingerprint_params(btds::ProblemKind kind, la::index_t num_blocks,
-                               la::index_t block_size, std::uint64_t seed) {
-  Fnv1a h;
-  h.u64(kParamsDomain);
-  h.u64(static_cast<std::uint64_t>(kind));
-  h.u64(static_cast<std::uint64_t>(num_blocks));
-  h.u64(static_cast<std::uint64_t>(block_size));
-  h.u64(seed);
   return h.digest();
 }
 

@@ -4,25 +4,16 @@
 #include <span>
 
 #include "src/btds/block_tridiag.hpp"
-#include "src/btds/generators.hpp"
 
 /// \file fingerprint.hpp
 /// Matrix fingerprints — the FactorCache key (docs/SERVICE.md).
 ///
-/// A fingerprint is a 64-bit FNV-1a digest. Two forms exist:
-///
-///  * fingerprint(sys): folds the shape (N, M) and every stored block's
-///    raw bytes, in storage order (lower, diag, upper). Content-based, so
-///    two structurally identical systems built through different code
-///    paths collide on purpose — that is a cache *hit*, the whole point.
-///  * fingerprint_params(kind, n, m, seed): folds the generator recipe
-///    instead of the data. O(1) — the right key when the caller knows the
-///    system is generator-defined and wants to skip materializing it just
-///    to compute a key.
-///
-/// The two forms deliberately occupy distinct key spaces (a domain tag is
-/// folded first) so a params key never aliases a content key. Fingerprints
-/// are cache keys, not cryptographic hashes: a 64-bit digest over a
+/// A fingerprint is a 64-bit FNV-1a digest of a domain tag, the shape
+/// (N, M) and every stored block's raw bytes, in storage order (lower,
+/// diag, upper). Content-based, so two structurally identical systems
+/// built through different code paths collide on purpose — that is a
+/// cache *hit*, the whole point. Fingerprints are cache keys, not
+/// cryptographic hashes: a 64-bit digest over a
 /// handful of cached systems makes accidental collision astronomically
 /// unlikely, and a collision costs a wrong answer — so the service keys
 /// *admission* on fingerprints but callers who need hard guarantees can
@@ -58,9 +49,5 @@ class Fnv1a {
 /// Content fingerprint: shape plus every stored block, in storage order.
 /// Cost O(N M^2) — one pass over the matrix bytes.
 Fingerprint fingerprint(const btds::BlockTridiag& sys);
-
-/// Recipe fingerprint for generator-defined systems. O(1).
-Fingerprint fingerprint_params(btds::ProblemKind kind, la::index_t num_blocks,
-                               la::index_t block_size, std::uint64_t seed);
 
 }  // namespace ardbt::service

@@ -32,22 +32,6 @@ std::string_view to_string(Admission admission) {
   return "unknown";
 }
 
-fault::ErrorCode admission_error(Admission admission) {
-  switch (admission) {
-    case Admission::kAdmitted:
-      return fault::ErrorCode::kOk;
-    case Admission::kRejectedQuota:
-      return fault::ErrorCode::kOverload;
-    case Admission::kShed:
-      return fault::ErrorCode::kOverload;
-    case Admission::kCircuitOpen:
-      return fault::ErrorCode::kCircuitOpen;
-    case Admission::kDeadlineInfeasible:
-      return fault::ErrorCode::kDeadlineInfeasible;
-  }
-  return fault::ErrorCode::kInternal;
-}
-
 void export_resilience_metrics(const ResilienceStats& stats, obs::MetricsRegistry& reg) {
   reg.counter("service.resilience.shed").add(stats.shed);
   reg.counter("service.resilience.breaker_rejected").add(stats.breaker_rejected);

@@ -58,10 +58,6 @@ enum class Admission : std::uint8_t {
 /// Stable lowercase name ("admitted", "rejected-quota", "shed", ...).
 std::string_view to_string(Admission admission);
 
-/// The fault::ErrorCode an admission rejection maps to (kOk for
-/// kAdmitted) — what the CLI and loadgen report per rejection class.
-fault::ErrorCode admission_error(Admission admission);
-
 struct ResilienceOptions {
   /// Service-level re-solves of a batch that failed with a *transient*
   /// status (fault::is_transient). 0 disables retries entirely.

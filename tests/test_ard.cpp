@@ -184,6 +184,23 @@ TEST(Ard, SolveRejectsWrongShapes) {
   }
 }
 
+TEST(Rd, SolvePerRhsRejectsWrongShapes) {
+  const BlockTridiag sys = make_problem(ProblemKind::kDiagDominant, 8, 2);
+  const btds::RowPartition part(8, 2);
+  const Matrix b = make_rhs(8, 2, 3);
+  const struct {
+    Matrix b, x;
+  } bad[] = {{Matrix(15, 3), Matrix(15, 3)}, {b, Matrix(14, 3)}, {b, Matrix(16, 2)}};
+  for (const auto& c : bad) {
+    Matrix x = c.x;
+    EXPECT_THROW(test::run_ranks(2, [&](mpsim::Comm& comm) {
+                   rd_solve_per_rhs(comm, sys, part, c.b, x);
+                 }),
+                 fault::ShapeMismatchError)
+        << c.b.rows() << "x" << c.b.cols() << " into " << x.rows() << "x" << x.cols();
+  }
+}
+
 TEST(Ard, SolveInplaceRejectsWrongRowCount) {
   // Each rank owns 4 block rows of order 2: its rows are 8 scalar rows.
   const BlockTridiag sys = make_problem(ProblemKind::kDiagDominant, 8, 2);

@@ -76,11 +76,6 @@ TEST(Spmv, ApplyRejectsAWrongRowCount) {
   }
 }
 
-TEST(Spmv, ApplyFlopsPositiveAndScales) {
-  EXPECT_GT(apply_flops(10, 4, 2), 0.0);
-  EXPECT_GT(apply_flops(20, 4, 2), apply_flops(10, 4, 2));
-}
-
 TEST(Generators, AllKindsProduceInvertibleUpperBlocks) {
   for (ProblemKind kind : kAllProblemKinds) {
     const BlockTridiag t = make_problem(kind, 8, 4);

@@ -4,7 +4,6 @@
 
 #include <bit>
 #include <cstdint>
-#include <cstring>
 
 #include "src/la/blas1.hpp"
 #include "src/la/gemm.hpp"
@@ -27,10 +26,14 @@ TEST(Cholesky, ReconstructsMatrix) {
   Rng rng = make_rng(61);
   for (index_t n : {1, 2, 6, 15}) {
     const Matrix a = random_spd(n, rng);
-    const CholeskyFactors f = cholesky_factor(a.view());
-    ASSERT_TRUE(f.ok()) << n;
-    const Matrix lt = transposed(f.l.view());
-    Matrix llt = matmul(f.l.view(), lt.view());
+    Matrix l = a;
+    ASSERT_TRUE(cholesky_factor_inplace(l.view()).ok()) << n;
+    // The kernel leaves the strict upper triangle as it found it.
+    for (index_t i = 0; i < n; ++i) {
+      for (index_t j = i + 1; j < n; ++j) l(i, j) = 0.0;
+    }
+    const Matrix lt = transposed(l.view());
+    Matrix llt = matmul(l.view(), lt.view());
     matrix_axpy(-1.0, a.view(), llt.view());
     EXPECT_LT(norm_fro(llt.view()), 1e-11 * norm_fro(a.view())) << n;
   }
@@ -40,9 +43,10 @@ TEST(Cholesky, SolveMatchesLu) {
   Rng rng = make_rng(67);
   const Matrix a = random_spd(8, rng);
   const Matrix b = random_uniform(8, 4, rng);
-  const CholeskyFactors fc = cholesky_factor(a.view());
-  ASSERT_TRUE(fc.ok());
-  const Matrix x_chol = cholesky_solve(fc, b.view());
+  Matrix l = a;
+  ASSERT_TRUE(cholesky_factor_inplace(l.view()).ok());
+  Matrix x_chol = b;
+  cholesky_solve_inplace(l.view(), x_chol.view());
   const LuFactors fl = lu_factor(a.view());
   const Matrix x_lu = lu_solve(fl, b.view());
   for (index_t i = 0; i < 8; ++i) {
@@ -51,73 +55,44 @@ TEST(Cholesky, SolveMatchesLu) {
 }
 
 TEST(Cholesky, RejectsIndefiniteMatrix) {
-  const Matrix a{{1.0, 2.0}, {2.0, 1.0}};  // eigenvalues 3, -1
-  const CholeskyFactors f = cholesky_factor(a.view());
-  EXPECT_FALSE(f.ok());
-  EXPECT_EQ(f.info, 2);
+  Matrix a{{1.0, 2.0}, {2.0, 1.0}};  // eigenvalues 3, -1
+  const CholeskyInPlaceInfo d = cholesky_factor_inplace(a.view());
+  EXPECT_FALSE(d.ok());
+  EXPECT_EQ(d.info, 2);
 }
 
 TEST(Cholesky, RejectsZeroMatrix) {
-  const Matrix a(3, 3);
-  const CholeskyFactors f = cholesky_factor(a.view());
-  EXPECT_FALSE(f.ok());
-  EXPECT_EQ(f.info, 1);
+  Matrix a(3, 3);
+  const CholeskyInPlaceInfo d = cholesky_factor_inplace(a.view());
+  EXPECT_FALSE(d.ok());
+  EXPECT_EQ(d.info, 1);
 }
 
+/// Only the lower triangle is read, and the strict upper triangle is left
+/// untouched: a poisoned upper triangle changes no bit of L and survives.
 TEST(Cholesky, OnlyReadsLowerTriangle) {
   Rng rng = make_rng(71);
-  Matrix a = random_spd(5, rng);
-  Matrix garbled = a;
-  for (index_t i = 0; i < 5; ++i) {
-    for (index_t j = i + 1; j < 5; ++j) garbled(i, j) = 1e9;  // poison upper
-  }
-  const CholeskyFactors fa = cholesky_factor(a.view());
-  const CholeskyFactors fg = cholesky_factor(garbled.view());
-  ASSERT_TRUE(fa.ok());
-  ASSERT_TRUE(fg.ok());
-  EXPECT_TRUE(fa.l == fg.l);
-}
-
-/// cholesky_factor / cholesky_solve_inplace wrap the in-place view core:
-/// the same bits in the lower triangle and the solution, and the wrapper
-/// zeroes the strict upper triangle the core leaves untouched.
-TEST(Cholesky, InPlaceCoreMatchesWrapperBits) {
-  Rng rng = make_rng(73);
   for (index_t n : {1, 3, 8, 13}) {
-    const Matrix a = random_spd(n, rng);
-    const Matrix b = random_uniform(n, 5, rng);
-    const CholeskyFactors f = cholesky_factor(a.view());
-    Matrix l = a;
-    const CholeskyInPlaceInfo d = cholesky_factor_inplace(l.view());
-    ASSERT_TRUE(f.ok() && d.ok()) << n;
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(f.min_pivot_abs),
-              std::bit_cast<std::uint64_t>(d.min_pivot_abs));
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(f.max_pivot_abs),
-              std::bit_cast<std::uint64_t>(d.max_pivot_abs));
+    Matrix a = random_spd(n, rng);
+    Matrix garbled = a;
     for (index_t i = 0; i < n; ++i) {
-      for (index_t j = 0; j < n; ++j) {
-        if (j <= i) {
-          EXPECT_EQ(std::bit_cast<std::uint64_t>(f.l(i, j)), std::bit_cast<std::uint64_t>(l(i, j)));
-        } else {
-          EXPECT_EQ(std::bit_cast<std::uint64_t>(f.l(i, j)), 0u) << n << " " << i << " " << j;
-          EXPECT_EQ(l(i, j), a(i, j));  // the core leaves the upper triangle alone
-        }
-      }
+      for (index_t j = i + 1; j < n; ++j) garbled(i, j) = 1e9;  // poison upper
     }
-    Matrix x_core = b;
-    cholesky_solve_inplace(l.view(), x_core.view());
-    Matrix x_wrap = b;
-    cholesky_solve_inplace(f, x_wrap.view());
-    EXPECT_EQ(std::memcmp(x_core.view().data(), x_wrap.view().data(),
-                          static_cast<std::size_t>(n * 5) * sizeof(double)),
-              0)
-        << n;
+    const CholeskyInPlaceInfo da = cholesky_factor_inplace(a.view());
+    const CholeskyInPlaceInfo dg = cholesky_factor_inplace(garbled.view());
+    ASSERT_TRUE(da.ok() && dg.ok()) << n;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(da.min_pivot_abs),
+              std::bit_cast<std::uint64_t>(dg.min_pivot_abs));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(da.max_pivot_abs),
+              std::bit_cast<std::uint64_t>(dg.max_pivot_abs));
+    for (index_t i = 0; i < n; ++i) {
+      for (index_t j = 0; j <= i; ++j) {
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(a(i, j)),
+                  std::bit_cast<std::uint64_t>(garbled(i, j)));
+      }
+      for (index_t j = i + 1; j < n; ++j) EXPECT_EQ(garbled(i, j), 1e9) << n;
+    }
   }
-}
-
-TEST(Cholesky, FlopFormulaIsHalfOfLuOrder) {
-  EXPECT_LT(cholesky_factor_flops(32), lu_factor_flops(32));
-  EXPECT_NEAR(cholesky_factor_flops(32) / lu_factor_flops(32), 0.5, 1e-9);
 }
 
 }  // namespace

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
-#include <numeric>
 #include <string>
 #include <vector>
 
@@ -38,19 +37,6 @@ TEST_P(Collectives, BcastFromEveryRoot) {
   }
 }
 
-TEST_P(Collectives, ReduceSumsToRoot) {
-  const int p = GetParam();
-  const int root = p - 1;
-  test::run_ranks(p, [&](Comm& comm) {
-    std::vector<double> data{static_cast<double>(comm.rank()), 1.0};
-    reduce_sum(comm, data, root);
-    if (comm.rank() == root) {
-      EXPECT_EQ(data[0], p * (p - 1) / 2.0);
-      EXPECT_EQ(data[1], static_cast<double>(p));
-    }
-  });
-}
-
 TEST_P(Collectives, AllreduceSumOnAllRanks) {
   const int p = GetParam();
   test::run_ranks(p, [&](Comm& comm) {
@@ -58,103 +44,6 @@ TEST_P(Collectives, AllreduceSumOnAllRanks) {
     allreduce_sum(comm, data);
     EXPECT_EQ(data[0], static_cast<double>(p));
     EXPECT_EQ(data[1], p * (p - 1) / 2.0);
-  });
-}
-
-TEST_P(Collectives, AllreduceMax) {
-  const int p = GetParam();
-  test::run_ranks(p, [&](Comm& comm) {
-    std::vector<double> data{static_cast<double>(comm.rank()), -static_cast<double>(comm.rank())};
-    allreduce_max(comm, data);
-    EXPECT_EQ(data[0], static_cast<double>(p - 1));
-    EXPECT_EQ(data[1], 0.0);
-  });
-}
-
-TEST_P(Collectives, GatherInRankOrder) {
-  const int p = GetParam();
-  test::run_ranks(p, [&](Comm& comm) {
-    const std::vector<double> mine{static_cast<double>(comm.rank()) + 0.5};
-    std::vector<double> out(static_cast<std::size_t>(p));
-    gather(comm, mine, out, /*root=*/0);
-    if (comm.rank() == 0) {
-      for (int r = 0; r < p; ++r) EXPECT_EQ(out[static_cast<std::size_t>(r)], r + 0.5);
-    }
-  });
-}
-
-TEST_P(Collectives, GathervVariableCounts) {
-  const int p = GetParam();
-  test::run_ranks(p, [&](Comm& comm) {
-    // Rank r contributes r+1 copies of r.
-    const std::vector<double> mine(static_cast<std::size_t>(comm.rank()) + 1,
-                                   static_cast<double>(comm.rank()));
-    std::vector<std::int64_t> counts(static_cast<std::size_t>(p));
-    for (int r = 0; r < p; ++r) counts[static_cast<std::size_t>(r)] = r + 1;
-    const std::size_t total = static_cast<std::size_t>(p) * (p + 1) / 2;
-    std::vector<double> out(total);
-    gatherv(comm, mine, counts, out, /*root=*/0);
-    if (comm.rank() == 0) {
-      std::size_t idx = 0;
-      for (int r = 0; r < p; ++r) {
-        for (int c = 0; c <= r; ++c) EXPECT_EQ(out[idx++], static_cast<double>(r));
-      }
-    }
-  });
-}
-
-TEST_P(Collectives, AllgatherEveryRankSeesAll) {
-  const int p = GetParam();
-  test::run_ranks(p, [&](Comm& comm) {
-    const std::vector<double> mine{static_cast<double>(comm.rank() * 10),
-                                   static_cast<double>(comm.rank() * 10 + 1)};
-    std::vector<double> out(static_cast<std::size_t>(2 * p));
-    allgather(comm, mine, out);
-    for (int r = 0; r < p; ++r) {
-      EXPECT_EQ(out[static_cast<std::size_t>(2 * r)], r * 10.0);
-      EXPECT_EQ(out[static_cast<std::size_t>(2 * r + 1)], r * 10.0 + 1.0);
-    }
-  });
-}
-
-TEST_P(Collectives, ExscanSumMatchesFormula) {
-  const int p = GetParam();
-  test::run_ranks(p, [&](Comm& comm) {
-    const std::vector<double> mine{static_cast<double>(comm.rank() + 1)};
-    const std::vector<double> result = exscan_sum(comm, mine);
-    // Exclusive prefix of 1, 2, ..., P at rank r is r(r+1)/2.
-    EXPECT_EQ(result[0], comm.rank() * (comm.rank() + 1) / 2.0);
-  });
-}
-
-TEST_P(Collectives, InclusiveScanSumMatchesFormula) {
-  const int p = GetParam();
-  test::run_ranks(p, [&](Comm& comm) {
-    const std::vector<double> mine{static_cast<double>(comm.rank() + 1)};
-    const std::vector<double> result = scan_sum(comm, mine);
-    // Inclusive prefix of 1, 2, ..., P at rank r is (r+1)(r+2)/2.
-    EXPECT_EQ(result[0], (comm.rank() + 1) * (comm.rank() + 2) / 2.0);
-  });
-}
-
-TEST_P(Collectives, GenericInclusiveScanStringConcat) {
-  const int p = GetParam();
-  test::run_ranks(p, [&](Comm& comm) {
-    using S = std::string;
-    const S mine(1, static_cast<char>('a' + comm.rank()));
-    auto op = [](const S& left, const S& right) { return left + right; };
-    auto ser = [](const S& s) {
-      std::vector<std::byte> bytes(s.size());
-      std::memcpy(bytes.data(), s.data(), s.size());
-      return bytes;
-    };
-    auto des = [](std::span<const std::byte> bytes) {
-      return S(reinterpret_cast<const char*>(bytes.data()), bytes.size());
-    };
-    const S result = scan(comm, mine, op, ser, des);
-    S expect;
-    for (int rr = 0; rr <= comm.rank(); ++rr) expect += static_cast<char>('a' + rr);
-    EXPECT_EQ(result, expect);
   });
 }
 
@@ -186,17 +75,6 @@ TEST_P(Collectives, ExscanNonCommutativeStringConcat) {
 
 INSTANTIATE_TEST_SUITE_P(RankCounts, Collectives, ::testing::Values(1, 2, 3, 4, 5, 7, 8, 13),
                          [](const auto& info) { return "P" + std::to_string(info.param); });
-
-TEST(Comm, SendrecvExchangesPairwise) {
-  test::run_ranks(2, [](Comm& comm) {
-    const double mine[2] = {static_cast<double>(comm.rank()), 42.0};
-    double theirs[2] = {};
-    comm.sendrecv(1 - comm.rank(), /*tag=*/5, std::span<const double>(mine, 2),
-                  std::span<double>(theirs, 2));
-    EXPECT_EQ(theirs[0], static_cast<double>(1 - comm.rank()));
-    EXPECT_EQ(theirs[1], 42.0);
-  });
-}
 
 TEST(ExscanSchedule, RoundCountIsCeilLog2) {
   EXPECT_TRUE(exscan_schedule(0, 1).empty());

@@ -52,6 +52,14 @@ TEST(CyclicReduction, ThrowsOnSingularDiagonal) {
   EXPECT_THROW(cyclic_reduction_solve(t, b), std::runtime_error);
 }
 
+TEST(CyclicReduction, RejectsAWrongRowCount) {
+  const BlockTridiag t = make_problem(ProblemKind::kDiagDominant, 8, 3);
+  for (const index_t rows : {index_t{23}, index_t{25}}) {
+    EXPECT_THROW(cyclic_reduction_solve(t, Matrix(rows, 2)), fault::ShapeMismatchError)
+        << "rows=" << rows;
+  }
+}
+
 TEST(CyclicReduction, FlopEstimateScalesLinearlyInN) {
   const double f1 = cyclic_reduction_flops(100, 4, 8);
   const double f2 = cyclic_reduction_flops(200, 4, 8);

@@ -130,72 +130,5 @@ TEST(Pcg, ResidualHistoryIsMonitored) {
   });
 }
 
-TEST(Bicgstab, ConvergesOnNonsymmetricOperator) {
-  const index_t n = 32, m = 3, r = 2;
-  const BlockTridiag sys = make_problem(ProblemKind::kConvectionDiffusion, n, m);
-  const Matrix b = make_rhs(n, m, r);
-  const btds::RowPartition part(n, 4);
-  test::run_ranks(4, [&](mpsim::Comm& comm) {
-    const auto local = btds::slice(sys, part, comm.rank());
-    const index_t lo = part.begin(comm.rank());
-    const Matrix b_local = la::to_matrix(b.block(lo * m, 0, part.count(comm.rank()) * m, r));
-    Matrix x_local;
-    const KrylovResult res = bicgstab(comm, local, part, nullptr, b_local, x_local, 400, 1e-9);
-    EXPECT_TRUE(res.converged) << "final residual " << res.residual_norms.back();
-    EXPECT_LT(
-        btds::relative_residual_distributed(comm, local, x_local.view(), b_local.view(), part),
-        1e-8);
-  });
-}
-
-TEST(Bicgstab, ExactPreconditionerConvergesImmediately) {
-  const index_t n = 24, m = 2, r = 3;
-  const BlockTridiag sys = make_problem(ProblemKind::kConvectionDiffusion, n, m);
-  const Matrix b = make_rhs(n, m, r);
-  const btds::RowPartition part(n, 3);
-  test::run_ranks(3, [&](mpsim::Comm& comm) {
-    const auto local = btds::slice(sys, part, comm.rank());
-    const auto f = ArdFactorization::factor(comm, local, part);
-    const index_t lo = part.begin(comm.rank());
-    const Matrix b_local = la::to_matrix(b.block(lo * m, 0, part.count(comm.rank()) * m, r));
-    Matrix x_local;
-    const KrylovResult res = bicgstab(comm, local, part, &f, b_local, x_local, 10, 1e-11);
-    EXPECT_TRUE(res.converged);
-    EXPECT_LE(res.iterations, 2);
-  });
-}
-
-TEST(Bicgstab, PreconditioningReducesIterations) {
-  const index_t n = 48, m = 3;
-  const BlockTridiag frozen = make_problem(ProblemKind::kConvectionDiffusion, n, m);
-  BlockTridiag op = make_problem(ProblemKind::kConvectionDiffusion, n, m);
-  for (index_t i = 0; i < n; ++i) {
-    for (index_t d = 0; d < m; ++d) {
-      op.diag(i)(d, d) += 0.2 * std::cos(1.1 * static_cast<double>(i));
-    }
-  }
-  const Matrix b = make_rhs(n, m, 1);
-  const btds::RowPartition part(n, 4);
-  int iters_pre = 0;
-  int iters_plain = 0;
-  test::run_ranks(4, [&](mpsim::Comm& comm) {
-    const auto local_op = btds::slice(op, part, comm.rank());
-    const auto local_frozen = btds::slice(frozen, part, comm.rank());
-    const auto f = ArdFactorization::factor(comm, local_frozen, part);
-    const index_t lo = part.begin(comm.rank());
-    const Matrix b_local = la::to_matrix(b.block(lo * m, 0, part.count(comm.rank()) * m, 1));
-    Matrix x1, x2;
-    const KrylovResult with_pre = bicgstab(comm, local_op, part, &f, b_local, x1, 400, 1e-9);
-    const KrylovResult plain = bicgstab(comm, local_op, part, nullptr, b_local, x2, 400, 1e-9);
-    EXPECT_TRUE(with_pre.converged);
-    EXPECT_TRUE(plain.converged);
-    if (comm.rank() == 0) {
-      iters_pre = with_pre.iterations;
-      iters_plain = plain.iterations;
-    }
-  });
-  EXPECT_LT(iters_pre, iters_plain);
-}
-
 }  // namespace
 }  // namespace ardbt::core

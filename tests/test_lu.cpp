@@ -64,7 +64,9 @@ TEST(Lu, InfoIdentifiesFirstZeroPivotColumn) {
   EXPECT_EQ(f.info, 2);  // 1-based column of the first zero pivot
 }
 
-TEST(Lu, TransposedSolveMatchesExplicitTranspose) {
+/// right_divide runs the transposed solve A^T X^T = B^T: it must agree
+/// with an ordinary solve against a separately factored A^T.
+TEST(Lu, RightDivideMatchesSolveWithExplicitTranspose) {
   Rng rng = make_rng(11);
   for (index_t n : {1, 2, 5, 12, 31}) {
     const Matrix a = random_diag_dominant(n, rng);
@@ -72,8 +74,9 @@ TEST(Lu, TransposedSolveMatchesExplicitTranspose) {
     const LuFactors f = lu_factor(a.view());
     ASSERT_TRUE(f.ok());
 
-    Matrix x = to_matrix(b.view());
-    lu_solve_transposed_inplace(f, x.view());
+    const Matrix bt = transposed(b.view());
+    const Matrix xt = right_divide(bt.view(), f);
+    Matrix x = transposed(xt.view());
 
     // Reference: factor A^T separately.
     const Matrix at = transposed(a.view());
@@ -105,15 +108,6 @@ TEST(Lu, InverseTimesMatrixIsIdentity) {
   Matrix prod = matmul(inv.view(), a.view());
   matrix_axpy(-1.0, Matrix::identity(9).view(), prod.view());
   EXPECT_LT(norm_fro(prod.view()), 1e-11);
-}
-
-TEST(Lu, ConditionOfIdentityIsOne) {
-  EXPECT_NEAR(condition_inf(Matrix::identity(5).view()), 1.0, 1e-12);
-}
-
-TEST(Lu, ConditionOfSingularIsInf) {
-  const Matrix a{{1.0, 2.0}, {2.0, 4.0}};
-  EXPECT_TRUE(std::isinf(condition_inf(a.view())));
 }
 
 // Regression: these checks used to be asserts, absent from the default

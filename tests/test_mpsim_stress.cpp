@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <optional>
 #include <random>
 #include <vector>
 
@@ -83,9 +85,20 @@ TEST(MpsimStress, HeavyOversubscriptionCollectives) {
     allreduce_sum(comm, v);
     EXPECT_EQ(v[0], static_cast<double>(p));
     barrier(comm);
-    const std::vector<double> mine{static_cast<double>(comm.rank())};
-    const auto prefix = exscan_sum(comm, mine);
-    EXPECT_EQ(prefix[0], comm.rank() * (comm.rank() - 1) / 2.0);
+    auto sum = [](double a, double b) { return a + b; };
+    auto ser = [](double v) {
+      std::vector<std::byte> bytes(sizeof(double));
+      std::memcpy(bytes.data(), &v, sizeof(double));
+      return bytes;
+    };
+    auto des = [](std::span<const std::byte> bytes) {
+      double v = 0.0;
+      std::memcpy(&v, bytes.data(), sizeof(double));
+      return v;
+    };
+    const std::optional<double> prefix =
+        exscan(comm, static_cast<double>(comm.rank()), sum, ser, des);
+    EXPECT_EQ(prefix.value_or(0.0), comm.rank() * (comm.rank() - 1) / 2.0);
   });
   EXPECT_EQ(report.ranks.size(), static_cast<std::size_t>(p));
 }

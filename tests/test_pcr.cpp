@@ -121,6 +121,24 @@ TEST(Pcr, FactorReusedAcrossSolves) {
   EXPECT_LT(btds::relative_residual(sys, x2, b2), 1e-10);
 }
 
+TEST(Pcr, SolveRejectsWrongShapes) {
+  const BlockTridiag sys = make_problem(ProblemKind::kDiagDominant, 8, 2);
+  const btds::RowPartition part(8, 2);
+  const Matrix b = make_rhs(8, 2, 3);
+  const struct {
+    Matrix b, x;
+  } bad[] = {{Matrix(15, 3), Matrix(15, 3)}, {b, Matrix(14, 3)}, {b, Matrix(16, 2)}};
+  for (const auto& c : bad) {
+    Matrix x = c.x;
+    EXPECT_THROW(test::run_ranks(2, [&](mpsim::Comm& comm) {
+                   const auto f = PcrFactorization::factor(comm, sys, part);
+                   f.solve(comm, c.b, x);
+                 }),
+                 fault::ShapeMismatchError)
+        << c.b.rows() << "x" << c.b.cols() << " into " << x.rows() << "x" << x.cols();
+  }
+}
+
 TEST(Pcr, FlopFormulasCarryLogNFactor) {
   const double f1 = PcrFactorization::factor_flops(1024, 8, 4);
   const double f2 = PcrFactorization::factor_flops(2048, 8, 4);

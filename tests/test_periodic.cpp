@@ -136,6 +136,39 @@ TEST(Periodic, RejectsTinySystems) {
   });
 }
 
+TEST(Periodic, FactorAndSolveRejectWrongShapes) {
+  const BlockTridiag sys = make_problem(ProblemKind::kDiagDominant, 8, 2);
+  const btds::RowPartition part(8, 2);
+  const Matrix corner = Matrix::identity(2);
+  for (const Matrix& bad : {Matrix::identity(1), Matrix(2, 3), Matrix::identity(3)}) {
+    EXPECT_THROW(test::run_ranks(2, [&](mpsim::Comm& comm) {
+                   (void)PeriodicArdFactorization::factor(comm, sys, bad, corner, part);
+                 }),
+                 fault::ShapeMismatchError)
+        << "lower corner " << bad.rows() << "x" << bad.cols();
+    EXPECT_THROW(test::run_ranks(2, [&](mpsim::Comm& comm) {
+                   (void)PeriodicArdFactorization::factor(comm, sys, corner, bad, part);
+                 }),
+                 fault::ShapeMismatchError)
+        << "upper corner " << bad.rows() << "x" << bad.cols();
+  }
+
+  const Matrix b = make_rhs(8, 2, 3);
+  const struct {
+    Matrix b, x;
+  } bad[] = {{Matrix(15, 3), Matrix(15, 3)}, {b, Matrix(14, 3)}, {b, Matrix(16, 2)}};
+  for (const auto& c : bad) {
+    Matrix x = c.x;
+    EXPECT_THROW(test::run_ranks(2, [&](mpsim::Comm& comm) {
+                   const auto f =
+                       PeriodicArdFactorization::factor(comm, sys, corner, corner, part);
+                   f.solve(comm, c.b, x);
+                 }),
+                 fault::ShapeMismatchError)
+        << c.b.rows() << "x" << c.b.cols() << " into " << x.rows() << "x" << x.cols();
+  }
+}
+
 TEST(Periodic, SingularCapacitanceThrowsTypedPivotError) {
   // Uncoupled unit rows closed into a ring by corners of -1: rows 0 and 2
   // read x_0 - x_2 and x_2 - x_0, so the periodic matrix is singular, and

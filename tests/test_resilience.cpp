@@ -127,13 +127,6 @@ TEST(Classification, NamesAndAdmissionErrors) {
   EXPECT_EQ(to_string(Admission::kCircuitOpen), "circuit-open");
   EXPECT_EQ(to_string(Admission::kDeadlineInfeasible), "deadline-infeasible");
 
-  EXPECT_EQ(admission_error(Admission::kAdmitted), fault::ErrorCode::kOk);
-  EXPECT_EQ(admission_error(Admission::kRejectedQuota), fault::ErrorCode::kOverload);
-  EXPECT_EQ(admission_error(Admission::kShed), fault::ErrorCode::kOverload);
-  EXPECT_EQ(admission_error(Admission::kCircuitOpen), fault::ErrorCode::kCircuitOpen);
-  EXPECT_EQ(admission_error(Admission::kDeadlineInfeasible),
-            fault::ErrorCode::kDeadlineInfeasible);
-
   EXPECT_EQ(fault::to_string(fault::ErrorCode::kDeadlineInfeasible), "deadline-infeasible");
   EXPECT_EQ(fault::to_string(fault::ErrorCode::kDeadlineExceeded), "deadline-exceeded");
   EXPECT_EQ(fault::to_string(fault::ErrorCode::kOverload), "overload");

@@ -49,6 +49,8 @@ la::Matrix column(const la::Matrix& panel, la::index_t j) {
 TEST(Fingerprint, StableAndContentSensitive) {
   const auto sys = make_problem(ProblemKind::kDiagDominant, 12, 3, 7);
   const Fingerprint fp = fingerprint(sys);
+  // Pinned: the digest (domain tag, shape, block bytes) must not drift.
+  EXPECT_EQ(fp, 0x96508df3fa8237a7ull);
   // Same content -> same fingerprint, across distinct objects.
   EXPECT_EQ(fp, fingerprint(make_problem(ProblemKind::kDiagDominant, 12, 3, 7)));
 
@@ -61,14 +63,6 @@ TEST(Fingerprint, StableAndContentSensitive) {
   EXPECT_NE(fp, fingerprint(make_problem(ProblemKind::kDiagDominant, 12, 3, 8)));
   EXPECT_NE(fp, fingerprint(make_problem(ProblemKind::kPoisson2D, 12, 3, 7)));
   EXPECT_NE(fp, fingerprint(make_problem(ProblemKind::kDiagDominant, 13, 3, 7)));
-
-  // The params-space key never collides with the content-space key for
-  // the system it describes (domain separation).
-  EXPECT_NE(fp, fingerprint_params(ProblemKind::kDiagDominant, 12, 3, 7));
-  EXPECT_EQ(fingerprint_params(ProblemKind::kDiagDominant, 12, 3, 7),
-            fingerprint_params(ProblemKind::kDiagDominant, 12, 3, 7));
-  EXPECT_NE(fingerprint_params(ProblemKind::kDiagDominant, 12, 3, 7),
-            fingerprint_params(ProblemKind::kDiagDominant, 12, 3, 8));
 }
 
 TEST(Fingerprint, AllPoolMembersDistinct) {

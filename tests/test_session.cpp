@@ -325,6 +325,24 @@ TEST(Session, CallerOwnedOutputOverwritesEveryElement) {
   }
 }
 
+/// A long-lived session (the service cache keeps its sessions for the
+/// whole run) must not grow its robustness log with every healthy batch:
+/// only the factor phase is logged, and last_outcome() still reports the
+/// latest solve.
+TEST(Session, HealthySolvesDoNotGrowTheOutcomeLog) {
+  const auto sys = make_problem(ProblemKind::kDiagDominant, 8, 2);
+  const la::Matrix b = make_rhs(8, 2, 1);
+  Session session(Method::kArd, sys, 2, {.engine = charged()});
+  la::Matrix x(b.rows(), b.cols());
+  for (int k = 0; k < 10000; ++k) session.solve(b, x);
+  ASSERT_EQ(session.outcomes().size(), 1u);
+  EXPECT_EQ(session.outcomes()[0].phase, "factor");
+  ASSERT_NE(session.last_outcome(), nullptr);
+  EXPECT_EQ(session.last_outcome()->phase, "solve");
+  EXPECT_EQ(session.last_outcome()->action, "ok");
+  EXPECT_EQ(session.solve_vtimes().size(), 10000u);
+}
+
 TEST(Session, RejectsWronglyShapedOutputBeforeAnyRun) {
   const auto sys = make_problem(ProblemKind::kDiagDominant, 8, 2);
   const la::Matrix b = make_rhs(8, 2, 3);

@@ -24,6 +24,14 @@ TEST(Shooting, SingularBlocksThrowTypedPivotErrors) {
   EXPECT_THROW(shooting_solve(one, make_rhs(1, 1, 1)), fault::SingularPivotError);
 }
 
+TEST(Shooting, RejectsAWrongRowCount) {
+  const auto sys = make_problem(ProblemKind::kDiagDominant, 5, 2);
+  for (const la::index_t rows : {la::index_t{9}, la::index_t{11}}) {
+    EXPECT_THROW(shooting_solve(sys, la::Matrix(rows, 2)), fault::ShapeMismatchError)
+        << "rows=" << rows;
+  }
+}
+
 TEST(Shooting, ExactForTinySystems) {
   for (ProblemKind kind : {ProblemKind::kDiagDominant, ProblemKind::kPoisson2D}) {
     const auto sys = make_problem(kind, 5, 2);

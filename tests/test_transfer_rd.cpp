@@ -62,6 +62,24 @@ TEST(TransferRd, TypedErrors) {
   EXPECT_NE(what[1].find("core::transfer_rd_pair"), std::string::npos) << what[1];
 }
 
+TEST(TransferRd, SolveRejectsWrongShapes) {
+  const BlockTridiag sys = make_problem(ProblemKind::kDiagDominant, 8, 2);
+  const btds::RowPartition part(8, 2);
+  const Matrix b = make_rhs(8, 2, 3);
+  const struct {
+    Matrix b, x;
+  } bad[] = {{Matrix(15, 3), Matrix(15, 3)}, {b, Matrix(14, 3)}, {b, Matrix(16, 2)}};
+  for (const auto& c : bad) {
+    Matrix x = c.x;
+    EXPECT_THROW(test::run_ranks(2, [&](mpsim::Comm& comm) {
+                   const auto f = TransferRdFactorization::factor(comm, sys, part);
+                   f.solve(comm, c.b, x);
+                 }),
+                 fault::ShapeMismatchError)
+        << c.b.rows() << "x" << c.b.cols() << " into " << x.rows() << "x" << x.cols();
+  }
+}
+
 TEST(TransferRd, AccurateForSmallN) {
   for (ProblemKind kind : {ProblemKind::kDiagDominant, ProblemKind::kPoisson2D,
                            ProblemKind::kToeplitz}) {
