@@ -1,12 +1,15 @@
 // Experiment T4 (extension): factored-state memory. ARD caches one
 // boundary-reduced level (O(M^2 N/P) per rank plus the corner spikes on
-// their support, plus O(M^2 log P) of scan caches); accelerated PCR must cache every one of its ceil(log2 N)
-// levels. This table quantifies the memory side of the F6 trade-off.
+// their support, plus O(M^2 log P) of scan caches); accelerated PCR must
+// cache every one of its ceil(log2 N) levels. This table quantifies the
+// memory side of the F6 trade-off; v_rows and w_rows are rank 0's spike
+// support, which is what moves ard_MB on a decaying segment.
 
 #include <cstdio>
 
 #include "bench/bench_common.hpp"
 #include "src/btds/generators.hpp"
+#include "src/btds/thomas.hpp"
 #include "src/core/ard.hpp"
 #include "src/core/pcr.hpp"
 
@@ -15,7 +18,7 @@ int main(int argc, char** argv) {
   const bench::Args args(argc, argv);
   bench::JsonReport report(args, "bench_t4_memory");
   std::printf("# T4: factored-state bytes per rank (rank 0)\n");
-  bench::Table table({"N", "M", "P", "ard_MB", "pcr_MB", "pcr/ard", "log2N"});
+  bench::Table table({"N", "M", "P", "ard_MB", "pcr_MB", "pcr/ard", "log2N", "v_rows", "w_rows"});
 
   struct Config {
     la::index_t n, m;
@@ -38,6 +41,9 @@ int main(int argc, char** argv) {
         pcr_bytes = fp.storage_bytes();
       }
     });
+    // Rank 0's spike support, as its ARD factor computes it: V on block
+    // rows [0, v_rows), W on the last w_rows of the segment's N/P.
+    const auto seg = btds::ThomasFactorization::factor_segment(sys, 0, part.count(0));
     double log2n = 0;
     for (la::index_t s = 1; s < c.n; s *= 2) log2n += 1;
     table.add_row({bench::fmt_int(static_cast<double>(c.n)),
@@ -45,15 +51,17 @@ int main(int argc, char** argv) {
                    bench::fmt(static_cast<double>(ard_bytes) / 1e6),
                    bench::fmt(static_cast<double>(pcr_bytes) / 1e6),
                    bench::fmt(static_cast<double>(pcr_bytes) / static_cast<double>(ard_bytes)),
-                   bench::fmt_int(log2n)});
+                   bench::fmt_int(log2n), bench::fmt_int(static_cast<double>(seg.v_rows())),
+                   bench::fmt_int(static_cast<double>(part.count(0) - seg.w_first()))});
   }
   table.print();
   report.add_table("main", table);
   report.write();
   std::printf("\nExpected shapes: ard_MB ~ 3 M^2 (N/P) doubles plus the spikes' support\n"
-              "(2 M^2 per row on a short or non-decaying segment, a few hundred rows per\n"
-              "spike on a long dominant one), plus O(M^2) per rank for the two-port (its\n"
-              "six blocks hold each boundary coupling once), F, G, the interface LU and\n"
+              "(M^2 doubles per row of v_rows + w_rows: 10-20 rows per spike on a dominant\n"
+              "segment, which falls to working precision that fast, and the whole segment\n"
+              "when it is shorter), plus O(M^2) per rank for the two-port (its six blocks\n"
+              "hold each boundary coupling once), F, G, the interface LU and\n"
               "the O(M^2 log P) scan caches; pcr/ard tracks ~log2 N times a small\n"
               "constant; both scale with M^2 and 1/P.\n");
   return 0;

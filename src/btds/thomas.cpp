@@ -24,8 +24,10 @@ auto& at(V& v, index_t i) {
 }
 
 /// The support rule's per-column state for one spike: each column's
-/// cutoff DBL_MIN * t_c (0, which never cuts, for a NaN, infinite or zero
-/// tip) and whether the column is already dead.
+/// cutoff DBL_EPSILON * t_c, working precision relative to the column's
+/// tip (0, which never cuts, for a NaN, infinite or zero tip), and whether
+/// the column is already dead. The cut is a fixed function of the input,
+/// so every thread count, chunking and replay sees the same support.
 class ColumnCutoff {
  public:
   explicit ColumnCutoff(la::ConstMatrixView tip)
@@ -37,7 +39,7 @@ class ColumnCutoff {
         at(thr_, c) = std::max(at(thr_, c), std::abs(tip(r, c)));
       }
     }
-    for (double& t : thr_) t = std::isfinite(t) ? DBL_MIN * t : 0.0;
+    for (double& t : thr_) t = std::isfinite(t) ? DBL_EPSILON * t : 0.0;
   }
 
   /// Apply the rule to the next block row away from the tip: a column
@@ -45,7 +47,9 @@ class ColumnCutoff {
   /// column is set to +0 in `row`, which keeps its subnormal tail out of
   /// the arithmetic of the rows the live columns still need. Returns
   /// false once no column is live — the row is outside the support. Each
-  /// column's fate depends on that column alone.
+  /// column's fate depends on that column alone. What is dropped is below
+  /// DBL_EPSILON * t_c where it dies and decays from there; the bound on
+  /// its effect is in docs/ALGORITHMS.md §4.
   bool keep(la::MatrixView row) {
     for (index_t c = 0; c < row.cols(); ++c) {
       char& dead = at(dead_, c);
@@ -137,9 +141,10 @@ class ThomasFactorization::SpikeSweep {
       }
       if (i + 1 < f_.v_rows_) K::mul_sub(f_.g_block(i), block(f_.v_, i + 1), block(f_.v_, i));
     }
-    // Subnormal entries (at most the last rows of a support) are stored as
-    // +0 once the sweeps no longer read them, so solves never multiply
-    // by one and every normal entry keeps its swept value.
+    // Subnormal entries (a live column may hold some next to an entry above
+    // its cutoff, and a tip below DBL_MIN / DBL_EPSILON sweeps into them)
+    // are stored as +0 once the sweeps no longer read them, so solves never
+    // multiply by one and every normal entry keeps its swept value.
     for (std::vector<double>* s : {&f_.v_, &f_.w_}) {
       for (double& x : *s) {
         if (x != 0.0 && std::abs(x) < DBL_MIN) x = 0.0;

@@ -64,13 +64,18 @@ class ThomasFactorization {
   /// as its sweep first produces it (D'_0^{-1} for V, whose forward sweep
   /// decides its support; W's final row N-1). Walking away from the tip,
   /// the column is zero from the first block row whose M entries in that
-  /// column are all below DBL_MIN * t_c (a NaN, infinite or zero t_c never
-  /// cuts). Block rows past the last live column are neither computed nor
-  /// stored, and the few nonzero subnormals left in a support's last rows
-  /// are stored as +0. On a segment that does not decay that far the
-  /// support is the whole segment and the spikes are bit-identical to
-  /// solve_inplace() on the two unit loads. The rule is per column and
-  /// scale-invariant (docs/ALGORITHMS.md §4).
+  /// column are all below DBL_EPSILON * t_c, working precision (a NaN,
+  /// infinite or zero t_c never cuts). Block rows past the last live
+  /// column are neither computed nor stored, and any nonzero subnormal
+  /// left in the support is stored as +0. Every dropped entry is below
+  /// about DBL_EPSILON * t_c, and the stored V rows next to V's cut move
+  /// by as much, so solutions agree with the dense spikes' to working
+  /// precision, not bit for bit. On diagonally dominant input the support
+  /// is 10-20 rows; on 2-D Poisson about 48, 100 and 190 rows at M = 3, 8
+  /// and 16. On a segment shorter than that the support is the whole
+  /// segment and the spikes are bit-identical to solve_inplace() on the two
+  /// unit loads. The rule is per column, scale-invariant and
+  /// deterministic (docs/ALGORITHMS.md §4).
   static ThomasFactorization factor_segment(const BlockTridiag& t, index_t lo, index_t n,
                                             PivotKind pivot = PivotKind::kLu);
 

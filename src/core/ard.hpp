@@ -22,9 +22,11 @@
 ///     2. in the same sweep, the segment's corner spikes
 ///        [V W] = A_seg^{-1} [E_first E_last] (V's forward sweep inside the
 ///        factor loop, one shared backward walk), kept only on the rows
-///        where they have not decayed below DBL_MIN relative to their tip
+///        where they have not decayed below working precision
+///        (DBL_EPSILON) relative to their tip
 ///        (btds::ThomasFactorization::factor_segment); their corner blocks
-///        form the segment's two-port;
+///        form the segment's two-port, and the spike update walks only
+///        that support;
 ///     3. forward and backward hypercube prefix scans over two-ports
 ///        (CachedScan<TwoPortOp>, log P rounds of O(M^3) merges, caching
 ///        the per-round matrices);

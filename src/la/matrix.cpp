@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstring>
 
+#include "src/la/shape_check.hpp"
+
 namespace ardbt::la {
 
 Matrix to_matrix(ConstMatrixView v) {
@@ -19,7 +21,10 @@ Matrix transposed(ConstMatrixView a) {
 }
 
 void copy(ConstMatrixView src, MatrixView dst) {
-  assert(src.rows() == dst.rows() && src.cols() == dst.cols());
+  detail::check_shape(src.rows() == dst.rows(), "la::copy", "src.rows() == dst.rows()",
+                      src.rows(), dst.rows());
+  detail::check_shape(src.cols() == dst.cols(), "la::copy", "src.cols() == dst.cols()",
+                      src.cols(), dst.cols());
   if (src.contiguous() && dst.contiguous()) {
     std::memcpy(dst.data(), src.data(),
                 static_cast<std::size_t>(src.rows() * src.cols()) * sizeof(double));

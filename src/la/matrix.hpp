@@ -174,7 +174,8 @@ Matrix to_matrix(ConstMatrixView v);
 /// Out-of-place transpose.
 Matrix transposed(ConstMatrixView a);
 
-/// Copy `src` into `dst` (shapes must match).
+/// Copy `src` into `dst`. Throws fault::ShapeMismatchError unless the
+/// shapes match.
 void copy(ConstMatrixView src, MatrixView dst);
 
 }  // namespace ardbt::la

@@ -187,6 +187,32 @@ double residual_bound(SweepKind kind, double banded) {
   return std::max(base, 1e3 * banded);
 }
 
+/// Whether the forward error is checked: the generators whose
+/// conditioning shows in x (Poisson's grows with N and M).
+bool checks_forward_error(SweepKind kind) {
+  return kind == SweepKind::kConditioned || kind == SweepKind::kNearSingular ||
+         kind == SweepKind::kPoisson2D;
+}
+
+/// max |x - ref| / max |ref|.
+double forward_error(const Matrix& x, const Matrix& ref) {
+  double diff = 0.0;
+  for (index_t i = 0; i < x.rows(); ++i) {
+    for (index_t j = 0; j < x.cols(); ++j) diff = std::max(diff, std::abs(x(i, j) - ref(i, j)));
+  }
+  return diff / la::norm_max(ref.view());
+}
+
+/// Forward-error bound against banded LU's x, built like residual_bound:
+/// 1e3 x banded LU's own error (estimated by its one-step refinement
+/// correction), or a per-generator floor. Banded LU pivots across the
+/// band; block pivots without it lose about the near-singular generator's
+/// pivot growth in x as they do in the residual.
+double forward_error_bound(SweepKind kind, double banded_err) {
+  const double base = kind == SweepKind::kNearSingular ? 1e-8 : 1e-12;
+  return std::max(base, 1e3 * banded_err);
+}
+
 struct SweepRun {
   std::vector<Matrix> x;  ///< solve 1, solve 2, solve after update
   Matrix via_local;       ///< solve 1 again, in place on a rank-local copy of the rows
@@ -262,16 +288,32 @@ std::string check_sweep_case(const SweepCase& c) {
     const BlockTridiag* t;
     const Matrix* b;
   } problems[3] = {{&sys, &b1}, {&sys, &b2}, {&sys2, &b1}};
+  const btds::BandedLuFactorization lu[2] = {btds::BandedLuFactorization::factor(sys),
+                                             btds::BandedLuFactorization::factor(sys2)};
   for (int k = 0; k < 3; ++k) {
-    const double banded =
-        btds::relative_residual(*problems[k].t, btds::banded_lu_solve(*problems[k].t,
-                                                                      *problems[k].b),
-                                *problems[k].b);
-    const double res = btds::relative_residual(*problems[k].t, base.x[static_cast<std::size_t>(k)],
-                                               *problems[k].b);
+    const BlockTridiag& t = *problems[k].t;
+    const Matrix& b = *problems[k].b;
+    const Matrix& x = base.x[static_cast<std::size_t>(k)];
+    const btds::BandedLuFactorization& f = lu[k == 2 ? 1 : 0];
+    const Matrix x_banded = f.solve(b);
+    const double banded = btds::relative_residual(t, x_banded, b);
+    const double res = btds::relative_residual(t, x, b);
     if (!(res <= residual_bound(c.kind, banded))) {
       std::ostringstream os;
       os << "solve " << k << ": residual " << res << " (banded LU " << banded << ")";
+      return os.str();
+    }
+    if (!checks_forward_error(c.kind)) continue;
+    Matrix r = btds::apply(t, x_banded);
+    for (index_t i = 0; i < r.rows(); ++i) {
+      for (index_t j = 0; j < r.cols(); ++j) r(i, j) = b(i, j) - r(i, j);
+    }
+    const double banded_err = la::norm_max(f.solve(r).view()) / la::norm_max(x_banded.view());
+    const double err = forward_error(x, x_banded);
+    if (!(err <= forward_error_bound(c.kind, banded_err))) {
+      std::ostringstream os;
+      os << "solve " << k << ": forward error " << err << " against banded LU (its own "
+         << banded_err << ")";
       return os.str();
     }
   }
@@ -366,9 +408,10 @@ TEST(SpikeSweep, OptionCrossProductMatchesBandedLu) {
       if (!err.empty()) failures.emplace_back(c, std::move(err));
     }
   }
-  // Long non-decaying segments (2-D Poisson, N/P >= 1024): the spikes keep
-  // their full support on every rank, under both pivot kinds (the system
-  // is SPD).
+  // Long slowly decaying segments (2-D Poisson, N/P >= 1024): the spikes
+  // reach working precision after about 100 rows at M = 8 and 190 at
+  // M = 16, so the cut engages on every rank, under both pivot kinds (the
+  // system is SPD).
   for (const index_t m : {index_t{8}, index_t{16}}) {
     for (const btds::PivotKind pivot : {btds::PivotKind::kLu, btds::PivotKind::kCholesky}) {
       for (const bool local : {false, true}) {
@@ -383,8 +426,8 @@ TEST(SpikeSweep, OptionCrossProductMatchesBandedLu) {
         const BlockTridiag sys = make_sweep_system(c);
         const index_t seg_rows = c.n / c.p;
         const auto f = btds::ThomasFactorization::factor_segment(sys, 0, seg_rows, c.pivot);
-        EXPECT_EQ(f.v_rows(), seg_rows) << c.describe();
-        EXPECT_EQ(f.w_first(), 0) << c.describe();
+        EXPECT_LT(f.v_rows(), seg_rows) << c.describe();
+        EXPECT_GT(f.w_first(), 0) << c.describe();
         std::string err = check_sweep_case(c);
         if (!err.empty()) failures.emplace_back(c, std::move(err));
       }

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "src/fault/status.hpp"
+
 namespace ardbt::la {
 namespace {
 
@@ -99,6 +101,18 @@ TEST(Matrix, CopyHandlesStridedViews) {
   copy(src.block(2, 1, 2, 2), dst.view());
   EXPECT_EQ(dst(0, 0), 3.0);
   EXPECT_EQ(dst(1, 1), 5.0);
+}
+
+TEST(Matrix, CopyRejectsMismatchedShapes) {
+  // Each mismatch would read or write past one of the views; the check
+  // throws before any element moves.
+  Matrix src(3, 3);
+  Matrix dst(2, 2);
+  EXPECT_THROW(copy(src.view(), dst.view()), fault::ShapeMismatchError);
+  EXPECT_THROW(copy(src.block(0, 0, 2, 3), dst.view()), fault::ShapeMismatchError);
+  EXPECT_THROW(copy(src.block(0, 0, 3, 2), dst.view()), fault::ShapeMismatchError);
+  EXPECT_THROW(copy(dst.view(), src.view()), fault::ShapeMismatchError);
+  EXPECT_EQ(dst(0, 0), 0.0);
 }
 
 TEST(Matrix, ToMatrixDeepCopies) {
