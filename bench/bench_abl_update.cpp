@@ -1,11 +1,13 @@
 // Ablation B-abl-update: incremental refactorization vs full refactor.
 // Quasi-Newton time steppers change a few ranks' diagonal blocks per step;
 // ArdFactorization::update lets unchanged ranks skip their segment
-// factorization and spike solve. With one changed rank the critical path
-// barely moves (the changed rank still does full local work), but the
-// *total* work — the quantity that matters for throughput and energy, or
-// when ranks interleave other computation — drops toward the P-fold bound
-// (only the changed rank does rows-dependent work).
+// factorization and spike solve. With one changed rank the update's
+// critical path is that rank's full local work (rank 0 here, which
+// computes only its W spike, so it is shorter than a full refactor's
+// interior rank), and the *total* work — the quantity that matters for
+// throughput and energy, or when ranks interleave other computation —
+// drops toward the P-fold bound (only the changed rank does
+// rows-dependent work).
 
 #include <cstdio>
 #include <vector>
@@ -70,11 +72,12 @@ int main(int argc, char** argv) {
   table.print();
   report.add_table("main", table);
   report.write();
-  std::printf("\nExpected shapes: t_update ~ t_factor (the changed rank is the critical\n"
-              "path), while work_saved grows with P toward P (unchanged ranks keep\n"
-              "their factorization and spikes and only rebuild the O(M^3) interface\n"
-              "system) until the O(M^3 log P) scan merges — which update must always\n"
-              "redo — start to dominate per-rank work at large P and pull the ratio\n"
-              "back down.\n");
+  std::printf("\nExpected shapes: t_update is the changed rank 0's full local work; it\n"
+              "computes only W, so from P = 4 on it is about half of t_factor, whose\n"
+              "critical path is an interior rank's two spikes. work_saved grows with\n"
+              "P toward P (unchanged ranks keep their factorization and spikes and\n"
+              "only rebuild the O(M^3) interface system) until the O(M^3 log P) scan\n"
+              "merges — which update must always redo — start to dominate per-rank\n"
+              "work at large P and pull the ratio back down.\n");
   return 0;
 }

@@ -34,6 +34,7 @@ Sample measure(la::index_t n, la::index_t m, int p, la::index_t r) {
   Sample sample;
   std::vector<double> factor_flops(static_cast<std::size_t>(p));
   std::vector<double> solve_flops(static_cast<std::size_t>(p));
+  std::vector<double> storage(static_cast<std::size_t>(p));
 
   mpsim::run(
       p,
@@ -47,8 +48,8 @@ Sample measure(la::index_t n, la::index_t m, int p, la::index_t r) {
         const double f2 = comm.stats().flops_charged;
         factor_flops[static_cast<std::size_t>(comm.rank())] = f1 - f0;
         solve_flops[static_cast<std::size_t>(comm.rank())] = f2 - f1;
+        storage[static_cast<std::size_t>(comm.rank())] = static_cast<double>(f.storage_bytes());
         if (comm.rank() == 0) {
-          sample.storage = static_cast<double>(f.storage_bytes());
           sample.msgs = static_cast<double>(comm.stats().msgs_sent);
           sample.bytes = static_cast<double>(comm.stats().bytes_sent);
         }
@@ -58,6 +59,8 @@ Sample measure(la::index_t n, la::index_t m, int p, la::index_t r) {
   // merges, interior ranks the widest spike updates.
   sample.factor_flops = *std::max_element(factor_flops.begin(), factor_flops.end());
   sample.solve_flops = *std::max_element(solve_flops.begin(), solve_flops.end());
+  // The largest rank's, not rank 0's: the end ranks hold one spike each.
+  sample.storage = *std::max_element(storage.begin(), storage.end());
   return sample;
 }
 
@@ -67,8 +70,8 @@ int main(int argc, char** argv) {
   const bench::Args args(argc, argv);
   bench::JsonReport report(args, "bench_t1_complexity");
   report.config("cost_model", bench::virtual_engine().cost.name);
-  std::printf("# T1: measured (busiest rank) vs modeled per-rank work; communication and\n"
-              "# memory of rank 0\n");
+  std::printf("# T1: measured (busiest rank) vs modeled per-rank work; communication of\n"
+              "# rank 0; memory of the busiest rank\n");
   bench::Table table({"N", "M", "P", "R", "factor_meas", "factor_model", "f_ratio",
                       "solve_meas", "solve_model", "s_ratio", "msgs", "MB_sent", "MB_state"});
 

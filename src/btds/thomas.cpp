@@ -78,11 +78,12 @@ class ColumnCutoff {
 /// (b := D'_i^{-1} b), exactly the operations the solve sweep runs, so a
 /// spike on full support is bit-identical to solve_inplace() on its unit
 /// load. Every new spike row starts as +0, the value the solve sweeps
-/// accumulate into.
+/// accumulate into. It computes V only when `v` and W only when `w`.
 template <typename K>
 class ThomasFactorization::SpikeSweep {
  public:
-  explicit SpikeSweep(ThomasFactorization& f) : f_(f), mm_(static_cast<std::size_t>(f.m_ * f.m_)) {}
+  SpikeSweep(ThomasFactorization& f, bool v, bool w)
+      : f_(f), mm_(static_cast<std::size_t>(f.m_ * f.m_)), v_done_(!v), w_(w) {}
 
   /// V's forward sweep at block row i, run right after D'_i is factored
   /// (and A_i copied): z_0 = D'_0^{-1} I, z_i = -D'_i^{-1} A_i z_{i-1}.
@@ -111,31 +112,33 @@ class ThomasFactorization::SpikeSweep {
     }
   }
 
-  /// After the factor loop: W's tip W_{N-1} = D'_{N-1}^{-1} I, then one
-  /// walk over the G_i from the bottom that runs W's backward sweep
-  /// W_i = -G_i W_{i+1} while W is live and V's V_i = z_i - G_i V_{i+1}
-  /// inside V's support.
+  /// After the factor loop: W's tip W_{N-1} = D'_{N-1}^{-1} I (when W is
+  /// computed), then one walk over the G_i from the bottom that runs W's
+  /// backward sweep W_i = -G_i W_{i+1} while W is live and V's
+  /// V_i = z_i - G_i V_{i+1} inside V's support.
   void finish() {
     const index_t n = f_.n_;
     const index_t m = f_.m_;
-    f_.w_.reserve(static_cast<std::size_t>(n) * mm_);
-    f_.w_.resize(mm_);
-    la::MatrixView tip = block(f_.w_, 0);
-    for (index_t k = 0; k < m; ++k) tip(k, k) = 1.0;
-    f_.pivot_solve<K>(n - 1, tip);
-    f_.w_rows_ = 1;
-    ColumnCutoff w_cut(tip);
-    bool w_live = true;
+    std::optional<ColumnCutoff> w_cut;  // engaged while W is live
+    if (w_) {
+      f_.w_.reserve(static_cast<std::size_t>(n) * mm_);
+      f_.w_.resize(mm_);
+      la::MatrixView tip = block(f_.w_, 0);
+      for (index_t k = 0; k < m; ++k) tip(k, k) = 1.0;
+      f_.pivot_solve<K>(n - 1, tip);
+      f_.w_rows_ = 1;
+      w_cut.emplace(tip);
+    }
     for (index_t i = n - 2; i >= 0; --i) {
-      if (w_live) {
+      if (w_cut) {
         const index_t k = f_.w_rows_;
         f_.w_.resize(static_cast<std::size_t>(k + 1) * mm_);
         la::MatrixView wi = block(f_.w_, k);
         K::mul_sub(f_.g_block(i), block(f_.w_, k - 1), wi);
-        if (w_cut.keep(wi)) {
+        if (w_cut->keep(wi)) {
           f_.w_rows_ = k + 1;
         } else {
-          w_live = false;
+          w_cut.reset();
           f_.w_.resize(static_cast<std::size_t>(k) * mm_);
         }
       }
@@ -161,7 +164,8 @@ class ThomasFactorization::SpikeSweep {
   ThomasFactorization& f_;
   std::size_t mm_;
   std::optional<ColumnCutoff> v_cut_;
-  bool v_done_ = false;
+  bool v_done_;
+  bool w_;
 };
 
 template <typename K>
@@ -194,7 +198,7 @@ void ThomasFactorization::pivot_solve(index_t i, la::MatrixView b) const {
 }
 
 template <typename K>
-void ThomasFactorization::factor_sweep(const BlockTridiag& t, index_t lo, bool spikes) {
+void ThomasFactorization::factor_sweep(const BlockTridiag& t, index_t lo) {
   const index_t n = n_;
   const std::size_t mm = static_cast<std::size_t>(K::order(m_) * K::order(m_));
   // Deliberately uninitialized (make_unique_for_overwrite): the sweep
@@ -209,14 +213,16 @@ void ThomasFactorization::factor_sweep(const BlockTridiag& t, index_t lo, bool s
   const auto copy_block = [mm](la::MatrixView dst, la::ConstMatrixView src) {
     std::memcpy(dst.data(), src.data(), mm * sizeof(double));
   };
-  SpikeSweep<K> sweep(*this);
+  // V couples the segment to the rows above it, W to the rows below it;
+  // a spike with no neighbour on its side is never read.
+  SpikeSweep<K> sweep(*this, lo > 0, lo + n < t.num_blocks());
 
   // D'_0 = D_0; per row: factor D'_i, G_i = D'_i^{-1} C_i, then
   // D'_{i+1} = D_{i+1} - A_{i+1} G_i, every block in its slab slot.
   copy_block(pivot_block(0), t.diag(lo).view());
   for (index_t i = 0; i < n; ++i) {
     factor_pivot<K>(i);
-    if (spikes) sweep.forward(i);
+    sweep.forward(i);
     if (i + 1 < n) {
       const la::MatrixView gi = g_block(i);
       copy_block(gi, t.upper(lo + i).view());
@@ -228,29 +234,22 @@ void ThomasFactorization::factor_sweep(const BlockTridiag& t, index_t lo, bool s
       K::mul_sub(ai, gi, next);
     }
   }
-  if (spikes) sweep.finish();
+  sweep.finish();
 }
 
-ThomasFactorization ThomasFactorization::factor_rows(const BlockTridiag& t, index_t lo, index_t n,
-                                                     PivotKind pivot, bool spikes) {
+ThomasFactorization ThomasFactorization::factor(const BlockTridiag& t, PivotKind pivot) {
+  return factor_segment(t, 0, t.num_blocks(), pivot);
+}
+
+ThomasFactorization ThomasFactorization::factor_segment(const BlockTridiag& t, index_t lo,
+                                                        index_t n, PivotKind pivot) {
   require_rows(t, lo, n, "btds::ThomasFactorization::factor");
   ThomasFactorization f;
   f.n_ = n;
   f.m_ = t.block_size();
   f.pivot_ = pivot;
-  la::smallblock::with_kernels(f.m_, [&](auto k) {
-    f.factor_sweep<decltype(k)>(t, lo, spikes);
-  });
+  la::smallblock::with_kernels(f.m_, [&](auto k) { f.factor_sweep<decltype(k)>(t, lo); });
   return f;
-}
-
-ThomasFactorization ThomasFactorization::factor(const BlockTridiag& t, PivotKind pivot) {
-  return factor_rows(t, 0, t.num_blocks(), pivot, false);
-}
-
-ThomasFactorization ThomasFactorization::factor_segment(const BlockTridiag& t, index_t lo,
-                                                        index_t n, PivotKind pivot) {
-  return factor_rows(t, lo, n, pivot, true);
 }
 
 template <typename K>
@@ -344,12 +343,15 @@ double ThomasFactorization::solve_flops(index_t n, index_t m, index_t r) {
   return dn * 6.0 * dm * dm * dr;
 }
 
-double ThomasFactorization::spike_flops(index_t n, index_t m) {
+double ThomasFactorization::spike_flops(index_t lo, index_t n, index_t num_blocks, index_t m) {
   // The dense model count (factor_segment() computes only the support):
   // V: a full M-column solve (6 M^3 per row). W: one pivot solve on the
   // last row plus one backward gemm per row, counted like solve_flops as
   // 2 M^3 per row.
-  return solve_flops(n, m, m) + 2.0 * static_cast<double>(n) * static_cast<double>(m * m * m);
+  const double m3 = static_cast<double>(m * m * m);
+  const double v = lo > 0 ? solve_flops(n, m, m) : 0.0;
+  const double w = lo + n < num_blocks ? 2.0 * static_cast<double>(n) * m3 : 0.0;
+  return v + w;
 }
 
 std::size_t ThomasFactorization::storage_bytes() const {

@@ -42,22 +42,22 @@ enum class PivotKind {
 /// at either time (docs/KERNELS.md).
 class ThomasFactorization {
  public:
-  /// Factor the system. Keeps a reference-free copy of the off-diagonal
-  /// blocks it needs. Throws fault::SingularPivotError (carrying the block
-  /// row, scalar pivot index, and pivot growth) on a singular pivot block
-  /// (kLu) or a non-SPD pivot block (kCholesky), and
-  /// fault::InvalidArgumentError unless `t` holds all of a non-empty
-  /// system (a slice is rejected).
+  /// Factor the whole system: factor_segment(t, 0, N, pivot), which has no
+  /// neighbour and so computes no spikes. Same errors; a slice, which does
+  /// not hold all N rows, is rejected.
   static ThomasFactorization factor(const BlockTridiag& t, PivotKind pivot = PivotKind::kLu);
 
   /// Factor block rows [lo, lo + n) of `t` (global indices; `t` may be a
   /// slice holding them) as a standalone segment, reading the blocks in
-  /// place, and compute the segment's corner spikes
-  /// [V W] = T_seg^{-1} [E_first E_last] in the same pass: V's forward
-  /// sweep runs inside the factor loop, and V's and W's backward sweeps
-  /// share one walk over the G_i. Same errors as factor(), and
-  /// fault::InvalidArgumentError unless 1 <= n and t.lo() <= lo and
-  /// lo + n <= t.hi().
+  /// place, and compute in the same pass the corner spikes a neighbour
+  /// reads: V = T_seg^{-1} E_first iff the segment has rows above it
+  /// (lo > 0), W = T_seg^{-1} E_last iff it has rows below it
+  /// (lo + n < N). V's forward sweep runs inside the factor loop, and V's
+  /// and W's backward sweeps share one walk over the G_i. Throws
+  /// fault::SingularPivotError (carrying the block row, scalar pivot
+  /// index, and pivot growth) on a singular pivot block (kLu) or a non-SPD
+  /// pivot block (kCholesky), and fault::InvalidArgumentError unless
+  /// 1 <= n and t.lo() <= lo and lo + n <= t.hi().
   ///
   /// The spikes are kept on their support only. Column c of a spike has a
   /// tip value t_c, the largest |entry| of column c in the tip block row
@@ -103,9 +103,10 @@ class ThomasFactorization {
   /// pool contract and errors as solve(), and bit-identical to it.
   void solve_inplace(la::MatrixView x, par::Pool* pool = nullptr) const;
 
-  /// Corner spikes of a factor_segment() factorization (both empty after
-  /// factor()). V is stored on block rows [0, v_rows()), W on
-  /// [w_first(), N); outside those ranges the spike is zero.
+  /// The corner spikes factor_segment() computed. V is stored on block
+  /// rows [0, v_rows()), W on [w_first(), N); outside those ranges the
+  /// spike is zero. A spike not computed (no neighbour on its side) has
+  /// v_rows() == 0 or w_first() == N.
   index_t v_rows() const { return v_rows_; }
   index_t w_first() const { return n_ - w_rows_; }
   /// Block row i of V (i < v_rows()) or of W (i >= w_first()).
@@ -123,13 +124,14 @@ class ThomasFactorization {
   /// pivot kind (Cholesky halves the pivot-factorization share).
   static double factor_flops(index_t n, index_t m, PivotKind pivot = PivotKind::kLu);
   static double solve_flops(index_t n, index_t m, index_t r);
-  /// The dense model count of the corner spikes over n rows: a full
-  /// M-column solve for V plus, for W, one pivot solve and the backward
-  /// sweep (8 M^3 per row instead of 12). factor_segment() computes only
-  /// the spikes' support, so on a decaying segment it does less work than
-  /// this; the virtual clock charges this count regardless, modelling the
-  /// paper's dense algorithm.
-  static double spike_flops(index_t n, index_t m);
+  /// The dense model count of the spikes factor_segment(t, lo, n)
+  /// computes on an N-row system: per row, a full M-column solve for V
+  /// (6 M^3) when lo > 0, and for W one pivot solve and the backward sweep
+  /// (2 M^3) when lo + n < N. factor_segment() computes only the spikes'
+  /// support, so on a decaying segment it does less work than this; the
+  /// virtual clock charges this count regardless, modelling the paper's
+  /// dense algorithm.
+  static double spike_flops(index_t lo, index_t n, index_t num_blocks, index_t m);
 
   /// Bytes of factored state: the (3N - 2) M x M slab blocks, the N M LU
   /// row swaps under kLu, and the spikes' stored support.
@@ -137,12 +139,11 @@ class ThomasFactorization {
 
  private:
   /// The factor sweep over rows [lo, lo + n) of `t` with kernel set K
-  /// (la/smallblock/kernels.hpp); with `spikes`, the fused spike sweep
-  /// rides along (see SpikeSweep in thomas.cpp).
+  /// (la/smallblock/kernels.hpp), with the fused sweep of the spikes the
+  /// segment's neighbours read riding along (see SpikeSweep in
+  /// thomas.cpp).
   template <typename K>
-  void factor_sweep(const BlockTridiag& t, index_t lo, bool spikes);
-  static ThomasFactorization factor_rows(const BlockTridiag& t, index_t lo, index_t n,
-                                         PivotKind pivot, bool spikes);
+  void factor_sweep(const BlockTridiag& t, index_t lo);
   template <typename K>
   class SpikeSweep;
 

@@ -36,12 +36,15 @@ void ArdFactorization::local_phase(mpsim::Comm& comm, const btds::BlockTridiag& 
   const la::index_t m = m_;
   const la::index_t nloc = hi_ - lo_;
 
-  // --- 1+2. Factor the segment in place in the caller's rows, its corner
-  // spikes [V W] = A_seg^{-1} [E_first E_last] computed in the same sweep
-  // and kept on their support. Their first and last block rows are the
-  // corner blocks P, Q, R, S of the segment's inverse — its two-port. The
-  // flop charge is the dense count, so ChargedFlops virtual times do not
-  // depend on how far the spikes decay.
+  // --- 1+2. Factor the segment in place in the caller's rows, the corner
+  // spikes its neighbours read computed in the same sweep and kept on
+  // their support: V = A_seg^{-1} E_first when a rank lies above, W =
+  // A_seg^{-1} E_last when one lies below. Their first and last block rows
+  // are the corner blocks P, Q, R, S of the segment's inverse — its
+  // two-port; a corner of an absent spike stays zero, and only ever meets
+  // the zero coupling of that side. The flop charge is the dense count of
+  // the spikes computed, so ChargedFlops virtual times do not depend on
+  // how far the spikes decay.
   thomas_ = ThomasFactorization::factor_segment(sys, lo_, nloc, opts_.pivot);
   tp_ = TwoPort{.P = thomas_.v_corner(0),
                 .Q = thomas_.w_corner(0),
@@ -50,7 +53,7 @@ void ArdFactorization::local_phase(mpsim::Comm& comm, const btds::BlockTridiag& 
                 .a_first = (lo_ > 0) ? sys.lower(lo_) : Matrix(m, m),
                 .c_last = (hi_ < n_) ? sys.upper(hi_ - 1) : Matrix(m, m)};
   comm.charge_flops(ThomasFactorization::factor_flops(nloc, m, opts_.pivot) +
-                    ThomasFactorization::spike_flops(nloc, m));
+                    ThomasFactorization::spike_flops(lo_, nloc, n_, m));
 }
 
 void ArdFactorization::global_phase(mpsim::Comm& comm) {
@@ -89,21 +92,14 @@ void ArdFactorization::global_phase(mpsim::Comm& comm) {
   k_ = la::LuFactors{};
   double flops = 0.0;
   if (k > 0) {
-    const la::index_t last = hi_ - lo_ - 1;
     Matrix kmat = Matrix::identity(k);
     if (pre) {
-      la::gemm(-1.0, f_pre_.view(), thomas_.v_corner(0).view(), 1.0, kmat.block(0, 0, m, m));
-      if (suf) {
-        la::gemm(-1.0, f_pre_.view(), thomas_.w_corner(0).view(), 1.0, kmat.block(0, m, m, m));
-      }
+      la::gemm(-1.0, f_pre_.view(), tp_.P.view(), 1.0, kmat.block(0, 0, m, m));
+      if (suf) la::gemm(-1.0, f_pre_.view(), tp_.Q.view(), 1.0, kmat.block(0, m, m, m));
     }
     if (suf) {
-      if (pre) {
-        la::gemm(-1.0, g_suf_.view(), thomas_.v_corner(last).view(), 1.0,
-                 kmat.block(npre, 0, m, m));
-      }
-      la::gemm(-1.0, g_suf_.view(), thomas_.w_corner(last).view(), 1.0,
-               kmat.block(npre, npre, m, m));
+      if (pre) la::gemm(-1.0, g_suf_.view(), tp_.R.view(), 1.0, kmat.block(npre, 0, m, m));
+      la::gemm(-1.0, g_suf_.view(), tp_.S.view(), 1.0, kmat.block(npre, npre, m, m));
     }
     const double sides = static_cast<double>(k / m);
     flops += (2.0 * sides + sides * sides) * la::gemm_flops(m, m, m) + la::lu_factor_flops(k);
@@ -186,16 +182,17 @@ void ArdFactorization::apply_spikes(la::ConstMatrixView gh, la::MatrixView x,
   const la::index_t m = m_;
   const la::index_t cols = x.cols();
   const ThomasFactorization& t = thomas_;
-  const bool has_g = !f_pre_.empty();
-  const bool has_h = !g_suf_.empty();
-  const la::ConstMatrixView g = has_g ? gh.block(0, 0, m, cols) : la::ConstMatrixView();
-  const la::ConstMatrixView h = has_h ? gh.block(has_g ? m : 0, 0, m, cols) : la::ConstMatrixView();
   // Only the spikes' support is touched: V g on rows [0, v_end), W h on
-  // rows [w_first, rows); outside them the spikes are zero. The loop runs
+  // rows [w_first, rows); outside them the spikes are zero, and a spike
+  // the segment has no neighbour for was never computed. The loop runs
   // over the union of the two ranges, skipping the gap between them.
   const la::index_t rows = hi_ - lo_;
-  const la::index_t v_end = has_g ? t.v_rows() : 0;
-  const la::index_t w_first = has_h ? t.w_first() : rows;
+  const la::index_t v_end = t.v_rows();
+  const la::index_t w_first = t.w_first();
+  // g is gh's first block row and h its last (one row when one side).
+  const la::ConstMatrixView g = v_end > 0 ? gh.block(0, 0, m, cols) : la::ConstMatrixView();
+  const la::ConstMatrixView h =
+      w_first < rows ? gh.block(gh.rows() - m, 0, m, cols) : la::ConstMatrixView();
   const la::index_t resume = std::max(v_end, w_first);
   // Block rows are independent; each element sees the same two k-ascending
   // accumulations (V_j g, then W_j h) however the rows are split.

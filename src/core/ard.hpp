@@ -19,12 +19,14 @@
 ///   factor — O(M^3 (N/P + log P)) work, O(M^2 (N/P + log P)) memory:
 ///     1. block-Thomas factorization of this rank's row segment, read in
 ///        place from the caller's rows;
-///     2. in the same sweep, the segment's corner spikes
-///        [V W] = A_seg^{-1} [E_first E_last] (V's forward sweep inside the
-///        factor loop, one shared backward walk), kept only on the rows
-///        where they have not decayed below working precision
-///        (DBL_EPSILON) relative to their tip
-///        (btds::ThomasFactorization::factor_segment); their corner blocks
+///     2. in the same sweep, the corner spikes the segment's neighbours
+///        read: V = A_seg^{-1} E_first when a rank lies above it,
+///        W = A_seg^{-1} E_last when one lies below (so rank 0 has no V,
+///        rank P-1 no W, and a serial run neither). V's forward sweep runs
+///        inside the factor loop and both backward sweeps share one walk;
+///        each spike is kept only on the rows where it has not decayed
+///        below working precision (DBL_EPSILON) relative to its tip
+///        (btds::ThomasFactorization::factor_segment). Their corner blocks
 ///        form the segment's two-port, and the spike update walks only
 ///        that support;
 ///     3. forward and backward hypercube prefix scans over two-ports
@@ -145,8 +147,9 @@ class ArdFactorization {
   la::index_t block_size() const { return m_; }
 
   /// Approximate bytes of factored state held by this rank (T1's memory
-  /// column): the segment factorization, its spikes' support (up to 2 M^2
-  /// doubles per block row), the interface LU and the scan caches.
+  /// column): the segment factorization, its spikes' support (up to M^2
+  /// doubles per block row for each spike it computes), the interface LU
+  /// and the scan caches. The end ranks hold one spike each.
   std::size_t storage_bytes() const;
 
   /// The breakdown monitor the drivers compare against
@@ -164,8 +167,8 @@ class ArdFactorization {
   void global_phase(mpsim::Comm& comm);
 
   /// x -= V g + W h over the block rows of the spikes' support, with
-  /// [g; h] the solved interface right-hand side (rows for absent sides
-  /// omitted).
+  /// [g; h] the solved interface right-hand side (a side without a
+  /// neighbour has neither its spike nor its rows).
   void apply_spikes(la::ConstMatrixView gh, la::MatrixView x, par::Pool* pool) const;
 
   int rank_ = 0;
@@ -176,8 +179,9 @@ class ArdFactorization {
   la::index_t lo_ = 0;  // first local block row
   la::index_t hi_ = 0;  // one past last local block row
 
-  /// The segment, factored in place from the caller's rows; also holds its
-  /// corner spikes [V W] = A_seg^{-1} [E_first E_last] on their support.
+  /// The segment, factored in place from the caller's rows; also holds the
+  /// corner spikes its neighbours read (V iff lo > 0, W iff hi < N) on
+  /// their support.
   btds::ThomasFactorization thomas_;
   la::Matrix f_pre_;    ///< F = A_lo S_pre C_{lo-1} (empty on rank 0)
   la::Matrix g_suf_;    ///< G = C_{hi-1} P_suf A_hi (empty on rank P-1)
@@ -185,7 +189,7 @@ class ArdFactorization {
 
   /// This segment's two-port (kept for update()); its a_first and c_last
   /// are the segment's boundary couplings A_lo and C_hi-1 (zero on rows 0
-  /// and N-1).
+  /// and N-1, where the corners of the spike not computed stay zero too).
   TwoPort tp_;
   CachedScan<TwoPortOp> fwd_;
   CachedScan<TwoPortOpReversed> bwd_;

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 
 #include "src/btds/thomas.hpp"
@@ -63,16 +64,21 @@ inline double ard_factor_global(index_t m, int p) {
 /// ARD factor phase flops (phase 1). The breakdown mirrors
 /// ArdFactorization::factor (the spike form):
 ///   per row: one block-Thomas factorization (14/3 M^3) plus the corner
-///            spikes [V W] = A_seg^{-1} [E_first E_last] (8 M^3: V is a
-///            full M-column solve, W skips the forward sweep) ~ 12.7 M^3
+///            spikes the busiest rank's neighbours read: none serially,
+///            V alone at P = 2 (6 M^3, a full M-column solve), V and W
+///            from P = 3 on (8 M^3: W skips the forward sweep), so
+///            ~ 12.7 M^3 on an interior rank
 /// plus ard_factor_global's scans and interface system. The spike share
 /// is the dense model count (spike_flops): the code computes the spikes
 /// only on their support, which on a long decaying segment is a few
 /// hundred rows, but the engine charges this count, so virtual time
 /// models the paper's dense algorithm.
 inline double ard_factor(index_t n, index_t m, int p) {
-  const double per_row =
-      btds::ThomasFactorization::factor_flops(1, m) + btds::ThomasFactorization::spike_flops(1, m);
+  // The busiest rank's spikes are those of rank 1 in a system of min(P, 3)
+  // one-row ranks (rank 0 when P = 1).
+  const index_t ranks = std::min(p, 3);
+  const double per_row = btds::ThomasFactorization::factor_flops(1, m) +
+                         btds::ThomasFactorization::spike_flops(ranks > 1 ? 1 : 0, 1, ranks, m);
   return rows_per_rank(n, p) * per_row + ard_factor_global(m, p);
 }
 

@@ -402,8 +402,14 @@ void Session::factor() {
   }
   record_outcome(std::move(outcome));
   factor_vtime_ = vtime;
-  if (method_ == Method::kArd) storage_bytes_ = ard_[0].storage_bytes();
-  if (method_ == Method::kPcr) storage_bytes_ = pcr_[0].storage_bytes();
+  // The largest rank's, not rank 0's: ranks differ in spikes (the end
+  // ranks hold one each) and in scan caches.
+  for (const ArdFactorization& f : ard_) {
+    storage_bytes_ = std::max(storage_bytes_, f.storage_bytes());
+  }
+  for (const PcrFactorization& f : pcr_) {
+    storage_bytes_ = std::max(storage_bytes_, f.storage_bytes());
+  }
   factored_ = true;
 }
 

@@ -153,7 +153,8 @@ class Session {
   /// Modeled seconds of each solve batch, in call order (a batch the ladder
   /// escalated includes its fallback solve run).
   const std::vector<double>& solve_vtimes() const { return solve_vtimes_; }
-  /// Bytes of factored state on rank 0 (0 for methods without one).
+  /// Bytes of factored state on the rank holding the most (0 for methods
+  /// without one); service::FactorCache budgets on it.
   std::size_t storage_bytes() const { return storage_bytes_; }
 
   /// Arena statistics of rank `r`'s workspace (populated for Method::kArd
@@ -297,7 +298,7 @@ struct SessionResult {
   mpsim::RunReport report;          ///< engine counters
   double factor_vtime = 0.0;        ///< modeled factor seconds
   std::vector<double> solve_vtimes; ///< modeled seconds per batch
-  std::size_t storage_bytes = 0;    ///< factored state on rank 0
+  std::size_t storage_bytes = 0;    ///< factored state of the largest rank
 };
 
 /// One-shot convenience over Session: factor once, then solve every batch

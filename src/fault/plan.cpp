@@ -4,19 +4,6 @@
 #include <cassert>
 
 namespace ardbt::fault {
-namespace {
-
-/// splitmix64 — tiny, seedable, and good enough to spread fault targets.
-std::uint64_t splitmix64(std::uint64_t& state) {
-  state += 0x9e3779b97f4a7c15ull;
-  std::uint64_t z = state;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-  return z ^ (z >> 31);
-}
-
-}  // namespace
-
 std::string_view to_string(FaultKind kind) {
   switch (kind) {
     case FaultKind::kDelay:
@@ -57,22 +44,6 @@ FaultPlan& FaultPlan::crash_before_send(int rank, std::uint64_t nth_send) {
 FaultPlan& FaultPlan::add(FaultSpec spec) {
   specs_.push_back(spec);
   return *this;
-}
-
-FaultPlan FaultPlan::random(std::uint64_t seed, int nranks, int count, bool include_crash) {
-  FaultPlan plan;
-  std::uint64_t state = seed * 0x2545f4914f6cdd1dull + 1;
-  const int nkinds = include_crash ? 5 : 4;
-  for (int i = 0; i < count; ++i) {
-    FaultSpec spec;
-    spec.kind = static_cast<FaultKind>(splitmix64(state) % static_cast<std::uint64_t>(nkinds));
-    spec.rank = static_cast<int>(splitmix64(state) % static_cast<std::uint64_t>(nranks));
-    spec.nth_send = splitmix64(state) % 16;
-    spec.seconds = 1e-4 * static_cast<double>(1 + splitmix64(state) % 100);
-    spec.bit = splitmix64(state) % 512;
-    plan.add(spec);
-  }
-  return plan;
 }
 
 void FaultPlan::prepare(int nranks) {

@@ -11,9 +11,9 @@
 ///
 /// A FaultPlan is a list of faults, each keyed by (rank, nth send of that
 /// rank): when rank r issues its nth point-to-point send, the matching
-/// fault fires — once. Because the trigger is a rank-local ordinal and
-/// every generator is seeded, a plan replays identically across runs and
-/// thread counts; there is no wall-clock or randomness at fire time.
+/// fault fires — once. Because the trigger is a rank-local ordinal, a
+/// plan replays identically across runs and thread counts; there is no
+/// wall-clock or randomness at fire time.
 ///
 /// Supported fault kinds (FaultKind):
 ///   kDelay      — the message becomes visible `seconds` of virtual time
@@ -84,8 +84,8 @@ struct SendActions {
   int injected_count = 0;  ///< how many specs fired on this send (stats)
 };
 
-/// Seeded, deterministic fault schedule. Build one with the fluent
-/// helpers (or FaultPlan::random), install it via
+/// Deterministic fault schedule. Build one with the fluent
+/// helpers, install it via
 /// mpsim::EngineOptions::fault_plan, read the logs after the run.
 class FaultPlan {
  public:
@@ -99,12 +99,6 @@ class FaultPlan {
   FaultPlan& straggle(int rank, std::uint64_t nth_send, double seconds);
   FaultPlan& crash_before_send(int rank, std::uint64_t nth_send);
   FaultPlan& add(FaultSpec spec);
-
-  /// Deterministic mixed plan: `count` faults over `nranks` ranks, kinds
-  /// and targets drawn from a splitmix64 stream of `seed`. Crash faults
-  /// are included only when `include_crash` (they abort the run and need
-  /// a retrying caller).
-  static FaultPlan random(std::uint64_t seed, int nranks, int count, bool include_crash = false);
 
   bool empty() const { return specs_.size() == 0; }
   std::size_t size() const { return specs_.size(); }

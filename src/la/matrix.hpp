@@ -97,14 +97,6 @@ class Matrix {
     return m;
   }
 
-  /// Matrix with `diag.size()` rows/cols and the given main diagonal.
-  static Matrix diagonal(std::span<const double> diag) {
-    const auto n = static_cast<index_t>(diag.size());
-    Matrix m(n, n);
-    for (index_t i = 0; i < n; ++i) m(i, i) = diag[static_cast<std::size_t>(i)];
-    return m;
-  }
-
   double& operator()(index_t i, index_t j) {
     assert(i >= 0 && i < rows_ && j >= 0 && j < cols_);
     return data_[static_cast<std::size_t>(i * cols_ + j)];

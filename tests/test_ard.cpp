@@ -257,25 +257,45 @@ TEST(Ard, BreakdownMonitorTripsOnBadInterface) {
 }
 
 TEST(Ard, FlopCounterMatchesAnalyticFormulaWithinFactor) {
-  // P divides N, so every rank owns N/P rows; the busiest rank (an
-  // interior one) must charge what flops.hpp predicts.
+  // P divides N, so every rank owns N/P rows; the busiest rank (rank 1,
+  // whose V costs more than rank 0's W, at P = 2; an interior one from
+  // P = 3 on) must charge what flops.hpp predicts.
   const la::index_t n = 512, m = 8, r = 16;
-  const int p = 4;
   const BlockTridiag sys = make_problem(ProblemKind::kDiagDominant, n, m);
   const Matrix b = make_rhs(n, m, r);
-  Matrix x(b.rows(), b.cols());
-  const btds::RowPartition part(n, p);
-  std::vector<double> charged(static_cast<std::size_t>(p), 0.0);
-  test::run_ranks(p, [&](mpsim::Comm& comm) {
-    const double f0 = comm.stats().flops_charged;
-    const auto f = ArdFactorization::factor(comm, sys, part);
-    f.solve(comm, b, x);
-    charged[static_cast<std::size_t>(comm.rank())] = comm.stats().flops_charged - f0;
-  });
-  const double measured = *std::max_element(charged.begin(), charged.end());
-  const double predicted = flops::ard_factor(n, m, p) + flops::ard_solve(n, m, r, p);
-  EXPECT_NEAR(measured / predicted, 1.0, 0.05) << measured << " vs " << predicted;
-  EXPECT_LT(btds::relative_residual(sys, x, b), 1e-12);
+  for (const int p : {1, 2, 4}) {
+    Matrix x(b.rows(), b.cols());
+    const btds::RowPartition part(n, p);
+    std::vector<double> charged(static_cast<std::size_t>(p), 0.0);
+    test::run_ranks(p, [&](mpsim::Comm& comm) {
+      const double f0 = comm.stats().flops_charged;
+      const auto f = ArdFactorization::factor(comm, sys, part);
+      f.solve(comm, b, x);
+      charged[static_cast<std::size_t>(comm.rank())] = comm.stats().flops_charged - f0;
+    });
+    const double measured = *std::max_element(charged.begin(), charged.end());
+    const double predicted = flops::ard_factor(n, m, p) + flops::ard_solve(n, m, r, p);
+    EXPECT_NEAR(measured / predicted, 1.0, 0.05) << "P=" << p << ": " << measured << " vs "
+                                                 << predicted;
+    EXPECT_LT(btds::relative_residual(sys, x, b), 1e-12) << "P=" << p;
+  }
+}
+
+TEST(Ard, SerialFactorChargesExactlyTheThomasFactor) {
+  // One rank has no neighbour, so it computes no spikes and runs no scan
+  // or interface system: its factor charge is serial block Thomas's.
+  const la::index_t n = 300, m = 8;
+  const BlockTridiag sys = make_problem(ProblemKind::kPoisson2D, n, m);
+  for (const btds::PivotKind pivot : {btds::PivotKind::kLu, btds::PivotKind::kCholesky}) {
+    double charged = 0.0;
+    test::run_ranks(1, [&](mpsim::Comm& comm) {
+      const double f0 = comm.stats().flops_charged;
+      (void)ArdFactorization::factor(comm, sys, btds::RowPartition(n, 1), {.pivot = pivot});
+      charged = comm.stats().flops_charged - f0;
+    });
+    EXPECT_EQ(charged, btds::ThomasFactorization::factor_flops(n, m, pivot));
+  }
+  EXPECT_EQ(flops::ard_factor(n, m, 1), btds::ThomasFactorization::factor_flops(n, m));
 }
 
 }  // namespace

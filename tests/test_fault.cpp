@@ -84,20 +84,6 @@ TEST(Status, PivotDiagnosticsTrackExtremesAndGrowth) {
 
 // --------------------------------------------------------------- fault plan
 
-TEST(FaultPlan, RandomIsDeterministicPerSeed) {
-  const auto a = fault::FaultPlan::random(123, 4, 8);
-  const auto b = fault::FaultPlan::random(123, 4, 8);
-  ASSERT_EQ(a.size(), b.size());
-  ASSERT_EQ(a.size(), 8u);
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a.specs()[i].kind, b.specs()[i].kind);
-    EXPECT_EQ(a.specs()[i].rank, b.specs()[i].rank);
-    EXPECT_EQ(a.specs()[i].nth_send, b.specs()[i].nth_send);
-    EXPECT_DOUBLE_EQ(a.specs()[i].seconds, b.specs()[i].seconds);
-    // Crash faults only appear when explicitly requested.
-    EXPECT_NE(a.specs()[i].kind, fault::FaultKind::kCrash);
-  }
-}
 
 TEST(FaultPlan, ChecksumDetectsASingleFlippedBit) {
   std::vector<std::byte> payload(64);

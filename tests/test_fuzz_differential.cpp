@@ -385,6 +385,18 @@ TEST(SpikeSweep, OptionCrossProductMatchesBandedLu) {
       }
     }
   }
+  // A long case first shows the support cut on both spikes of an interior
+  // segment as long as a rank's (rows [1, N/P + 1)), then runs.
+  const auto check_long_case = [&](const SweepCase& c) {
+    ++cases;
+    const BlockTridiag sys = make_sweep_system(c);
+    const index_t seg_rows = c.n / c.p;
+    const auto f = btds::ThomasFactorization::factor_segment(sys, 1, seg_rows, c.pivot);
+    EXPECT_LT(f.v_rows(), seg_rows) << c.describe();
+    EXPECT_GT(f.w_first(), 0) << c.describe();
+    std::string err = check_sweep_case(c);
+    if (!err.empty()) failures.emplace_back(c, std::move(err));
+  };
   // Long decaying segments (N/P >= 1500): the support cutoff engages on
   // every rank, and the cut spikes must keep the residual and bit-identity
   // contracts.
@@ -398,14 +410,7 @@ TEST(SpikeSweep, OptionCrossProductMatchesBandedLu) {
       c.seed = rng() % 100000;
       c.pivot = cases % 2 == 0 ? btds::PivotKind::kLu : btds::PivotKind::kCholesky;
       c.kind = c.pivot == btds::PivotKind::kLu ? SweepKind::kDiagDominant : SweepKind::kSpd;
-      ++cases;
-      const BlockTridiag sys = make_sweep_system(c);
-      const index_t seg_rows = c.n / c.p;
-      const auto f = btds::ThomasFactorization::factor_segment(sys, 0, seg_rows, c.pivot);
-      EXPECT_LT(f.v_rows(), seg_rows) << c.describe();
-      EXPECT_GT(f.w_first(), 0) << c.describe();
-      std::string err = check_sweep_case(c);
-      if (!err.empty()) failures.emplace_back(c, std::move(err));
+      check_long_case(c);
     }
   }
   // Long slowly decaying segments (2-D Poisson, N/P >= 1024): the spikes
@@ -422,19 +427,32 @@ TEST(SpikeSweep, OptionCrossProductMatchesBandedLu) {
         c.pivot = pivot;
         c.local = local;
         c.kind = SweepKind::kPoisson2D;
-        ++cases;
-        const BlockTridiag sys = make_sweep_system(c);
-        const index_t seg_rows = c.n / c.p;
-        const auto f = btds::ThomasFactorization::factor_segment(sys, 0, seg_rows, c.pivot);
-        EXPECT_LT(f.v_rows(), seg_rows) << c.describe();
-        EXPECT_GT(f.w_first(), 0) << c.describe();
-        std::string err = check_sweep_case(c);
-        if (!err.empty()) failures.emplace_back(c, std::move(err));
+        check_long_case(c);
       }
     }
   }
-  // 320 cross-product cases, 6 long decaying and 8 long Poisson cases.
-  EXPECT_EQ(cases, 334);
+  // Long ill-conditioned segments (N/P >= 1024): block rows scaled over six
+  // decades, or a near-singular pivot planted on row 0. Both generators
+  // stay block diagonally dominant, so the spikes decay and the cut
+  // engages on every rank, and the forward error is checked against
+  // banded LU's under forward_error_bound.
+  for (const SweepKind kind : {SweepKind::kConditioned, SweepKind::kNearSingular}) {
+    for (const index_t m : {index_t{8}, index_t{16}}) {
+      for (const bool local : {false, true}) {
+        SweepCase c;
+        c.p = 2 + static_cast<int>(rng() % 2);
+        c.n = c.p * (1024 + static_cast<index_t>(rng() % 64));
+        c.m = m;
+        c.local = local;
+        c.kind = kind;
+        c.seed = rng() % 100000;
+        check_long_case(c);
+      }
+    }
+  }
+  // 320 cross-product cases, 6 long decaying, 8 long Poisson and 8 long
+  // ill-conditioned cases.
+  EXPECT_EQ(cases, 342);
   if (!failures.empty()) {
     const auto smallest = std::min_element(
         failures.begin(), failures.end(),

@@ -32,16 +32,11 @@ TEST(Matrix, InitializerList) {
   EXPECT_EQ(m(2, 0), 5.0);
 }
 
-TEST(Matrix, IdentityAndDiagonal) {
+TEST(Matrix, Identity) {
   const Matrix eye = Matrix::identity(3);
   for (index_t i = 0; i < 3; ++i) {
     for (index_t j = 0; j < 3; ++j) EXPECT_EQ(eye(i, j), i == j ? 1.0 : 0.0);
   }
-  const double d[] = {2.0, -3.0};
-  const Matrix diag = Matrix::diagonal(std::span<const double>(d, 2));
-  EXPECT_EQ(diag(0, 0), 2.0);
-  EXPECT_EQ(diag(1, 1), -3.0);
-  EXPECT_EQ(diag(0, 1), 0.0);
 }
 
 TEST(Matrix, ElementWrite) {

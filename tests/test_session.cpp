@@ -14,6 +14,7 @@
 #include "src/btds/spmv.hpp"
 #include "src/obs/metrics.hpp"
 #include "src/obs/trace.hpp"
+#include "tests/run_ranks.hpp"
 
 namespace ardbt::core {
 namespace {
@@ -41,6 +42,24 @@ TEST(Session, MatchesLegacyOneShotExactlyPerMethod) {
     const la::Matrix x = session.solve(b);
     EXPECT_TRUE(x == legacy.x) << to_string(method);
   }
+}
+
+TEST(Session, StorageBytesAreTheLargestRanks) {
+  // At P = 3 the end ranks hold one spike each and rank 1 both, so rank 1
+  // holds the most here, and the session (and service::FactorCache, which
+  // budgets on it) reports its bytes, not rank 0's.
+  const auto sys = make_problem(ProblemKind::kDiagDominant, 24, 4);
+  const btds::RowPartition part(24, 3);
+  std::vector<std::size_t> bytes(3, 0);
+  test::run_ranks(3, [&](mpsim::Comm& comm) {
+    bytes[static_cast<std::size_t>(comm.rank())] =
+        ArdFactorization::factor(comm, sys, part).storage_bytes();
+  });
+  EXPECT_LT(bytes[0], bytes[1]);
+  EXPECT_LT(bytes[2], bytes[1]);
+  Session session(Method::kArd, sys, 3, {.engine = charged()});
+  session.factor();
+  EXPECT_EQ(session.storage_bytes(), bytes[1]);
 }
 
 TEST(Session, FactorOnceThenRepeatedSolves) {

@@ -389,6 +389,8 @@ TEST(SmallBlock, ThomasSolveBitIdenticalAcrossPaths) {
       const index_t rows = part.end(1) - lo;
       const Matrix b = btds::make_rhs(n, m, 6, 3);
       const Matrix b_local = btds::make_rhs(rows, m, 6, 5);
+      // Rows [1, n - 1): an interior segment, which computes both spikes.
+      const Matrix b_inner = btds::make_rhs(n - 2, m, 6, 4);
       struct Entry {
         const char* name;
         std::function<ThomasFactorization()> factor;
@@ -396,7 +398,8 @@ TEST(SmallBlock, ThomasSolveBitIdenticalAcrossPaths) {
       };
       const Entry entries[] = {
           {"factor", [&] { return ThomasFactorization::factor(sys, pivot); }, b},
-          {"segment", [&] { return ThomasFactorization::factor_segment(sys, 0, n, pivot); }, b},
+          {"segment", [&] { return ThomasFactorization::factor_segment(sys, 1, n - 2, pivot); },
+           b_inner},
           {"local", [&] { return ThomasFactorization::factor_segment(local, lo, rows, pivot); },
            b_local},
       };

@@ -213,10 +213,63 @@ BlockTridiag spike_system(PivotKind pivot, ProblemKind kind, index_t n, index_t 
              : make_problem(kind, n, m);
 }
 
+/// Rows [1, N - 1) of `t`: an interior segment, which has a neighbour on
+/// each side and so computes both spikes.
+ThomasFactorization interior_segment(const BlockTridiag& t, PivotKind pivot) {
+  return ThomasFactorization::factor_segment(t, 1, t.num_blocks() - 2, pivot);
+}
+
+/// Block rows [lo, lo + n) of `t` copied out as a standalone system.
+BlockTridiag rows_of(const BlockTridiag& t, index_t lo, index_t n) {
+  BlockTridiag seg(n, t.block_size());
+  for (index_t k = 0; k < n; ++k) {
+    seg.diag(k) = t.diag(lo + k);
+    if (k > 0) seg.lower(k) = t.lower(lo + k);
+    if (k + 1 < n) seg.upper(k) = t.upper(lo + k);
+  }
+  return seg;
+}
+
+TEST(Thomas, SegmentComputesOnlyTheSpikesItsNeighboursRead) {
+  // V couples a segment to the rows above it and W to the rows below it,
+  // so factor_segment computes V iff lo > 0 and W iff lo + n < N: an end
+  // segment holds one spike, the whole system none, and the charge
+  // counts only what was computed (6 M^3 per row for V, 2 M^3 for W).
+  const index_t big = 12;
+  const index_t m = 3;
+  const BlockTridiag t = make_problem(ProblemKind::kDiagDominant, big, m);
+  const double m3 = static_cast<double>(m * m * m);
+
+  const ThomasFactorization top = ThomasFactorization::factor_segment(t, 0, 4);
+  EXPECT_EQ(top.v_rows(), 0);
+  EXPECT_LT(top.w_first(), 4);
+  EXPECT_EQ(ThomasFactorization::spike_flops(0, 4, big, m), 2.0 * 4 * m3);
+
+  const ThomasFactorization bottom = ThomasFactorization::factor_segment(t, 8, 4);
+  EXPECT_GT(bottom.v_rows(), 0);
+  EXPECT_EQ(bottom.w_first(), 4);
+  EXPECT_EQ(ThomasFactorization::spike_flops(8, 4, big, m), 6.0 * 4 * m3);
+
+  const ThomasFactorization middle = ThomasFactorization::factor_segment(t, 4, 4);
+  EXPECT_GT(middle.v_rows(), 0);
+  EXPECT_LT(middle.w_first(), 4);
+  EXPECT_EQ(ThomasFactorization::spike_flops(4, 4, big, m), 8.0 * 4 * m3);
+
+  const ThomasFactorization whole = ThomasFactorization::factor_segment(t, 0, big);
+  EXPECT_EQ(whole.v_rows(), 0);
+  EXPECT_EQ(whole.w_first(), big);
+  EXPECT_EQ(ThomasFactorization::spike_flops(0, big, big, m), 0.0);
+  const std::size_t slab = static_cast<std::size_t>(3 * big - 2) * m * m * sizeof(double) +
+                           static_cast<std::size_t>(big * m) * sizeof(la::index_t);
+  EXPECT_EQ(whole.storage_bytes(), slab);
+  EXPECT_EQ(ThomasFactorization::factor(t).storage_bytes(), slab);
+}
+
 TEST(Thomas, CornerSpikesMatchUnitLoadSolves) {
-  // A segment whose spikes never decay below DBL_EPSILON relative to their
-  // tip keeps full support, and its spikes are exactly what solve_inplace
-  // gives on [E_first E_last] — on the fixed-M path (M = 8, 16) and the
+  // An interior segment (rows [1, n + 1) of an (n + 2)-row system, so both
+  // spikes are computed) whose spikes never decay below DBL_EPSILON
+  // relative to their tip keeps full support, and its spikes are exactly
+  // what solve_inplace gives on [E_first E_last] — on the fixed-M path (M = 8, 16) and the
   // generic one (M = 3), with LU and Cholesky pivots. Diagonally dominant
   // spikes fall below the cutoff after 10-17 rows, so they stay whole at
   // up to 9 rows. Poisson's slowest mode decays by ~0.45 per row at M = 3,
@@ -227,8 +280,8 @@ TEST(Thomas, CornerSpikesMatchUnitLoadSolves) {
       for (const index_t n : {index_t{1}, index_t{2}, index_t{9}, index_t{24}, index_t{80}}) {
         const ProblemKind kind = n > 9 ? ProblemKind::kPoisson2D : ProblemKind::kDiagDominant;
         if (n > 24 && m == 3) continue;
-        const BlockTridiag t = spike_system(pivot, kind, n, m);
-        const ThomasFactorization f = ThomasFactorization::factor_segment(t, 0, n, pivot);
+        const BlockTridiag t = spike_system(pivot, kind, n + 2, m);
+        const ThomasFactorization f = interior_segment(t, pivot);
         const std::string where = "pivot=" + std::to_string(static_cast<int>(pivot)) +
                                   " M=" + std::to_string(m) + " N=" + std::to_string(n);
         ASSERT_EQ(f.v_rows(), n) << where;
@@ -246,7 +299,7 @@ TEST(Thomas, CornerSpikesMatchUnitLoadSolves) {
       }
     }
   }
-  EXPECT_EQ(ThomasFactorization::spike_flops(10, 4), 8.0 * 10 * 64);
+  EXPECT_EQ(ThomasFactorization::spike_flops(1, 10, 12, 4), 8.0 * 10 * 64);
 }
 
 TEST(Thomas, LongDecayingSegmentStoresOnlyTheSpikeSupport) {
@@ -272,23 +325,24 @@ TEST(Thomas, LongDecayingSegmentStoresOnlyTheSpikeSupport) {
       // Both supports end far inside the segment: a gap of untouched rows
       // separates them.
       const index_t n = m == 3 ? 400 : 700;
-      const BlockTridiag t = spike_system(pivot, ProblemKind::kDiagDominant, n, m);
-      const ThomasFactorization f = ThomasFactorization::factor_segment(t, 0, n, pivot);
+      const BlockTridiag t = spike_system(pivot, ProblemKind::kDiagDominant, n + 2, m);
+      const ThomasFactorization f = interior_segment(t, pivot);
       const std::string where =
           "pivot=" + std::to_string(static_cast<int>(pivot)) + " M=" + std::to_string(m);
       EXPECT_LT(f.v_rows(), n) << where;
       EXPECT_GT(f.w_first(), 0) << where;
       const std::size_t support = static_cast<std::size_t>(f.v_rows() + n - f.w_first());
-      EXPECT_EQ(f.storage_bytes() - ThomasFactorization::factor(t, pivot).storage_bytes(),
+      EXPECT_EQ(f.storage_bytes() -
+                    ThomasFactorization::factor(rows_of(t, 1, n), pivot).storage_bytes(),
                 support * static_cast<std::size_t>(m * m) * sizeof(double))
           << where;
 
       const Matrix ref = full_spikes(f);
       const Matrix s = stored_spikes(f);
       // Tips as the rule reads them: V's from the forward sweep's first
-      // row D_0^{-1}, W's from its own last row.
-      BlockTridiag d0(1, m);
-      d0.diag(0) = t.diag(0);
+      // row D_0^{-1} (the segment's first row is row 1 of t), W's from its
+      // own last row.
+      const BlockTridiag d0 = rows_of(t, 1, 1);
       const Matrix z0 = ThomasFactorization::factor(d0, pivot).solve(Matrix::identity(m));
       for (index_t j = 0; j < 2 * m; ++j) {
         double tip = 0.0;
@@ -318,8 +372,8 @@ TEST(Thomas, DiagDominantSpikesStopAtWorkingPrecision) {
   const index_t n = 1024;
   const index_t m = 16;
   for (const PivotKind pivot : {PivotKind::kLu, PivotKind::kCholesky}) {
-    const BlockTridiag t = spike_system(pivot, ProblemKind::kDiagDominant, n, m);
-    const ThomasFactorization f = ThomasFactorization::factor_segment(t, 0, n, pivot);
+    const BlockTridiag t = spike_system(pivot, ProblemKind::kDiagDominant, n + 2, m);
+    const ThomasFactorization f = interior_segment(t, pivot);
     const std::string where = "pivot=" + std::to_string(static_cast<int>(pivot));
     EXPECT_GE(f.v_rows(), 1) << where;
     EXPECT_LE(f.v_rows(), 32) << where;
@@ -329,22 +383,17 @@ TEST(Thomas, DiagDominantSpikesStopAtWorkingPrecision) {
 
 TEST(Thomas, SegmentFactorReadsTheCallersRowsInPlace) {
   // factor_segment over rows [lo, lo + n) of a larger system — the whole
-  // system or a slice holding them — gives the bits of factoring that segment copied
-  // out as a standalone system.
+  // system or a slice holding them — gives the bits of factoring that
+  // segment copied out, with one neighbour row on each side so that both
+  // spikes are computed, as a standalone system.
   const index_t big = 51;
   const RowPartition part(big, 3);  // rank 1 owns rows [17, 34)
   const index_t lo = part.begin(1), n = part.count(1);
   for (const index_t m : {index_t{3}, index_t{8}}) {
     const BlockTridiag t = make_problem(ProblemKind::kDiagDominant, big, m);
-    BlockTridiag seg(n, m);
-    for (index_t k = 0; k < n; ++k) {
-      seg.diag(k) = t.diag(lo + k);
-      if (k > 0) seg.lower(k) = t.lower(lo + k);
-      if (k + 1 < n) seg.upper(k) = t.upper(lo + k);
-    }
     const BlockTridiag local = slice(t, part, 1);
     const Matrix b = make_rhs(n, m, 3);
-    const ThomasFactorization ref = ThomasFactorization::factor_segment(seg, 0, n);
+    const ThomasFactorization ref = interior_segment(rows_of(t, lo - 1, n + 2), PivotKind::kLu);
     const Matrix x_ref = ref.solve(b);
     const Matrix s_ref = stored_spikes(ref);
     for (const ThomasFactorization& f : {ThomasFactorization::factor_segment(t, lo, n),
@@ -377,9 +426,8 @@ TEST(Thomas, StorageBytesExact) {
     for (index_t m : {index_t{3}, index_t{8}}) {
       for (bool layer : {true, false}) {
         la::smallblock::set_enabled(layer);
-        const BlockTridiag t = make_problem(kind, n, m);
-        const ThomasFactorization f = ThomasFactorization::factor(t, pivot);
-        const ThomasFactorization s = ThomasFactorization::factor_segment(t, 0, n, pivot);
+        const ThomasFactorization f = ThomasFactorization::factor(make_problem(kind, n, m), pivot);
+        const ThomasFactorization s = interior_segment(make_problem(kind, n + 2, m), pivot);
         la::smallblock::set_enabled(true);
         const std::size_t block = static_cast<std::size_t>(m * m) * sizeof(double);
         const std::size_t piv =

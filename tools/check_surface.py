@@ -1,12 +1,15 @@
 #!/usr/bin/env python3
-"""Surface guard: every free function a header declares has a caller.
+"""Surface guard: every free function and public static member function
+a header declares has a caller.
 
 A function only tests call still has to be compiled, documented and run
 under the sanitizers by every later change. This check fails when a
-non-template free function declared at namespace scope in src/**/*.hpp
-has no reference in src, tools, bench, examples or perfbench other than
-its own declarations and definitions. Overloads share a name and are
-checked by name. Comments and string literals are not references.
+non-template free function declared at namespace scope in src/**/*.hpp,
+or a non-template public static member function of a class defined
+there, has no reference in src, tools, bench, examples or perfbench
+other than its own declarations and definitions. Overloads (and members
+of different classes) share a name and are checked by name. Comments
+and string literals are not references.
 
 Functions kept on purpose for the tests (references the tests compare
 against, or helpers that drive the engine tests) are listed in ALLOWED,
@@ -46,6 +49,9 @@ KEYWORDS = {
     "static_assert", "noexcept", "void", "int", "double", "char", "bool",
     "auto", "operator", "alignas", "requires",
 }
+
+ACCESS = re.compile(r"\b(public|private|protected)\s*:(?!:)")
+CLASS_HEAD = re.compile(r"^(?:template\s*<.*>\s*)?(class|struct|union)\b", re.S)
 
 RAW_STRING = re.compile(r'R"([^(\s]*)\((?:.|\n)*?\)\1"')
 TOKENS = re.compile(r'//[^\n]*|/\*(?:.|\n)*?\*/|"(?:\\.|[^"\\\n])*"|\'(?:\\.|[^\'\\\n])*\'')
@@ -91,33 +97,60 @@ def function_name(stmt):
     return name
 
 
-def namespace_functions(code):
-    """Name of every function declared or defined at namespace scope."""
+class ClassScope:
+    """A class body: its current access, and whether its public members
+    are reachable from outside (every enclosing class's too)."""
+
+    def __init__(self, keyword, visible):
+        self.access = "private" if keyword == "class" else "public"
+        self.visible = visible
+
+    def public(self):
+        return self.visible and self.access == "public"
+
+
+def checked_functions(code):
+    """Name of every function declared or defined at namespace scope, and
+    of every public static member function declared in a class body."""
     found = []
-    scopes = []  # True for namespace-like scopes
+    scopes = []  # per open brace: "ns", a ClassScope, or None (any other)
     start = 0
     for i, c in enumerate(code):
-        at_ns = all(scopes)
-        if c == ";":
-            if at_ns:
-                name = function_name(code[start:i])
-                if name is not None:
-                    found.append(name)
-            start = i + 1
-        elif c == "{":
-            stmt = code[start:i]
-            words = stmt.split()
-            is_ns = at_ns and ("namespace" in words[:2] or words == ["extern", '""'])
-            if at_ns and not is_ns:
-                name = function_name(stmt)
-                if name is not None:
-                    found.append(name)
-            scopes.append(is_ns)
-            start = i + 1
-        elif c == "}":
+        if c not in ";{}":
+            continue
+        at_ns = all(s == "ns" for s in scopes)
+        cls = scopes[-1] if scopes and isinstance(scopes[-1], ClassScope) else None
+        if cls is not None and not all(s == "ns" or isinstance(s, ClassScope) for s in scopes):
+            cls = None  # a class local to a function
+        stmt = code[start:i]
+        labels = list(ACCESS.finditer(stmt)) if cls is not None else []
+        if labels:
+            cls.access = labels[-1].group(1)
+            stmt = stmt[labels[-1].end():]
+        start = i + 1
+        if c == "}":
             if scopes:
                 scopes.pop()
-            start = i + 1
+            continue
+        name = None
+        if at_ns:
+            name = function_name(stmt)
+        elif cls is not None and cls.public() and "static" in stmt.split("(", 1)[0].split():
+            name = function_name(stmt)
+        if c == ";":
+            if name is not None:
+                found.append(name)
+            continue
+        words = stmt.split()
+        head = CLASS_HEAD.match(stmt.strip())
+        if at_ns and ("namespace" in words[:2] or words == ["extern", '""']):
+            scopes.append("ns")
+        elif head is not None and (at_ns or cls is not None):
+            scopes.append(ClassScope(head.group(1), at_ns or cls.public()))
+        else:
+            if name is not None:
+                found.append(name)
+            scopes.append(None)
     return found
 
 
@@ -141,7 +174,7 @@ def main():
     uses = {}  # name -> count of every identifier occurrence
     for path in files:
         code = strip(path.read_text(errors="replace"))
-        for name in namespace_functions(code):
+        for name in checked_functions(code):
             own_sites[name] = own_sites.get(name, 0) + 1
             if path in headers:
                 declared.setdefault(name, path)
@@ -161,11 +194,11 @@ def main():
             dead.append(f"{header.relative_to(root)}: {name}")
     if dead:
         shown = "\n  ".join(dead)
-        print(f"check_surface: FAIL: {len(dead)} free function(s) with no caller in "
+        print(f"check_surface: FAIL: {len(dead)} function(s) with no caller in "
               f"{', '.join(CALLER_TREES)}; delete them or give a reason in ALLOWED:\n  {shown}",
               file=sys.stderr)
         sys.exit(1)
-    print(f"check_surface: {len(declared)} free functions in {len(headers)} headers, "
+    print(f"check_surface: {len(declared)} functions in {len(headers)} headers, "
           f"each with a caller ({len(ALLOWED)} kept for the tests)")
 
 
