@@ -62,7 +62,7 @@ int main(int argc, char** argv) {
   table.print();
   report.add_table("main", table);
   report.write();
-  std::printf("\nExpected shapes: ard_MB ~ 3 M^2 (N/P) doubles plus the spikes' support\n"
+  std::printf("\nExpected shapes: ard_MB ~ 2 M^2 (N/P) doubles plus the spikes' support\n"
               "(M^2 doubles per row of v_rows + w_rows: 10-20 rows per spike on a dominant\n"
               "segment, which falls to working precision that fast, and the whole segment\n"
               "when it is shorter), plus O(M^2) per rank for the two-port (its six blocks\n"

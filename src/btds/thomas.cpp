@@ -85,16 +85,13 @@ class ThomasFactorization::SpikeSweep {
   SpikeSweep(ThomasFactorization& f, bool v, bool w)
       : f_(f), mm_(static_cast<std::size_t>(f.m_ * f.m_)), v_done_(!v), w_(w) {}
 
-  /// V's forward sweep at block row i, run right after D'_i is factored
-  /// (and A_i copied): z_0 = D'_0^{-1} I, z_i = -D'_i^{-1} A_i z_{i-1}.
+  /// V's forward sweep at block row i, run right after D'_i is factored:
+  /// z_0 = D'_0^{-1} I, z_i = -D'_i^{-1} A_i z_{i-1}, A_i read from the
+  /// borrowed system.
   /// The z_i are V's block rows until the backward sweep corrects them.
   void forward(index_t i) {
     if (v_done_) return;
     const index_t m = f_.m_;
-    if (i == 0) {
-      // Reserved, not touched: pages past the support are never written.
-      f_.v_.reserve(static_cast<std::size_t>(f_.n_) * mm_);
-    }
     f_.v_.resize(static_cast<std::size_t>(i + 1) * mm_);
     la::MatrixView z = block(f_.v_, i);
     if (i == 0) {
@@ -121,7 +118,6 @@ class ThomasFactorization::SpikeSweep {
     const index_t m = f_.m_;
     std::optional<ColumnCutoff> w_cut;  // engaged while W is live
     if (w_) {
-      f_.w_.reserve(static_cast<std::size_t>(n) * mm_);
       f_.w_.resize(mm_);
       la::MatrixView tip = block(f_.w_, 0);
       for (index_t k = 0; k < m; ++k) tip(k, k) = 1.0;
@@ -169,10 +165,11 @@ class ThomasFactorization::SpikeSweep {
 };
 
 template <typename K>
-void ThomasFactorization::factor_pivot(index_t i) {
+void ThomasFactorization::factor_pivot(index_t i, la::MatrixView g) {
   const la::MatrixView d = pivot_block(i);
   if (pivot_ == PivotKind::kLu) {
-    const la::LuInPlaceInfo f = K::lu_factor(d, pivots(i));
+    const la::LuInPlaceInfo f =
+        g.cols() > 0 ? K::lu_factor_solve(d, pivots(i), g) : K::lu_factor(d, pivots(i));
     if (!f.ok()) {
       throw fault::SingularPivotError(fault::ErrorCode::kSingularPivot, "btds::thomas_factor", i,
                                       static_cast<std::int64_t>(f.info - 1), f.growth);
@@ -185,6 +182,7 @@ void ThomasFactorization::factor_pivot(index_t i) {
                                       static_cast<std::int64_t>(f.info - 1), f.growth());
     }
     diag_.observe(f.min_pivot_abs, f.max_pivot_abs, i);
+    if (g.cols() > 0) la::cholesky_solve_inplace(d, g);
   }
 }
 
@@ -204,7 +202,8 @@ void ThomasFactorization::factor_sweep(const BlockTridiag& t, index_t lo) {
   // Deliberately uninitialized (make_unique_for_overwrite): the sweep
   // writes every entry — couplings and diagonals are memcpy'd into their
   // final slots before the in-place factorization touches them.
-  blocks_ = std::make_unique_for_overwrite<double[]>(static_cast<std::size_t>(3 * n - 2) * mm);
+  slab_size_ = static_cast<std::size_t>(2 * n - 1) * mm;
+  blocks_ = std::make_unique_for_overwrite<double[]>(slab_size_);
   if (pivot_ == PivotKind::kLu) {
     piv_ = std::make_unique_for_overwrite<la::index_t[]>(static_cast<std::size_t>(n * m_));
   }
@@ -217,21 +216,20 @@ void ThomasFactorization::factor_sweep(const BlockTridiag& t, index_t lo) {
   // a spike with no neighbour on its side is never read.
   SpikeSweep<K> sweep(*this, lo > 0, lo + n < t.num_blocks());
 
-  // D'_0 = D_0; per row: factor D'_i, G_i = D'_i^{-1} C_i, then
-  // D'_{i+1} = D_{i+1} - A_{i+1} G_i, every block in its slab slot.
+  // D'_0 = D_0; per row: factor D'_i with G_i = D'_i^{-1} C_i, then
+  // D'_{i+1} = D_{i+1} - A_{i+1} G_i, every block but A_{i+1} in its slab
+  // slot.
   copy_block(pivot_block(0), t.diag(lo).view());
   for (index_t i = 0; i < n; ++i) {
-    factor_pivot<K>(i);
+    const bool coupled = i + 1 < n;
+    const la::MatrixView gi = coupled ? g_block(i) : la::MatrixView();
+    if (coupled) copy_block(gi, t.upper(lo + i).view());
+    factor_pivot<K>(i, gi);
     sweep.forward(i);
-    if (i + 1 < n) {
-      const la::MatrixView gi = g_block(i);
-      copy_block(gi, t.upper(lo + i).view());
-      pivot_solve<K>(i, gi);
-      const la::MatrixView ai = lower_block(i);
-      copy_block(ai, t.lower(lo + i + 1).view());
+    if (coupled) {
       const la::MatrixView next = pivot_block(i + 1);
       copy_block(next, t.diag(lo + i + 1).view());
-      K::mul_sub(ai, gi, next);
+      K::mul_sub(lower_block(i), gi, next);
     }
   }
   sweep.finish();
@@ -248,8 +246,20 @@ ThomasFactorization ThomasFactorization::factor_segment(const BlockTridiag& t, i
   f.n_ = n;
   f.m_ = t.block_size();
   f.pivot_ = pivot;
+  f.sys_ = &t;
+  f.lo_ = lo;
   la::smallblock::with_kernels(f.m_, [&](auto k) { f.factor_sweep<decltype(k)>(t, lo); });
   return f;
+}
+
+void ThomasFactorization::rebind(const BlockTridiag& t) {
+  if (t.block_size() != m_) {
+    throw fault::InvalidArgumentError("btds::ThomasFactorization::rebind",
+                                      "block order " + std::to_string(t.block_size()) +
+                                          ", factored " + std::to_string(m_));
+  }
+  require_rows(t, lo_, n_, "btds::ThomasFactorization::rebind");
+  sys_ = &t;
 }
 
 template <typename K>
@@ -355,9 +365,8 @@ double ThomasFactorization::spike_flops(index_t lo, index_t n, index_t num_block
 }
 
 std::size_t ThomasFactorization::storage_bytes() const {
-  const std::size_t slab = static_cast<std::size_t>((3 * n_ - 2) * m_ * m_);
   const std::size_t piv = pivot_ == PivotKind::kLu ? static_cast<std::size_t>(n_ * m_) : 0;
-  return (slab + v_.size() + w_.size()) * sizeof(double) + piv * sizeof(la::index_t);
+  return (slab_size_ + v_.size() + w_.size()) * sizeof(double) + piv * sizeof(la::index_t);
 }
 
 Matrix thomas_solve(const BlockTridiag& t, const Matrix& b) {

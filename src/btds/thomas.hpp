@@ -40,20 +40,30 @@ enum class PivotKind {
 /// la::smallblock::with_kernels picks when they run; both sets give the
 /// same bits, so results do not depend on the small-block layer setting
 /// at either time (docs/KERNELS.md).
+///
+/// The factorization borrows the system it factored: the slab keeps D'_i's
+/// factors and G_i, and every solve (and V's forward sweep in the factor)
+/// reads the sub-diagonal blocks A_i from the system itself rather than
+/// from a copy. The system must outlive the factorization, stay at its
+/// address and keep the segment's A_i unmodified; rebind() moves the borrow
+/// to another system object holding the same rows. Temporaries are
+/// rejected at compile time.
 class ThomasFactorization {
  public:
   /// Factor the whole system: factor_segment(t, 0, N, pivot), which has no
   /// neighbour and so computes no spikes. Same errors; a slice, which does
-  /// not hold all N rows, is rejected.
+  /// not hold all N rows, is rejected. Borrows `t` (see the class).
   static ThomasFactorization factor(const BlockTridiag& t, PivotKind pivot = PivotKind::kLu);
+  static ThomasFactorization factor(BlockTridiag&&, PivotKind = PivotKind::kLu) = delete;
 
   /// Factor block rows [lo, lo + n) of `t` (global indices; `t` may be a
   /// slice holding them) as a standalone segment, reading the blocks in
-  /// place, and compute in the same pass the corner spikes a neighbour
-  /// reads: V = T_seg^{-1} E_first iff the segment has rows above it
-  /// (lo > 0), W = T_seg^{-1} E_last iff it has rows below it
-  /// (lo + n < N). V's forward sweep runs inside the factor loop, and V's
-  /// and W's backward sweeps share one walk over the G_i. Throws
+  /// place and borrowing `t` (see the class), and compute in the same
+  /// pass the corner spikes a neighbour reads: V = T_seg^{-1} E_first iff
+  /// the segment has rows above it (lo > 0), W = T_seg^{-1} E_last iff it
+  /// has rows below it (lo + n < N). V's forward sweep runs inside the
+  /// factor loop, and V's and W's backward sweeps share one walk over the
+  /// G_i. Throws
   /// fault::SingularPivotError (carrying the block row, scalar pivot
   /// index, and pivot growth) on a singular pivot block (kLu) or a non-SPD
   /// pivot block (kCholesky), and fault::InvalidArgumentError unless
@@ -78,6 +88,16 @@ class ThomasFactorization {
   /// deterministic (docs/ALGORITHMS.md §4).
   static ThomasFactorization factor_segment(const BlockTridiag& t, index_t lo, index_t n,
                                             PivotKind pivot = PivotKind::kLu);
+  static ThomasFactorization factor_segment(BlockTridiag&&, index_t, index_t,
+                                            PivotKind = PivotKind::kLu) = delete;
+
+  /// Move the borrow to `t`, a system object holding the factored rows
+  /// with the same A_i (an equal copy, or the same rows at a new address).
+  /// Only where the solves read A_i changes; nothing is refactored or
+  /// compared. Throws fault::InvalidArgumentError unless `t` has this
+  /// factorization's block order and holds its rows.
+  void rebind(const BlockTridiag& t);
+  void rebind(BlockTridiag&&) = delete;
 
   /// Pivot extremes accumulated over every factored pivot block — the
   /// cheap breakdown monitor read by the solve drivers.
@@ -133,8 +153,9 @@ class ThomasFactorization {
   /// dense algorithm.
   static double spike_flops(index_t lo, index_t n, index_t num_blocks, index_t m);
 
-  /// Bytes of factored state: the (3N - 2) M x M slab blocks, the N M LU
-  /// row swaps under kLu, and the spikes' stored support.
+  /// Bytes of factored state: the (2N - 1) M x M slab blocks, the N M LU
+  /// row swaps under kLu, and the spikes' stored support. The borrowed
+  /// A_i are the system's, not counted here.
   std::size_t storage_bytes() const;
 
  private:
@@ -148,9 +169,11 @@ class ThomasFactorization {
   class SpikeSweep;
 
   /// Factor D'_i in place (LU or Cholesky, from the pivot kind), record
-  /// its diagnostics, and throw on a singular or non-SPD pivot.
+  /// its diagnostics, and throw on a singular or non-SPD pivot; with a
+  /// non-empty `g` (C_i on entry), also g := D'_i^{-1} g. Under kLu that
+  /// is one elimination of [D'_i | C_i] (K::lu_factor_solve).
   template <typename K>
-  void factor_pivot(index_t i);
+  void factor_pivot(index_t i, la::MatrixView g);
   /// b := D'_i^{-1} b with the stored factors of D'_i.
   template <typename K>
   void pivot_solve(index_t i, la::MatrixView b) const;
@@ -162,13 +185,15 @@ class ThomasFactorization {
   void check_rhs_rows(index_t rows) const;
 
   /// Slab block k, M x M row-major: the factors of D'_i at k = i, G_i at
-  /// N + i, the copy of A_{i+1} at 2N - 1 + i.
+  /// N + i.
   la::MatrixView slab_block(index_t k) const {
     return la::MatrixView(blocks_.get() + k * m_ * m_, m_, m_);
   }
   la::MatrixView pivot_block(index_t i) const { return slab_block(i); }
   la::MatrixView g_block(index_t i) const { return slab_block(n_ + i); }
-  la::MatrixView lower_block(index_t i) const { return slab_block(2 * n_ - 1 + i); }
+  /// A_{i+1}, the segment's row i + 1 coupling to row i, read from the
+  /// borrowed system.
+  la::ConstMatrixView lower_block(index_t i) const { return sys_->lower(lo_ + i + 1).view(); }
   /// The M row swaps of D'_i's LU (kLu only).
   la::index_t* pivots(index_t i) const { return piv_.get() + i * m_; }
 
@@ -176,13 +201,16 @@ class ThomasFactorization {
   index_t m_ = 0;
   PivotKind pivot_ = PivotKind::kLu;
   fault::PivotDiagnostics diag_;
+  const BlockTridiag* sys_ = nullptr;  // the borrowed system (see the class)
+  index_t lo_ = 0;                     // the segment's first global block row
   // The factored state in one contiguous uninitialized allocation of
-  // (3N - 2) M x M blocks: N pivot factors (LU packed, or Cholesky's L in
-  // the lower triangle), N - 1 G_i = D'_i^{-1} C_i, N - 1 copies of A_i.
+  // slab_size_ = (2N - 1) M^2 doubles: N pivot factors (LU packed, or
+  // Cholesky's L in the lower triangle), then N - 1 G_i = D'_i^{-1} C_i.
   // The factor sweep overwrites every entry, so zero-filling would only
   // add a pass; the sweeps run with no per-block allocation and the
   // solves stream sequential memory.
   std::unique_ptr<double[]> blocks_;
+  std::size_t slab_size_ = 0;
   std::unique_ptr<la::index_t[]> piv_;  // N * M LU row swaps (kLu)
   // Corner spikes on their support, M x M row-major blocks: V's block
   // rows 0 .. v_rows_-1 in order, W's rows N-1, N-2, .. N-w_rows_ in the

@@ -149,9 +149,11 @@ ArdFactorization ArdFactorization::factor(mpsim::Comm& comm, const btds::BlockTr
 
 void ArdFactorization::update(mpsim::Comm& comm, const btds::BlockTridiag& sys,
                               bool rows_changed) {
+  btds::require_rows(sys, lo_, hi_ - lo_, "core::ArdFactorization::update");
   if (rows_changed) {
-    btds::require_rows(sys, lo_, hi_ - lo_, "core::ArdFactorization::update");
     local_phase(comm, sys);
+  } else {
+    thomas_.rebind(sys);
   }
   global_phase(comm);
 }

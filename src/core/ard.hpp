@@ -115,9 +115,17 @@ class ArdFactorization {
   /// solve() calls allocation-free once the arena is warm. The arena must
   /// outlive the factorization, is used only by this rank's thread, and
   /// never changes results (bit-identical with or without one).
+  ///
+  /// The factorization borrows `sys`, like btds::ThomasFactorization: the
+  /// segment solves read this rank's sub-diagonal blocks from it, so it
+  /// must outlive the factorization (or be replaced through update()) and
+  /// keep those blocks unmodified. Temporaries are rejected at compile
+  /// time.
   static ArdFactorization factor(mpsim::Comm& comm, const btds::BlockTridiag& sys,
                                  const btds::RowPartition& part, const ArdOptions& opts = {},
                                  la::Workspace* ws = nullptr);
+  static ArdFactorization factor(mpsim::Comm&, btds::BlockTridiag&&, const btds::RowPartition&,
+                                 const ArdOptions& = {}, la::Workspace* = nullptr) = delete;
 
   /// Collective. The solve (phase 2), in place: `x_local` is this rank's
   /// (nloc*M) x R rows, holding b on entry and the solution on exit. It
@@ -140,8 +148,11 @@ class ArdFactorization {
   /// ranks keep their segment factorization, spikes and two-port, and
   /// only replay the O(M^3 log P) scans and rebuild F, G and K. The
   /// partition must be unchanged, and `sys` must hold this rank's rows
-  /// (as in factor()).
+  /// (as in factor(); fault::InvalidArgumentError otherwise). Every rank
+  /// borrows `sys` from then on, so an unchanged rank may be handed a new
+  /// system object holding equal rows and the old one destroyed.
   void update(mpsim::Comm& comm, const btds::BlockTridiag& sys, bool rows_changed);
+  void update(mpsim::Comm&, btds::BlockTridiag&&, bool) = delete;
 
   la::index_t num_blocks() const { return n_; }
   la::index_t block_size() const { return m_; }
@@ -179,9 +190,9 @@ class ArdFactorization {
   la::index_t lo_ = 0;  // first local block row
   la::index_t hi_ = 0;  // one past last local block row
 
-  /// The segment, factored in place from the caller's rows; also holds the
-  /// corner spikes its neighbours read (V iff lo > 0, W iff hi < N) on
-  /// their support.
+  /// The segment, factored in place from the caller's rows (which it
+  /// borrows for the A_i); also holds the corner spikes its neighbours
+  /// read (V iff lo > 0, W iff hi < N) on their support.
   btds::ThomasFactorization thomas_;
   la::Matrix f_pre_;    ///< F = A_lo S_pre C_{lo-1} (empty on rank 0)
   la::Matrix g_suf_;    ///< G = C_{hi-1} P_suf A_hi (empty on rank P-1)

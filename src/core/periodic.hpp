@@ -42,12 +42,16 @@ class PeriodicArdFactorization {
   /// Collective. `sys` is the acyclic part; `corner_lower` couples row 0
   /// to row N-1 (the B_0 block), `corner_upper` couples row N-1 to row 0
   /// (the C_N block). Throws std::runtime_error on singular pivots or a
-  /// singular capacitance matrix.
+  /// singular capacitance matrix. Borrows `sys` as
+  /// ArdFactorization::factor does.
   static PeriodicArdFactorization factor(mpsim::Comm& comm, const btds::BlockTridiag& sys,
                                          const la::Matrix& corner_lower,
                                          const la::Matrix& corner_upper,
                                          const btds::RowPartition& part,
                                          const ArdOptions& opts = {});
+  static PeriodicArdFactorization factor(mpsim::Comm&, btds::BlockTridiag&&, const la::Matrix&,
+                                         const la::Matrix&, const btds::RowPartition&,
+                                         const ArdOptions& = {}) = delete;
 
   /// Collective. Solve the periodic system for all columns of `b`;
   /// writes this rank's block rows of `x` (global shapes, as

@@ -309,13 +309,14 @@ inline double max_abs(ConstMatrixView m) {
   return smax;
 }
 
-/// mi[j] -= lik * mk[j] for j in (K, M): the rank-1 row update of
-/// elimination step K. K is a compile-time constant, so the extent is
+/// mi[j] -= lik * mk[j] for j in [J, M): the rank-1 row update of an
+/// elimination step, J = K + 1 on the factored block and 0 on a right-hand
+/// block riding along. J is a compile-time constant, so the extent is
 /// too: a 1- and a 2-wide head, then V4s.
-template <index_t M, index_t K>
+template <index_t M, index_t J>
 inline void lu_row_update(double lik, double* mi, const double* mk) {
-  constexpr index_t kLen = M - K - 1;
-  index_t j = K + 1;
+  constexpr index_t kLen = M - J;
+  index_t j = J;
   if constexpr (kLen % 2 != 0) {
     mi[j] -= lik * mk[j];
     j += 1;
@@ -327,10 +328,12 @@ inline void lu_row_update(double lik, double* mi, const double* mk) {
   for (; j < M; j += 4) at<V4>(mi + j) -= lik * at<V4>(mk + j);
 }
 
-/// Elimination step K of lu_factor_view_kernel: pivot search, row swap,
-/// multipliers and rank-1 update, in lu.cpp's order.
-template <index_t M, index_t K>
-inline void lu_step(MatrixView m, index_t* piv, LuInPlaceInfo& d) {
+/// Elimination step K of lu_eliminate: pivot search, row swap,
+/// multipliers and rank-1 update, in lu.cpp's order. Under kRhs the M x M
+/// block b takes the same row swap and, row by row right after the
+/// factor's, the same rank-1 update with the same multiplier.
+template <index_t M, index_t K, bool kRhs>
+inline void lu_step(MatrixView m, index_t* piv, LuInPlaceInfo& d, MatrixView b) {
   index_t p = K;
   double best = std::abs(m(K, K));
   for (index_t i = K + 1; i < M; ++i) {
@@ -343,6 +346,9 @@ inline void lu_step(MatrixView m, index_t* piv, LuInPlaceInfo& d) {
   piv[K] = p;
   if (p != K) {
     for (index_t j = 0; j < M; ++j) std::swap(m(K, j), m(p, j));
+    if constexpr (kRhs) {
+      for (index_t j = 0; j < M; ++j) std::swap(b(K, j), b(p, j));
+    }
   }
   const double pivot = m(K, K);
   d.min_pivot_abs = std::min(d.min_pivot_abs, std::abs(pivot));
@@ -357,8 +363,27 @@ inline void lu_step(MatrixView m, index_t* piv, LuInPlaceInfo& d) {
     const double lik = m(i, K) * inv_pivot;
     m(i, K) = lik;
     if (lik == 0.0) continue;
-    lu_row_update<M, K>(lik, m.row_ptr(i), mk);
+    lu_row_update<M, K + 1>(lik, m.row_ptr(i), mk);
+    if constexpr (kRhs) lu_row_update<M, 0>(lik, b.row_ptr(i), b.row_ptr(K));
   }
+}
+
+/// getrf of m in place with the growth factor; under kRhs, b rides along
+/// (see lu_step). The elimination steps are unrolled so every row update
+/// has a constant extent.
+template <index_t M, bool kRhs>
+inline LuInPlaceInfo lu_eliminate(MatrixView m, index_t* piv, MatrixView b) {
+  LuInPlaceInfo d;
+
+  const double a_max = max_abs<M, false>(m);
+
+  [&]<index_t... K>(std::integer_sequence<index_t, K...>) {
+    (lu_step<M, K, kRhs>(m, piv, d, b), ...);
+  }(std::make_integer_sequence<index_t, M>{});
+
+  const double u_max = max_abs<M, true>(m);
+  d.growth = a_max > 0.0 ? u_max / a_max : 1.0;
+  return d;
 }
 
 }  // namespace detail
@@ -366,20 +391,25 @@ inline void lu_step(MatrixView m, index_t* piv, LuInPlaceInfo& d) {
 /// getrf with partial pivoting, M x M extents compile-time, factoring the
 /// view in place with caller-owned pivots; identical arithmetic, pivot
 /// diagnostics, and LAPACK-style zero-pivot completion to la::lu_factor.
-/// The elimination steps are unrolled so every row update has a constant
-/// extent.
 template <index_t M>
 LuInPlaceInfo lu_factor_view_kernel(MatrixView m, index_t* piv) {
-  LuInPlaceInfo d;
+  return detail::lu_eliminate<M, false>(m, piv, MatrixView());
+}
 
-  const double a_max = detail::max_abs<M, false>(m);
-
-  [&]<index_t... K>(std::integer_sequence<index_t, K...>) {
-    (detail::lu_step<M, K>(m, piv, d), ...);
-  }(std::make_integer_sequence<index_t, M>{});
-
-  const double u_max = detail::max_abs<M, true>(m);
-  d.growth = a_max > 0.0 ? u_max / a_max : 1.0;
+/// lu_factor_view_kernel on `m` and B := M^{-1} B on the M x M block `b`
+/// in one elimination of [M | B]: each row swap and multiplier reaches b
+/// as the factor makes it, which is the permutation and forward
+/// substitution of lu_solve_view_kernel element for element (every row
+/// of b receives the same terms in the same k-ascending order, with the
+/// same skip on a zero multiplier), and only the back substitution is
+/// left. `m`, `piv` and the diagnostics come out with
+/// lu_factor_view_kernel's bits and `b` with those of lu_solve_view_kernel
+/// after it. On a zero pivot (!ok()) the back substitution is skipped and
+/// b is left partly eliminated.
+template <index_t M>
+LuInPlaceInfo lu_factor_solve_view_kernel(MatrixView m, index_t* piv, MatrixView b) {
+  const LuInPlaceInfo d = detail::lu_eliminate<M, true>(m, piv, b);
+  if (d.ok()) trsm_upper_kernel<M>(m, b);
   return d;
 }
 
@@ -410,6 +440,8 @@ LuFactors lu_factor_kernel(Matrix a) {
                                                MatrixView);                            \
   extern template void lu_solve_kernel<M>(const LuFactors&, MatrixView);               \
   extern template LuInPlaceInfo lu_factor_view_kernel<M>(MatrixView, index_t*);        \
+  extern template LuInPlaceInfo lu_factor_solve_view_kernel<M>(MatrixView, index_t*,    \
+                                                               MatrixView);             \
   extern template LuFactors lu_factor_kernel<M>(Matrix)
 ARDBT_SMALLBLOCK_EXTERN(2);
 ARDBT_SMALLBLOCK_EXTERN(4);
@@ -438,6 +470,14 @@ struct GenericKernels {
   static void lu_solve(ConstMatrixView lu, const index_t* piv, MatrixView b) {
     lu_solve_inplace(lu, {piv, static_cast<std::size_t>(lu.rows())}, b);
   }
+  /// lu_factor of `a`, then (when ok()) lu_solve on the M x M block `b`:
+  /// the two steps FixedKernels fuses into one elimination, with the
+  /// same bits.
+  static LuInPlaceInfo lu_factor_solve(MatrixView a, index_t* piv, MatrixView b) {
+    const LuInPlaceInfo d = lu_factor(a, piv);
+    if (d.ok()) lu_solve(a, piv, b);
+    return d;
+  }
 };
 
 template <index_t M>
@@ -451,6 +491,9 @@ struct FixedKernels {
   }
   static void lu_solve(ConstMatrixView lu, const index_t* piv, MatrixView b) {
     lu_solve_view_kernel<M>(lu, piv, b);
+  }
+  static LuInPlaceInfo lu_factor_solve(MatrixView a, index_t* piv, MatrixView b) {
+    return lu_factor_solve_view_kernel<M>(a, piv, b);
   }
 };
 

@@ -20,6 +20,7 @@ namespace ardbt::la::smallblock {
   template void lu_solve_view_kernel<M>(ConstMatrixView, const index_t*, MatrixView);  \
   template void lu_solve_kernel<M>(const LuFactors&, MatrixView);                      \
   template LuInPlaceInfo lu_factor_view_kernel<M>(MatrixView, index_t*);               \
+  template LuInPlaceInfo lu_factor_solve_view_kernel<M>(MatrixView, index_t*, MatrixView); \
   template LuFactors lu_factor_kernel<M>(Matrix)
 ARDBT_SMALLBLOCK_INSTANTIATE(2);
 ARDBT_SMALLBLOCK_INSTANTIATE(4);

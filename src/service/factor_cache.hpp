@@ -46,7 +46,10 @@ class FactorCache {
     /// Budget for summed Session::storage_bytes() of resident entries;
     /// 0 = unlimited. The most recently acquired entry is never evicted,
     /// so a single over-budget factorization stays resident rather than
-    /// thrashing.
+    /// thrashing. It is a per-rank budget: storage_bytes() is the factored
+    /// state of a session's busiest rank, which is what one node of a
+    /// distributed deployment holds, not the sum over its ranks, and it
+    /// does not count the system the factorization borrows.
     std::size_t byte_budget = 0;
     /// Configuration applied to every cached Session (cost model, timing
     /// mode, ladder policy, telemetry).

@@ -159,8 +159,8 @@ TEST(Ard, FactorAndUpdateRejectSliceWithoutTheRanksRows) {
                }),
                fault::InvalidArgumentError);
   EXPECT_THROW(test::run_ranks(3, [&](mpsim::Comm& comm) {
-                 ArdFactorization f =
-                     ArdFactorization::factor(comm, btds::slice(sys, part, comm.rank()), part);
+                 const BlockTridiag own = btds::slice(sys, part, comm.rank());
+                 ArdFactorization f = ArdFactorization::factor(comm, own, part);
                  f.update(comm, first, /*rows_changed=*/comm.rank() == 2);
                }),
                fault::InvalidArgumentError);

@@ -22,6 +22,7 @@
 #include "src/la/gemm.hpp"
 #include "src/la/lu.hpp"
 #include "src/la/random.hpp"
+#include "src/la/smallblock/kernels.hpp"
 #include "src/la/workspace.hpp"
 #include "src/par/pool.hpp"
 
@@ -289,6 +290,90 @@ TEST(SmallBlock, SingularFactorDiagnosticsMatch) {
     EXPECT_EQ(f_fixed.info, f_generic.info) << m;
     EXPECT_TRUE(f_fixed.lu == f_generic.lu) << m;
   }
+}
+
+/// What one factor-and-solve of [A | C] covered, summed over a sweep.
+struct FusedCoverage {
+  int swaps = 0;        ///< row swaps (piv[k] != k)
+  int zero_lik = 0;     ///< exact-zero multipliers below a nonzero pivot
+  int singular = 0;     ///< factorizations that met a zero pivot
+};
+
+/// K::lu_factor_solve on copies of (a, c) against lu_factor_inplace and,
+/// when the factor is ok(), lu_solve_inplace on the generic path: the
+/// factor, its row swaps, info and diagnostics, and the solved block
+/// agree bit for bit, padding included. A singular factor leaves c
+/// unspecified, so only the factor side is compared.
+template <typename K>
+void expect_fused_matches(const Strided& a, const Strided& c, const std::string& where,
+                          FusedCoverage& cov) {
+  const index_t m = a.rows;
+  Strided a_ref = a, c_ref = c;
+  std::vector<index_t> piv_ref(static_cast<std::size_t>(m));
+  LuInPlaceInfo d_ref;
+  {
+    DisabledGuard off;
+    d_ref = lu_factor_inplace(a_ref.view(), piv_ref);
+    if (d_ref.ok()) lu_solve_inplace(a_ref.view(), piv_ref, c_ref.view());
+  }
+  Strided a_fused = a, c_fused = c;
+  std::vector<index_t> piv_fused(static_cast<std::size_t>(m));
+  const LuInPlaceInfo d_fused = K::lu_factor_solve(a_fused.view(), piv_fused.data(), c_fused.view());
+
+  ASSERT_TRUE(same_bits(a_fused.backing.view(), a_ref.backing.view())) << where;
+  EXPECT_EQ(piv_fused, piv_ref) << where;
+  EXPECT_EQ(d_fused.info, d_ref.info) << where;
+  EXPECT_TRUE(same_bits(d_fused.min_pivot_abs, d_ref.min_pivot_abs)) << where;
+  EXPECT_TRUE(same_bits(d_fused.max_pivot_abs, d_ref.max_pivot_abs)) << where;
+  EXPECT_TRUE(same_bits(d_fused.growth, d_ref.growth)) << where;
+  if (d_ref.ok()) {
+    ASSERT_TRUE(same_bits(c_fused.backing.view(), c_ref.backing.view())) << where;
+  } else {
+    ++cov.singular;
+  }
+  for (index_t k = 0; k < m; ++k) {
+    cov.swaps += piv_ref[static_cast<std::size_t>(k)] != k;
+    for (index_t i = k + 1; i < m && a_ref.view()(k, k) != 0.0; ++i) {
+      cov.zero_lik += a_ref.view()(i, k) == 0.0;
+    }
+  }
+}
+
+/// The fused elimination of a pivot block and its coupling ([D | C] once,
+/// then U's back substitution) is bit-identical to LU followed by
+/// lu_solve: FixedKernels<M> on every dispatched M, and GenericKernels
+/// (which calls the two steps) on dispatched and other orders, over the
+/// flavour sweep — random blocks (row swaps), exact zeros (zero
+/// multipliers), subnormals and non-finite values — and on blocks with a
+/// zero column, whose zero pivot gives the same info and diagnostics.
+TEST(SmallBlock, LuFactorSolveMatchesFactorThenSolve) {
+  FusedCoverage cov;
+  for (index_t m : {index_t{1}, index_t{2}, index_t{3}, index_t{4}, index_t{6}, index_t{8},
+                    index_t{16}, index_t{32}}) {
+    for (Fill fill : kFills) {
+      for (std::uint64_t rep = 0; rep < 6; ++rep) {
+        Rng rng = make_rng(24, static_cast<std::uint64_t>(m * 100) +
+                                   static_cast<std::uint64_t>(fill) * 10 + rep);
+        Strided a(m, m, fill, rng);
+        const Strided c(m, m, fill, rng);
+        if (rep == 5) {
+          // A zero column: that step's pivot is exactly zero.
+          for (index_t i = 0; i < m; ++i) a.view()(i, m / 2) = 0.0;
+        }
+        const std::string where = "m=" + std::to_string(m) +
+                                  " fill=" + std::to_string(static_cast<int>(fill)) +
+                                  " rep=" + std::to_string(rep);
+        expect_fused_matches<smallblock::GenericKernels>(a, c, where + " generic", cov);
+        smallblock::dispatch(m, [&](auto tag) {
+          expect_fused_matches<smallblock::FixedKernels<decltype(tag)::value>>(a, c,
+                                                                               where + " fixed", cov);
+        });
+      }
+    }
+  }
+  EXPECT_GT(cov.swaps, 0);
+  EXPECT_GT(cov.zero_lik, 0);
+  EXPECT_GT(cov.singular, 0);
 }
 
 TEST(SmallBlock, BatchedEntryPointsMatchPerItemCalls) {

@@ -8,7 +8,10 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <memory>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "src/btds/distributed.hpp"
 #include "src/btds/generators.hpp"
@@ -102,8 +105,8 @@ void expect_invalid_argument(Fn&& fn, const std::string& what) {
 // The public entry points reject bad shapes with a typed error in every
 // build type, before any block is read or written.
 TEST(Thomas, FactorRejectsEmptySystem) {
-  expect_invalid_argument([] { (void)ThomasFactorization::factor(BlockTridiag{}); },
-                          "empty system");
+  const BlockTridiag empty;
+  expect_invalid_argument([&] { (void)ThomasFactorization::factor(empty); }, "empty system");
 }
 
 TEST(Thomas, FactorSegmentRejectsRowsOutsideTheSystem) {
@@ -218,6 +221,7 @@ BlockTridiag spike_system(PivotKind pivot, ProblemKind kind, index_t n, index_t 
 ThomasFactorization interior_segment(const BlockTridiag& t, PivotKind pivot) {
   return ThomasFactorization::factor_segment(t, 1, t.num_blocks() - 2, pivot);
 }
+ThomasFactorization interior_segment(BlockTridiag&&, PivotKind) = delete;  // borrows `t`
 
 /// Block rows [lo, lo + n) of `t` copied out as a standalone system.
 BlockTridiag rows_of(const BlockTridiag& t, index_t lo, index_t n) {
@@ -259,7 +263,7 @@ TEST(Thomas, SegmentComputesOnlyTheSpikesItsNeighboursRead) {
   EXPECT_EQ(whole.v_rows(), 0);
   EXPECT_EQ(whole.w_first(), big);
   EXPECT_EQ(ThomasFactorization::spike_flops(0, big, big, m), 0.0);
-  const std::size_t slab = static_cast<std::size_t>(3 * big - 2) * m * m * sizeof(double) +
+  const std::size_t slab = static_cast<std::size_t>(2 * big - 1) * m * m * sizeof(double) +
                            static_cast<std::size_t>(big * m) * sizeof(la::index_t);
   EXPECT_EQ(whole.storage_bytes(), slab);
   EXPECT_EQ(ThomasFactorization::factor(t).storage_bytes(), slab);
@@ -332,8 +336,8 @@ TEST(Thomas, LongDecayingSegmentStoresOnlyTheSpikeSupport) {
       EXPECT_LT(f.v_rows(), n) << where;
       EXPECT_GT(f.w_first(), 0) << where;
       const std::size_t support = static_cast<std::size_t>(f.v_rows() + n - f.w_first());
-      EXPECT_EQ(f.storage_bytes() -
-                    ThomasFactorization::factor(rows_of(t, 1, n), pivot).storage_bytes(),
+      const BlockTridiag inner = rows_of(t, 1, n);
+      EXPECT_EQ(f.storage_bytes() - ThomasFactorization::factor(inner, pivot).storage_bytes(),
                 support * static_cast<std::size_t>(m * m) * sizeof(double))
           << where;
 
@@ -393,7 +397,8 @@ TEST(Thomas, SegmentFactorReadsTheCallersRowsInPlace) {
     const BlockTridiag t = make_problem(ProblemKind::kDiagDominant, big, m);
     const BlockTridiag local = slice(t, part, 1);
     const Matrix b = make_rhs(n, m, 3);
-    const ThomasFactorization ref = interior_segment(rows_of(t, lo - 1, n + 2), PivotKind::kLu);
+    const BlockTridiag padded = rows_of(t, lo - 1, n + 2);
+    const ThomasFactorization ref = interior_segment(padded, PivotKind::kLu);
     const Matrix x_ref = ref.solve(b);
     const Matrix s_ref = stored_spikes(ref);
     for (const ThomasFactorization& f : {ThomasFactorization::factor_segment(t, lo, n),
@@ -407,6 +412,158 @@ TEST(Thomas, SegmentFactorReadsTheCallersRowsInPlace) {
   }
 }
 
+/// The block-Thomas sweep written out with the unfused la:: calls: per
+/// row lu_factor of D'_i, lu_solve for G_i = D'_i^{-1} C_i, and
+/// D'_{i+1} = D_{i+1} - A_{i+1} G_i; then both solve sweeps on b. A
+/// singular pivot stops it with the row, pivot index and growth the
+/// factor reports.
+struct UnfusedThomas {
+  Matrix x;
+  fault::PivotDiagnostics diag;
+  std::int64_t singular_row = -1;
+  std::int64_t singular_index = -1;
+  double growth = 0.0;
+
+  UnfusedThomas(const BlockTridiag& t, const Matrix& b) {
+    const index_t n = t.num_blocks();
+    const index_t m = t.block_size();
+    std::vector<la::LuFactors> lu;
+    std::vector<Matrix> g;
+    Matrix d = t.diag(0);
+    for (index_t i = 0; i < n; ++i) {
+      la::LuFactors f = la::lu_factor(d.view());
+      if (!f.ok()) {
+        singular_row = i;
+        singular_index = f.info - 1;
+        growth = f.growth;
+        return;
+      }
+      diag.observe(f.min_pivot_abs, f.max_pivot_abs, i);
+      if (i + 1 < n) {
+        Matrix gi = t.upper(i);
+        la::lu_solve_inplace(f, gi.view());
+        d = t.diag(i + 1);
+        la::gemm(-1.0, t.lower(i + 1).view(), gi.view(), 1.0, d.view());
+        g.push_back(std::move(gi));
+      }
+      lu.push_back(std::move(f));
+    }
+    x = b;
+    for (index_t i = 0; i < n; ++i) {
+      const la::MatrixView xi = block_row(x, i, m);
+      if (i > 0) la::gemm(-1.0, t.lower(i).view(), block_row(x, i - 1, m), 1.0, xi);
+      la::lu_solve_inplace(lu[static_cast<std::size_t>(i)], xi);
+    }
+    for (index_t i = n - 2; i >= 0; --i) {
+      la::gemm(-1.0, g[static_cast<std::size_t>(i)].view(), block_row(x, i + 1, m), 1.0,
+               block_row(x, i, m));
+    }
+  }
+};
+
+/// `t` with the scalar rows of every block row reversed (D_i, A_i and C_i
+/// alike), so partial pivoting swaps rows in every pivot block.
+BlockTridiag reversed_rows(BlockTridiag t) {
+  const index_t m = t.block_size();
+  for (index_t i = 0; i < t.num_blocks(); ++i) {
+    std::vector<Matrix*> blocks{&t.diag(i)};
+    if (i > 0) blocks.push_back(&t.lower(i));
+    if (i + 1 < t.num_blocks()) blocks.push_back(&t.upper(i));
+    for (Matrix* blk : blocks) {
+      for (index_t r = 0; r < m / 2; ++r) {
+        for (index_t c = 0; c < m; ++c) std::swap((*blk)(r, c), (*blk)(m - 1 - r, c));
+      }
+    }
+  }
+  return t;
+}
+
+TEST(Thomas, FusedPivotEliminationMatchesFactorThenSolve) {
+  // Under LU pivots each coupled row eliminates [D'_i | C_i] once
+  // (K::lu_factor_solve) where it used to factor D'_i and then solve for
+  // G_i. Against the unfused sweep the solutions and pivot diagnostics are
+  // bit-identical, on the generic kernels (M = 3, or the layer off) and the
+  // fixed ones, with row swaps in every pivot block (rows reversed) and
+  // exact-zero multipliers (the sparse 2-D Poisson blocks).
+  for (const ProblemKind kind : {ProblemKind::kDiagDominant, ProblemKind::kPoisson2D}) {
+    for (const index_t m : {index_t{3}, index_t{4}, index_t{8}, index_t{16}}) {
+      const index_t n = 20;
+      const BlockTridiag t = reversed_rows(make_problem(kind, n, m));
+      const Matrix b = make_rhs(n, m, 3);
+      const UnfusedThomas ref(t, b);
+      const la::LuFactors d0 = la::lu_factor(t.diag(0).view());
+      ASSERT_NE(d0.piv[0], 0) << "no row swap in D_0";
+      for (bool layer : {true, false}) {
+        la::smallblock::set_enabled(layer);
+        const ThomasFactorization f = ThomasFactorization::factor(t);
+        la::smallblock::set_enabled(true);
+        const std::string where = std::string(to_string(kind)) + " M=" + std::to_string(m) +
+                                  " layer=" + std::to_string(layer);
+        const Matrix x = f.solve(b);
+        EXPECT_EQ(std::memcmp(x.data().data(), ref.x.data().data(), x.data().size_bytes()), 0)
+            << where;
+        const fault::PivotDiagnostics& d = f.pivot_diagnostics();
+        EXPECT_EQ(d.min_pivot_abs, ref.diag.min_pivot_abs) << where;
+        EXPECT_EQ(d.max_pivot_abs, ref.diag.max_pivot_abs) << where;
+        EXPECT_EQ(d.min_pivot_block_row, ref.diag.min_pivot_block_row) << where;
+        EXPECT_EQ(d.singular_info, ref.diag.singular_info) << where;
+      }
+    }
+  }
+  // Poisson's D_0 is tridiagonal: its LU has exact-zero multipliers.
+  const la::LuFactors p0 = la::lu_factor(make_problem(ProblemKind::kPoisson2D, 2, 8).diag(0).view());
+  EXPECT_EQ(p0.lu(7, 0), 0.0);
+}
+
+TEST(Thomas, FusedPivotEliminationReportsTheSingularRow) {
+  // A zero column in D'_r stops the factor at row r with the unfused
+  // sweep's block row, scalar pivot index and growth: on a coupled row
+  // (fused elimination) and on the last row (factor only).
+  for (const index_t m : {index_t{3}, index_t{8}}) {
+    for (const index_t row : {index_t{2}, index_t{4}}) {
+      BlockTridiag t = make_problem(ProblemKind::kDiagDominant, 5, m);
+      t.lower(row) = Matrix(m, m);  // D'_row = D_row
+      for (index_t r = 0; r < m; ++r) t.diag(row)(r, 1) = 0.0;
+      const UnfusedThomas ref(t, make_rhs(5, m, 1));
+      ASSERT_EQ(ref.singular_row, row);
+      for (bool layer : {true, false}) {
+        la::smallblock::set_enabled(layer);
+        try {
+          (void)ThomasFactorization::factor(t);
+          ADD_FAILURE() << "no error at M=" << m << " row=" << row;
+        } catch (const fault::SingularPivotError& e) {
+          EXPECT_EQ(e.block_row(), ref.singular_row) << m << " " << row << " " << layer;
+          EXPECT_EQ(e.pivot_index(), ref.singular_index) << m << " " << row << " " << layer;
+          EXPECT_EQ(e.growth(), ref.growth) << m << " " << row << " " << layer;
+        }
+        la::smallblock::set_enabled(true);
+      }
+    }
+  }
+}
+
+TEST(Thomas, RebindMovesTheBorrowedSystem) {
+  // A factorization reads A_i from the system it borrows. rebind() moves
+  // it to an equal system object, after which the first may be destroyed;
+  // solves then match the original bit for bit. A system without the
+  // factored rows or with another block order is rejected.
+  const index_t n = 24, m = 4;
+  auto first = std::make_unique<BlockTridiag>(make_problem(ProblemKind::kPoisson2D, n, m));
+  const BlockTridiag second = *first;
+  const Matrix b = make_rhs(n - 8, m, 2);
+  ThomasFactorization f = ThomasFactorization::factor_segment(*first, 4, n - 8);
+  const Matrix x_ref = f.solve(b);
+  f.rebind(second);
+  first.reset();
+  const Matrix x = f.solve(b);
+  EXPECT_EQ(std::memcmp(x.data().data(), x_ref.data().data(), x.data().size_bytes()), 0);
+
+  const BlockTridiag other_m = make_problem(ProblemKind::kPoisson2D, n, m + 1);
+  expect_invalid_argument([&] { f.rebind(other_m); }, "block order");
+  const BlockTridiag local = slice(second, RowPartition(n, 2), 0);  // rows [0, 12)
+  expect_invalid_argument([&] { f.rebind(local); }, "rows not held");
+}
+
 TEST(Thomas, FlopFormulasScale) {
   EXPECT_GT(ThomasFactorization::factor_flops(10, 4), 0.0);
   EXPECT_NEAR(ThomasFactorization::factor_flops(20, 4) / ThomasFactorization::factor_flops(10, 4),
@@ -415,7 +572,7 @@ TEST(Thomas, FlopFormulasScale) {
               2.0, 1e-9);
 }
 
-/// storage_bytes() is exact: (3N - 2) M x M slab blocks, the N M LU row
+/// storage_bytes() is exact: (2N - 1) M x M slab blocks, the N M LU row
 /// swaps under kLu, and the spikes' stored support, whatever the block
 /// order, pivot kind or small-block layer setting.
 TEST(Thomas, StorageBytesExact) {
@@ -426,13 +583,15 @@ TEST(Thomas, StorageBytesExact) {
     for (index_t m : {index_t{3}, index_t{8}}) {
       for (bool layer : {true, false}) {
         la::smallblock::set_enabled(layer);
-        const ThomasFactorization f = ThomasFactorization::factor(make_problem(kind, n, m), pivot);
-        const ThomasFactorization s = interior_segment(make_problem(kind, n + 2, m), pivot);
+        const BlockTridiag whole = make_problem(kind, n, m);
+        const BlockTridiag padded = make_problem(kind, n + 2, m);
+        const ThomasFactorization f = ThomasFactorization::factor(whole, pivot);
+        const ThomasFactorization s = interior_segment(padded, pivot);
         la::smallblock::set_enabled(true);
         const std::size_t block = static_cast<std::size_t>(m * m) * sizeof(double);
         const std::size_t piv =
             pivot == PivotKind::kLu ? static_cast<std::size_t>(n * m) * sizeof(la::index_t) : 0;
-        const std::size_t base = static_cast<std::size_t>(3 * n - 2) * block + piv;
+        const std::size_t base = static_cast<std::size_t>(2 * n - 1) * block + piv;
         const std::size_t support = static_cast<std::size_t>(s.v_rows() + n - s.w_first());
         EXPECT_EQ(f.storage_bytes(), base) << m << " " << layer;
         EXPECT_EQ(s.storage_bytes(), base + support * block) << m << " " << layer;

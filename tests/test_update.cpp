@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <memory>
+
 #include "src/btds/generators.hpp"
 #include "src/btds/spmv.hpp"
 #include "src/core/ard.hpp"
@@ -33,6 +36,35 @@ TEST(Update, NoChangeReproducesSameSolution) {
   for (index_t i = 0; i < b.rows(); ++i) {
     for (index_t j = 0; j < b.cols(); ++j) EXPECT_EQ(x_before(i, j), x_after(i, j));
   }
+}
+
+TEST(Update, UnchangedRanksMoveTheBorrowToTheNewSystem) {
+  // A factorization reads its rank's A_i from the system it borrows.
+  // update(..., rows_changed = false) with a second system object holding
+  // equal rows moves every rank's borrow there, so the first object may be
+  // destroyed before the next solve, whose answer is bit-identical to a
+  // fresh factor of the second. Under the address sanitizer a borrow left
+  // on the first object is a heap use-after-free.
+  const index_t n = 40, m = 4;
+  const int p = 4;
+  auto first = std::make_unique<BlockTridiag>(make_problem(ProblemKind::kPoisson2D, n, m));
+  const BlockTridiag second = *first;
+  const Matrix b = make_rhs(n, m, 3);
+  Matrix x_fresh(b.rows(), b.cols());
+  Matrix x_moved(b.rows(), b.cols());
+  const btds::RowPartition part(n, p);
+  test::run_ranks(p, [&](mpsim::Comm& comm) {
+    const auto fresh = ArdFactorization::factor(comm, second, part);
+    fresh.solve(comm, b, x_fresh);
+    auto f = ArdFactorization::factor(comm, *first, part);
+    f.update(comm, second, /*rows_changed=*/false);
+    mpsim::barrier(comm);
+    if (comm.rank() == 0) first.reset();
+    mpsim::barrier(comm);
+    f.solve(comm, b, x_moved);
+  });
+  EXPECT_EQ(std::memcmp(x_moved.data().data(), x_fresh.data().data(), x_fresh.data().size_bytes()),
+            0);
 }
 
 TEST(Update, TracksMatrixChangeOnOneRank) {

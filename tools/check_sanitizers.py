@@ -6,7 +6,10 @@ Configures and builds dedicated build trees with -DARDBT_ASAN=ON
 the service-layer test binaries, and runs them. The retry/containment
 machinery moves Sessions, Leases and panels across failure paths — the
 exact territory where a use-after-invalidate or a dangling Lease would
-hide; the sanitizers make those latent instead of lurking.
+hide; the sanitizers make those latent instead of lurking. The asan mode
+also runs the block-Thomas and ARD update tests, which move a
+factorization's borrow of its system to another object and destroy the
+first.
 
 The tsan mode (-DARDBT_TSAN=ON) builds and runs the engine and pool test
 binaries instead: rank threads and their pools stay parked across engine
@@ -33,11 +36,14 @@ import sys
 from pathlib import Path
 
 SERVICE_TARGETS = ["test_service", "test_resilience"]
+# Factorizations borrow their system (the A_i blocks are read from it, not
+# copied); these tests hand the borrow on and destroy the first system.
+BORROW_TARGETS = ["test_thomas", "test_update"]
 # tests/CMakeLists.txt links these only up to btds (ARDBT_ENGINE_TESTS).
 ENGINE_TARGETS = ["test_mpsim", "test_mpsim_stress", "test_par"]
 # mode -> (CMake option, test binaries built and run under it)
 MODES = {
-    "asan": ("ARDBT_ASAN", SERVICE_TARGETS),
+    "asan": ("ARDBT_ASAN", SERVICE_TARGETS + BORROW_TARGETS),
     "ubsan": ("ARDBT_UBSAN", SERVICE_TARGETS),
     "tsan": ("ARDBT_TSAN", ENGINE_TARGETS),
 }
