@@ -1,5 +1,6 @@
 // Ablation B-abl-scaling: why the prefix operator and its normalization
-// matter. Three tiers on the same problems:
+// matter. Four tiers on the same problems (the first three are the
+// ablation-only solvers of bench/ablation/):
 //   1. shooting prefix                — collapses by N ~ 50;
 //   2. transfer-matrix RD, unscaled   — overflows near N ~ 540 (3.7^N);
 //   3. transfer-matrix RD, rescaled   — finite but degrades for block
@@ -11,10 +12,11 @@
 #include <functional>
 #include <string>
 
+#include "bench/ablation/shooting.hpp"
+#include "bench/ablation/transfer_rd.hpp"
 #include "bench/bench_common.hpp"
 #include "src/btds/generators.hpp"
 #include "src/btds/spmv.hpp"
-#include "src/core/shooting.hpp"
 #include "src/core/solver.hpp"
 
 namespace {
@@ -43,17 +45,10 @@ void sweep(la::index_t m, bool smoke, const char* label, bench::JsonReport& repo
     const auto b = btds::make_rhs(n, m, 2);
     table.add_row(
         {bench::fmt_int(static_cast<double>(n)),
-         guarded(sys, b, [&] { return core::shooting_solve(sys, b); }),
+         guarded(sys, b, [&] { return ablation::shooting_solve(sys, b); }),
          guarded(sys, b,
-                 [&] {
-                   return core::solve(core::Method::kTransferRd, sys, b, 2,
-                                      {.ard = {.rescale = false}, .telemetry = live})
-                       .x;
-                 }),
-         guarded(sys, b,
-                 [&] {
-                   return core::solve(core::Method::kTransferRd, sys, b, 2, {.telemetry = live}).x;
-                 }),
+                 [&] { return ablation::transfer_rd_solve(sys, b, 2, {.rescale = false}); }),
+         guarded(sys, b, [&] { return ablation::transfer_rd_solve(sys, b, 2); }),
          guarded(sys, b,
                  [&] { return core::solve(core::Method::kArd, sys, b, 2, {.telemetry = live}).x; })});
   }

@@ -1,19 +1,21 @@
 // Experiment T3: numerical accuracy. Relative residuals of every solver in
-// the library across problem families and sizes — the table backing the
-// formulation choice of DESIGN.md section 1.2 (two-port stays at machine
-// precision; transfer-matrix RD degrades geometrically; shooting collapses
-// first).
+// the library, and of the two ablation-only forms of recursive doubling
+// (bench/ablation/), across problem families and sizes — the table backing
+// the formulation choice of DESIGN.md section 1.2 (two-port stays at
+// machine precision; transfer-matrix RD degrades geometrically; shooting
+// collapses first).
 
 #include <cmath>
 #include <cstdio>
 #include <string>
 
+#include "bench/ablation/shooting.hpp"
+#include "bench/ablation/transfer_rd.hpp"
 #include "bench/bench_common.hpp"
 #include "src/btds/cyclic_reduction.hpp"
 #include "src/btds/generators.hpp"
 #include "src/btds/spmv.hpp"
 #include "src/btds/thomas.hpp"
-#include "src/core/shooting.hpp"
 #include "src/core/solver.hpp"
 
 namespace {
@@ -68,13 +70,8 @@ int main(int argc, char** argv) {
                               return core::solve(core::Method::kRdBatched, sys, b, p,
                                                  {.telemetry = live.handle()}).x;
                             }),
-           guarded_residual(
-               sys, b,
-               [&] {
-                 return core::solve(core::Method::kTransferRd, sys, b, p,
-                                    {.telemetry = live.handle()}).x;
-               }),
-           guarded_residual(sys, b, [&] { return core::shooting_solve(sys, b); })});
+           guarded_residual(sys, b, [&] { return ablation::transfer_rd_solve(sys, b, p); }),
+           guarded_residual(sys, b, [&] { return ablation::shooting_solve(sys, b); })});
     }
     table.print();
     report.add_table(std::string(btds::to_string(kind)), table);

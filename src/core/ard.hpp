@@ -71,10 +71,6 @@ inline constexpr int kBwdFactor = 71;
 
 /// Solver knobs.
 struct ArdOptions {
-  /// Consumed by the transfer-matrix ablation (see transfer_rd.hpp) when
-  /// driven through the same options; the two-port solver needs no
-  /// rescaling.
-  bool rescale = true;
   /// Pivot factorization of the local segments. kCholesky halves the
   /// pivot-factor work and is unconditionally stable, but requires an SPD
   /// system (symmetric with A_{i+1} = C_i^T), whose segments are then SPD

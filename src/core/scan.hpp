@@ -21,7 +21,10 @@
 /// to merge). CachedScan runs the hypercube exscan once over matrix parts,
 /// recording per merge event exactly what later vector merges need; every
 /// subsequent solve replays the same schedule exchanging only vector
-/// parts.
+/// parts. Both phases are steppers: `Factoring` runs the matrix-part scan
+/// and seals the CachedScan, `Replay` runs one vector-part scan of it. A
+/// caller steps one to done() round by round, or two at once through
+/// run_interleaved().
 ///
 /// The operator is supplied as a policy type:
 ///
@@ -63,32 +66,6 @@ class CachedScan {
   using Cache = typename Op::Cache;
 
   CachedScan() = default;
-
-  /// Phase A: exscan over matrix parts. `seg` is this rank's segment
-  /// total. Collective. `tag` must be unique per in-flight scan — enforced
-  /// through the rank's tag registry: a collision throws
-  /// fault::TagCollisionError instead of silently cross-matching messages.
-  /// Runs the Factoring stepper to completion; a caller with two scans in
-  /// flight steps both through run_interleaved() instead.
-  static CachedScan factor(mpsim::Comm& comm, ScanDirection dir, Context ctx, Mat seg, int tag) {
-    ARDBT_TRACE_SPAN(comm, obs::SpanKind::kPhase,
-                     dir == ScanDirection::kForward ? "scan.factor.fwd" : "scan.factor.bwd");
-    Factoring f(comm, dir, ctx, std::move(seg), tag);
-    while (!f.done()) f.finish_round(comm);
-    return std::move(f).finish();
-  }
-
-  /// Phase B: replay with this rank's segment vector part. Returns the
-  /// exclusive-prefix vector part for this rank, or nullopt on the
-  /// sequence-first rank (which has no incoming prefix). Collective.
-  /// Runs the Replay stepper to completion.
-  std::optional<Vec> solve(mpsim::Comm& comm, Vec seg_vec, int tag) const {
-    ARDBT_TRACE_SPAN(comm, obs::SpanKind::kPhase,
-                     dir_ == ScanDirection::kForward ? "scan.replay.fwd" : "scan.replay.bwd");
-    Replay r(*this, comm, std::move(seg_vec), tag);
-    while (!r.done()) r.finish_round(comm);
-    return std::move(r).take_result();
-  }
 
   /// Stepwise replay of the factored schedule — the latency-hiding
   /// primitive behind pipelined panel solves. One Replay is one in-flight
@@ -187,12 +164,13 @@ class CachedScan {
   };
 
   /// Stepwise factor — the matrix-part counterpart of Replay. Construction
-  /// posts the round-0 send; finish() seals the CachedScan.
+  /// registers `tag` (unique per in-flight scan; a collision throws
+  /// fault::TagCollisionError) and posts the round-0 send; finish() seals
+  /// the CachedScan.
   class Factoring {
    public:
     Factoring(mpsim::Comm& comm, ScanDirection dir, Context ctx, Mat seg, int tag)
         : tag_(tag), guard_(comm, tag), partial_(std::move(seg)) {
-      scan_.dir_ = dir;
       scan_.ctx_ = ctx;
       const int size = comm.size();
       const int seq = seq_of(comm.rank(), size, dir);
@@ -274,8 +252,6 @@ class CachedScan {
   /// Matrix part of the exclusive prefix (valid when has_incoming()).
   const Mat& incoming_mat() const { return result_mat_; }
 
-  const Context& context() const { return ctx_; }
-  ScanDirection direction() const { return dir_; }
   std::size_t num_rounds() const { return rounds_.size(); }
 
  private:
@@ -303,7 +279,6 @@ class CachedScan {
     return dir == ScanDirection::kForward ? seq : size - 1 - seq;
   }
 
-  ScanDirection dir_ = ScanDirection::kForward;
   Context ctx_{};
   bool has_result_ = false;
   Mat result_mat_{};

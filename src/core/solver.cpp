@@ -27,8 +27,6 @@ std::string_view to_string(Method method) {
       return "rd-per-rhs";
     case Method::kArd:
       return "ard";
-    case Method::kTransferRd:
-      return "transfer-rd";
     case Method::kPcr:
       return "pcr";
   }
@@ -329,9 +327,6 @@ void Session::factor() {
     case Method::kPcr:
       pcr_.resize(static_cast<std::size_t>(nranks_));
       break;
-    case Method::kTransferRd:
-      trd_.resize(static_cast<std::size_t>(nranks_));
-      break;
   }
   const fault::BreakdownPolicy policy = engine_.on_breakdown;
   double vtime = 0.0;
@@ -349,11 +344,6 @@ void Session::factor() {
           pcr_[r] = PcrFactorization::factor(comm, *sys_, part_);
           growths[r] = pcr_[r].pivot_diagnostics().growth();
           break;
-        case Method::kTransferRd: {
-          const TransferRdOptions topts{.rescale = opts_.rescale};
-          trd_[r] = TransferRdFactorization::factor(comm, *sys_, part_, topts);
-          break;
-        }
         default:
           break;
       }
@@ -516,9 +506,6 @@ void Session::solve(const la::Matrix& b, la::Matrix& x) {
           break;
         case Method::kPcr:
           pcr_[r].solve(comm, b, x);
-          break;
-        case Method::kTransferRd:
-          trd_[r].solve(comm, b, x);
           break;
       }
     }

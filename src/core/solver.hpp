@@ -10,7 +10,6 @@
 #include "src/btds/partition.hpp"
 #include "src/core/ard.hpp"
 #include "src/core/pcr.hpp"
-#include "src/core/transfer_rd.hpp"
 #include "src/fault/status.hpp"
 #include "src/la/workspace.hpp"
 #include "src/mpsim/engine.hpp"
@@ -50,17 +49,18 @@ class MetricsRegistry;
 
 namespace ardbt::core {
 
-/// Which distributed algorithm to run.
+/// Which distributed algorithm to run. All four are stable on block
+/// systems; the transfer-matrix and shooting forms of recursive doubling,
+/// which are not, are ablations outside the library (bench/ablation/).
 enum class Method {
-  kRdBatched,   ///< classic recursive doubling, one batched pass
-  kRdPerRhs,    ///< classic recursive doubling, one pass per right-hand side
-  kArd,         ///< accelerated: factor once, solve once
-  kTransferRd,  ///< transfer-matrix ablation (numerically unstable at large N)
-  kPcr,         ///< parallel cyclic reduction (factor/solve split), the
-                ///< classic O(M^3 (N/P) log N) competitor
+  kRdBatched,  ///< classic recursive doubling, one batched pass
+  kRdPerRhs,   ///< classic recursive doubling, one pass per right-hand side
+  kArd,        ///< accelerated: factor once, solve once
+  kPcr,        ///< parallel cyclic reduction (factor/solve split), the
+               ///< classic O(M^3 (N/P) log N) competitor
 };
 
-/// Short stable name ("rd", "rd-per-rhs", "ard").
+/// Short stable name ("rd", "rd-per-rhs", "ard", "pcr").
 std::string_view to_string(Method method);
 
 /// Everything a Session needs besides the system itself, collapsed into
@@ -268,7 +268,6 @@ class Session {
   // vector is populated).
   std::vector<ArdFactorization> ard_;
   std::vector<PcrFactorization> pcr_;
-  std::vector<TransferRdFactorization> trd_;
 
   // Per-rank scratch arenas (kArd): ard_[r] keeps a pointer to ws_[r], so
   // the vector is sized exactly once, in factor(). Each arena is touched

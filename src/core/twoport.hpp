@@ -26,7 +26,8 @@
 /// K = I - P_R A S_L C is a small perturbation of the identity — merges
 /// are unconditionally well-conditioned. The transfer-matrix prefix, by
 /// contrast, loses one digit per ~(lambda_1/lambda_M) growth ratio of its
-/// modes (see transfer_rd.hpp, kept as an ablation). Both are "recursive
+/// modes (experiments T3 and B-abl-scaling; the ablation lives in
+/// bench/ablation/transfer_rd.hpp). Both are "recursive
 /// doubling" in the paper's sense — prefix computations with
 /// O(M^3 (N/P + log P)) work — but only this one survives N in the
 /// thousands.

@@ -48,7 +48,6 @@ TEST(Integration, AllSolversAgree) {
   check(core::solve(core::Method::kArd, sys, b, 3).x, 1e-10, "ard");
   check(core::solve(core::Method::kRdBatched, sys, b, 3).x, 1e-10, "rd");
   check(core::solve(core::Method::kPcr, sys, b, 3).x, 1e-10, "pcr");
-  check(core::solve(core::Method::kTransferRd, sys, b, 3).x, 1e-7, "transfer rd");
 }
 
 /// Implicit Euler heat stepping with factor-reuse: the total heat of a

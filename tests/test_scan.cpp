@@ -4,15 +4,16 @@
 
 #include <vector>
 
-#include "src/core/ops_affine.hpp"
+#include "bench/ablation/ops_affine.hpp"
 #include "src/la/gemm.hpp"
 #include "src/la/random.hpp"
 #include "src/mpsim/engine.hpp"
 #include "tests/run_ranks.hpp"
 
-namespace ardbt::core {
+namespace ardbt::ablation {
 namespace {
 
+using core::ScanDirection;
 using la::index_t;
 using la::Matrix;
 
@@ -84,11 +85,10 @@ TEST_P(CachedAffine, MatchesSequentialRecurrence) {
 
   test::run_ranks(p, [&](mpsim::Comm& comm) {
     const int s = seq_rank(comm.rank());
-    const auto scan = CachedScan<AffineOp>::factor(comm, dir, AffineOp::Context{m},
-                                                   seg_matrix(s), /*tag=*/11);
+    const auto scan = factor_scan(comm, dir, AffineOp::Context{m}, seg_matrix(s), /*tag=*/11);
     for (const auto* gset : {&g_elems_r2, &g_elems_r5}) {
       const auto& ref = gset == &g_elems_r2 ? ref2 : ref5;
-      const auto incoming = scan.solve(comm, seg_vector(s, *gset), /*tag=*/12);
+      const auto incoming = replay_scan(scan, comm, seg_vector(s, *gset), /*tag=*/12);
       if (s == 0) {
         EXPECT_FALSE(incoming.has_value());
       } else {
@@ -127,19 +127,19 @@ TEST(CachedAffine, InterleavedScansMatchSequentialScans) {
       const Matrix vec = la::random_uniform(m, 2, rng);
       const AffineOp::Context ctx{m};
 
-      const auto fwd = CachedScan<AffineOp>::factor(comm, ScanDirection::kForward, ctx, seg, 31);
-      const auto bwd = CachedScan<AffineOp>::factor(comm, ScanDirection::kBackward, ctx, seg, 32);
-      const auto fwd_x = fwd.solve(comm, vec, 33);
-      const auto bwd_x = bwd.solve(comm, vec, 34);
+      const auto fwd = factor_scan(comm, ScanDirection::kForward, ctx, seg, 31);
+      const auto bwd = factor_scan(comm, ScanDirection::kBackward, ctx, seg, 32);
+      const auto fwd_x = replay_scan(fwd, comm, vec, 33);
+      const auto bwd_x = replay_scan(bwd, comm, vec, 34);
 
-      CachedScan<AffineOp>::Factoring ff(comm, ScanDirection::kForward, ctx, seg, 41);
-      CachedScan<AffineOp>::Factoring fb(comm, ScanDirection::kBackward, ctx, seg, 42);
-      run_interleaved(comm, ff, fb);
+      AffineScan::Factoring ff(comm, ScanDirection::kForward, ctx, seg, 41);
+      AffineScan::Factoring fb(comm, ScanDirection::kBackward, ctx, seg, 42);
+      core::run_interleaved(comm, ff, fb);
       const auto ifwd = std::move(ff).finish();
       const auto ibwd = std::move(fb).finish();
-      CachedScan<AffineOp>::Replay rf(ifwd, comm, vec, 43);
-      CachedScan<AffineOp>::Replay rb(ibwd, comm, vec, 44);
-      run_interleaved(comm, rf, rb);
+      AffineScan::Replay rf(ifwd, comm, vec, 43);
+      AffineScan::Replay rb(ibwd, comm, vec, 44);
+      core::run_interleaved(comm, rf, rb);
       const auto ifwd_x = std::move(rf).take_result();
       const auto ibwd_x = std::move(rb).take_result();
 
@@ -176,8 +176,8 @@ TEST(CachedAffine, IncomingMatIsPrefixProduct) {
     // Segment matrix of rank r is diag(r + 2).
     Matrix seg = Matrix::identity(m);
     seg.scale(static_cast<double>(comm.rank() + 2));
-    const auto scan = CachedScan<AffineOp>::factor(comm, ScanDirection::kForward,
-                                                   AffineOp::Context{m}, std::move(seg), 21);
+    const auto scan =
+        factor_scan(comm, ScanDirection::kForward, AffineOp::Context{m}, std::move(seg), 21);
     if (comm.rank() == 0) {
       EXPECT_FALSE(scan.has_incoming());
     } else {
@@ -191,4 +191,4 @@ TEST(CachedAffine, IncomingMatIsPrefixProduct) {
 }
 
 }  // namespace
-}  // namespace ardbt::core
+}  // namespace ardbt::ablation

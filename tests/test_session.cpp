@@ -24,7 +24,7 @@ using btds::make_rhs;
 using btds::ProblemKind;
 
 constexpr Method kAllMethods[] = {Method::kRdBatched, Method::kRdPerRhs, Method::kArd,
-                                  Method::kTransferRd, Method::kPcr};
+                                  Method::kPcr};
 
 mpsim::EngineOptions charged() {
   mpsim::EngineOptions engine;
@@ -313,7 +313,6 @@ TEST(Session, CallerOwnedOutputOverwritesEveryElement) {
       {Method::kRdBatched, fault::BreakdownPolicy::kFailFast, -1.0, "ok", 0x4012d0eddef59a54ull},
       {Method::kRdPerRhs, fault::BreakdownPolicy::kFailFast, -1.0, "ok", 0x4012d0eddef59a54ull},
       {Method::kArd, fault::BreakdownPolicy::kFailFast, -1.0, "ok", 0x4012d0eddef59a54ull},
-      {Method::kTransferRd, fault::BreakdownPolicy::kFailFast, -1.0, "ok", 0x8391a94e479d8cdcull},
       {Method::kPcr, fault::BreakdownPolicy::kFailFast, -1.0, "ok", 0x91ca14deeea29b44ull},
       {Method::kArd, fault::BreakdownPolicy::kRefine, 1e-13, "refine", 0x5dd8da5ae60145a5ull},
       {Method::kArd, fault::BreakdownPolicy::kFallback, 0.0, "fallback", 0x3619d352c3b8bbd0ull},

@@ -1,4 +1,4 @@
-#include "src/core/shooting.hpp"
+#include "bench/ablation/shooting.hpp"
 
 #include <gtest/gtest.h>
 
@@ -6,7 +6,7 @@
 #include "src/btds/spmv.hpp"
 #include "src/fault/status.hpp"
 
-namespace ardbt::core {
+namespace ardbt::ablation {
 namespace {
 
 using btds::make_problem;
@@ -69,4 +69,4 @@ TEST(Shooting, HandlesMultipleRhsConsistently) {
 }
 
 }  // namespace
-}  // namespace ardbt::core
+}  // namespace ardbt::ablation

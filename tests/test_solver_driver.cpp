@@ -17,15 +17,13 @@ TEST(Driver, MethodNames) {
   EXPECT_EQ(to_string(Method::kRdBatched), "rd");
   EXPECT_EQ(to_string(Method::kRdPerRhs), "rd-per-rhs");
   EXPECT_EQ(to_string(Method::kArd), "ard");
-  EXPECT_EQ(to_string(Method::kTransferRd), "transfer-rd");
   EXPECT_EQ(to_string(Method::kPcr), "pcr");
 }
 
 TEST(Driver, AllMethodsSolve) {
   const auto sys = make_problem(ProblemKind::kDiagDominant, 16, 3);
   const auto b = make_rhs(16, 3, 2);
-  for (Method method : {Method::kRdBatched, Method::kRdPerRhs, Method::kArd,
-                        Method::kTransferRd, Method::kPcr}) {
+  for (Method method : {Method::kRdBatched, Method::kRdPerRhs, Method::kArd, Method::kPcr}) {
     const DriverResult res = solve(method, sys, b, 4);
     EXPECT_LT(btds::relative_residual(sys, res.x, b), 1e-9) << to_string(method);
     EXPECT_GE(res.solve_vtime, 0.0);

@@ -1,4 +1,4 @@
-#include "src/core/transfer_rd.hpp"
+#include "bench/ablation/transfer_rd.hpp"
 
 #include <gtest/gtest.h>
 
@@ -11,7 +11,7 @@
 #include "src/mpsim/engine.hpp"
 #include "tests/run_ranks.hpp"
 
-namespace ardbt::core {
+namespace ardbt::ablation {
 namespace {
 
 using btds::BlockTridiag;
@@ -20,9 +20,15 @@ using btds::make_rhs;
 using btds::ProblemKind;
 using la::Matrix;
 
+/// The ablation's one-shot driver, with the receive timeout every test
+/// engine run carries.
+Matrix transfer_solve(const BlockTridiag& sys, const Matrix& b, int p, bool rescale = true) {
+  return transfer_rd_solve(sys, b, p, {.rescale = rescale},
+                           {.recv_timeout_wall = test::kRecvTimeoutWall});
+}
+
 double transfer_residual(const BlockTridiag& sys, const Matrix& b, int p, bool rescale = true) {
-  const Matrix x = solve(Method::kTransferRd, sys, b, p, {.ard = {.rescale = rescale}}).x;
-  return btds::relative_residual(sys, x, b);
+  return btds::relative_residual(sys, transfer_solve(sys, b, p, rescale), b);
 }
 
 TEST(TransferRd, TypedErrors) {
@@ -58,8 +64,8 @@ TEST(TransferRd, TypedErrors) {
       what[comm.rank()] = e.what();
     }
   });
-  EXPECT_NE(what[0].find("core::transfer_rd_pivot"), std::string::npos) << what[0];
-  EXPECT_NE(what[1].find("core::transfer_rd_pair"), std::string::npos) << what[1];
+  EXPECT_NE(what[0].find("ablation::transfer_rd_pivot"), std::string::npos) << what[0];
+  EXPECT_NE(what[1].find("ablation::transfer_rd_pair"), std::string::npos) << what[1];
 }
 
 TEST(TransferRd, SolveRejectsWrongShapes) {
@@ -119,8 +125,8 @@ TEST(TransferRd, BlockSpreadDegradesAccuracyWithN) {
 TEST(TransferRd, MatchesArdWhereStable) {
   const BlockTridiag sys = make_problem(ProblemKind::kDiagDominant, 12, 2);
   const Matrix b = make_rhs(12, 2, 3);
-  const Matrix x_ard = solve(Method::kArd, sys, b, 3).x;
-  const Matrix x_trd = solve(Method::kTransferRd, sys, b, 3).x;
+  const Matrix x_ard = core::solve(core::Method::kArd, sys, b, 3).x;
+  const Matrix x_trd = transfer_solve(sys, b, 3);
   for (la::index_t i = 0; i < b.rows(); ++i) {
     for (la::index_t j = 0; j < b.cols(); ++j) EXPECT_NEAR(x_trd(i, j), x_ard(i, j), 1e-8);
   }
@@ -145,4 +151,4 @@ TEST(TransferRd, RescalingKeepsPrefixesFinite) {
 }
 
 }  // namespace
-}  // namespace ardbt::core
+}  // namespace ardbt::ablation

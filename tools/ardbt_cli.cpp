@@ -9,7 +9,7 @@
 //   ardbt --list
 //
 // Flags (all optional):
-//   --method  ard | rd | rd-per-rhs | transfer-rd | pcr     [ard]
+//   --method  ard | rd | rd-per-rhs | pcr                   [ard]
 //   --kind    diagdom | poisson2d | convdiff | toeplitz | illcond [diagdom]
 //   --n / --m / --p / --r   problem shape                   [1024/8/4/16]
 //   --seed    generator seed                                [42]
@@ -78,6 +78,7 @@
 #include <limits>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/btds/generators.hpp"
@@ -207,7 +208,7 @@ std::size_t edit_distance(const std::string& a, const std::string& b) {
 
 void print_usage() {
   std::printf("usage: ardbt [flags]\n\n");
-  std::printf("methods: ard rd rd-per-rhs transfer-rd pcr\n");
+  std::printf("methods: ard rd rd-per-rhs pcr\n");
   std::printf("kinds  :");
   for (btds::ProblemKind k : btds::kAllProblemKinds) {
     std::printf(" %s", std::string(btds::to_string(k)).c_str());
@@ -286,11 +287,17 @@ void print_usage() {
   std::printf("  --list / --help  this message\n");
 }
 
+/// Clock of the printed phase and service times. The charged clock is
+/// all model; the measured one charges each rank's CPU time and still
+/// prices messages by the cost model.
+const char* clock_label(mpsim::TimingMode timing) {
+  return timing == mpsim::TimingMode::ChargedFlops ? "virtual" : "measured CPU, modeled messages";
+}
+
 core::Method parse_method(const std::string& s) {
   if (s == "ard") return core::Method::kArd;
   if (s == "rd") return core::Method::kRdBatched;
   if (s == "rd-per-rhs") return core::Method::kRdPerRhs;
-  if (s == "transfer-rd") return core::Method::kTransferRd;
   if (s == "pcr") return core::Method::kPcr;
   die("unknown method '" + s + "'");
 }
@@ -567,10 +574,10 @@ int run_cli(int argc, char** argv) {
                 static_cast<unsigned long long>(lr.issued),
                 static_cast<unsigned long long>(lr.rejected),
                 static_cast<unsigned long long>(lr.completed));
-    std::printf("  latency     : p50 %.6g s, p99 %.6g s, mean %.6g s (virtual)\n", lr.p50_s,
-                lr.p99_s, lr.mean_s);
-    std::printf("  throughput  : %.6g req/s over %.6g s makespan (virtual)\n",
-                lr.throughput_rps, lr.makespan_s);
+    std::printf("  latency     : p50 %.6g s, p99 %.6g s, mean %.6g s (%s)\n", lr.p50_s,
+                lr.p99_s, lr.mean_s, clock_label(engine.timing));
+    std::printf("  throughput  : %.6g req/s over %.6g s makespan (%s)\n",
+                lr.throughput_rps, lr.makespan_s, clock_label(engine.timing));
     std::printf("  batching    : %llu batches, mean %.4g cols, executor busy %.6g s\n",
                 static_cast<unsigned long long>(lr.batches), lr.mean_batch_cols, ss.busy_s);
     std::printf("  cache       : hit rate %.4f (%llu/%llu), entries %zu, resident %.3f MB, "
@@ -763,10 +770,14 @@ int run_cli(int argc, char** argv) {
               std::string(btds::to_string(kind)).c_str(), static_cast<long long>(n),
               static_cast<long long>(m), p, static_cast<long long>(r));
   if (!failed) {
-    std::printf("  factor time : %.4g s (virtual)\n", res.factor_vtime);
-    std::printf("  solve time  : %.4g s (virtual)\n", res.solve_vtime);
-    std::printf("  wall time   : %.4g s (host, %d oversubscribed threads)\n",
-                res.report.wall_seconds, p);
+    // hardware_concurrency() reads 0 when unknown; then claim nothing.
+    const int threads = p * engine.threads_per_rank;
+    const auto cores = static_cast<int>(std::thread::hardware_concurrency());
+    std::printf("  factor time : %.4g s (%s)\n", res.factor_vtime, clock_label(engine.timing));
+    std::printf("  solve time  : %.4g s (%s)\n", res.solve_vtime, clock_label(engine.timing));
+    std::printf("  wall time   : %.4g s (host, %d %sthread%s)\n", res.report.wall_seconds,
+                threads, cores > 0 && threads > cores ? "oversubscribed " : "",
+                threads == 1 ? "" : "s");
     std::printf("  flops       : %.4g total, %.4g msgs, %.4g MB sent\n", totals.flops_charged,
                 static_cast<double>(totals.msgs_sent),
                 static_cast<double>(totals.bytes_sent) / 1e6);

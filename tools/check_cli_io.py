@@ -1,10 +1,15 @@
 #!/usr/bin/env python3
-"""CLI file-error gate: an unopenable path is a typed error, not an abort.
+"""CLI input gate: an unopenable path is a typed error, not an abort, and
+a method the CLI does not offer is a usage error.
 
 Runs the ardbt CLI with a --load-sys path that does not exist and with a
 --trace path inside a missing directory. Each run must exit 1 (never a
 signal, never 134 from std::terminate) and print exactly one
 "ardbt: error: [io] ..." line on stderr that names the path.
+
+Then runs `--method transfer-rd`, alone and with --serve: the transfer-
+matrix ablation is not a library method (it lives in bench/ablation/),
+so both runs must exit 2 with "unknown method" on stderr.
 
 Usage: check_cli_io.py /path/to/ardbt
 """
@@ -39,6 +44,19 @@ def check(cli, flag, path):
     print(f"check_cli_io: {flag}: {errors[0]}")
 
 
+def check_unknown_method(cli, extra):
+    cmd = [cli, *SHAPE, *extra, "--method", "transfer-rd"]
+    try:
+        proc = subprocess.run(cmd, capture_output=True, text=True, timeout=TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        fail(f"{' '.join(cmd)} hung for {TIMEOUT_S}s")
+    if proc.returncode != 2 or "unknown method" not in proc.stderr:
+        fail(f"{' '.join(cmd)} exited {proc.returncode}, want 2 with 'unknown method':\n"
+             f"{proc.stderr}")
+    print(f"check_cli_io: {' '.join(extra + ['--method', 'transfer-rd'])}: "
+          f"{proc.stderr.strip()}")
+
+
 def main():
     if len(sys.argv) != 2:
         fail("usage: check_cli_io.py /path/to/ardbt")
@@ -47,6 +65,8 @@ def main():
         missing = Path(tmp) / "missing"
         check(cli, "--load-sys", missing / "sys.ardbt")
         check(cli, "--trace", missing / "run.trace.json")
+    check_unknown_method(cli, [])
+    check_unknown_method(cli, ["--serve"])
     print("check_cli_io: PASS")
 
 

@@ -1,15 +1,20 @@
 #!/usr/bin/env python3
 """Surface guard: every free function and public static member function
-a header declares has a caller.
+a header declares has a caller, and the library does not reach into the
+benches.
 
 A function only tests call still has to be compiled, documented and run
 under the sanitizers by every later change. This check fails when a
-non-template free function declared at namespace scope in src/**/*.hpp,
-or a non-template public static member function of a class defined
-there, has no reference in src, tools, bench, examples or perfbench
-other than its own declarations and definitions. Overloads (and members
-of different classes) share a name and are checked by name. Comments
-and string literals are not references.
+non-template free function declared at namespace scope in src/**/*.hpp
+or bench/ablation/*.hpp (the ablation-only solvers), or a non-template
+public static member function of a class defined there, has no reference
+in src, tools, bench, examples or perfbench other than its own
+declarations and definitions. Overloads (and members of different
+classes) share a name and are checked by name. Comments and string
+literals are not references.
+
+It also fails when a file under src includes a header under bench: the
+ablation solvers build on the library, never the other way round.
 
 Functions kept on purpose for the tests (references the tests compare
 against, or helpers that drive the engine tests) are listed in ALLOWED,
@@ -23,7 +28,9 @@ import re
 import sys
 
 CALLER_TREES = ("src", "tools", "bench", "examples", "perfbench")
+DECLARATION_ROOTS = ("src", "bench/ablation")
 SUFFIXES = {".cpp", ".hpp", ".h", ".cc"}
+BENCH_INCLUDE = re.compile(r'^\s*#\s*include\s*[<"]bench/', re.M)
 
 # name -> why it stays although only tests call it.
 ALLOWED = {
@@ -164,9 +171,22 @@ def main():
         base = root / tree
         if base.is_dir():
             files += sorted(p for p in base.rglob("*") if p.is_file() and p.suffix in SUFFIXES)
-    headers = [p for p in files if p.suffix == ".hpp" and p.is_relative_to(root / "src")]
+    headers = [p for p in files if p.suffix == ".hpp" and
+               any(p.is_relative_to(root / r) for r in DECLARATION_ROOTS)]
     if not headers:
         print(f"check_surface: FAIL: no headers under {root / 'src'}", file=sys.stderr)
+        sys.exit(1)
+
+    upward = []
+    for path in files:
+        if path.is_relative_to(root / "src"):
+            text = path.read_text(errors="replace")
+            for m in BENCH_INCLUDE.finditer(text):
+                lineno = text.count("\n", 0, m.start()) + 1
+                upward.append(f"{path.relative_to(root)}:{lineno}")
+    if upward:
+        print(f"check_surface: FAIL: src includes a bench header (the dependency runs one "
+              f"way, bench -> src):\n  " + "\n  ".join(upward), file=sys.stderr)
         sys.exit(1)
 
     declared = {}  # name -> first header declaring it
