@@ -27,7 +27,7 @@ BlockTridiag scatter(mpsim::Comm& comm, const BlockTridiag* global, index_t num_
     return slice(*global, part, root);
   }
   BlockTridiag local(n, block_size, part, comm.rank());
-  const std::vector<std::byte> raw = comm.recv_bytes(root, dist_tags::kScatterSys);
+  const std::span<const std::byte> raw = comm.recv_bytes(root, dist_tags::kScatterSys);
   std::span<const std::byte> cursor(raw);
   for (index_t i = local.lo(); i < local.hi(); ++i) {
     if (i > 0) local.lower(i) = take_matrix(cursor, block_size, block_size);

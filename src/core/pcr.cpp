@@ -65,7 +65,7 @@ void exchange_rows(mpsim::Comm& comm, const RowPartition& part, index_t s, index
     if (peer == me) continue;
     const auto rows = rows_for_window(lo, hi, s, part.begin(peer), part.end(peer), n);
     if (rows.empty()) continue;
-    const std::vector<std::byte> raw = comm.recv_bytes(peer, tag);
+    const std::span<const std::byte> raw = comm.recv_bytes(peer, tag);
     std::span<const std::byte> cursor(raw);
     for (index_t i : rows) unpack(i, cursor);
     assert(cursor.empty());

@@ -65,8 +65,8 @@ std::optional<T> exscan(Comm& comm, T local, Op op, Ser ser, Des des) {
   for (const ScanStep& step : exscan_schedule(comm.rank(), comm.size())) {
     const std::vector<std::byte> mine = ser(partial);
     comm.send_bytes(step.partner, tags::kExscan, mine);
-    const std::vector<std::byte> raw = comm.recv_bytes(step.partner, tags::kExscan);
-    T tmp = des(std::span<const std::byte>(raw));
+    const std::span<const std::byte> raw = comm.recv_bytes(step.partner, tags::kExscan);
+    T tmp = des(raw);
     if (step.partner_is_lower) {
       // tmp covers the block of ranks immediately below ours.
       partial = op(tmp, partial);

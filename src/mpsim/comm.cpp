@@ -151,14 +151,16 @@ bool Comm::recv_ready(int src, int tag) {
       src, tag, vtime_, world_->dead[static_cast<std::size_t>(src)], world_->recv_timeout_wall);
 }
 
-std::vector<std::byte> Comm::recv_bytes(int src, int tag) {
+std::span<const std::byte> Comm::recv_bytes(int src, int tag) {
   assert(src >= 0 && src < size());
   sync_compute();
   fault::FaultPlan* plan = world_->plan;
+  Mailbox& box = world_->mailboxes[static_cast<std::size_t>(rank_)];
   for (;;) {
     const double v0 = vtime_;
-    Message msg = world_->mailboxes[static_cast<std::size_t>(rank_)].pop(
-        src, tag, world_->dead[static_cast<std::size_t>(src)], world_->recv_timeout_wall);
+    Message msg = box.pop(src, tag, world_->dead[static_cast<std::size_t>(src)],
+                          world_->recv_timeout_wall);
+    const std::span<const std::byte> payload = box.retain(std::move(msg.payload));
     double waited = 0.0;
     if (msg.available_vtime > vtime_) {
       waited = msg.available_vtime - vtime_;
@@ -168,7 +170,7 @@ std::vector<std::byte> Comm::recv_bytes(int src, int tag) {
         if (trace_ != nullptr) {
           const double wall = trace_->wall_now();
           trace_->complete(obs::SpanKind::kWait, "wait", {v0, wall}, {vtime_, wall}, src,
-                           static_cast<std::uint64_t>(msg.payload.size()), msg.trace_seq);
+                           static_cast<std::uint64_t>(payload.size()), msg.trace_seq);
         }
       }
     }
@@ -189,23 +191,23 @@ std::vector<std::byte> Comm::recv_bytes(int src, int tag) {
     }
     if (plan == nullptr) {
       stats_.msgs_received += 1;
-      stats_.bytes_received += static_cast<std::uint64_t>(msg.payload.size());
+      stats_.bytes_received += static_cast<std::uint64_t>(payload.size());
       if constexpr (obs::kTraceCompiledIn) {
         if (trace_ != nullptr) {
           trace_->instant(obs::SpanKind::kRecv, "recv", {vtime_, trace_->wall_now()}, src,
-                          static_cast<std::uint64_t>(msg.payload.size()), msg.trace_seq);
+                          static_cast<std::uint64_t>(payload.size()), msg.trace_seq);
         }
       }
       reset_cpu_baseline();
-      return std::move(msg.payload);
+      return payload;
     }
     // Fault-aware path: strip and verify the wire header.
-    if (msg.payload.size() < kHeaderBytes) {
+    if (payload.size() < kHeaderBytes) {
       throw fault::MessageSizeError(src, tag, static_cast<std::uint64_t>(kHeaderBytes),
-                                    static_cast<std::uint64_t>(msg.payload.size()));
+                                    static_cast<std::uint64_t>(payload.size()));
     }
     WireHeader header;
-    std::memcpy(&header, msg.payload.data(), kHeaderBytes);
+    std::memcpy(&header, payload.data(), kHeaderBytes);
     if (seen_seqs_.empty()) seen_seqs_.resize(static_cast<std::size_t>(size()));
     auto& seen = seen_seqs_[static_cast<std::size_t>(src)];
     if (!seen.insert(header.seq).second) {
@@ -216,13 +218,13 @@ std::vector<std::byte> Comm::recv_bytes(int src, int tag) {
         if (trace_ != nullptr) {
           trace_->instant(obs::SpanKind::kMark, "fault.duplicate_dropped",
                           {vtime_, trace_->wall_now()}, src,
-                          static_cast<std::uint64_t>(msg.payload.size()));
+                          static_cast<std::uint64_t>(payload.size()));
         }
       }
       if (recorder_ != nullptr) recorder_->record_mark("fault.duplicate_dropped", vtime_, src);
       continue;
     }
-    const auto data = std::span<const std::byte>(msg.payload).subspan(kHeaderBytes);
+    const std::span<const std::byte> data = payload.subspan(kHeaderBytes);
     const std::uint64_t got_crc = fault::checksum(data);
     if (got_crc != header.crc) {
       stats_.faults_detected += 1;
@@ -246,9 +248,7 @@ std::vector<std::byte> Comm::recv_bytes(int src, int tag) {
       }
     }
     reset_cpu_baseline();
-    msg.payload.erase(msg.payload.begin(),
-                      msg.payload.begin() + static_cast<std::ptrdiff_t>(kHeaderBytes));
-    return std::move(msg.payload);
+    return data;
   }
 }
 

@@ -88,8 +88,9 @@ class Comm {
   /// Untyped eager send of a byte payload.
   void send_bytes(int dst, int tag, std::span<const std::byte> payload);
 
-  /// Blocking receive of the next message from (src, tag).
-  std::vector<std::byte> recv_bytes(int src, int tag);
+  /// Blocking receive of the next message from (src, tag). The view stays
+  /// valid until the run ends (the mailbox retains the payload).
+  std::span<const std::byte> recv_bytes(int src, int tag);
 
   /// Non-blocking receive progress on the virtual clock: true when the
   /// next (src, tag) message is already visible at this rank's current
@@ -150,7 +151,7 @@ class Comm {
   template <typename T>
   void recv_into(int src, int tag, std::span<T> out) {
     static_assert(std::is_trivially_copyable_v<T>);
-    const std::vector<std::byte> raw = recv_bytes(src, tag);
+    const std::span<const std::byte> raw = recv_bytes(src, tag);
     if (raw.size() != out.size_bytes()) {
       throw fault::MessageSizeError(src, tag, static_cast<std::uint64_t>(out.size_bytes()),
                                     static_cast<std::uint64_t>(raw.size()));

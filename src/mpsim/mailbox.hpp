@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <deque>
 #include <mutex>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -46,6 +47,14 @@ struct Message {
 };
 
 /// MPMC-push / single-consumer-pop queue with (source, tag) matching.
+///
+/// The mailbox also keeps every payload its rank has received until the
+/// run ends (retain), so a payload buffer is freed by the thread that
+/// destroys the World, in receive order, and never by a rank thread. A
+/// receiver that freed it would park the sender's chunk in its own thread
+/// cache; a rank-0 payload comes from the calling thread's heap, and such
+/// a parked chunk splits that heap's free space at a point that depends
+/// on thread scheduling.
 class Mailbox {
  public:
   /// Enqueue a message (called by sender threads).
@@ -120,6 +129,13 @@ class Mailbox {
     }
   }
 
+  /// Keep a popped payload until the mailbox dies; the view stays valid
+  /// until then. Consumer thread only (no lock).
+  std::span<const std::byte> retain(std::vector<std::byte> payload) {
+    delivered_.push_back(std::move(payload));
+    return delivered_.back();
+  }
+
   /// Wake any blocked pop so it can observe a peer death.
   void interrupt() { cv_.notify_all(); }
 
@@ -133,6 +149,7 @@ class Mailbox {
   mutable std::mutex mutex_;
   std::condition_variable cv_;
   std::deque<Message> queue_;
+  std::vector<std::vector<std::byte>> delivered_;  ///< retained payloads, receive order
 };
 
 }  // namespace ardbt::mpsim

@@ -6,7 +6,9 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <cstring>
 #include <fstream>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -65,6 +67,31 @@ TEST(Engine, TypedValueRoundTrip) {
       EXPECT_EQ(p.b, 2.5);
     }
   });
+}
+
+TEST(Engine, ReceivedPayloadStaysValidUntilTheRunEnds) {
+  // recv_bytes hands out a view of a payload the mailbox keeps; later
+  // receives must not move or free it. With a plan installed the view
+  // skips the wire header, and the dropped duplicate of send 0 is kept
+  // too.
+  fault::FaultPlan plan;
+  plan.duplicate_message(0, 0);
+  for (fault::FaultPlan* p : {static_cast<fault::FaultPlan*>(nullptr), &plan}) {
+    run(2, [](Comm& comm) {
+      if (comm.rank() == 0) {
+        for (int i = 0; i < 40; ++i) comm.send_value(1, 3, static_cast<double>(i));
+      } else {
+        std::vector<std::span<const std::byte>> views;
+        for (int i = 0; i < 40; ++i) views.push_back(comm.recv_bytes(0, 3));
+        for (int i = 0; i < 40; ++i) {
+          double v = -1.0;
+          ASSERT_EQ(views[static_cast<std::size_t>(i)].size(), sizeof v);
+          std::memcpy(&v, views[static_cast<std::size_t>(i)].data(), sizeof v);
+          EXPECT_EQ(v, static_cast<double>(i));
+        }
+      }
+    }, EngineOptions{.fault_plan = p});
+  }
 }
 
 TEST(Engine, FifoOrderPerSourceAndTag) {
